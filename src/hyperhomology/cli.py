@@ -431,8 +431,5 @@ def run_command(argv=None) -> int:
         return EXIT_LIMIT
 
 
-main = run_command
-
-
 def entry_point() -> None:
     sys.exit(run_command())

@@ -89,10 +89,11 @@ def validation_report(vertices, edges) -> list[str]:
             if v not in known:
                 violations.append(f"edge {j}: unknown vertex {v!r}")
         normalized.append((tails, heads))
+    earlier: dict[tuple, list[int]] = {}
     for j, (tails, heads) in enumerate(normalized):
-        for i in range(j):
-            if normalized[i] == (heads, tails):
-                violations.append(f"edges {i} and {j}: inverse pair")
+        for i in earlier.get((heads, tails), ()):
+            violations.append(f"edges {i} and {j}: inverse pair")
+        earlier.setdefault((tails, heads), []).append(j)
     return violations
 
 

@@ -1,11 +1,15 @@
 """Exact integer and rational linear algebra on small dense matrices.
 
 Everything is pure Python over ``int`` and ``fractions.Fraction``; no
-floating point anywhere.  The Smith normal form drives all lattice-level
-operations (integer kernels, image lattices, annihilators, quotient
-structure), so the returned kernel and annihilator lattices are saturated
-by construction.  Matrices here are desk-scale (tens of rows/columns);
-correctness, not asymptotic speed, is the contract.
+floating point anywhere.  There are two routes, one per ring.  Over the
+integers, :func:`smith_normal_form` drives every lattice-level operation
+(integer kernels, image lattices, annihilators, quotient structure,
+integer solving), so the returned kernel and annihilator lattices are
+saturated by construction.  Over the rationals, one reduced row echelon
+form (RREF) over Fractions gives ranks, rational solutions, kernels, column
+bases and, read as a spanning tree, fundamental cuts and cycles.  Matrices
+here are desk-scale (tens of rows/columns); correctness, not asymptotic
+speed, is the contract.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Ring
+from .core import InternalInconsistencyError, Ring
 
 
 @dataclass(frozen=True, init=False)
@@ -86,9 +90,6 @@ class ExactMatrix:
         data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return ExactMatrix(data, self.ring, cols=self.rows)
 
-    def select_columns(self, indices) -> "ExactMatrix":
-        return ExactMatrix.from_columns([self.column(j) for j in indices], self.ring, rows=self.rows)
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if other.rows != self.rows or other.ring is not self.ring:
             raise ValueError("shape or ring mismatch")
@@ -128,41 +129,6 @@ class ExactMatrix:
         return ExactMatrix(data, self.ring, cols=other.cols)
 
 
-class RationalEchelon:
-    """Incrementally maintained echelon basis over the rationals.
-
-    ``insert`` reduces a vector against the rows collected so far and keeps
-    it when a nonzero pivot remains, so the collected rows always stay
-    linearly independent.
-    """
-
-    def __init__(self):
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def dimension(self) -> int:
-        return len(self._rows)
-
-    def reduce(self, vector) -> list[Fraction]:
-        v = [Fraction(x) for x in vector]
-        for pivot, row in zip(self._pivots, self._rows):
-            if pivot < len(v) and v[pivot]:
-                factor = v[pivot] / row[pivot]
-                for k in range(pivot, len(v)):
-                    v[k] -= factor * row[k]
-        return v
-
-    def insert(self, vector) -> bool:
-        v = self.reduce(vector)
-        for k, value in enumerate(v):
-            if value:
-                self._rows.append(v)
-                self._pivots.append(k)
-                return True
-        return False
-
-
 def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form with the pivot columns, over Fractions."""
     matrix = [list(map(Fraction, row)) for row in rows]
@@ -185,6 +151,38 @@ def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], li
         if r == len(matrix):
             break
     return matrix, pivots
+
+
+def _rref_tree(rows, cols: int, order=None):
+    """Spanning tree of the row space, read off one RREF.
+
+    Columns are scanned in ``order`` (default: left to right).  The pivot
+    columns are the greedy column basis, which is the tree.  RREF row i has
+    1 at its pivot and 0 at every other pivot, so it is the fundamental cut
+    of that pivot.  Each free column f gives the null vector with 1 at f, 0
+    at every other free column and minus the RREF entry at each pivot: the
+    fundamental cycle of f.  Returns ``(tree, cuts, cycles)``: the tree
+    columns in scan order, then dicts from column index to a Fraction
+    vector of length ``cols``.
+    """
+    order = list(range(cols)) if order is None else list(order)
+    reduced, pivots = _fraction_rref([[row[j] for j in order] for row in rows])
+    tree = tuple(order[p] for p in pivots)
+    cuts = {}
+    for i, t in enumerate(tree):
+        cut = [Fraction(0)] * cols
+        for k, j in enumerate(order):
+            cut[j] = reduced[i][k]
+        cuts[t] = cut
+    free = sorted(set(range(cols)) - set(pivots))
+    cycles = {}
+    for k in free:
+        cycle = [Fraction(0)] * cols
+        cycle[order[k]] = Fraction(1)
+        for i, t in enumerate(tree):
+            cycle[t] = -reduced[i][k]
+        cycles[order[k]] = cycle
+    return tree, cuts, cycles
 
 
 def image_rank(matrix: ExactMatrix) -> int:
@@ -247,6 +245,25 @@ class SnfDecomposition:
     @property
     def rank(self) -> int:
         return len(self.diagonal)
+
+    def solve(self, rhs) -> list[int] | None:
+        """Some integer solution of ``m @ x = rhs`` for the factored ``m``,
+        or None when no integer solution exists (even if a rational one
+        does).  ``u @ rhs`` must be divisible by the divisors and vanish
+        beyond the rank."""
+        rhs = [Ring.INTEGER.coerce(b) for b in rhs]
+        if len(rhs) != self.u.cols:
+            raise ValueError("right-hand side length does not match row count")
+        diagonal = self.diagonal
+        y = [0] * self.v.rows
+        for i, value in enumerate(self.u.apply(rhs)):
+            if i < len(diagonal):
+                if value % diagonal[i]:
+                    return None
+                y[i] = value // diagonal[i]
+            elif value:
+                return None
+        return self.v.apply(y)
 
 
 def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
@@ -362,31 +379,9 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
         u_inverse=ExactMatrix(u_inv, Ring.INTEGER, cols=r),
         v_inverse=ExactMatrix(v_inv, Ring.INTEGER, cols=c),
     )
-    assert (result.u @ matrix) @ result.v == result.s
+    if (result.u @ matrix) @ result.v != result.s:
+        raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
     return result
-
-
-def _integer_row_scaled(matrix: ExactMatrix) -> ExactMatrix:
-    """Scale each row by a positive integer to clear denominators.
-
-    Row scaling preserves the kernel, which is all this helper is used for.
-    """
-    if matrix.ring is Ring.INTEGER:
-        return matrix
-    rows = []
-    for row in matrix.entries:
-        scale = 1
-        for x in row:
-            f = Fraction(x)
-            scale = scale * f.denominator // _gcd(scale, f.denominator)
-        rows.append([int(Fraction(x) * scale) for x in row])
-    return ExactMatrix(rows, Ring.INTEGER, cols=matrix.cols)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
@@ -394,29 +389,26 @@ def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
 
     Integer kernels are read off the column change-of-basis factor of the
     Smith normal form, so the returned lattice is saturated: it is a direct
-    summand of the ambient lattice.
+    summand of the ambient lattice.  Rational kernels are the null vectors
+    of the free columns of the RREF, one per free column in order.
     """
     if ring is Ring.INTEGER:
         if matrix.ring is not Ring.INTEGER:
             raise ValueError("integer kernel requires an integer matrix")
         decomposition = smith_normal_form(matrix)
         return [decomposition.v.column(j) for j in range(decomposition.rank, matrix.cols)]
-    scaled = _integer_row_scaled(matrix)
-    decomposition = smith_normal_form(scaled)
-    return [
-        [Fraction(x) for x in decomposition.v.column(j)]
-        for j in range(decomposition.rank, matrix.cols)
-    ]
+    _, _, cycles = _rref_tree(matrix.entries, matrix.cols)
+    return list(cycles.values())
 
 
 def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
     """Basis of the column space (rational) or of the image lattice (integer).
 
     Over the rationals this is the greedy independent subset of columns,
-    lowest indices first.  Over the integers the basis is read off the Smith
-    factors: the nonzero diagonal entries times the matching columns of the
-    inverse row transform generate exactly the lattice spanned by the
-    columns.
+    lowest indices first: the pivot columns of the RREF.  Over the integers
+    the basis is read off the Smith factors: the nonzero diagonal entries
+    times the matching columns of the inverse row transform generate exactly
+    the lattice spanned by the columns.
     """
     if ring is Ring.INTEGER:
         if matrix.ring is not Ring.INTEGER:
@@ -426,36 +418,14 @@ def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
         for i, d in enumerate(decomposition.diagonal):
             basis.append([d * x for x in decomposition.u_inverse.column(i)])
         return basis
-    echelon = RationalEchelon()
-    basis = []
-    for j in range(matrix.cols):
-        column = [Fraction(x) for x in matrix.column(j)]
-        if echelon.insert(column):
-            basis.append(column)
-    return basis
+    tree, _, _ = _rref_tree(matrix.entries, matrix.cols)
+    return [[Fraction(x) for x in matrix.column(j)] for j in tree]
 
 
 def solve_integer(matrix: ExactMatrix, rhs) -> list[int] | None:
     """Some integer solution of ``matrix @ x = rhs``, or None when no
     integer solution exists (even if a rational one does)."""
-    if matrix.ring is not Ring.INTEGER:
-        raise ValueError("integer solving requires an integer matrix")
-    rhs = [Ring.INTEGER.coerce(b) for b in rhs]
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side length does not match row count")
-    decomposition = smith_normal_form(matrix)
-    transformed = decomposition.u.apply(rhs)
-    diagonal = decomposition.diagonal
-    y = [0] * matrix.cols
-    for i in range(matrix.rows):
-        if i < len(diagonal):
-            if transformed[i] % diagonal[i]:
-                return None
-            if i < matrix.cols:
-                y[i] = transformed[i] // diagonal[i]
-        elif transformed[i]:
-            return None
-    return decomposition.v.apply(y)
+    return smith_normal_form(matrix).solve(rhs)
 
 
 def is_direct_summand(matrix: ExactMatrix) -> bool:
@@ -504,19 +474,26 @@ def quotient_structure(matrix: ExactMatrix) -> ModuleStructure:
     return ModuleStructure(matrix.rows - decomposition.rank, torsion)
 
 
+def _lattice_contains_all(generators, vectors, ambient_dim: int) -> bool:
+    """Whether every vector lies in the integer span of the generators; the
+    generator matrix is factored once for all of them."""
+    vectors = [list(v) for v in vectors]
+    if any(len(v) != ambient_dim for v in vectors):
+        raise ValueError("vector length does not match ambient dimension")
+    if not vectors:
+        return True
+    matrix = ExactMatrix.from_columns(generators, Ring.INTEGER, rows=ambient_dim)
+    decomposition = smith_normal_form(matrix)
+    return all(decomposition.solve(v) is not None for v in vectors)
+
+
 def lattice_contains(generators, vector, ambient_dim: int) -> bool:
     """Whether ``vector`` lies in the integer span of the generators."""
-    vector = list(vector)
-    if len(vector) != ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    if not generators:
-        return all(x == 0 for x in vector)
-    matrix = ExactMatrix.from_columns(generators, Ring.INTEGER, rows=ambient_dim)
-    return solve_integer(matrix, vector) is not None
+    return _lattice_contains_all(generators, [vector], ambient_dim)
 
 
 def sublattice_equal(generators_a, generators_b, ambient_dim: int) -> bool:
     """Whether two generating sets span the same integer lattice."""
-    return all(
-        lattice_contains(generators_b, vector, ambient_dim) for vector in generators_a
-    ) and all(lattice_contains(generators_a, vector, ambient_dim) for vector in generators_b)
+    return _lattice_contains_all(
+        generators_b, generators_a, ambient_dim
+    ) and _lattice_contains_all(generators_a, generators_b, ambient_dim)

@@ -78,6 +78,7 @@ def random_hypergraph(
     rng = random.Random(seed)
     vertices = [f"v{i + 1}" for i in range(vertex_count)]
     edges: list[tuple[frozenset, frozenset]] = []
+    drawn = set()
     for _ in range(edge_count):
         for _attempt in range(10_000):
             tail_arity = rng.randrange(max_arity + 1)
@@ -89,9 +90,10 @@ def random_hypergraph(
             pool = list(vertices)
             tails = frozenset(_draw(rng, pool, tail_arity))
             heads = frozenset(_draw(rng, pool, head_arity))
-            if any(existing == (heads, tails) for existing in edges):
+            if (heads, tails) in drawn:
                 continue
             edges.append((tails, heads))
+            drawn.add((tails, heads))
             break
         else:
             raise RuntimeError("edge resampling did not converge")

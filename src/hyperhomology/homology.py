@@ -1,10 +1,19 @@
 """Homology and cohomology groups, cycle/cut lattices, graph-likeness.
 
-The first homology group is the kernel of the boundary map; the first
+The first homology group is the kernel of the boundary map B; the first
 cohomology group is the cokernel of the coboundary map.  Over the integers
-both are computed from the Smith normal form of the boundary matrix.  The
-graph-likeness report evaluates the five equivalent conditions separately
-and insists that they agree.
+the homology, graph-likeness and decomposition reports read everything off
+one Smith normal form U B V = S with divisors d_0..d_{r-1}: the rank r,
+the cycles (columns r.. of V), the cohomology torsion, the annihilator of
+the cycles (rows < r of V^-1) and coboundary membership, since
+V^T B^T U^T = S^T factors the coboundary map too.  The
+five graph-likeness conditions are equivalent; the report decides them
+once, by whether every divisor is 1, and builds the witnesses from the
+same factorization.  The other routes to the same conditions
+(:func:`is_direct_summand`, :func:`cohomology_hom_iso_check`,
+:func:`annihilator_of_cycles` with a lattice comparison) stay public and
+serve as independent checks.  Over the rationals the bases come from one
+reduced row echelon form of B.
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ from .core import (
 from .exact_linalg import (
     ExactMatrix,
     ModuleStructure,
+    SnfDecomposition,
+    _rref_tree,
     annihilator_basis,
     image_basis,
     image_rank,
-    is_direct_summand,
     kernel_basis,
     lattice_contains,
     quotient_structure,
@@ -56,20 +66,24 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     boundary rank, while the cohomology may carry torsion; over the
     rationals only the free ranks remain.
     """
+    m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    rank = image_rank(matrix)
-    basis_vectors = kernel_basis(matrix, ring)
-    basis = tuple(Chain.from_vector(1, vector, ring) for vector in basis_vectors)
-    h1 = ModuleStructure(len(basis), ())
     if ring is Ring.INTEGER:
-        h1_cohomology = quotient_structure(matrix.transpose())
+        decomposition = smith_normal_form(matrix)
+        rank = decomposition.rank
+        basis_vectors = [decomposition.v.column(j) for j in range(rank, m)]
+        torsion = tuple(d for d in decomposition.diagonal if d > 1)
     else:
-        h1_cohomology = ModuleStructure(hypergraph.edge_count - rank, ())
+        tree, _, cycles = _rref_tree(matrix.entries, m)
+        rank = len(tree)
+        basis_vectors = list(cycles.values())
+        torsion = ()
+    basis = tuple(Chain.from_vector(1, vector, ring) for vector in basis_vectors)
     return HomologyReport(
         ring=ring,
-        h1=h1,
+        h1=ModuleStructure(len(basis), ()),
         h1_basis=basis,
-        h1_cohomology=h1_cohomology,
+        h1_cohomology=ModuleStructure(m - rank, torsion),
         rank_image_boundary=rank,
     )
 
@@ -99,8 +113,9 @@ class Witness:
 class GraphLikenessReport:
     """Truth values of the five equivalent graph-likeness conditions.
 
-    All five must agree; when they are false, ``witnesses`` carries one
-    concrete counterexample per condition.
+    The five are equivalent, so they always carry the same value; when they
+    are false, ``witnesses`` carries one concrete counterexample per
+    condition.
     """
 
     canonical_iso: bool
@@ -124,64 +139,56 @@ class GraphLikenessReport:
         }
 
 
-def _annihilator_witness(hypergraph, cycles, annihilator, transpose):
+def _annihilator_witness(decomposition: SnfDecomposition, coboundary: SnfDecomposition):
     """Lexicographically first cochain in the annihilator that is not a
-    coboundary: standard edge cochains first, then annihilator generators."""
-    m = hypergraph.edge_count
+    coboundary: standard edge cochains first, then annihilator generators.
+
+    ``decomposition`` factors the boundary matrix, so the cycles are the
+    columns from the rank on of its ``v``, and the annihilator generators
+    are the rows of ``v_inverse`` before the rank; ``coboundary`` is the
+    transposed factorization, which solves for coboundaries.
+    """
+    rank = decomposition.rank
+    m = decomposition.v.cols
     for e in range(m):
         unit = [0] * m
         unit[e] = 1
-        in_annihilator = all(
-            sum(a * b for a, b in zip(unit, cycle)) == 0 for cycle in cycles
-        )
-        if in_annihilator and solve_integer(transpose, unit) is None:
+        kills_cycles = not any(decomposition.v.entries[e][rank:])
+        if kills_cycles and coboundary.solve(unit) is None:
             return (
                 tuple(unit),
                 f"standard cochain on edge e{e + 1} kills every cycle but is not a coboundary",
             )
-    for generator in annihilator:
-        if solve_integer(transpose, generator) is None:
+    for i in range(rank):
+        generator = decomposition.v_inverse.row(i)
+        if coboundary.solve(generator) is None:
             return tuple(generator), "annihilator generator that is not a coboundary"
     raise InternalInconsistencyError("annihilator exceeds coboundary image but no witness found")
 
 
 def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
-    """Evaluate the five graph-likeness conditions, each by its own route.
+    """Decide the five graph-likeness conditions from one Smith normal form.
 
-    The canonical-isomorphism condition is recorded through its computable
-    form, the lattice equality of the cycle annihilator with the coboundary
-    image.  Disagreement among the five booleans raises
-    :class:`InternalInconsistencyError`; it is never a valid result.
+    The conditions are equivalent, and each holds exactly when every
+    elementary divisor of the boundary matrix is 1, so all five booleans
+    carry that one verdict.  The canonical-isomorphism condition is recorded
+    through its computable form, the lattice equality of the cycle
+    annihilator with the coboundary image.  When the verdict is negative,
+    the witnesses come from the same factorization.
     """
-    m = hypergraph.edge_count
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    transpose = matrix.transpose()
-    cycles = kernel_basis(matrix, Ring.INTEGER)
-    annihilator = annihilator_basis(cycles, m)
-    coboundary_image = image_basis(transpose, Ring.INTEGER)
-
-    cond_annihilator = sublattice_equal(annihilator, coboundary_image, m)
-    cond_canonical = cond_annihilator
-
-    # same lattices pulled back to chain coefficients and compared afresh
-    cut_lattice = image_basis(transpose, Ring.INTEGER)
-    cycle_perp = annihilator_basis(kernel_basis(matrix, Ring.INTEGER), m)
-    cond_cut_perp = sublattice_equal(cut_lattice, cycle_perp, m)
-
-    cond_summand = is_direct_summand(matrix)
-    cond_hom = cohomology_hom_iso_check(hypergraph)
-
-    values = [cond_canonical, cond_annihilator, cond_cut_perp, cond_summand, cond_hom]
-    if len(set(values)) != 1:
-        raise InternalInconsistencyError(
-            f"graph-likeness conditions disagree: {values}"
-        )
-
+    decomposition = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER))
+    graph_like = all(d == 1 for d in decomposition.diagonal)
     witnesses: list[Witness] = []
-    if not cond_annihilator:
-        coefficients, description = _annihilator_witness(
-            hypergraph, cycles, annihilator, transpose
+    if not graph_like:
+        # U B V = S transposes to V^T B^T U^T = S^T, a factorization of B^T
+        coboundary = SnfDecomposition(
+            u=decomposition.v.transpose(),
+            s=decomposition.s.transpose(),
+            v=decomposition.u.transpose(),
+            u_inverse=decomposition.v_inverse.transpose(),
+            v_inverse=decomposition.u_inverse.transpose(),
         )
+        coefficients, description = _annihilator_witness(decomposition, coboundary)
         witnesses.append(
             Witness("canonical_iso", description, "edges", coefficients)
         )
@@ -196,39 +203,31 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
                 coefficients,
             )
         )
-    if not cond_summand:
-        decomposition = smith_normal_form(matrix)
         position = next(i for i, d in enumerate(decomposition.diagonal) if d > 1)
         divisor = decomposition.diagonal[position]
-        vector = tuple(decomposition.u_inverse.column(position))
         witnesses.append(
             Witness(
                 "boundary_image_direct_summand",
                 f"0-chain whose {divisor}-multiple is a boundary although it is not one itself",
                 "vertices",
-                vector,
+                tuple(decomposition.u_inverse.column(position)),
             )
         )
-    if not cond_hom:
-        decomposition = smith_normal_form(transpose)
-        position = next(i for i, d in enumerate(decomposition.diagonal) if d > 1)
-        divisor = decomposition.diagonal[position]
-        vector = tuple(decomposition.u_inverse.column(position))
         witnesses.append(
             Witness(
                 "hom_dual_iso",
                 f"cochain whose class has finite order {divisor} in the cohomology",
                 "edges",
-                vector,
+                tuple(coboundary.u_inverse.column(position)),
             )
         )
 
     return GraphLikenessReport(
-        canonical_iso=cond_canonical,
-        annihilator_equals_coboundary_image=cond_annihilator,
-        cuts_equal_cycle_perp=cond_cut_perp,
-        boundary_image_direct_summand=cond_summand,
-        hom_dual_iso=cond_hom,
+        canonical_iso=graph_like,
+        annihilator_equals_coboundary_image=graph_like,
+        cuts_equal_cycle_perp=graph_like,
+        boundary_image_direct_summand=graph_like,
+        hom_dual_iso=graph_like,
         witnesses=tuple(witnesses),
     )
 
@@ -256,11 +255,22 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     Over the rationals the two are orthogonal complements.  Over the
     integers they still intersect trivially but their sum can be a proper
     sublattice; the first standard edge chain outside the sum is reported.
+    Integer cycles are columns r.. of V in the Smith form U B V = S, and the
+    cuts d_i times row i of V^-1 for i < r; rational cycles and cuts are the
+    fundamental cycles and cuts of the RREF of B.
     """
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    cycle_vectors = kernel_basis(matrix, ring)
-    cut_vectors = image_basis(matrix.transpose(), ring)
+    if ring is Ring.INTEGER:
+        decomposition = smith_normal_form(matrix)
+        cycle_vectors = [decomposition.v.column(j) for j in range(decomposition.rank, m)]
+        cut_vectors = [
+            [d * x for x in decomposition.v_inverse.row(i)]
+            for i, d in enumerate(decomposition.diagonal)
+        ]
+    else:
+        _, cuts, cycles = _rref_tree(matrix.entries, m)
+        cycle_vectors, cut_vectors = list(cycles.values()), list(cuts.values())
     cycle_basis = tuple(Chain.from_vector(1, v, ring) for v in cycle_vectors)
     cut_basis = tuple(Chain.from_vector(1, v, ring) for v in cut_vectors)
 
@@ -280,15 +290,15 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
 
     missing_chain = None
     if ring is Ring.INTEGER:
-        generators = [list(v) for v in cycle_vectors] + [list(v) for v in cut_vectors]
-        spans = True
+        generators = ExactMatrix.from_columns(cycle_vectors + cut_vectors, Ring.INTEGER, rows=m)
+        chain_sum = smith_normal_form(generators)
         for e in range(m):
             unit = [0] * m
             unit[e] = 1
-            if not lattice_contains(generators, unit, m):
-                spans = False
+            if chain_sum.solve(unit) is None:
                 missing_chain = Chain.unit(1, e, Ring.INTEGER)
                 break
+        spans = missing_chain is None
     else:
         spans = combined_rank == m
 

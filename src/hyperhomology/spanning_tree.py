@@ -4,7 +4,10 @@ A spanning tree here is an edge subset whose fundamental cuts form a basis
 of the cut module and whose fundamental cycles form a basis of the cycle
 module, each family with Kronecker coordinates on its own index set.  Over
 the rationals one always exists; over the integers existence is decided by
-exhausting the column bases of the boundary matrix.
+exhausting the column bases of the boundary matrix.  Every tree, rational,
+integer candidate or vector-space, is read off one reduced row echelon form:
+pivot columns are the tree, nonzero rows the fundamental cuts, and the null
+vectors of the free columns the fundamental cycles.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring
 from .exact_linalg import (
     ExactMatrix,
-    RationalEchelon,
+    _rref_tree,
     image_basis,
     image_rank,
     kernel_basis,
-    solve_integer,
+    smith_normal_form,
     solve_rational,
     sublattice_equal,
 )
@@ -56,53 +59,27 @@ class SpanningTree:
         return tuple(sorted(self.fundamental_cycles))
 
 
-def _tree_for_subset(hypergraph: OrientedHypergraph, tree_edges) -> SpanningTree:
-    """Build cuts and cycles over the rationals for a given edge subset.
-
-    Requires the boundaries of ``tree_edges`` to be linearly independent and
-    to span the boundary image (callers guarantee this).  Each chord e gets
-    the cycle x_e = e - x'_e, where x'_e is the unique tree combination with
-    the same boundary; the cut of a tree edge t then has coefficient 1 at t,
-    0 at other tree edges, and -x_e[t] at each chord e.
-    """
-    tree_edges = tuple(tree_edges)
-    matrix = boundary_matrix(hypergraph, Ring.RATIONAL)
-    tree_columns = matrix.select_columns(tree_edges)
-    cycles: dict[int, Chain] = {}
-    for e in range(hypergraph.edge_count):
-        if e in tree_edges:
-            continue
-        weights = solve_rational(tree_columns, matrix.column(e))
-        if weights is None:
-            raise InternalInconsistencyError(
-                "edge boundary not spanned by the selected tree boundaries"
-            )
-        coefficients = {e: Fraction(1)}
-        for position, t in enumerate(tree_edges):
-            coefficients[t] = -weights[position]
-        cycles[e] = Chain(1, coefficients, Ring.RATIONAL)
-    cuts: dict[int, Chain] = {}
-    for t in tree_edges:
-        coefficients = {t: Fraction(1)}
-        for e, cycle in cycles.items():
-            value = -cycle.coefficient(t)
-            if value:
-                coefficients[e] = value
-        cuts[t] = Chain(1, coefficients, Ring.RATIONAL)
-    return SpanningTree(tree_edges, cuts, cycles, Ring.RATIONAL)
+def _spanning_tree(tree_edges, cuts, cycles) -> SpanningTree:
+    """Wrap the vectors of :func:`_rref_tree` as rational chains."""
+    return SpanningTree(
+        tree_edges,
+        {t: Chain.from_vector(1, v, Ring.RATIONAL) for t, v in cuts.items()},
+        {e: Chain.from_vector(1, v, Ring.RATIONAL) for e, v in cycles.items()},
+        Ring.RATIONAL,
+    )
 
 
 def find_spanning_tree_rational(hypergraph: OrientedHypergraph) -> SpanningTree:
     """Greedy spanning tree over the rationals; always succeeds.
 
-    Scans edges in input order and keeps each edge whose boundary is
-    linearly independent of the boundaries kept so far, so the result is
-    deterministic for a given edge ordering.
+    The tree is the set of pivot columns of the RREF of the boundary
+    matrix: each edge whose boundary is linearly independent of the
+    boundaries of the edges before it, so the result is deterministic for a
+    given edge ordering.  The nonzero RREF rows are the fundamental cuts and
+    the null vectors of the free columns are the fundamental cycles.
     """
-    matrix = boundary_matrix(hypergraph, Ring.RATIONAL)
-    echelon = RationalEchelon()
-    tree_edges = [j for j in range(hypergraph.edge_count) if echelon.insert(matrix.column(j))]
-    return _tree_for_subset(hypergraph, tree_edges)
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    return _spanning_tree(*_rref_tree(matrix.entries, hypergraph.edge_count))
 
 
 @dataclass(frozen=True)
@@ -168,8 +145,9 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
 
     transpose = boundary_matrix(hypergraph, ring).transpose()
     if ring is Ring.INTEGER:
+        coboundary = smith_normal_form(transpose)
         cuts_are_cuts = all(
-            solve_integer(transpose, cut.to_vector(m)) is not None
+            coboundary.solve(cut.to_vector(m)) is not None
             for cut in tree.fundamental_cuts.values()
         )
     else:
@@ -181,14 +159,13 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     rational_matrix = boundary_matrix(hypergraph, Ring.RATIONAL)
     boundary_rank = image_rank(rational_matrix)
     if ring is Ring.RATIONAL:
-        cut_echelon = RationalEchelon()
-        cut_rank = sum(cut_echelon.insert(c.to_vector(m)) for c in tree.fundamental_cuts.values())
-        cuts_span = cut_rank == len(tree.tree_edges) == boundary_rank
-        cycle_echelon = RationalEchelon()
-        cycle_rank = sum(
-            cycle_echelon.insert(c.to_vector(m)) for c in tree.fundamental_cycles.values()
-        )
-        cycles_span = cycle_rank == len(chord_set) == m - boundary_rank
+
+        def rank(chains) -> int:
+            rows = [c.to_vector(m) for c in chains]
+            return image_rank(ExactMatrix.from_rows(rows, Ring.RATIONAL, cols=m))
+
+        cuts_span = rank(tree.fundamental_cuts.values()) == len(tree.tree_edges) == boundary_rank
+        cycles_span = rank(tree.fundamental_cycles.values()) == len(chord_set) == m - boundary_rank
     else:
         integer_matrix = boundary_matrix(hypergraph, Ring.INTEGER)
         cut_vectors = [c.to_vector(m) for c in tree.fundamental_cuts.values()]
@@ -215,18 +192,15 @@ def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     """Whether a rational tree is integral: every fundamental cycle has
     integer coefficients and every cut cochain is the coboundary of an
     integer 0-cochain."""
-    for cycle in tree.fundamental_cycles.values():
-        if any(Fraction(v).denominator != 1 for v in cycle.coefficients.values()):
-            return False
-    transpose = boundary_matrix(hypergraph, Ring.INTEGER).transpose()
+    chains = [*tree.fundamental_cycles.values(), *tree.fundamental_cuts.values()]
+    if any(Fraction(v).denominator != 1 for c in chains for v in c.coefficients.values()):
+        return False
+    coboundary = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER).transpose())
     m = hypergraph.edge_count
-    for cut in tree.fundamental_cuts.values():
-        if any(Fraction(v).denominator != 1 for v in cut.coefficients.values()):
-            return False
-        vector = [int(Fraction(v)) for v in cut.to_vector(m)]
-        if solve_integer(transpose, vector) is None:
-            return False
-    return True
+    return all(
+        coboundary.solve([int(Fraction(v)) for v in cut.to_vector(m)]) is not None
+        for cut in tree.fundamental_cuts.values()
+    )
 
 
 def _to_integer_tree(tree: SpanningTree) -> SpanningTree:
@@ -246,22 +220,26 @@ def find_spanning_tree_integer(
     Candidate subsets are the edge subsets whose boundaries form a column
     basis of the boundary matrix, visited in lexicographic order of edge
     indices; every size-``rank`` subset counts against ``search_limit``.
-    Each candidate is built by the rational construction, cross-checked
-    against the axioms, and the first integral one is returned with integer
-    coefficients.  Returns None when the enumeration completes without a
-    hit; raises :class:`SearchLimitExceeded` when the budget runs out first.
+    Each candidate is read off the RREF of the boundary matrix with the
+    subset's columns ordered first (they are a column basis exactly when
+    they are the pivots), cross-checked against the axioms, and the first
+    integral one is returned with integer coefficients.  Returns None when
+    the enumeration completes without a hit; raises
+    :class:`SearchLimitExceeded` when the budget runs out first.
     """
-    matrix = boundary_matrix(hypergraph, Ring.RATIONAL)
+    m = hypergraph.edge_count
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
     rank = image_rank(matrix)
     examined = 0
-    for subset in itertools.combinations(range(hypergraph.edge_count), rank):
+    for subset in itertools.combinations(range(m), rank):
         if examined >= search_limit:
             raise SearchLimitExceeded(examined)
         examined += 1
-        echelon = RationalEchelon()
-        if not all(echelon.insert(matrix.column(j)) for j in subset):
+        order = subset + tuple(j for j in range(m) if j not in subset)
+        tree_edges, cuts, cycles = _rref_tree(matrix.entries, m, order)
+        if tree_edges != subset:
             continue
-        candidate = _tree_for_subset(hypergraph, subset)
+        candidate = _spanning_tree(tree_edges, cuts, cycles)
         if not verify_tree_axioms(hypergraph, candidate).ok:
             raise InternalInconsistencyError(
                 "constructed candidate violates the spanning-tree axioms"
@@ -283,55 +261,11 @@ def vector_space_spanning_tree(ambient_dim: int, subspace_generators):
     of the subspace with Kronecker coordinates on the non-tree positions and
     the cuts are a basis of the orthogonal complement with Kronecker
     coordinates on the tree positions.  This runs the same construction as
-    the hypergraph case with the projection modulo the subspace in place of
-    the boundary map.
+    the hypergraph case, on a matrix whose kernel is the subspace (its rows
+    span the orthogonal complement) in place of the boundary matrix.
     """
-    subspace_basis: list[list[Fraction]] = []
-    echelon = RationalEchelon()
-    for generator in subspace_generators:
-        vector = [Fraction(x) for x in generator]
-        if len(vector) != ambient_dim:
-            raise ValueError("generator length does not match ambient dimension")
-        if echelon.insert(vector):
-            subspace_basis.append(vector)
-
-    tracker = RationalEchelon()
-    for vector in subspace_basis:
-        tracker.insert(vector)
-    tree: list[int] = []
-    for position in range(ambient_dim):
-        unit = [Fraction(0)] * ambient_dim
-        unit[position] = Fraction(1)
-        if tracker.insert(unit):
-            tree.append(position)
-
-    columns = []
-    for position in tree:
-        unit = [Fraction(0)] * ambient_dim
-        unit[position] = Fraction(1)
-        columns.append(unit)
-    columns.extend(subspace_basis)
-    system = ExactMatrix.from_columns(columns, Ring.RATIONAL, rows=ambient_dim)
-
-    cycles: dict[int, list[Fraction]] = {}
-    for position in range(ambient_dim):
-        if position in tree:
-            continue
-        unit = [Fraction(0)] * ambient_dim
-        unit[position] = Fraction(1)
-        weights = solve_rational(system, unit)
-        if weights is None:
-            raise InternalInconsistencyError("tree positions plus subspace fail to span")
-        cycle = list(unit)
-        for index, t in enumerate(tree):
-            cycle[t] -= weights[index]
-        cycles[position] = cycle
-
-    cuts: dict[int, list[Fraction]] = {}
-    for t in tree:
-        cut = [Fraction(0)] * ambient_dim
-        cut[t] = Fraction(1)
-        for position, cycle in cycles.items():
-            cut[position] = -cycle[t]
-        cuts[t] = cut
-    return tuple(tree), cuts, cycles
+    rows = [[Fraction(x) for x in generator] for generator in subspace_generators]
+    if any(len(row) != ambient_dim for row in rows):
+        raise ValueError("generator length does not match ambient dimension")
+    generators = ExactMatrix.from_rows(rows, Ring.RATIONAL, cols=ambient_dim)
+    return _rref_tree(kernel_basis(generators, Ring.RATIONAL), ambient_dim)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -51,6 +52,38 @@ def test_empty_edge_allowed_once():
     # a second doubly-empty edge is its own inverse
     report = validation_report(["a"], [(set(), set()), (set(), set())])
     assert any("inverse pair" in v for v in report)
+
+
+def test_violation_list_order_pinned():
+    # repeated parallel inverses and three empty edges: every inverse pair is
+    # reported, later edge outer, earlier edge inner, after the other checks
+    vertices = ["a", "b", "c", "a"]
+    edges = [
+        ({"a"}, {"b"}),
+        ({"b"}, {"a"}),
+        ({"b"}, {"a"}),
+        ({"a"}, {"b"}),
+        (set(), set()),
+        ({"a", "c"}, {"c"}),
+        (set(), set()),
+        ({"z"}, {"a"}),
+        (set(), set()),
+        ({"b"}, {"a"}),
+    ]
+    assert validation_report(vertices, edges) == [
+        "duplicate vertex 'a'",
+        "edge 5: tails and heads overlap on 'c'",
+        "edge 7: unknown vertex 'z'",
+        "edges 0 and 1: inverse pair",
+        "edges 0 and 2: inverse pair",
+        "edges 1 and 3: inverse pair",
+        "edges 2 and 3: inverse pair",
+        "edges 4 and 6: inverse pair",
+        "edges 4 and 8: inverse pair",
+        "edges 6 and 8: inverse pair",
+        "edges 0 and 9: inverse pair",
+        "edges 3 and 9: inverse pair",
+    ]
 
 
 def test_empty_sided_edges_allowed():
@@ -152,6 +185,22 @@ def test_random_generator_deterministic():
     a = random_hypergraph(6, 6, seed=42)
     b = random_hypergraph(6, 6, seed=42)
     assert a == b
+
+
+def test_random_generator_output_pinned():
+    # each of these draws resamples inverse candidates (a second empty edge
+    # among them); the digests fix the whole draw stream
+    from hyperhomology.cli import serialize_document
+
+    pinned = {
+        (3, 12, 1, 1, False): "58efb223cf92119b2dbf4d21df927ee1fac28b538601872b23245622a5619404",
+        (2, 6, 5, 1, True): "b9ca28d48df36c926097f47fa94d4106a8aa63c37dfc0dc83fab5f31b5573350",
+        (4, 20, 9, 2, True): "6ca15c0bafef5ca91ab3f8fd9d54366e1b23ec56502b8d381f6ea41962e077a8",
+    }
+    for (vertices, edges, seed, arity, empty), digest in pinned.items():
+        h = random_hypergraph(vertices, edges, seed, max_arity=arity, allow_empty_edges=empty)
+        text = serialize_document(h)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_random_generator_infeasible_params():

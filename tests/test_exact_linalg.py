@@ -5,6 +5,7 @@ import pytest
 
 from hyperhomology import (
     ExactMatrix,
+    InternalInconsistencyError,
     ModuleStructure,
     Ring,
     annihilator_basis,
@@ -62,6 +63,17 @@ def test_snf_single_entry():
 def test_snf_rejects_rational_matrices():
     with pytest.raises(ValueError):
         smith_normal_form(ExactMatrix([[Fraction(1, 2)]], Ring.RATIONAL))
+
+
+def test_snf_self_check_raises_on_wrong_product(monkeypatch):
+    # the factors are rechecked by an explicit comparison, which, unlike an
+    # assert, also runs under python -O
+    def wrong_product(self, other):
+        return ExactMatrix.zeros(self.rows, other.cols, Ring.INTEGER)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", wrong_product)
+    with pytest.raises(InternalInconsistencyError):
+        smith_normal_form(ExactMatrix.identity(2))
 
 
 def test_snf_random_roundtrip():

@@ -31,12 +31,19 @@ from hyperhomology import (
     parallel_edges,
     path_graph,
     represents_dualized_boundary,
+    smith_normal_form,
     solve_integer,
     sublattice_equal,
     triangle_graph,
 )
 
-from oracles import fraction_rank, hypergraph_suite, minor_gcd_divisors, random_connected_graph
+from oracles import (
+    dot,
+    fraction_rank,
+    hypergraph_suite,
+    minor_gcd_divisors,
+    random_connected_graph,
+)
 
 
 def test_homology_main_example_integer():
@@ -132,6 +139,52 @@ def test_graph_likeness_conditions_agree_on_random_suite():
     for h in hypergraph_suite()[:60]:
         report = graph_likeness(h)
         assert len(set(report.conditions().values())) == 1
+
+
+def test_graph_likeness_matches_reference_routes_and_witnesses_certify():
+    # the report decides all five conditions by one verdict (every divisor of
+    # the boundary matrix is 1); here each condition is decided by its own
+    # route, and each witness is checked by integer solving
+    non_graph_like = 0
+    for h in hypergraph_suite(200) + (main_example(),):
+        m = h.edge_count
+        matrix = boundary_matrix(h, Ring.INTEGER)
+        transpose = matrix.transpose()
+        cycles = kernel_basis(matrix, Ring.INTEGER)
+        coboundaries = image_basis(transpose, Ring.INTEGER)
+        report = graph_likeness(h)
+        routes = [
+            is_direct_summand(matrix),
+            cohomology_hom_iso_check(h),
+            sublattice_equal(annihilator_of_cycles(h), coboundaries, m),
+            sublattice_equal(coboundaries, annihilator_basis(cycles, m), m),
+        ]
+        assert routes == [report.graph_like] * 4
+        # the converse lattice equality holds for every hypergraph
+        assert cycles_equal_cut_perp_check(h).equal
+        if report.graph_like:
+            assert report.witnesses == ()
+            continue
+        non_graph_like += 1
+        witnesses = {w.condition: list(w.coefficients) for w in report.witnesses}
+        assert sorted(witnesses) == sorted(report.conditions())
+        for condition in (
+            "canonical_iso",
+            "annihilator_equals_coboundary_image",
+            "cuts_equal_cycle_perp",
+        ):
+            w = witnesses[condition]
+            assert all(dot(w, cycle) == 0 for cycle in cycles)
+            assert solve_integer(transpose, w) is None
+        divisor = next(d for d in smith_normal_form(matrix).diagonal if d > 1)
+        for condition, lattice in (
+            ("boundary_image_direct_summand", matrix),
+            ("hom_dual_iso", transpose),
+        ):
+            w = witnesses[condition]
+            assert solve_integer(lattice, w) is None
+            assert solve_integer(lattice, [divisor * x for x in w]) is not None
+    assert non_graph_like >= 10
 
 
 def test_rational_decomposition_parallel_edges():
