@@ -360,6 +360,16 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperhomology",
@@ -385,7 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--ring", choices=["int", "rat"], required=True)
     p.add_argument("--check-integral", action="store_true", help="with --ring rat, also report integrality")
-    p.add_argument("--limit", type=int, default=1_000_000, help="candidate budget for --ring int")
+    p.add_argument(
+        "--limit", type=_nonnegative_int, default=1_000_000, help="candidate budget for --ring int"
+    )
     p.set_defaults(handler=_cmd_spanning_tree)
 
     p = sub.add_parser("graphlike", parents=[common], help="the five equivalence conditions")

@@ -73,6 +73,10 @@ def random_hypergraph(
     inverse to an existing edge are resampled, so the result always passes
     validation.
     """
+    counts = {"vertex count": vertex_count, "edge count": edge_count, "max arity": max_arity}
+    for label, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{label} must not be negative, got {value}")
     if edge_count and not allow_empty_edges and (vertex_count == 0 or max_arity == 0):
         raise ValueError("no nonempty edge can be drawn with these parameters")
     rng = random.Random(seed)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .boundary import boundary_matrix, canonical_inner_product
 from .core import (
@@ -236,7 +235,10 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
 class DecompositionReport:
     """Cycle and cut bases with the diagnostics of how they sit in the
     1-chain module: orthogonality, trivial intersection, and whether their
-    sum is everything (over the integers it may not be)."""
+    sum is everything (over the integers it may not be).  Both bases are
+    independent by construction, so the intersection is trivial when they
+    are orthogonal, and their rational sum is everything when, in addition,
+    the sizes add up to the edge count."""
 
     ring: Ring
     cycle_basis: tuple[Chain, ...]
@@ -257,7 +259,12 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     sublattice; the first standard edge chain outside the sum is reported.
     Integer cycles are columns r.. of V in the Smith form U B V = S, and the
     cuts d_i times row i of V^-1 for i < r; rational cycles and cuts are the
-    fundamental cycles and cuts of the RREF of B.
+    fundamental cycles and cuts of the RREF of B.  Either way each family
+    is independent (V is unimodular, every d_i is nonzero, RREF rows and
+    free-column null vectors have Kronecker patterns), so the intersection
+    and rational spanning diagnostics follow from orthogonality and the
+    dimension count; only the integer spanning check factors the stacked
+    bases.
     """
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
@@ -277,15 +284,7 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     orthogonal = all(
         canonical_inner_product(c, b) == ring.zero for c in cycle_basis for b in cut_basis
     )
-
-    stacked = ExactMatrix.from_rows(
-        [list(map(Fraction, v)) for v in cycle_vectors]
-        + [list(map(Fraction, v)) for v in cut_vectors],
-        Ring.RATIONAL,
-        cols=m,
-    )
-    combined_rank = image_rank(stacked)
-    intersection_trivial = combined_rank == len(cycle_vectors) + len(cut_vectors)
+    intersection_trivial = orthogonal
     dimensions_sum = len(cycle_vectors) + len(cut_vectors) == m
 
     missing_chain = None
@@ -300,7 +299,7 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
                 break
         spans = missing_chain is None
     else:
-        spans = combined_rank == m
+        spans = orthogonal and dimensions_sum
 
     return DecompositionReport(
         ring=ring,

@@ -3,11 +3,16 @@
 A spanning tree here is an edge subset whose fundamental cuts form a basis
 of the cut module and whose fundamental cycles form a basis of the cycle
 module, each family with Kronecker coordinates on its own index set.  Over
-the rationals one always exists; over the integers existence is decided by
-exhausting the column bases of the boundary matrix.  Every tree, rational,
-integer candidate or vector-space, is read off one reduced row echelon form:
-pivot columns are the tree, nonzero rows the fundamental cuts, and the null
-vectors of the free columns the fundamental cycles.
+the rationals one always exists.  Over the integers a column basis T of
+the boundary matrix B is a tree exactly when the columns B_T have every
+elementary divisor 1: then each chord's boundary is an integer combination
+of B_T and each unit vector on T an integer combination of the rows of
+B_T, so every fundamental cycle and cut is integral.  The search tests
+that criterion on each subset in turn and verifies only the tree it
+returns.  Every tree, rational, integer or vector-space, is read off one
+reduced row echelon form: pivot columns are the tree, nonzero rows the
+fundamental cuts, and the null vectors of the free columns the
+fundamental cycles.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .exact_linalg import (
     image_rank,
     kernel_basis,
     smith_normal_form,
-    solve_rational,
     sublattice_equal,
 )
 
@@ -59,13 +63,13 @@ class SpanningTree:
         return tuple(sorted(self.fundamental_cycles))
 
 
-def _spanning_tree(tree_edges, cuts, cycles) -> SpanningTree:
-    """Wrap the vectors of :func:`_rref_tree` as rational chains."""
+def _spanning_tree(tree_edges, cuts, cycles, ring: Ring = Ring.RATIONAL) -> SpanningTree:
+    """Wrap the vectors of :func:`_rref_tree` as chains over ``ring``."""
     return SpanningTree(
         tree_edges,
-        {t: Chain.from_vector(1, v, Ring.RATIONAL) for t, v in cuts.items()},
-        {e: Chain.from_vector(1, v, Ring.RATIONAL) for e, v in cycles.items()},
-        Ring.RATIONAL,
+        {t: Chain.from_vector(1, v, ring) for t, v in cuts.items()},
+        {e: Chain.from_vector(1, v, ring) for e, v in cycles.items()},
+        ring,
     )
 
 
@@ -112,10 +116,12 @@ class TreeAxiomsReport:
 def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> TreeAxiomsReport:
     """Re-check both spanning-tree axioms from scratch.
 
-    Kronecker patterns are read off coefficients; cycle membership applies
-    the boundary; cut membership solves for a 0-cochain preimage over the
-    tree's ring.  Over the rationals the span checks are rank counts; over
-    the integers the cuts and cycles must generate the full cut and cycle
+    Kronecker patterns are read off coefficients and cycle membership
+    applies the boundary.  Over the rationals the cuts lie in the row space
+    of B exactly when stacking them under the rows of B leaves the rank of
+    B unchanged, and the span checks are rank counts: one elimination each.
+    Over the integers every cut must solve against one Smith normal form of
+    B^T, and the cuts and cycles must generate the full cut and cycle
     lattices, which is checked by two-way lattice containment.
     """
     m = hypergraph.edge_count
@@ -143,39 +149,24 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
         boundary(hypergraph, cycle).is_zero() for cycle in tree.fundamental_cycles.values()
     )
 
-    transpose = boundary_matrix(hypergraph, ring).transpose()
-    if ring is Ring.INTEGER:
-        coboundary = smith_normal_form(transpose)
-        cuts_are_cuts = all(
-            coboundary.solve(cut.to_vector(m)) is not None
-            for cut in tree.fundamental_cuts.values()
-        )
-    else:
-        cuts_are_cuts = all(
-            solve_rational(transpose, cut.to_vector(m)) is not None
-            for cut in tree.fundamental_cuts.values()
-        )
-
-    rational_matrix = boundary_matrix(hypergraph, Ring.RATIONAL)
-    boundary_rank = image_rank(rational_matrix)
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    cut_vectors = [c.to_vector(m) for c in tree.fundamental_cuts.values()]
+    cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
     if ring is Ring.RATIONAL:
 
-        def rank(chains) -> int:
-            rows = [c.to_vector(m) for c in chains]
+        def rank(rows) -> int:
             return image_rank(ExactMatrix.from_rows(rows, Ring.RATIONAL, cols=m))
 
-        cuts_span = rank(tree.fundamental_cuts.values()) == len(tree.tree_edges) == boundary_rank
-        cycles_span = rank(tree.fundamental_cycles.values()) == len(chord_set) == m - boundary_rank
+        boundary_rank = image_rank(matrix)
+        cuts_are_cuts = rank([*matrix.entries, *cut_vectors]) == boundary_rank
+        cuts_span = rank(cut_vectors) == len(tree.tree_edges) == boundary_rank
+        cycles_span = rank(cycle_vectors) == len(chord_set) == m - boundary_rank
     else:
-        integer_matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-        cut_vectors = [c.to_vector(m) for c in tree.fundamental_cuts.values()]
-        cuts_span = sublattice_equal(
-            cut_vectors, image_basis(integer_matrix.transpose(), Ring.INTEGER), m
-        )
-        cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
-        cycles_span = sublattice_equal(
-            cycle_vectors, kernel_basis(integer_matrix, Ring.INTEGER), m
-        )
+        transpose = matrix.transpose()
+        coboundary = smith_normal_form(transpose)
+        cuts_are_cuts = all(coboundary.solve(v) is not None for v in cut_vectors)
+        cuts_span = sublattice_equal(cut_vectors, image_basis(transpose, Ring.INTEGER), m)
+        cycles_span = sublattice_equal(cycle_vectors, kernel_basis(matrix, Ring.INTEGER), m)
 
     return TreeAxiomsReport(
         cut_kronecker=cut_kronecker,
@@ -203,54 +194,43 @@ def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     )
 
 
-def _to_integer_tree(tree: SpanningTree) -> SpanningTree:
-    return SpanningTree(
-        tree.tree_edges,
-        {t: c.with_ring(Ring.INTEGER) for t, c in tree.fundamental_cuts.items()},
-        {e: c.with_ring(Ring.INTEGER) for e, c in tree.fundamental_cycles.items()},
-        Ring.INTEGER,
-    )
-
-
 def find_spanning_tree_integer(
     hypergraph: OrientedHypergraph, search_limit: int = 1_000_000
 ) -> SpanningTree | None:
     """Exhaustive search for a spanning tree over the integers.
 
-    Candidate subsets are the edge subsets whose boundaries form a column
-    basis of the boundary matrix, visited in lexicographic order of edge
-    indices; every size-``rank`` subset counts against ``search_limit``.
-    Each candidate is read off the RREF of the boundary matrix with the
-    subset's columns ordered first (they are a column basis exactly when
-    they are the pivots), cross-checked against the axioms, and the first
-    integral one is returned with integer coefficients.  Returns None when
-    the enumeration completes without a hit; raises
+    Candidate subsets are the size-``rank`` edge subsets, visited in
+    lexicographic order of edge indices; each counts against
+    ``search_limit``.  A subset is accepted iff its boundary columns have
+    Smith diagonal ``(1,) * rank``, which also requires them to be a column
+    basis; the fundamental cuts and cycles are then all integral.  Only the
+    accepted subset is built, read off the RREF of the boundary matrix with
+    its columns ordered first, and verified once against the integer axioms.
+    Returns None when the enumeration completes without a hit; raises
     :class:`SearchLimitExceeded` when the budget runs out first.
     """
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    columns = matrix.columns()
     rank = image_rank(matrix)
     examined = 0
     for subset in itertools.combinations(range(m), rank):
         if examined >= search_limit:
             raise SearchLimitExceeded(examined)
         examined += 1
-        order = subset + tuple(j for j in range(m) if j not in subset)
-        tree_edges, cuts, cycles = _rref_tree(matrix.entries, m, order)
-        if tree_edges != subset:
+        basis = ExactMatrix.from_columns(
+            [columns[j] for j in subset], Ring.INTEGER, rows=matrix.rows
+        )
+        if smith_normal_form(basis).diagonal != (1,) * rank:
             continue
-        candidate = _spanning_tree(tree_edges, cuts, cycles)
-        if not verify_tree_axioms(hypergraph, candidate).ok:
-            raise InternalInconsistencyError(
-                "constructed candidate violates the spanning-tree axioms"
-            )
-        if is_integral(hypergraph, candidate):
-            integral = _to_integer_tree(candidate)
-            if not verify_tree_axioms(hypergraph, integral).ok:
-                raise InternalInconsistencyError(
-                    "integral candidate fails the integer spanning-tree axioms"
-                )
-            return integral
+        order = subset + tuple(j for j in range(m) if j not in subset)
+        try:
+            tree = _spanning_tree(*_rref_tree(matrix.entries, m, order), Ring.INTEGER)
+        except ValueError as err:
+            raise InternalInconsistencyError(f"fractional integer tree: {err}") from err
+        if not verify_tree_axioms(hypergraph, tree).ok:
+            raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
+        return tree
     return None
 
 

@@ -182,6 +182,13 @@ def test_spanning_tree_limit_exceeded(tmp_path, capsys):
     assert "limit" in err
 
 
+def test_spanning_tree_negative_limit_is_usage_error(tmp_path, capsys):
+    hyper = _write_example(tmp_path, "main-example")
+    code, out, err = _run(capsys, "spanning-tree", hyper, "--ring", "int", "--limit", "-5")
+    assert code == 2 and out == ""
+    assert "--limit" in err and "negative" in err
+
+
 def test_decompose_command(tmp_path, capsys):
     path = _write_example(tmp_path, "parallel-edges")
     code, out, _ = _run(capsys, "decompose", path, "--ring", "int", "--json")
@@ -228,6 +235,17 @@ def test_random_command_infeasible_is_usage_error(capsys):
         capsys, "random", "--vertices", "0", "--edges", "2", "--seed", "1"
     )
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--vertices", "-1"), ("--edges", "-2"), ("--max-arity", "-1")],
+)
+def test_random_command_negative_argument_is_usage_error(capsys, flag, value):
+    argv = {"--vertices": "3", "--edges": "2", "--seed": "1", "--max-arity": "2", flag: value}
+    code, out, err = _run(capsys, "random", *[x for pair in argv.items() for x in pair])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must not be negative" in err
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

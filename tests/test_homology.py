@@ -232,10 +232,17 @@ def test_integer_decomposition_triangle_misses_an_edge():
 
 
 def test_integer_cycle_cut_intersection_always_trivial():
-    for h in hypergraph_suite()[:60]:
-        report = cycle_cut_decomposition(h, Ring.INTEGER)
-        assert report.intersection_trivial
-        assert report.mutually_orthogonal
+    for h in hypergraph_suite():
+        m = h.edge_count
+        for ring in (Ring.INTEGER, Ring.RATIONAL):
+            report = cycle_cut_decomposition(h, ring)
+            assert report.intersection_trivial
+            assert report.mutually_orthogonal
+            vectors = [c.to_vector(m) for c in report.cycle_basis + report.cut_basis]
+            rank = fraction_rank(vectors)
+            assert report.intersection_trivial == (rank == len(vectors)), (h, ring)
+            if ring is Ring.RATIONAL:
+                assert report.spans_all_chains == (rank == m), h
 
 
 def test_cycles_equal_cut_perp_everywhere():

@@ -1,10 +1,16 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from hyperhomology import (
     Chain,
+    ExactMatrix,
+    InternalInconsistencyError,
     OrientedHypergraph,
     Ring,
     SearchLimitExceeded,
@@ -18,11 +24,13 @@ from hyperhomology import (
     kernel_basis,
     main_example,
     parallel_edges,
+    smith_normal_form,
     solve_rational,
     triangle_graph,
     vector_space_spanning_tree,
     verify_tree_axioms,
 )
+from hyperhomology import spanning_tree
 
 from oracles import (
     candidate_tree_is_integral,
@@ -185,13 +193,103 @@ def test_cuts_image_classes_correspondence():
 
 
 def test_integer_search_matches_exhaustive_enumeration():
-    for h in hypergraph_suite()[:40]:
-        some_integral = any(
-            candidate_tree_is_integral(h, cuts, cycles)
-            for _, cuts, cycles in enumerate_rational_candidate_trees(h)
-        )
+    for h in hypergraph_suite():
+        m = h.edge_count
+        matrix = boundary_matrix(h, Ring.INTEGER)
+        rank = image_rank(matrix)
+        bases = {
+            subset: (cuts, cycles)
+            for subset, cuts, cycles in enumerate_rational_candidate_trees(h)
+        }
+        first_integral = None
+        for subset in itertools.combinations(range(m), rank):
+            columns = ExactMatrix.from_columns(
+                [matrix.column(j) for j in subset], Ring.INTEGER, rows=matrix.rows
+            )
+            unimodular = smith_normal_form(columns).diagonal == (1,) * rank
+            if subset not in bases:
+                assert not unimodular, (h, subset)
+                continue
+            cuts, cycles = bases[subset]
+            integral = candidate_tree_is_integral(h, cuts, cycles)
+            tree = SpanningTree(
+                subset,
+                {t: Chain.from_vector(1, v, Ring.RATIONAL) for t, v in cuts.items()},
+                {e: Chain.from_vector(1, v, Ring.RATIONAL) for e, v in cycles.items()},
+                Ring.RATIONAL,
+            )
+            assert unimodular == integral == is_integral(h, tree), (h, subset)
+            if integral and first_integral is None:
+                first_integral = subset
         found = find_spanning_tree_integer(h)
-        assert (found is not None) == some_integral
+        if first_integral is None:
+            assert found is None, h
+            continue
+        assert found.tree_edges == first_integral
+        cuts, cycles = bases[first_integral]
+        assert {t: c.to_vector(m) for t, c in found.fundamental_cuts.items()} == cuts
+        assert {e: c.to_vector(m) for e, c in found.fundamental_cycles.items()} == cycles
+
+
+def test_cut_perturbed_by_cycle_fails_verification():
+    h = triangle_graph()
+    for tree in (find_spanning_tree_rational(h), find_spanning_tree_integer(h)):
+        assert verify_tree_axioms(h, tree).ok
+        t, e = tree.tree_edges[0], tree.chords[0]
+        cuts = dict(tree.fundamental_cuts)
+        cuts[t] = cuts[t] + tree.fundamental_cycles[e]
+        bad = SpanningTree(tree.tree_edges, cuts, tree.fundamental_cycles, tree.ring)
+        report = verify_tree_axioms(h, bad)
+        assert not report.cuts_are_cuts, tree.ring
+        assert not report.ok
+
+
+# Replaces the RREF tree reader so that the accepted integer tree is wrong;
+# the search must refuse it whatever the interpreter's optimisation flags.
+_CORRUPT_TREE = """
+from hyperhomology import spanning_tree
+
+real_rref_tree = spanning_tree._rref_tree
+
+def wrong_cut(rows, cols, order=None):
+    tree, cuts, cycles = real_rref_tree(rows, cols, order)
+    t, e = tree[0], min(cycles)
+    cuts[t] = [a + b for a, b in zip(cuts[t], cycles[e])]
+    return tree, cuts, cycles
+
+def halved_cut(rows, cols, order=None):
+    tree, cuts, cycles = real_rref_tree(rows, cols, order)
+    cuts[tree[0]] = [x / 2 for x in cuts[tree[0]]]
+    return tree, cuts, cycles
+"""
+
+
+@pytest.mark.parametrize("corruption", ["wrong_cut", "halved_cut"])
+def test_integer_search_guard_rejects_corrupt_tree(monkeypatch, corruption):
+    namespace = {}
+    exec(_CORRUPT_TREE, namespace)
+    monkeypatch.setattr(spanning_tree, "_rref_tree", namespace[corruption])
+    with pytest.raises(InternalInconsistencyError):
+        find_spanning_tree_integer(triangle_graph())
+
+
+def test_integer_search_guard_runs_under_python_O():
+    script = _CORRUPT_TREE + """
+from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer, triangle_graph
+print("debug", __debug__)
+spanning_tree._rref_tree = wrong_cut
+try:
+    find_spanning_tree_integer(triangle_graph())
+except InternalInconsistencyError:
+    print("guard raised")
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["debug False", "guard raised"]
 
 
 def test_vector_space_trivial_subspace():
