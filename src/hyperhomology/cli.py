@@ -59,6 +59,8 @@ def parse_document(text: str) -> OrientedHypergraph:
         raise DocumentError(
             f"JSON syntax error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError as err:
+        raise DocumentError("JSON nesting is too deep") from err
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     vertices = payload.get("vertices")
@@ -137,10 +139,17 @@ def _structure_json(structure) -> dict:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The document's text, which must be UTF-8, read from ``path`` or, for
+    ``-``, from stdin's bytes (whatever the locale's error handler would
+    make of them; an in-memory text stream has no bytes and is taken as is)."""
+    try:
+        if path == "-":
+            stream = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise DocumentError(f"document is not valid UTF-8: {err.reason}") from err
 
 
 def _load(path: str) -> OrientedHypergraph:

@@ -1,4 +1,4 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer and rational linear algebra.
 
 Everything is pure Python over ``int`` and ``fractions.Fraction``; no
 floating point anywhere.  There are two routes, one per ring.  Over the
@@ -7,9 +7,19 @@ integers, :func:`smith_normal_form` drives every lattice-level operation
 integer solving), so the returned kernel and annihilator lattices are
 saturated by construction.  Over the rationals, one reduced row echelon
 form (RREF) over Fractions gives ranks, rational solutions, kernels, column
-bases and, read as a spanning tree, fundamental cuts and cycles.  Matrices
-here are desk-scale (tens of rows/columns); correctness, not asymptotic
-speed, is the contract.
+bases and, read as a spanning tree, fundamental cuts and cycles.
+
+:class:`ExactMatrix` is dense, but both kernels hold their rows and
+columns as ``{index: nonzero}`` dicts, so each step costs in proportion to
+the nonzeros it touches; a boundary matrix has at most 2 * arity per
+column.  The pivot rules are pinned: the Smith form takes a nonzero of
+least absolute value, lowest current row first, then lowest current
+column (so a unit entry whenever there is one), and the RREF takes the
+first unused row of each column.  The results are therefore exactly those
+of the textbook dense elimination with the same rules.  Every Smith form is
+checked before it is returned: ``u @ m @ v == s`` is compared in full,
+exactly, on the sparse factors, and a mismatch raises
+:class:`InternalInconsistencyError` (never an ``assert``).
 """
 
 from __future__ import annotations
@@ -43,6 +53,17 @@ class ExactMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", normalized)
+
+    @classmethod
+    def _from_ints(cls, entries: tuple, cols: int) -> "ExactMatrix":
+        """Integer matrix from a tuple of int tuples that this module built
+        itself, without the per-entry coercion of the constructor."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", len(entries))
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "ring", Ring.INTEGER)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
     @classmethod
     def from_rows(cls, rows, ring: Ring, cols: int | None = None) -> "ExactMatrix":
@@ -130,27 +151,61 @@ class ExactMatrix:
 
 
 def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with the pivot columns, over Fractions."""
-    matrix = [list(map(Fraction, row)) for row in rows]
+    """Reduced row echelon form with the pivot columns, over Fractions.
+
+    Rows are held as ``{column: nonzero}`` dicts, with the set of rows that
+    are nonzero in each column, so a step touches only the nonzeros of the
+    rows it changes.  The pivot of a column is the first row, in current
+    order, not yet used as a pivot; a pivot row moves up to the next free
+    position, as in schoolbook elimination.  Returns dense rows (the RREF
+    rows, then zero rows) and the pivot columns.
+    """
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
+    matrix = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    holders: list[set[int]] = [set() for _ in range(width)]
+    for i, row in enumerate(matrix):
+        for j in row:
+            holders[j].add(i)
+    order = list(range(height))  # order[p]: the stored row now at position p
+    position = list(range(height))  # its inverse
     pivots: list[int] = []
-    r = 0
-    cols = len(matrix[0]) if matrix else 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
-        if pivot_row is None:
-            continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        factor = matrix[r][c]
-        matrix[r] = [x / factor for x in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c]:
-                scale = matrix[i][c]
-                matrix[i] = [a - scale * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
+    for c in range(width):
+        r = len(pivots)
+        if r == height:
             break
-    return matrix, pivots
+        candidates = [i for i in holders[c] if position[i] >= r]
+        if not candidates:
+            continue
+        pivot = min(candidates, key=position.__getitem__)
+        displaced, moved_from = order[r], position[pivot]
+        order[r], order[moved_from] = pivot, displaced
+        position[pivot], position[displaced] = r, moved_from
+        pivot_row = matrix[pivot]
+        factor = pivot_row[c]
+        if factor != 1:
+            matrix[pivot] = pivot_row = {j: x / factor for j, x in pivot_row.items()}
+        for i in holders[c] - {pivot}:
+            row = matrix[i]
+            scale = row[c]
+            for j, b in pivot_row.items():
+                value = row.get(j, 0) - scale * b
+                if value:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = value
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+        pivots.append(c)
+    zero = Fraction(0)
+    dense = []
+    for i in order:
+        line = [zero] * width
+        for j, x in matrix[i].items():
+            line[j] = x
+        dense.append(line)
+    return dense, pivots
 
 
 def _rref_tree(rows, cols: int, order=None):
@@ -266,122 +321,209 @@ class SnfDecomposition:
         return self.v.apply(y)
 
 
-def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _transposed(decomposition: SnfDecomposition) -> SnfDecomposition:
+    """The factorization of ``m^T`` that comes free with one of ``m``:
+    U m V = S transposes to V^T m^T U^T = S^T."""
+    return SnfDecomposition(
+        u=decomposition.v.transpose(),
+        s=decomposition.s.transpose(),
+        v=decomposition.u.transpose(),
+        u_inverse=decomposition.v_inverse.transpose(),
+        v_inverse=decomposition.u_inverse.transpose(),
+    )
 
-    The pivot at each step is a nonzero entry of minimal absolute value
-    (ties broken by lowest row, then lowest column), which limits
-    coefficient growth.  Before the algorithm advances, the pivot is forced
-    to divide every entry of the remaining submatrix, so the diagonal comes
-    out positive and in divisibility order with no post-processing.
+
+def _axpy(target: dict, source: dict, q: int) -> None:
+    """``target += q * source`` on ``{index: nonzero}`` dicts."""
+    for j, y in source.items():
+        x = target.get(j, 0) + q * y
+        if x:
+            target[j] = x
+        else:
+            del target[j]
+
+
+def _smith_reduce(rows: list[dict], width: int):
+    """Sparse Smith reduction of the integer matrix with ``rows`` (one
+    ``{column: nonzero}`` dict per row; consumed).
+
+    Returns ``(s, u, u_inverse, v, v_inverse)`` as lists of dicts: ``s``,
+    ``u`` and ``v_inverse`` by rows, ``u_inverse`` and ``v`` by columns.
+    ``s`` is also kept by columns while it is reduced.  A row operation acts
+    on the rows of ``s`` and ``u`` and on the columns of ``u_inverse``; a
+    column operation on the columns of ``s`` and ``v`` and on the rows of
+    ``v_inverse``.  Each factor is stored along the lines its operations
+    move, so both kinds run the same code on one "side" each.
     """
-    if matrix.ring is not Ring.INTEGER:
-        raise ValueError("Smith normal form requires integer entries")
-    r, c = matrix.rows, matrix.cols
-    s = [list(row) for row in matrix.entries]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    u_inv = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-    v_inv = [[int(i == j) for j in range(c)] for i in range(c)]
+    height = len(rows)
+    s_rows = rows
+    s_cols: list[dict] = [{} for _ in range(width)]
+    for i, row in enumerate(s_rows):
+        for j, x in row.items():
+            s_cols[j][i] = x
+    u = [{i: 1} for i in range(height)]
+    u_inv = [{i: 1} for i in range(height)]
+    v = [{j: 1} for j in range(width)]
+    v_inv = [{j: 1} for j in range(width)]
+    by_rows = (s_rows, s_cols, u, u_inv)
+    by_cols = (s_cols, s_rows, v, v_inv)
 
-    def row_swap(a, b):
-        s[a], s[b] = s[b], s[a]
-        u[a], u[b] = u[b], u[a]
-        for row in u_inv:
-            row[a], row[b] = row[b], row[a]
+    def swap(side, a, b):
+        lines, cross, factor, inverse = side
+        for j in lines[a]:
+            del cross[j][a]
+        for j in lines[b]:
+            del cross[j][b]
+        lines[a], lines[b] = lines[b], lines[a]
+        for j, x in lines[a].items():
+            cross[j][a] = x
+        for j, x in lines[b].items():
+            cross[j][b] = x
+        factor[a], factor[b] = factor[b], factor[a]
+        inverse[a], inverse[b] = inverse[b], inverse[a]
 
-    def row_add(target, source, q):
-        # row_target += q * row_source; inverse applied on u_inv columns
-        s[target] = [x + q * y for x, y in zip(s[target], s[source])]
-        u[target] = [x + q * y for x, y in zip(u[target], u[source])]
-        for row in u_inv:
-            row[source] -= q * row[target]
+    def add(side, target, source, q):
+        # line target += q * line source; the inverse takes line source -= q * line target
+        lines, cross, factor, inverse = side
+        line = lines[target]
+        for j, y in lines[source].items():
+            x = line.get(j, 0) + q * y
+            if x:
+                line[j] = x
+                cross[j][target] = x
+            else:
+                del line[j]
+                del cross[j][target]
+        _axpy(factor[target], factor[source], q)
+        _axpy(inverse[source], inverse[target], -q)
 
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        for row in u_inv:
-            row[i] = -row[i]
-
-    def col_swap(a, b):
-        for row in s:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
-        v_inv[a], v_inv[b] = v_inv[b], v_inv[a]
-
-    def col_add(target, source, q):
-        # col_target += q * col_source; inverse applied on v_inv rows
-        for row in s:
-            row[target] += q * row[source]
-        for row in v:
-            row[target] += q * row[source]
-        v_inv[source] = [x - q * y for x, y in zip(v_inv[source], v_inv[target])]
+    def negate(side, i):
+        lines, cross, factor, inverse = side
+        lines[i] = {j: -x for j, x in lines[i].items()}
+        for j, x in lines[i].items():
+            cross[j][i] = x
+        factor[i] = {j: -x for j, x in factor[i].items()}
+        inverse[i] = {j: -x for j, x in inverse[i].items()}
 
     def find_pivot(k):
+        # Rows and columns before k are finished, so every nonzero of rows
+        # k.. lies in columns k..; a unit is minimal, so the scan stops at
+        # the first row holding one.
         best = None
-        for i in range(k, r):
-            for j in range(k, c):
-                value = abs(s[i][j])
-                if value and (best is None or value < best[0]):
+        for i in range(k, height):
+            if s_rows[i]:
+                value, j = min((abs(x), j) for j, x in s_rows[i].items())
+                if best is None or value < best[0]:
                     best = (value, i, j)
+                    if value == 1:
+                        break
         return best
 
-    for k in range(min(r, c)):
+    for k in range(min(height, width)):
         while True:
             pivot = find_pivot(k)
             if pivot is None:
                 break
             _, pi, pj = pivot
             if pi != k:
-                row_swap(k, pi)
+                swap(by_rows, k, pi)
             if pj != k:
-                col_swap(k, pj)
-            if s[k][k] < 0:
-                row_negate(k)
-            p = s[k][k]
+                swap(by_cols, k, pj)
+            if s_rows[k][k] < 0:
+                negate(by_rows, k)
+            p = s_rows[k][k]
             dirty = False
-            for i in range(k + 1, r):
-                if s[i][k]:
-                    q = s[i][k] // p
-                    if q:
-                        row_add(i, k, -q)
-                    if s[i][k]:
-                        dirty = True
-            for j in range(k + 1, c):
-                if s[k][j]:
-                    q = s[k][j] // p
-                    if q:
-                        col_add(j, k, -q)
-                    if s[k][j]:
-                        dirty = True
+            for i in [i for i in s_cols[k] if i > k]:
+                q = s_cols[k][i] // p
+                if q:
+                    add(by_rows, i, k, -q)
+                if i in s_cols[k]:
+                    dirty = True
+            for j in [j for j in s_rows[k] if j > k]:
+                q = s_rows[k][j] // p
+                if q:
+                    add(by_cols, j, k, -q)
+                if j in s_rows[k]:
+                    dirty = True
             if dirty:
                 continue
             violation = None
-            for i in range(k + 1, r):
-                for j in range(k + 1, c):
-                    if s[i][j] % p:
-                        violation = i
-                        break
-                if violation is not None:
-                    break
+            if p != 1:
+                violation = next(
+                    (i for i in range(k + 1, height) if any(x % p for x in s_rows[i].values())),
+                    None,
+                )
             if violation is None:
                 break
             # pull the offending row into row k; the next pass shrinks the pivot
-            row_add(k, violation, 1)
-        if find_pivot(k) is None:
+            add(by_rows, k, violation, 1)
+        if pivot is None:
             break
+    return s_rows, u, u_inv, v, v_inv
 
-    result = SnfDecomposition(
-        u=ExactMatrix(u, Ring.INTEGER, cols=r),
-        s=ExactMatrix(s, Ring.INTEGER, cols=c),
-        v=ExactMatrix(v, Ring.INTEGER, cols=c),
-        u_inverse=ExactMatrix(u_inv, Ring.INTEGER, cols=r),
-        v_inverse=ExactMatrix(v_inv, Ring.INTEGER, cols=c),
-    )
-    if (result.u @ matrix) @ result.v != result.s:
+
+def _reproduces(rows: list[dict], u: list[dict], v: list[dict], s: list[dict]) -> bool:
+    """Whether ``u @ m @ v == s`` exactly, for ``m`` with sparse ``rows``,
+    ``u`` and ``s`` by rows and ``v`` by columns; the work is proportional
+    to the nonzeros met."""
+    v_rows: list[dict] = [{} for _ in v]
+    for j, column in enumerate(v):
+        for i, x in column.items():
+            v_rows[i][j] = x
+    for u_row, s_row in zip(u, s):
+        um: dict = {}
+        for k, a in u_row.items():
+            _axpy(um, rows[k], a)
+        umv: dict = {}
+        for j, x in um.items():
+            _axpy(umv, v_rows[j], x)
+        if umv != s_row:
+            return False
+    return True
+
+
+def _from_lines(lines: list[dict], height: int, width: int, by_columns: bool = False):
+    """Dense integer :class:`ExactMatrix` of sparse rows (or columns)."""
+    dense = [[0] * width for _ in range(height)]
+    for a, line in enumerate(lines):
+        for b, x in line.items():
+            if by_columns:
+                dense[b][a] = x
+            else:
+                dense[a][b] = x
+    return ExactMatrix._from_ints(tuple(map(tuple, dense)), width)
+
+
+def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    The pivot at each step is a nonzero entry of minimal absolute value
+    (ties broken by lowest current row, then lowest current column), which
+    limits coefficient growth and takes a unit entry whenever the remaining
+    submatrix has one, as a boundary matrix mostly does.  While any entry in the pivot's row or column
+    leaves a nonzero remainder, the step starts again from a new pivot; then
+    the pivot is forced to divide every entry of the remaining submatrix
+    (an offending row is added to the pivot row), so the diagonal comes out
+    positive and in divisibility order with no post-processing.  The
+    matrix and the factors are held sparse during the reduction, and the
+    factors are checked exactly, ``u @ m @ v == s`` on their nonzeros,
+    before they are returned as dense matrices; a mismatch raises
+    :class:`InternalInconsistencyError`.
+    """
+    if matrix.ring is not Ring.INTEGER:
+        raise ValueError("Smith normal form requires integer entries")
+    r, c = matrix.rows, matrix.cols
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
+    s, u, u_inv, v, v_inv = _smith_reduce([dict(row) for row in rows], c)
+    if not _reproduces(rows, u, v, s):
         raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
-    return result
+    return SnfDecomposition(
+        u=_from_lines(u, r, r),
+        s=_from_lines(s, r, c),
+        v=_from_lines(v, c, c, by_columns=True),
+        u_inverse=_from_lines(u_inv, r, r, by_columns=True),
+        v_inverse=_from_lines(v_inv, c, c),
+    )
 
 
 def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:

@@ -34,6 +34,7 @@ from .exact_linalg import (
     ModuleStructure,
     SnfDecomposition,
     _rref_tree,
+    _transposed,
     annihilator_basis,
     image_basis,
     image_rank,
@@ -179,14 +180,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
     graph_like = all(d == 1 for d in decomposition.diagonal)
     witnesses: list[Witness] = []
     if not graph_like:
-        # U B V = S transposes to V^T B^T U^T = S^T, a factorization of B^T
-        coboundary = SnfDecomposition(
-            u=decomposition.v.transpose(),
-            s=decomposition.s.transpose(),
-            v=decomposition.u.transpose(),
-            u_inverse=decomposition.v_inverse.transpose(),
-            v_inverse=decomposition.u_inverse.transpose(),
-        )
+        coboundary = _transposed(decomposition)
         coefficients, description = _annihilator_witness(decomposition, coboundary)
         witnesses.append(
             Witness("canonical_iso", description, "edges", coefficients)

@@ -25,12 +25,12 @@ from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring
 from .exact_linalg import (
     ExactMatrix,
+    _lattice_contains_all,
     _rref_tree,
-    image_basis,
+    _transposed,
     image_rank,
     kernel_basis,
     smith_normal_form,
-    sublattice_equal,
 )
 
 
@@ -120,9 +120,13 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     applies the boundary.  Over the rationals the cuts lie in the row space
     of B exactly when stacking them under the rows of B leaves the rank of
     B unchanged, and the span checks are rank counts: one elimination each.
-    Over the integers every cut must solve against one Smith normal form of
-    B^T, and the cuts and cycles must generate the full cut and cycle
-    lattices, which is checked by two-way lattice containment.
+    Over the integers everything is read off one Smith normal form
+    U B V = S with divisors d_i, i < r: cut membership solves against the
+    transposed factorization of B^T; the cut lattice is generated by d_i
+    times row i of V^-1 and the cycle lattice by columns r.. of V, whose
+    members are the vectors that rows < r of V^-1 kill.  Each span check is
+    two-way containment, so it factors only the family itself: at most
+    three Smith forms per call.
     """
     m = hypergraph.edge_count
     ring = tree.ring
@@ -162,11 +166,19 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
         cuts_span = rank(cut_vectors) == len(tree.tree_edges) == boundary_rank
         cycles_span = rank(cycle_vectors) == len(chord_set) == m - boundary_rank
     else:
-        transpose = matrix.transpose()
-        coboundary = smith_normal_form(transpose)
+        decomposition = smith_normal_form(matrix)
+        r = decomposition.rank
+        coboundary = _transposed(decomposition)
         cuts_are_cuts = all(coboundary.solve(v) is not None for v in cut_vectors)
-        cuts_span = sublattice_equal(cut_vectors, image_basis(transpose, Ring.INTEGER), m)
-        cycles_span = sublattice_equal(cycle_vectors, kernel_basis(matrix, Ring.INTEGER), m)
+        cut_lattice = [
+            [d * x for x in decomposition.v_inverse.row(i)]
+            for i, d in enumerate(decomposition.diagonal)
+        ]
+        cycle_lattice = [decomposition.v.column(j) for j in range(r, m)]
+        cuts_span = cuts_are_cuts and _lattice_contains_all(cut_vectors, cut_lattice, m)
+        cycles_span = all(
+            not any(decomposition.v_inverse.apply(v)[:r]) for v in cycle_vectors
+        ) and _lattice_contains_all(cycle_vectors, cycle_lattice, m)
 
     return TreeAxiomsReport(
         cut_kronecker=cut_kronecker,

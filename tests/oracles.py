@@ -3,6 +3,8 @@
 Everything here deliberately avoids the library's own code paths: ranks and
 determinants come from a separate Fraction elimination, elementary divisors
 from gcds of minors, and graph fundamental cycles/cuts from tree traversal.
+The dense Smith normal form and RREF at the end are the library's earlier
+kernels, kept as differential oracles for the sparse ones.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from hyperhomology import OrientedHypergraph, random_hypergraph
+from hyperhomology import (
+    ExactMatrix,
+    InternalInconsistencyError,
+    OrientedHypergraph,
+    Ring,
+    SnfDecomposition,
+    random_hypergraph,
+)
 
 
 def dot(u, v):
@@ -192,6 +201,32 @@ def candidate_tree_is_integral(hypergraph: OrientedHypergraph, cuts, cycles) -> 
     return True
 
 
+def integer_tree_lattice_checks(hypergraph: OrientedHypergraph, tree) -> dict:
+    """The three lattice fields of an integer ``verify_tree_axioms`` report,
+    computed as the library once did: cut membership by one Smith form of
+    B^T, and each span check by comparing the family with the image lattice
+    of B^T or the kernel lattice of B, both ways."""
+    from hyperhomology import (
+        boundary_matrix,
+        image_basis,
+        kernel_basis,
+        smith_normal_form,
+        sublattice_equal,
+    )
+
+    m = hypergraph.edge_count
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    transpose = matrix.transpose()
+    cut_vectors = [c.to_vector(m) for c in tree.fundamental_cuts.values()]
+    cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
+    coboundary = smith_normal_form(transpose)
+    return {
+        "cuts_are_cuts": all(coboundary.solve(v) is not None for v in cut_vectors),
+        "cuts_span": sublattice_equal(cut_vectors, image_basis(transpose, Ring.INTEGER), m),
+        "cycles_span": sublattice_equal(cycle_vectors, kernel_basis(matrix, Ring.INTEGER), m),
+    }
+
+
 def random_connected_graph(rng: random.Random) -> OrientedHypergraph:
     """Random connected oriented graph with at most 8 vertices, 12 edges."""
     n = rng.randint(2, 8)
@@ -304,3 +339,151 @@ def tree_cut(hypergraph: OrientedHypergraph, tree_edges, t) -> dict[int, int]:
         if value:
             coefficients[j] = value
     return coefficients
+
+
+# Dense kernels, kept as they were before the library switched to sparse
+# storage: the library's sparse Smith form and RREF must reproduce them
+# entry for entry (same pivot rule, so the same factors).
+
+
+def dense_fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form with the pivot columns, over Fractions."""
+    matrix = [list(map(Fraction, row)) for row in rows]
+    pivots: list[int] = []
+    r = 0
+    cols = len(matrix[0]) if matrix else 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(matrix)) if matrix[i][c]), None)
+        if pivot_row is None:
+            continue
+        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
+        factor = matrix[r][c]
+        matrix[r] = [x / factor for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][c]:
+                scale = matrix[i][c]
+                matrix[i] = [a - scale * b for a, b in zip(matrix[i], matrix[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(matrix):
+            break
+    return matrix, pivots
+
+
+
+def dense_smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    The pivot at each step is a nonzero entry of minimal absolute value
+    (ties broken by lowest row, then lowest column), which limits
+    coefficient growth.  Before the algorithm advances, the pivot is forced
+    to divide every entry of the remaining submatrix, so the diagonal comes
+    out positive and in divisibility order with no post-processing.
+    """
+    if matrix.ring is not Ring.INTEGER:
+        raise ValueError("Smith normal form requires integer entries")
+    r, c = matrix.rows, matrix.cols
+    s = [list(row) for row in matrix.entries]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    u_inv = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    v_inv = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def row_swap(a, b):
+        s[a], s[b] = s[b], s[a]
+        u[a], u[b] = u[b], u[a]
+        for row in u_inv:
+            row[a], row[b] = row[b], row[a]
+
+    def row_add(target, source, q):
+        # row_target += q * row_source; inverse applied on u_inv columns
+        s[target] = [x + q * y for x, y in zip(s[target], s[source])]
+        u[target] = [x + q * y for x, y in zip(u[target], u[source])]
+        for row in u_inv:
+            row[source] -= q * row[target]
+
+    def row_negate(i):
+        s[i] = [-x for x in s[i]]
+        u[i] = [-x for x in u[i]]
+        for row in u_inv:
+            row[i] = -row[i]
+
+    def col_swap(a, b):
+        for row in s:
+            row[a], row[b] = row[b], row[a]
+        for row in v:
+            row[a], row[b] = row[b], row[a]
+        v_inv[a], v_inv[b] = v_inv[b], v_inv[a]
+
+    def col_add(target, source, q):
+        # col_target += q * col_source; inverse applied on v_inv rows
+        for row in s:
+            row[target] += q * row[source]
+        for row in v:
+            row[target] += q * row[source]
+        v_inv[source] = [x - q * y for x, y in zip(v_inv[source], v_inv[target])]
+
+    def find_pivot(k):
+        best = None
+        for i in range(k, r):
+            for j in range(k, c):
+                value = abs(s[i][j])
+                if value and (best is None or value < best[0]):
+                    best = (value, i, j)
+        return best
+
+    for k in range(min(r, c)):
+        while True:
+            pivot = find_pivot(k)
+            if pivot is None:
+                break
+            _, pi, pj = pivot
+            if pi != k:
+                row_swap(k, pi)
+            if pj != k:
+                col_swap(k, pj)
+            if s[k][k] < 0:
+                row_negate(k)
+            p = s[k][k]
+            dirty = False
+            for i in range(k + 1, r):
+                if s[i][k]:
+                    q = s[i][k] // p
+                    if q:
+                        row_add(i, k, -q)
+                    if s[i][k]:
+                        dirty = True
+            for j in range(k + 1, c):
+                if s[k][j]:
+                    q = s[k][j] // p
+                    if q:
+                        col_add(j, k, -q)
+                    if s[k][j]:
+                        dirty = True
+            if dirty:
+                continue
+            violation = None
+            for i in range(k + 1, r):
+                for j in range(k + 1, c):
+                    if s[i][j] % p:
+                        violation = i
+                        break
+                if violation is not None:
+                    break
+            if violation is None:
+                break
+            # pull the offending row into row k; the next pass shrinks the pivot
+            row_add(k, violation, 1)
+        if find_pivot(k) is None:
+            break
+
+    result = SnfDecomposition(
+        u=ExactMatrix(u, Ring.INTEGER, cols=r),
+        s=ExactMatrix(s, Ring.INTEGER, cols=c),
+        v=ExactMatrix(v, Ring.INTEGER, cols=c),
+        u_inverse=ExactMatrix(u_inv, Ring.INTEGER, cols=r),
+        v_inverse=ExactMatrix(v_inv, Ring.INTEGER, cols=c),
+    )
+    if (result.u @ matrix) @ result.v != result.s:
+        raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
+    return result

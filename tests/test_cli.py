@@ -255,3 +255,54 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(document))
     code, out, _ = _run(capsys, "validate", "-")
     assert code == 0
+
+
+# Hostile documents: bytes that are not UTF-8 (the stdin stream mimics a
+# C-locale interpreter, whose stdin would smuggle them in as surrogates), and
+# arrays nested past the interpreter's recursion limit.
+_HOSTILE = {
+    "not_utf8": b'{"vertices": ["\xff"], "edges": []}',
+    "deep_nesting": b"[" * 100000,
+}
+
+
+def _assert_clean_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE))
+def test_hostile_document_file_is_clean_error(tmp_path, capsys, kind):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(_HOSTILE[kind])
+    _assert_clean_error(*_run(capsys, "validate", str(path)))
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE))
+def test_hostile_document_stdin_is_clean_error(capsys, monkeypatch, kind):
+    import io
+
+    stream = io.TextIOWrapper(
+        io.BytesIO(_HOSTILE[kind]), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr("sys.stdin", stream)
+    _assert_clean_error(*_run(capsys, "homology", "-", "--ring", "int"))
+
+
+def test_hostile_document_stdin_process_exits_1():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for kind, data in sorted(_HOSTILE.items()):
+        result = subprocess.run(
+            [sys.executable, "-m", "hyperhomology", "validate", "-"],
+            input=data,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        _assert_clean_error(result.returncode, result.stdout.decode(), result.stderr.decode())

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ from hyperhomology import (
     ExactMatrix,
     InternalInconsistencyError,
     ModuleStructure,
+    OrientedHypergraph,
     Ring,
     annihilator_basis,
     boundary_matrix,
@@ -24,12 +28,17 @@ from hyperhomology import (
     solve_rational,
     sublattice_equal,
 )
+from hyperhomology import exact_linalg
+from hyperhomology.exact_linalg import _fraction_rref
 
 from oracles import (
     brute_force_has_integer_solution,
     cofactor_det,
+    dense_fraction_rref,
+    dense_smith_normal_form,
     fraction_det,
     fraction_rank,
+    hypergraph_suite,
     minor_gcd_divisors,
 )
 
@@ -65,15 +74,116 @@ def test_snf_rejects_rational_matrices():
         smith_normal_form(ExactMatrix([[Fraction(1, 2)]], Ring.RATIONAL))
 
 
-def test_snf_self_check_raises_on_wrong_product(monkeypatch):
-    # the factors are rechecked by an explicit comparison, which, unlike an
-    # assert, also runs under python -O
-    def wrong_product(self, other):
-        return ExactMatrix.zeros(self.rows, other.cols, Ring.INTEGER)
+# Corrupts one entry of the factor u as the sparse reduction hands it back,
+# so the factors no longer reproduce the matrix; the exact product check must
+# refuse them whatever the interpreter's optimisation flags.
+_CORRUPT_FACTOR = """
+from hyperhomology import exact_linalg
 
-    monkeypatch.setattr(ExactMatrix, "__matmul__", wrong_product)
+real_smith_reduce = exact_linalg._smith_reduce
+
+def corrupt_u(rows, width):
+    s, u, u_inverse, v, v_inverse = real_smith_reduce(rows, width)
+    u[0][1] = u[0].get(1, 0) + 1
+    return s, u, u_inverse, v, v_inverse
+"""
+
+
+def test_snf_self_check_raises_on_wrong_product(monkeypatch):
+    namespace = {}
+    exec(_CORRUPT_FACTOR, namespace)
+    monkeypatch.setattr(exact_linalg, "_smith_reduce", namespace["corrupt_u"])
     with pytest.raises(InternalInconsistencyError):
         smith_normal_form(ExactMatrix.identity(2))
+
+
+def test_snf_self_check_runs_under_python_O():
+    script = _CORRUPT_FACTOR + """
+from hyperhomology import ExactMatrix, InternalInconsistencyError, smith_normal_form
+print("debug", __debug__)
+exact_linalg._smith_reduce = corrupt_u
+try:
+    smith_normal_form(ExactMatrix.identity(2))
+except InternalInconsistencyError:
+    print("check raised")
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["debug False", "check raised"]
+
+
+def _graph(vertex_count, pairs):
+    names = [f"v{i}" for i in range(vertex_count)]
+    return OrientedHypergraph(names, [({names[a]}, {names[b]}) for a, b in pairs])
+
+
+def _cycle(n):
+    return _graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _grid(rows, cols):
+    pairs = []
+    for i in range(rows):
+        for j in range(cols):
+            k = i * cols + j
+            if j + 1 < cols:
+                pairs.append((k, k + 1))
+            if i + 1 < rows:
+                pairs.append((k, k + cols))
+    return _graph(rows * cols, pairs)
+
+
+def _bundle(length, width):
+    return _graph(length + 1, [(i, i + 1) for i in range(length) for _ in range(width)])
+
+
+def _differential_matrices():
+    """Boundary matrices of the suite and of graph families, empty shapes,
+    and seeded integer matrices whose entries share factors 2 and 3."""
+    for h in hypergraph_suite():
+        yield boundary_matrix(h, Ring.INTEGER)
+    for h in (_cycle(3), _cycle(17), _cycle(45), _grid(4, 5), _bundle(6, 3)):
+        yield boundary_matrix(h, Ring.INTEGER)
+    for rows, cols in ((0, 0), (0, 4), (3, 0)):
+        yield ExactMatrix.zeros(rows, cols, Ring.INTEGER)
+    # a pivot that leaves a remainder in its row, and a pivot that does not
+    # divide the rest of the matrix
+    yield ExactMatrix([[4, 6]], Ring.INTEGER)
+    yield ExactMatrix([[2, 0], [0, 3]], Ring.INTEGER)
+    rng = random.Random(107)
+    for _ in range(300):
+        values = rng.choice(
+            [(0, 2, 3, 4, 6, -2, -3, -4, -6), (0, 0, 1, -1, 2), tuple(range(-9, 10))]
+        )
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        entries = [[rng.choice(values) for _ in range(cols)] for _ in range(rows)]
+        yield ExactMatrix(entries, Ring.INTEGER, cols=cols)
+
+
+def test_sparse_snf_matches_dense_oracle():
+    for matrix in _differential_matrices():
+        sparse = smith_normal_form(matrix)
+        dense = dense_smith_normal_form(matrix)
+        for factor in ("u", "s", "v", "u_inverse", "v_inverse"):
+            assert getattr(sparse, factor) == getattr(dense, factor), (matrix, factor)
+
+
+def test_sparse_rref_matches_dense_oracle():
+    rng = random.Random(108)
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5)) * (rng.random() < 0.5)
+
+    inputs = [[list(row) for row in matrix.entries] for matrix in _differential_matrices()]
+    for _ in range(200):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        inputs.append([[entry() for _ in range(cols)] for _ in range(rows)])
+    for rows in inputs:
+        assert _fraction_rref(rows) == dense_fraction_rref(rows), rows
 
 
 def test_snf_random_roundtrip():

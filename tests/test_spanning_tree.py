@@ -30,13 +30,14 @@ from hyperhomology import (
     vector_space_spanning_tree,
     verify_tree_axioms,
 )
-from hyperhomology import spanning_tree
+from hyperhomology import exact_linalg, spanning_tree
 
 from oracles import (
     candidate_tree_is_integral,
     enumerate_rational_candidate_trees,
     fraction_rank,
     hypergraph_suite,
+    integer_tree_lattice_checks,
     is_combinatorial_spanning_tree,
     random_connected_graph,
     tree_cut,
@@ -244,10 +245,92 @@ def test_cut_perturbed_by_cycle_fails_verification():
         assert not report.ok
 
 
+def _corrupted_integer_trees(tree):
+    """The tree itself and the corruptions of the verification tests, on an
+    integer tree: a cycle moved off the cycle lattice, swapped cut labels, a
+    cut plus a cycle, and a doubled cut or cycle (still in its lattice, but
+    the family no longer spans it).  Also an edge moved to the other side
+    with a unit vector as its cut or cycle: the family still contains the
+    whole lattice, plus a vector outside it."""
+    yield "intact", tree
+    cuts, cycles = tree.fundamental_cuts, tree.fundamental_cycles
+    t, e = (tree.tree_edges or (None,))[0], (tree.chords or (None,))[0]
+
+    def variant(new_cuts=cuts, new_cycles=cycles, tree_edges=tree.tree_edges):
+        return SpanningTree(tree_edges, new_cuts, new_cycles, tree.ring)
+
+    if e is not None:
+        yield "chord_as_tree_edge", variant(
+            new_cuts={**cuts, e: Chain.unit(1, e, Ring.INTEGER)},
+            new_cycles={f: c for f, c in cycles.items() if f != e},
+            tree_edges=tree.tree_edges + (e,),
+        )
+    if t is not None:
+        yield "tree_edge_as_chord", variant(
+            new_cuts={s: c for s, c in cuts.items() if s != t},
+            new_cycles={**cycles, t: Chain.unit(1, t, Ring.INTEGER)},
+            tree_edges=tree.tree_edges[1:],
+        )
+
+    if t is not None:
+        yield "doubled_cut", variant(new_cuts={**cuts, t: 2 * cuts[t]})
+    if len(tree.tree_edges) > 1:
+        t2 = tree.tree_edges[1]
+        yield "swapped_cuts", variant(new_cuts={**cuts, t: cuts[t2], t2: cuts[t]})
+    if e is not None:
+        yield "doubled_cycle", variant(new_cycles={**cycles, e: 2 * cycles[e]})
+    if t is not None and e is not None:
+        unit = Chain.unit(1, t, Ring.INTEGER)
+        yield "perturbed_cycle", variant(new_cycles={**cycles, e: cycles[e] + unit})
+        yield "cut_plus_cycle", variant(new_cuts={**cuts, t: cuts[t] + cycles[e]})
+
+
+def test_integer_verification_matches_lattice_comparisons(monkeypatch):
+    # one Smith form of B (plus one per family for the span checks) must
+    # decide what the cut and cycle lattice comparisons decide
+    calls = []
+    real = spanning_tree.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix.rows * matrix.cols)
+        return real(matrix)
+
+    monkeypatch.setattr(spanning_tree, "smith_normal_form", counted)
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", counted)
+    instances = [triangle_graph(), *hypergraph_suite()]
+    trees = [(h, find_spanning_tree_integer(h)) for h in instances]
+    trees = [(h, tree) for h, tree in trees if tree is not None]
+    assert len(trees) > 100
+    seen = set()
+    outcomes = set()
+    for h, tree in trees:
+        for name, candidate in _corrupted_integer_trees(tree):
+            expected = integer_tree_lattice_checks(h, candidate)
+            calls.clear()
+            report = verify_tree_axioms(h, candidate)
+            assert len(calls) <= 3, (h, name)
+            fields = {key: getattr(report, key) for key in expected}
+            assert fields == expected, (h, name)
+            assert report.ok == (name == "intact"), (h, name, report)
+            seen.add(name)
+            outcomes.update(fields.items())
+    assert outcomes == {(key, value) for key in expected for value in (True, False)}
+    assert seen == {
+        "intact",
+        "chord_as_tree_edge",
+        "tree_edge_as_chord",
+        "doubled_cut",
+        "swapped_cuts",
+        "doubled_cycle",
+        "perturbed_cycle",
+        "cut_plus_cycle",
+    }
+
+
 # Replaces the RREF tree reader so that the accepted integer tree is wrong;
 # the search must refuse it whatever the interpreter's optimisation flags.
 _CORRUPT_TREE = """
-from hyperhomology import spanning_tree
+from hyperhomology import exact_linalg, spanning_tree
 
 real_rref_tree = spanning_tree._rref_tree
 
