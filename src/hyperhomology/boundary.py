@@ -67,6 +67,8 @@ def boundary_matrix(hypergraph: OrientedHypergraph, ring: Ring) -> ExactMatrix:
             entries[index[vertex]][j] = ring.one
         for vertex in tails:
             entries[index[vertex]][j] = -ring.one
+    if ring is Ring.INTEGER:
+        return ExactMatrix._from_ints(tuple(map(tuple, entries)), m)
     return ExactMatrix(entries, ring, cols=m)
 
 

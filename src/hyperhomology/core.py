@@ -10,7 +10,6 @@ matrix and report derived from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -46,6 +45,62 @@ class Ring(Enum):
     @property
     def one(self):
         return 1 if self is Ring.INTEGER else Fraction(1)
+
+
+class _Record:
+    """Immutable value whose fields are its class annotations, in order.
+
+    A subclass inherits its base's fields and appends its own.  Records are
+    built by position or keyword, refuse assignment and deletion, compare
+    equal only to records of the very same class with equal fields, hash by
+    their field tuple and print as ``Name(field=value, ...)``.  A subclass
+    with its own ``__init__`` stores its fields with ``object.__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        name = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{name}() takes {len(names)} arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for key, value in kwargs.items():
+            if key not in names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        if len(values) < len(names):
+            missing = ", ".join(repr(key) for key in names if key not in values)
+            raise TypeError(f"{name}() missing arguments: {missing}")
+        for key in names:
+            object.__setattr__(self, key, values[key])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class HypergraphValidationError(ValueError):
@@ -97,8 +152,7 @@ def validation_report(vertices, edges) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True, init=False)
-class OrientedHypergraph:
+class OrientedHypergraph(_Record):
     """A finite ordered vertex list plus ordered oriented edges.
 
     Each edge is a pair (tails, heads) of disjoint vertex sets: the edge
@@ -149,8 +203,7 @@ def validate(hypergraph: OrientedHypergraph) -> list[str]:
     return validation_report(hypergraph.vertices, hypergraph.edges)
 
 
-@dataclass(frozen=True, init=False)
-class _FormalSum:
+class _FormalSum(_Record):
     """Sparse formal sum over an indexed basis; shared by chains/cochains.
 
     Stored coefficients are always nonzero and all lie in ``ring``

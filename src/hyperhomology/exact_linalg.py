@@ -24,14 +24,12 @@ exactly, on the sparse factors, and a mismatch raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InternalInconsistencyError, Ring
+from .core import InternalInconsistencyError, Ring, _Record
 
 
-@dataclass(frozen=True, init=False)
-class ExactMatrix:
+class ExactMatrix(_Record):
     """Dense rectangular matrix whose entries all lie in a single ring."""
 
     rows: int
@@ -56,7 +54,7 @@ class ExactMatrix:
 
     @classmethod
     def _from_ints(cls, entries: tuple, cols: int) -> "ExactMatrix":
-        """Integer matrix from a tuple of int tuples that this module built
+        """Integer matrix from a tuple of int tuples that the package built
         itself, without the per-entry coercion of the constructor."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", len(entries))
@@ -271,8 +269,7 @@ def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:
     return solution
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(_Record):
     """Unimodular factors ``u @ m @ v = s`` with ``s`` in Smith form.
 
     The diagonal of ``s`` is nonnegative with each entry dividing the next;
@@ -591,18 +588,18 @@ def annihilator_basis(generators, ambient_dim: int) -> list[list[int]]:
     return kernel_basis(matrix, Ring.INTEGER)
 
 
-@dataclass(frozen=True)
-class ModuleStructure:
+class ModuleStructure(_Record):
     """Isomorphism type of a finitely generated abelian group: a free rank
     plus torsion orders in divisibility order."""
 
     free_rank: int
     torsion: tuple[int, ...]
 
-    def __post_init__(self):
-        for a, b in zip(self.torsion, self.torsion[1:]):
+    def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion orders must divide their successors")
+        super().__init__(free_rank, torsion)
 
     @property
     def is_trivial(self) -> bool:

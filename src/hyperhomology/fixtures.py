@@ -71,7 +71,9 @@ def random_hypergraph(
     excluding the doubly-empty pair unless ``allow_empty_edges`` is set,
     then samples disjoint vertex sets of those sizes.  Candidates that are
     inverse to an existing edge are resampled, so the result always passes
-    validation.
+    validation.  Negative counts, and parameters under which 10000 draws in
+    a row yield no acceptable edge (say, a max arity far above the vertex
+    count), raise ``ValueError``.
     """
     counts = {"vertex count": vertex_count, "edge count": edge_count, "max arity": max_arity}
     for label, value in counts.items():
@@ -100,5 +102,7 @@ def random_hypergraph(
             drawn.add((tails, heads))
             break
         else:
-            raise RuntimeError("edge resampling did not converge")
+            raise ValueError(
+                f"edge resampling did not converge: all 10000 draws for edge {len(edges)} were rejected"
+            )
     return OrientedHypergraph(vertices, edges)

@@ -19,7 +19,6 @@ reduced row echelon form of B.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .boundary import boundary_matrix, canonical_inner_product
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     InternalInconsistencyError,
     OrientedHypergraph,
     Ring,
+    _Record,
 )
 from .exact_linalg import (
     ExactMatrix,
@@ -47,8 +47,7 @@ from .exact_linalg import (
 )
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(_Record):
     """First homology and cohomology of a hypergraph over one ring."""
 
     ring: Ring
@@ -95,8 +94,7 @@ def annihilator_of_cycles(hypergraph: OrientedHypergraph) -> list[list[int]]:
     return annihilator_basis(cycles, hypergraph.edge_count)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """Concrete vector certifying that a condition fails.
 
     ``basis`` says which indexed basis the coefficients refer to ("edges"
@@ -109,8 +107,7 @@ class Witness:
     coefficients: tuple
 
 
-@dataclass(frozen=True)
-class GraphLikenessReport:
+class GraphLikenessReport(_Record):
     """Truth values of the five equivalent graph-likeness conditions.
 
     The five are equivalent, so they always carry the same value; when they
@@ -225,8 +222,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
     )
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(_Record):
     """Cycle and cut bases with the diagnostics of how they sit in the
     1-chain module: orthogonality, trivial intersection, and whether their
     sum is everything (over the integers it may not be).  Both bases are
@@ -313,8 +309,7 @@ def orthogonal_decomposition_rational(hypergraph: OrientedHypergraph) -> Decompo
     return cycle_cut_decomposition(hypergraph, Ring.RATIONAL)
 
 
-@dataclass(frozen=True)
-class PerpComparison:
+class PerpComparison(_Record):
     """Result of comparing two lattices that should coincide, with a
     witness generator on the offending side when they do not."""
 

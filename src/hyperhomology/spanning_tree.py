@@ -18,11 +18,10 @@ fundamental cycles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .boundary import boundary, boundary_matrix
-from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring
+from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
     ExactMatrix,
     _lattice_contains_all,
@@ -45,8 +44,7 @@ class SearchLimitExceeded(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(_Record):
     """Tree edge set with its fundamental cuts and fundamental cycles.
 
     ``fundamental_cuts`` maps each tree edge index t to the cut chain x_t;
@@ -86,8 +84,7 @@ def find_spanning_tree_rational(hypergraph: OrientedHypergraph) -> SpanningTree:
     return _spanning_tree(*_rref_tree(matrix.entries, hypergraph.edge_count))
 
 
-@dataclass(frozen=True)
-class TreeAxiomsReport:
+class TreeAxiomsReport(_Record):
     """Outcome of each independent spanning-tree axiom sub-check."""
 
     cut_kronecker: bool

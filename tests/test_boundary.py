@@ -6,6 +6,7 @@ import pytest
 from hyperhomology import (
     Chain,
     Cochain,
+    ExactMatrix,
     OrientedHypergraph,
     Ring,
     boundary,
@@ -85,6 +86,27 @@ def test_boundary_matrix_degenerate_shapes():
     assert (matrix.rows, matrix.cols) == (2, 0)
     single = OrientedHypergraph(["a", "b"], [(set(), {"b"})])
     assert boundary_matrix(single, Ring.INTEGER).column(0) == [0, 1]
+
+
+def test_integer_boundary_matrix_matches_coerced_construction():
+    def cycle(n):
+        names = [f"v{i}" for i in range(n)]
+        return OrientedHypergraph(names, [({names[i]}, {names[(i + 1) % n]}) for i in range(n)])
+
+    shapes = [
+        OrientedHypergraph([], []),
+        OrientedHypergraph([], [(set(), set())]),
+        OrientedHypergraph(["a", "b", "c"], []),
+    ]
+    for h in list(hypergraph_suite(200)) + [cycle(n) for n in (3, 17, 45)] + shapes:
+        n, m = h.vertex_count, h.edge_count
+        entries = [
+            [(v in h.heads(j)) - (v in h.tails(j)) for j in range(m)] for v in h.vertices
+        ]
+        matrix = boundary_matrix(h, Ring.INTEGER)
+        assert matrix == ExactMatrix(entries, Ring.INTEGER, cols=m)
+        assert (matrix.rows, matrix.cols) == (n, m)
+        assert all(type(x) is int for row in matrix.entries for x in row)
 
 
 def test_boundary_inner_product_single_edge():

@@ -248,6 +248,15 @@ def test_random_command_negative_argument_is_usage_error(capsys, flag, value):
     assert err.startswith("error: ") and "must not be negative" in err
 
 
+def test_random_command_unreachable_arity_is_usage_error(capsys):
+    code, out, err = _run(
+        capsys, "random", "--vertices", "2", "--edges", "1", "--seed", "1", "--max-arity", "100000"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "did not converge" in err
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
 
@@ -306,3 +315,25 @@ def test_hostile_document_stdin_process_exits_1():
             timeout=60,
         )
         _assert_clean_error(result.returncode, result.stdout.decode(), result.stderr.decode())
+
+
+def test_cli_start_up_skips_dataclasses_and_inspect():
+    # -S keeps site hooks from preloading modules and hiding a regression
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from hyperhomology.cli import run_command\n"
+        "assert run_command(['example', 'path-graph']) == 0\n"
+        "loaded = [name for name in ('dataclasses', 'inspect') if name in sys.modules]\n"
+        "sys.exit(f'loaded at start-up: {loaded}' if loaded else 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"name": "path-graph"' in result.stdout

@@ -7,14 +7,27 @@ import pytest
 from hyperhomology import (
     Chain,
     Cochain,
+    ExactMatrix,
     HypergraphValidationError,
+    ModuleStructure,
     OrientedHypergraph,
     Ring,
+    Witness,
+    boundary_matrix,
     chain_to_cochain,
     cochain_to_chain,
+    cycle_cut_decomposition,
+    cycles_equal_cut_perp_check,
+    find_spanning_tree_rational,
+    graph_likeness,
+    homology,
+    main_example,
     random_hypergraph,
+    smith_normal_form,
+    triangle_graph,
     validate,
     validation_report,
+    verify_tree_axioms,
 )
 
 
@@ -208,3 +221,119 @@ def test_random_generator_infeasible_params():
         random_hypergraph(0, 2, seed=0)
     with pytest.raises(ValueError):
         random_hypergraph(3, 1, seed=0, max_arity=0)
+    # arities beyond the vertex count are drawn and rejected every time
+    with pytest.raises(ValueError, match="did not converge"):
+        random_hypergraph(2, 1, seed=1, max_arity=100000)
+
+
+# Records: immutable values with field-wise equality.
+
+
+def _one_record_of_each_kind():
+    h = main_example()
+    tree = find_spanning_tree_rational(triangle_graph())
+    return [
+        h,
+        Chain(1, {0: 1}, Ring.INTEGER),
+        Cochain(1, {0: 1}, Ring.INTEGER),
+        boundary_matrix(h, Ring.INTEGER),
+        smith_normal_form(boundary_matrix(h, Ring.INTEGER)),
+        ModuleStructure(1, (2,)),
+        homology(h, Ring.INTEGER),
+        graph_likeness(h).witnesses[0],
+        graph_likeness(h),
+        cycle_cut_decomposition(h, Ring.INTEGER),
+        cycles_equal_cut_perp_check(h),
+        tree,
+        verify_tree_axioms(triangle_graph(), tree),
+    ]
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    records = _one_record_of_each_kind()
+    assert len({type(r) for r in records}) == 13
+    for record in records:
+        field = record._fields[0]
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.unknown = 1
+        assert getattr(record, field) is before
+
+
+def test_records_equal_only_within_their_class():
+    for a, b in zip(_one_record_of_each_kind(), _one_record_of_each_kind()):
+        assert a == b and not a != b
+    chain = Chain(1, {0: 1}, Ring.INTEGER)
+    cochain = Cochain(1, {0: 1}, Ring.INTEGER)
+    assert chain.coefficients == cochain.coefficients
+    assert chain != cochain and cochain != chain
+    assert ModuleStructure(0, ()) != (0, ())
+    assert Chain(1, {0: 1}, Ring.INTEGER) != Chain(1, {0: 2}, Ring.INTEGER)
+
+
+def test_equal_records_hash_equal():
+    pairs = [
+        (
+            ExactMatrix([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], Ring.INTEGER),
+            boundary_matrix(main_example(), Ring.INTEGER),
+        ),
+        (main_example(), main_example()),
+        (ModuleStructure(1, (2, 4)), ModuleStructure(1, (2, 4))),
+        (graph_likeness(main_example()).witnesses[0], graph_likeness(main_example()).witnesses[0]),
+    ]
+    for a, b in pairs:
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+    assert len({ModuleStructure(1, (2, 4)), ModuleStructure(1, (2, 4)), ModuleStructure(0, ())}) == 2
+    # a record holding a dict is unhashable, as its value can change
+    with pytest.raises(TypeError):
+        hash(Chain(1, {0: 1}, Ring.INTEGER))
+
+
+def test_record_keyword_and_positional_construction_agree():
+    assert Witness("c", "d", "edges", (1, 0)) == Witness(
+        coefficients=(1, 0), basis="edges", description="d", condition="c"
+    )
+    assert Witness("c", "d", basis="edges", coefficients=(1, 0)) == Witness("c", "d", "edges", (1, 0))
+    assert ModuleStructure(2, (3,)) == ModuleStructure(torsion=(3,), free_rank=2)
+    assert Chain(1, {0: 2}, Ring.INTEGER) == Chain(dimension=1, coefficients={0: 2}, ring=Ring.INTEGER)
+    assert ExactMatrix([[1, 2]], Ring.INTEGER) == ExactMatrix(entries=[[1, 2]], ring=Ring.INTEGER)
+    assert main_example() == OrientedHypergraph(
+        vertices=main_example().vertices, edges=main_example().edges
+    )
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (("c", "d", "edges"), {}),
+        (("c", "d", "edges", (1,), "extra"), {}),
+        (("c", "d", "edges", (1,)), {"colour": "red"}),
+        (("c", "d", "edges"), {"basis": "vertices", "coefficients": (1,)}),
+    ],
+)
+def test_record_wrong_arguments_raise_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        Witness(*args, **kwargs)
+
+
+def test_record_repr_pinned():
+    assert repr(homology(main_example(), Ring.INTEGER)) == (
+        "HomologyReport(ring=<Ring.INTEGER: 'int'>, h1=ModuleStructure(free_rank=0, torsion=()), "
+        "h1_basis=(), h1_cohomology=ModuleStructure(free_rank=0, torsion=(2, 2)), "
+        "rank_image_boundary=3)"
+    )
+    assert repr(homology(triangle_graph(), Ring.INTEGER)) == (
+        "HomologyReport(ring=<Ring.INTEGER: 'int'>, h1=ModuleStructure(free_rank=1, torsion=()), "
+        "h1_basis=(Chain(dimension=1, coefficients={0: -1, 1: -1, 2: 1}, "
+        "ring=<Ring.INTEGER: 'int'>),), h1_cohomology=ModuleStructure(free_rank=1, torsion=()), "
+        "rank_image_boundary=2)"
+    )
+    assert repr(graph_likeness(main_example()).witnesses[-1]) == (
+        "Witness(condition='hom_dual_iso', description='cochain whose class has finite order 2 "
+        "in the cohomology', basis='edges', coefficients=(0, 0, 1))"
+    )

@@ -367,6 +367,8 @@ def test_quotient_structure_rank_sum():
 def test_module_structure_rejects_bad_torsion():
     with pytest.raises(ValueError):
         ModuleStructure(0, (4, 2))
+    with pytest.raises(ValueError):
+        ModuleStructure(free_rank=0, torsion=(4, 2))
 
 
 def test_sublattice_equal_examples():
