@@ -140,9 +140,8 @@ def validation_report(vertices, edges) -> list[str]:
         if overlap:
             names = ", ".join(sorted(repr(v) for v in overlap))
             violations.append(f"edge {j}: tails and heads overlap on {names}")
-        for v in sorted(tails | heads, key=repr):
-            if v not in known:
-                violations.append(f"edge {j}: unknown vertex {v!r}")
+        for v in sorted((tails | heads) - known, key=repr):
+            violations.append(f"edge {j}: unknown vertex {v!r}")
         normalized.append((tails, heads))
     earlier: dict[tuple, list[int]] = {}
     for j, (tails, heads) in enumerate(normalized):
@@ -226,6 +225,18 @@ class _FormalSum(_Record):
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "ring", ring)
+
+    @classmethod
+    def _of(cls, dimension: int, coefficients: dict, ring: Ring):
+        """Wrap a dict the package built itself, without the per-entry
+        coercion of the constructor: its keys are ints and its values
+        nonzero ``int`` over the integers, ``Fraction`` over the rationals.
+        The dict is kept, not copied."""
+        formal_sum = object.__new__(cls)
+        object.__setattr__(formal_sum, "dimension", dimension)
+        object.__setattr__(formal_sum, "coefficients", coefficients)
+        object.__setattr__(formal_sum, "ring", ring)
+        return formal_sum
 
     @classmethod
     def zero(cls, dimension: int, ring: Ring):

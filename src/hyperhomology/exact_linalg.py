@@ -12,14 +12,18 @@ bases and, read as a spanning tree, fundamental cuts and cycles.
 :class:`ExactMatrix` is dense, but both kernels hold their rows and
 columns as ``{index: nonzero}`` dicts, so each step costs in proportion to
 the nonzeros it touches; a boundary matrix has at most 2 * arity per
-column.  The pivot rules are pinned: the Smith form takes a nonzero of
-least absolute value, lowest current row first, then lowest current
-column (so a unit entry whenever there is one), and the RREF takes the
-first unused row of each column.  The results are therefore exactly those
-of the textbook dense elimination with the same rules.  Every Smith form is
-checked before it is returned: ``u @ m @ v == s`` is compared in full,
-exactly, on the sparse factors, and a mismatch raises
-:class:`InternalInconsistencyError` (never an ``assert``).
+column.  The RREF takes and returns such dict rows, and the spanning-tree
+reader returns its fundamental cuts and cycles as ``{index: nonzero
+Fraction}`` dicts, which the reports wrap as chains directly; only the
+public functions that return dense lists build them, at the end.  The
+pivot rules are pinned: the Smith form takes a nonzero of least absolute
+value, lowest current row first, then lowest current column (so a unit
+entry whenever there is one), and the RREF takes the first unused row of
+each column.  The results are therefore exactly those of the textbook
+dense elimination with the same rules.  Every Smith form is checked before
+it is returned: ``u @ m @ v == s`` is compared in full, exactly, on the
+sparse factors, and a mismatch raises :class:`InternalInconsistencyError`
+(never an ``assert``).
 """
 
 from __future__ import annotations
@@ -148,19 +152,21 @@ class ExactMatrix(_Record):
         return ExactMatrix(data, self.ring, cols=other.cols)
 
 
-def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with the pivot columns, over Fractions.
+def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form with the pivot columns, over Fractions, of
+    the matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
+    Fractions, which are not modified).
 
-    Rows are held as ``{column: nonzero}`` dicts, with the set of rows that
-    are nonzero in each column, so a step touches only the nonzeros of the
-    rows it changes.  The pivot of a column is the first row, in current
-    order, not yet used as a pivot; a pivot row moves up to the next free
-    position, as in schoolbook elimination.  Returns dense rows (the RREF
-    rows, then zero rows) and the pivot columns.
+    Each row is kept with the set of rows that are nonzero in each column,
+    so a step touches only the nonzeros of the rows it changes.  The pivot
+    of a column is the first row, in current order, not yet used as a
+    pivot; a pivot row moves up to the next free position, as in schoolbook
+    elimination.  Returns the rows in their final order (the RREF rows,
+    then empty dicts), every value a nonzero Fraction, and the pivot
+    columns.
     """
     height = len(rows)
-    width = len(rows[0]) if rows else 0
-    matrix = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    matrix = [{j: Fraction(x) for j, x in row.items() if x} for row in rows]
     holders: list[set[int]] = [set() for _ in range(width)]
     for i, row in enumerate(matrix):
         for j in row:
@@ -196,45 +202,62 @@ def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], li
                     del row[j]
                     holders[j].discard(i)
         pivots.append(c)
-    zero = Fraction(0)
-    dense = []
-    for i in order:
-        line = [zero] * width
-        for j, x in matrix[i].items():
-            line[j] = x
-        dense.append(line)
-    return dense, pivots
+    return [matrix[i] for i in order], pivots
 
 
-def _rref_tree(rows, cols: int, order=None):
+def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """:func:`_sparse_rref` of dense rows, with the reduced rows dense."""
+    width = len(rows[0]) if rows else 0
+    reduced, pivots = _sparse_rref([dict(enumerate(row)) for row in rows], width)
+    return [_dense(row, width) for row in reduced], pivots
+
+
+def _sparse_rows(matrix: ExactMatrix) -> list[dict]:
+    """The rows of a dense matrix as ``{column: nonzero}`` dicts."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
+
+
+def _dense(vector: dict, length: int) -> list[Fraction]:
+    """Dense Fraction vector of a ``{index: value}`` dict."""
+    line = [Fraction(0)] * length
+    for j, x in vector.items():
+        line[j] = x
+    return line
+
+
+def _rref_tree(rows: list[dict], cols: int, order=None):
     """Spanning tree of the row space, read off one RREF.
 
-    Columns are scanned in ``order`` (default: left to right).  The pivot
-    columns are the greedy column basis, which is the tree.  RREF row i has
-    1 at its pivot and 0 at every other pivot, so it is the fundamental cut
-    of that pivot.  Each free column f gives the null vector with 1 at f, 0
-    at every other free column and minus the RREF entry at each pivot: the
-    fundamental cycle of f.  Returns ``(tree, cuts, cycles)``: the tree
-    columns in scan order, then dicts from column index to a Fraction
-    vector of length ``cols``.
+    ``rows`` are ``{column: nonzero}`` dicts.  Columns are scanned in
+    ``order`` (default: left to right).  The pivot columns are the greedy
+    column basis, which is the tree.  RREF row i has 1 at its pivot and 0
+    at every other pivot, so it is the fundamental cut of that pivot.  Each
+    free column f gives the null vector with 1 at f, 0 at every other free
+    column and minus the RREF entry at each pivot: the fundamental cycle of
+    f.  Returns ``(tree, cuts, cycles)``: the tree columns in scan order,
+    then dicts from tree column (in scan order) and from free column (in
+    scan order) to a ``{column: nonzero Fraction}`` dict with its columns
+    ascending.
     """
     order = list(range(cols)) if order is None else list(order)
-    reduced, pivots = _fraction_rref([[row[j] for j in order] for row in rows])
+    place = {j: k for k, j in enumerate(order)}
+    reduced, pivots = _sparse_rref(
+        [{place[j]: x for j, x in row.items()} for row in rows], cols
+    )
     tree = tuple(order[p] for p in pivots)
-    cuts = {}
+    cuts = {
+        t: dict(sorted((order[k], x) for k, x in reduced[i].items()))
+        for i, t in enumerate(tree)
+    }
+    pivot_set = set(pivots)
+    cycles = {order[k]: {order[k]: Fraction(1)} for k in range(cols) if k not in pivot_set}
     for i, t in enumerate(tree):
-        cut = [Fraction(0)] * cols
-        for k, j in enumerate(order):
-            cut[j] = reduced[i][k]
-        cuts[t] = cut
-    free = sorted(set(range(cols)) - set(pivots))
-    cycles = {}
-    for k in free:
-        cycle = [Fraction(0)] * cols
-        cycle[order[k]] = Fraction(1)
-        for i, t in enumerate(tree):
-            cycle[t] = -reduced[i][k]
-        cycles[order[k]] = cycle
+        for k, x in reduced[i].items():
+            j = order[k]
+            if j in cycles:
+                cycles[j][t] = -x
+    for j, cycle in cycles.items():
+        cycles[j] = dict(sorted(cycle.items()))
     return tree, cuts, cycles
 
 
@@ -244,7 +267,7 @@ def image_rank(matrix: ExactMatrix) -> int:
     Deliberately independent of the Smith normal form so the two routes can
     be checked against each other.
     """
-    _, pivots = _fraction_rref([list(row) for row in matrix.entries])
+    _, pivots = _sparse_rref(_sparse_rows(matrix), matrix.cols)
     return len(pivots)
 
 
@@ -510,7 +533,7 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     if matrix.ring is not Ring.INTEGER:
         raise ValueError("Smith normal form requires integer entries")
     r, c = matrix.rows, matrix.cols
-    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
+    rows = _sparse_rows(matrix)
     s, u, u_inv, v, v_inv = _smith_reduce([dict(row) for row in rows], c)
     if not _reproduces(rows, u, v, s):
         raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
@@ -536,8 +559,8 @@ def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
             raise ValueError("integer kernel requires an integer matrix")
         decomposition = smith_normal_form(matrix)
         return [decomposition.v.column(j) for j in range(decomposition.rank, matrix.cols)]
-    _, _, cycles = _rref_tree(matrix.entries, matrix.cols)
-    return list(cycles.values())
+    _, _, cycles = _rref_tree(_sparse_rows(matrix), matrix.cols)
+    return [_dense(cycle, matrix.cols) for cycle in cycles.values()]
 
 
 def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
@@ -557,7 +580,7 @@ def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
         for i, d in enumerate(decomposition.diagonal):
             basis.append([d * x for x in decomposition.u_inverse.column(i)])
         return basis
-    tree, _, _ = _rref_tree(matrix.entries, matrix.cols)
+    tree, _, _ = _rref_tree(_sparse_rows(matrix), matrix.cols)
     return [[Fraction(x) for x in matrix.column(j)] for j in tree]
 
 

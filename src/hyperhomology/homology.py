@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .boundary import boundary_matrix, canonical_inner_product
+from .boundary import boundary_matrix
 from .core import (
     Chain,
     Cochain,
@@ -34,6 +34,7 @@ from .exact_linalg import (
     ModuleStructure,
     SnfDecomposition,
     _rref_tree,
+    _sparse_rows,
     _transposed,
     annihilator_basis,
     image_basis,
@@ -57,6 +58,11 @@ class HomologyReport(_Record):
     rank_image_boundary: int
 
 
+def _integer_chain(vector) -> Chain:
+    """Integer 1-chain of a dense vector of ints the package computed."""
+    return Chain._of(1, {j: x for j, x in enumerate(vector) if x}, Ring.INTEGER)
+
+
 def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     """Compute the first homology (cycle module with basis) and the first
     cohomology (cochains modulo coboundaries) over the requested ring.
@@ -70,14 +76,13 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     if ring is Ring.INTEGER:
         decomposition = smith_normal_form(matrix)
         rank = decomposition.rank
-        basis_vectors = [decomposition.v.column(j) for j in range(rank, m)]
+        basis = tuple(_integer_chain(decomposition.v.column(j)) for j in range(rank, m))
         torsion = tuple(d for d in decomposition.diagonal if d > 1)
     else:
-        tree, _, cycles = _rref_tree(matrix.entries, m)
+        tree, _, cycles = _rref_tree(_sparse_rows(matrix), m)
         rank = len(tree)
-        basis_vectors = list(cycles.values())
+        basis = tuple(Chain._of(1, cycle, ring) for cycle in cycles.values())
         torsion = ()
-    basis = tuple(Chain.from_vector(1, vector, ring) for vector in basis_vectors)
     return HomologyReport(
         ring=ring,
         h1=ModuleStructure(len(basis), ()),
@@ -228,7 +233,10 @@ class DecompositionReport(_Record):
     sum is everything (over the integers it may not be).  Both bases are
     independent by construction, so the intersection is trivial when they
     are orthogonal, and their rational sum is everything when, in addition,
-    the sizes add up to the edge count."""
+    the sizes add up to the edge count.  Over the integers the sum is
+    everything when every standard edge chain lies in it, which the Smith
+    form of the boundary matrix decides edge by edge; ``missing_chain`` is
+    the first that does not."""
 
     ring: Ring
     cycle_basis: tuple[Chain, ...]
@@ -238,6 +246,24 @@ class DecompositionReport(_Record):
     dimensions_sum_to_edge_count: bool
     spans_all_chains: bool
     missing_chain: Chain | None
+
+
+def _mutually_orthogonal(cycles, cuts) -> bool:
+    """Whether every cycle is orthogonal to every cut, in one pass over the
+    nonzeros: the cut coefficients are indexed by edge, and each cycle's
+    inner products with all cuts are accumulated together."""
+    by_edge: dict[int, list] = {}
+    for c, cut in enumerate(cuts):
+        for j, x in cut.coefficients.items():
+            by_edge.setdefault(j, []).append((c, x))
+    for cycle in cycles:
+        products: dict[int, object] = {}
+        for j, x in cycle.coefficients.items():
+            for c, y in by_edge.get(j, ()):
+                products[c] = products.get(c, 0) + x * y
+        if any(products.values()):
+            return False
+    return True
 
 
 def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> DecompositionReport:
@@ -253,40 +279,44 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     is independent (V is unimodular, every d_i is nonzero, RREF rows and
     free-column null vectors have Kronecker patterns), so the intersection
     and rational spanning diagnostics follow from orthogonality and the
-    dimension count; only the integer spanning check factors the stacked
-    bases.
+    dimension count.  Orthogonality is one pass over the nonzeros.
+
+    The integer spanning check needs no second factorization.  Cycles and
+    cuts are orthogonal, so e_k = z + c with z a cycle and c a cut gives
+    1 = |z|^2 + |c|^2: e_k is then a cycle or a cut itself.  So e_k lies in
+    the sum iff edge k is empty (column k of B is zero) or e_k is an
+    integer coboundary, that is, row k of V is zero from the rank on and
+    V[k, i] is divisible by d_i below it.
     """
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    if ring is Ring.INTEGER:
-        decomposition = smith_normal_form(matrix)
-        cycle_vectors = [decomposition.v.column(j) for j in range(decomposition.rank, m)]
-        cut_vectors = [
-            [d * x for x in decomposition.v_inverse.row(i)]
-            for i, d in enumerate(decomposition.diagonal)
-        ]
-    else:
-        _, cuts, cycles = _rref_tree(matrix.entries, m)
-        cycle_vectors, cut_vectors = list(cycles.values()), list(cuts.values())
-    cycle_basis = tuple(Chain.from_vector(1, v, ring) for v in cycle_vectors)
-    cut_basis = tuple(Chain.from_vector(1, v, ring) for v in cut_vectors)
-
-    orthogonal = all(
-        canonical_inner_product(c, b) == ring.zero for c in cycle_basis for b in cut_basis
-    )
-    intersection_trivial = orthogonal
-    dimensions_sum = len(cycle_vectors) + len(cut_vectors) == m
-
     missing_chain = None
     if ring is Ring.INTEGER:
-        generators = ExactMatrix.from_columns(cycle_vectors + cut_vectors, Ring.INTEGER, rows=m)
-        chain_sum = smith_normal_form(generators)
-        for e in range(m):
-            unit = [0] * m
-            unit[e] = 1
-            if chain_sum.solve(unit) is None:
-                missing_chain = Chain.unit(1, e, Ring.INTEGER)
+        decomposition = smith_normal_form(matrix)
+        rank, diagonal = decomposition.rank, decomposition.diagonal
+        v = decomposition.v
+        cycle_basis = tuple(_integer_chain(v.column(j)) for j in range(rank, m))
+        cut_basis = tuple(
+            _integer_chain([d * x for x in decomposition.v_inverse.row(i)])
+            for i, d in enumerate(diagonal)
+        )
+        for k, (tails, heads) in enumerate(hypergraph.edges):
+            row = v.row(k)
+            coboundary = not any(row[rank:]) and all(
+                row[i] % d == 0 for i, d in enumerate(diagonal)
+            )
+            if (tails or heads) and not coboundary:
+                missing_chain = Chain.unit(1, k, Ring.INTEGER)
                 break
+    else:
+        _, cuts, cycles = _rref_tree(_sparse_rows(matrix), m)
+        cycle_basis = tuple(Chain._of(1, c, ring) for c in cycles.values())
+        cut_basis = tuple(Chain._of(1, c, ring) for c in cuts.values())
+
+    orthogonal = _mutually_orthogonal(cycle_basis, cut_basis)
+    intersection_trivial = orthogonal
+    dimensions_sum = len(cycle_basis) + len(cut_basis) == m
+    if ring is Ring.INTEGER:
         spans = missing_chain is None
     else:
         spans = orthogonal and dimensions_sum

@@ -24,11 +24,13 @@ from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
     ExactMatrix,
+    _dense,
     _lattice_contains_all,
     _rref_tree,
+    _sparse_rows,
+    _sparse_rref,
     _transposed,
     image_rank,
-    kernel_basis,
     smith_normal_form,
 )
 
@@ -62,11 +64,24 @@ class SpanningTree(_Record):
 
 
 def _spanning_tree(tree_edges, cuts, cycles, ring: Ring = Ring.RATIONAL) -> SpanningTree:
-    """Wrap the vectors of :func:`_rref_tree` as chains over ``ring``."""
+    """Wrap the ``{index: Fraction}`` vectors of :func:`_rref_tree` as
+    chains over ``ring``; over the integers every value must be integral,
+    or the tree is refused with :class:`InternalInconsistencyError`."""
+
+    def chain(vector: dict) -> Chain:
+        if ring is Ring.INTEGER:
+            for x in vector.values():
+                if x.denominator != 1:
+                    raise InternalInconsistencyError(
+                        f"fractional integer tree: {x} is not an integer"
+                    )
+            vector = {j: x.numerator for j, x in vector.items()}
+        return Chain._of(1, vector, ring)
+
     return SpanningTree(
         tree_edges,
-        {t: Chain.from_vector(1, v, ring) for t, v in cuts.items()},
-        {e: Chain.from_vector(1, v, ring) for e, v in cycles.items()},
+        {t: chain(v) for t, v in cuts.items()},
+        {e: chain(v) for e, v in cycles.items()},
         ring,
     )
 
@@ -81,7 +96,7 @@ def find_spanning_tree_rational(hypergraph: OrientedHypergraph) -> SpanningTree:
     the null vectors of the free columns are the fundamental cycles.
     """
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    return _spanning_tree(*_rref_tree(matrix.entries, hypergraph.edge_count))
+    return _spanning_tree(*_rref_tree(_sparse_rows(matrix), hypergraph.edge_count))
 
 
 class TreeAxiomsReport(_Record):
@@ -113,10 +128,14 @@ class TreeAxiomsReport(_Record):
 def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> TreeAxiomsReport:
     """Re-check both spanning-tree axioms from scratch.
 
-    Kronecker patterns are read off coefficients and cycle membership
-    applies the boundary.  Over the rationals the cuts lie in the row space
-    of B exactly when stacking them under the rows of B leaves the rank of
-    B unchanged, and the span checks are rank counts: one elimination each.
+    A cut's Kronecker pattern is its restriction to the tree edges, which
+    must be 1 at its own edge and nothing else; a cycle's is its
+    restriction to the chords.  Each costs one pass over the chain's
+    nonzeros.  Cycle membership applies the boundary.  Over the rationals
+    the cuts lie in the row space of B exactly when stacking them under the
+    rows of B leaves the rank of B unchanged, and the span checks are rank
+    counts: one sparse elimination each, of the rows of B and of the
+    chains' coefficient dicts.
     Over the integers everything is read off one Smith normal form
     U B V = S with divisors d_i, i < r: cut membership solves against the
     transposed factorization of B^T; the cut lattice is generated by d_i
@@ -136,33 +155,36 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
         and set(tree.fundamental_cuts) == tree_set
     )
 
+    def restriction(chain: Chain, indices: set) -> dict:
+        return {j: x for j, x in chain.coefficients.items() if j in indices}
+
     cut_kronecker = all(
-        tree.fundamental_cuts[t].coefficient(t2) == (ring.one if t2 == t else ring.zero)
-        for t in tree.tree_edges
-        for t2 in tree.tree_edges
+        restriction(tree.fundamental_cuts[t], tree_set) == {t: 1} for t in tree.tree_edges
     )
     cycle_kronecker = all(
-        tree.fundamental_cycles[e].coefficient(e2) == (ring.one if e2 == e else ring.zero)
-        for e in tree.fundamental_cycles
-        for e2 in tree.fundamental_cycles
+        restriction(cycle, chord_set) == {e: 1}
+        for e, cycle in tree.fundamental_cycles.items()
     )
     cycles_are_cycles = all(
         boundary(hypergraph, cycle).is_zero() for cycle in tree.fundamental_cycles.values()
     )
 
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    cut_vectors = [c.to_vector(m) for c in tree.fundamental_cuts.values()]
-    cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
     if ring is Ring.RATIONAL:
 
         def rank(rows) -> int:
-            return image_rank(ExactMatrix.from_rows(rows, Ring.RATIONAL, cols=m))
+            return len(_sparse_rref(rows, m)[1])
 
-        boundary_rank = image_rank(matrix)
-        cuts_are_cuts = rank([*matrix.entries, *cut_vectors]) == boundary_rank
-        cuts_span = rank(cut_vectors) == len(tree.tree_edges) == boundary_rank
-        cycles_span = rank(cycle_vectors) == len(chord_set) == m - boundary_rank
+        rows = _sparse_rows(matrix)
+        cut_rows = [c.coefficients for c in tree.fundamental_cuts.values()]
+        cycle_rows = [c.coefficients for c in tree.fundamental_cycles.values()]
+        boundary_rank = rank(rows)
+        cuts_are_cuts = rank(rows + cut_rows) == boundary_rank
+        cuts_span = rank(cut_rows) == len(tree.tree_edges) == boundary_rank
+        cycles_span = rank(cycle_rows) == len(chord_set) == m - boundary_rank
     else:
+        cut_vectors = [c.to_vector(m) for c in tree.fundamental_cuts.values()]
+        cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
         decomposition = smith_normal_form(matrix)
         r = decomposition.rank
         coboundary = _transposed(decomposition)
@@ -193,14 +215,18 @@ def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     integer coefficients and every cut cochain is the coboundary of an
     integer 0-cochain."""
     chains = [*tree.fundamental_cycles.values(), *tree.fundamental_cuts.values()]
-    if any(Fraction(v).denominator != 1 for c in chains for v in c.coefficients.values()):
+    if any(x.denominator != 1 for c in chains for x in c.coefficients.values()):
         return False
     coboundary = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER).transpose())
     m = hypergraph.edge_count
-    return all(
-        coboundary.solve([int(Fraction(v)) for v in cut.to_vector(m)]) is not None
-        for cut in tree.fundamental_cuts.values()
-    )
+
+    def rhs(cut: Chain) -> list[int]:
+        vector = [0] * m
+        for j, x in cut.coefficients.items():
+            vector[j] = x.numerator
+        return vector
+
+    return all(coboundary.solve(rhs(cut)) is not None for cut in tree.fundamental_cuts.values())
 
 
 def find_spanning_tree_integer(
@@ -233,10 +259,7 @@ def find_spanning_tree_integer(
         if smith_normal_form(basis).diagonal != (1,) * rank:
             continue
         order = subset + tuple(j for j in range(m) if j not in subset)
-        try:
-            tree = _spanning_tree(*_rref_tree(matrix.entries, m, order), Ring.INTEGER)
-        except ValueError as err:
-            raise InternalInconsistencyError(f"fractional integer tree: {err}") from err
+        tree = _spanning_tree(*_rref_tree(_sparse_rows(matrix), m, order), Ring.INTEGER)
         if not verify_tree_axioms(hypergraph, tree).ok:
             raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
         return tree
@@ -256,5 +279,10 @@ def vector_space_spanning_tree(ambient_dim: int, subspace_generators):
     rows = [[Fraction(x) for x in generator] for generator in subspace_generators]
     if any(len(row) != ambient_dim for row in rows):
         raise ValueError("generator length does not match ambient dimension")
-    generators = ExactMatrix.from_rows(rows, Ring.RATIONAL, cols=ambient_dim)
-    return _rref_tree(kernel_basis(generators, Ring.RATIONAL), ambient_dim)
+    _, _, kernel = _rref_tree([dict(enumerate(row)) for row in rows], ambient_dim)
+    tree, cuts, cycles = _rref_tree(list(kernel.values()), ambient_dim)
+    return (
+        tree,
+        {t: _dense(cut, ambient_dim) for t, cut in cuts.items()},
+        {e: _dense(cycle, ambient_dim) for e, cycle in cycles.items()},
+    )

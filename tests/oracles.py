@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's own code paths: ranks and
 determinants come from a separate Fraction elimination, elementary divisors
 from gcds of minors, and graph fundamental cycles/cuts from tree traversal.
-The dense Smith normal form and RREF at the end are the library's earlier
-kernels, kept as differential oracles for the sparse ones.
+The dense Smith normal form, RREF and RREF tree reader at the end are the
+library's earlier kernels, kept as differential oracles for the sparse ones,
+and :func:`stacked_smith_missing_chain` is its earlier integer spanning
+check.
 """
 
 from __future__ import annotations
@@ -227,6 +229,56 @@ def integer_tree_lattice_checks(hypergraph: OrientedHypergraph, tree) -> dict:
     }
 
 
+def seeded_suite(
+    count: int, base_seed: int, max_arity: int = 3, allow_empty_edges: bool = False
+) -> tuple:
+    """Deterministic suite of small random hypergraphs with the given arity
+    bound, every one allowed an empty edge or none."""
+    rng = random.Random(base_seed)
+    return tuple(
+        random_hypergraph(
+            rng.randint(1, 6),
+            rng.randint(0, 6),
+            seed=base_seed + 1000 + k,
+            max_arity=max_arity,
+            allow_empty_edges=allow_empty_edges,
+        )
+        for k in range(count)
+    )
+
+
+def stacked_smith_missing_chain(cycle_vectors, cut_vectors, ambient_dim: int):
+    """Index of the first standard chain outside the integer span of the
+    cycle and cut vectors, or None: one Smith form of the stacked generator
+    matrix, then one integer solve per standard chain.  This is how the
+    library decided the integer spanning check before it read the answer
+    off the Smith form of the boundary matrix alone."""
+    from hyperhomology import smith_normal_form
+
+    generators = ExactMatrix.from_columns(
+        [*cycle_vectors, *cut_vectors], Ring.INTEGER, rows=ambient_dim
+    )
+    chain_sum = smith_normal_form(generators)
+    for e in range(ambient_dim):
+        unit = [0] * ambient_dim
+        unit[e] = 1
+        if chain_sum.solve(unit) is None:
+            return e
+    return None
+
+
+def spanning_tree_count(hypergraph: OrientedHypergraph) -> int:
+    """Number of spanning trees of a graph, by the matrix-tree theorem: the
+    determinant of its Laplacian B B^T with the last row and column
+    removed."""
+    from hyperhomology import boundary_matrix
+
+    rows = boundary_matrix(hypergraph, Ring.INTEGER).entries
+    n = len(rows)
+    laplacian = [[dot(rows[a], rows[b]) for b in range(n - 1)] for a in range(n - 1)]
+    return int(fraction_det(laplacian))
+
+
 def random_connected_graph(rng: random.Random) -> OrientedHypergraph:
     """Random connected oriented graph with at most 8 vertices, 12 edges."""
     n = rng.randint(2, 8)
@@ -369,6 +421,29 @@ def dense_fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]
             break
     return matrix, pivots
 
+
+def dense_rref_tree(rows, cols: int, order=None):
+    """Spanning tree of the row space read off :func:`dense_fraction_rref`
+    of the dense ``rows`` with columns in ``order``: the tree columns in
+    scan order, then the fundamental cuts and cycles as dicts from column
+    (in scan order) to a dense Fraction vector of length ``cols``."""
+    order = list(range(cols)) if order is None else list(order)
+    reduced, pivots = dense_fraction_rref([[row[j] for j in order] for row in rows])
+    tree = tuple(order[p] for p in pivots)
+    cuts = {}
+    for i, t in enumerate(tree):
+        cut = [Fraction(0)] * cols
+        for k, j in enumerate(order):
+            cut[j] = reduced[i][k]
+        cuts[t] = cut
+    cycles = {}
+    for k in sorted(set(range(cols)) - set(pivots)):
+        cycle = [Fraction(0)] * cols
+        cycle[order[k]] = Fraction(1)
+        for i, t in enumerate(tree):
+            cycle[t] = -reduced[i][k]
+        cycles[order[k]] = cycle
+    return tree, cuts, cycles
 
 
 def dense_smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:

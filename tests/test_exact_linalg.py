@@ -29,12 +29,13 @@ from hyperhomology import (
     sublattice_equal,
 )
 from hyperhomology import exact_linalg
-from hyperhomology.exact_linalg import _fraction_rref
+from hyperhomology.exact_linalg import _fraction_rref, _rref_tree
 
 from oracles import (
     brute_force_has_integer_solution,
     cofactor_det,
     dense_fraction_rref,
+    dense_rref_tree,
     dense_smith_normal_form,
     fraction_det,
     fraction_rank,
@@ -184,6 +185,29 @@ def test_sparse_rref_matches_dense_oracle():
         inputs.append([[entry() for _ in range(cols)] for _ in range(rows)])
     for rows in inputs:
         assert _fraction_rref(rows) == dense_fraction_rref(rows), rows
+
+
+def test_sparse_rref_tree_matches_dense_oracle():
+    # same tree, same cut and cycle keys in the same order, densely equal
+    # vectors; each vector is a dict of nonzero Fractions, columns ascending
+    rng = random.Random(110)
+    for h in hypergraph_suite(200):
+        m = h.edge_count
+        matrix = boundary_matrix(h, Ring.INTEGER)
+        sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
+        for order in [None] + [rng.sample(range(m), m) for _ in range(3)]:
+            tree, cuts, cycles = _rref_tree(sparse_rows, m, order)
+            want_tree, want_cuts, want_cycles = dense_rref_tree(matrix.entries, m, order)
+            assert tree == want_tree, (h, order)
+            assert list(cuts) == list(want_cuts) and list(cycles) == list(want_cycles)
+            for got, want in ((cuts, want_cuts), (cycles, want_cycles)):
+                for j, vector in got.items():
+                    assert all(type(x) is Fraction and x for x in vector.values())
+                    assert list(vector) == sorted(vector)
+                    dense = [Fraction(0)] * m
+                    for k, x in vector.items():
+                        dense[k] = x
+                    assert dense == want[j], (h, order, j)
 
 
 def test_snf_random_roundtrip():

@@ -1,4 +1,6 @@
+import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +20,9 @@ from hyperhomology import (
     cohomology_hom_iso_check,
     cycle_cut_decomposition,
     cycles_equal_cut_perp_check,
+    canonical_inner_product,
     find_spanning_tree_integer,
+    find_spanning_tree_rational,
     graph_likeness,
     homology,
     image_basis,
@@ -39,11 +43,18 @@ from hyperhomology import (
 
 from oracles import (
     dot,
+    fraction_det,
     fraction_rank,
     hypergraph_suite,
     minor_gcd_divisors,
     random_connected_graph,
+    seeded_suite,
+    spanning_tree_count,
+    stacked_smith_missing_chain,
 )
+
+# the package re-exports the function ``homology`` under the module's name
+homology_module = importlib.import_module("hyperhomology.homology")
 
 
 def test_homology_main_example_integer():
@@ -243,6 +254,123 @@ def test_integer_cycle_cut_intersection_always_trivial():
             assert report.intersection_trivial == (rank == len(vectors)), (h, ring)
             if ring is Ring.RATIONAL:
                 assert report.spans_all_chains == (rank == m), h
+
+
+def _report_chains(h):
+    """Every chain the reports and trees of ``h`` hand out, with its ring."""
+    for ring in (Ring.INTEGER, Ring.RATIONAL):
+        yield from ((ring, c) for c in homology(h, ring).h1_basis)
+        report = cycle_cut_decomposition(h, ring)
+        yield from ((ring, c) for c in report.cycle_basis + report.cut_basis)
+        if report.missing_chain is not None:
+            yield ring, report.missing_chain
+    for tree in (find_spanning_tree_rational(h), find_spanning_tree_integer(h)):
+        if tree is not None:
+            chains = [*tree.fundamental_cuts.values(), *tree.fundamental_cycles.values()]
+            yield from ((tree.ring, c) for c in chains)
+
+
+def test_report_chains_are_canonical_with_ring_typed_values():
+    # the reports wrap the eliminations' dicts without coercion, so each
+    # chain must be exactly what the public constructor makes of its dense
+    # vector: nonzero values, ascending indices, int over the integers and
+    # Fraction over the rationals (the CLI renders the two differently)
+    kinds = {Ring.INTEGER: int, Ring.RATIONAL: Fraction}
+    seen = set()
+    for h in hypergraph_suite(200):
+        m = h.edge_count
+        for ring, chain in _report_chains(h):
+            assert chain.ring is ring and chain.dimension == 1
+            assert all(type(x) is kinds[ring] and x for x in chain.coefficients.values())
+            rebuilt = Chain.from_vector(1, chain.to_vector(m), ring)
+            assert chain == rebuilt and repr(chain) == repr(rebuilt), (h, chain)
+            seen.add(ring)
+    assert seen == set(kinds)
+
+
+def _integer_spanning_suites():
+    yield from hypergraph_suite(200)
+    yield from seeded_suite(300, 901, allow_empty_edges=True)
+    yield from seeded_suite(300, 902, max_arity=1)
+
+
+def test_integer_spanning_check_matches_stacked_smith_oracle():
+    # the criterion read off the Smith form of B decides what the Smith form
+    # of the stacked cycle and cut bases decides, with the same first edge
+    outcomes = set()
+    empty_edges = 0
+    for h in _integer_spanning_suites():
+        m = h.edge_count
+        report = cycle_cut_decomposition(h, Ring.INTEGER)
+        missing = stacked_smith_missing_chain(
+            [c.to_vector(m) for c in report.cycle_basis],
+            [c.to_vector(m) for c in report.cut_basis],
+            m,
+        )
+        assert report.spans_all_chains == (missing is None), h
+        expected = None if missing is None else Chain.unit(1, missing, Ring.INTEGER)
+        assert report.missing_chain == expected, h
+        outcomes.add(report.spans_all_chains)
+        empty_edges += any(not t and not hd for t, hd in h.edges)
+    assert outcomes == {True, False}
+    assert empty_edges >= 50
+
+
+def test_integer_decomposition_index_is_spanning_tree_count():
+    # Bacher, de la Harpe and Nagnibeda (1997): for a connected graph the
+    # sum of the integral flow and cut lattices has index the number of
+    # spanning trees in the integer 1-chains
+    rng = random.Random(34)
+    counts = set()
+    for _ in range(25):
+        h = random_connected_graph(rng)
+        report = cycle_cut_decomposition(h, Ring.INTEGER)
+        m = h.edge_count
+        columns = [c.to_vector(m) for c in report.cycle_basis + report.cut_basis]
+        count = spanning_tree_count(h)
+        assert abs(fraction_det(columns)) == count, h
+        assert report.spans_all_chains == (count == 1), h
+        counts.add(count)
+    assert 1 in counts and len(counts) > 3
+
+
+def test_mutual_orthogonality_matches_pairwise_products():
+    rng = random.Random(35)
+    outcomes = set()
+    for _ in range(300):
+        ring = rng.choice([Ring.INTEGER, Ring.RATIONAL])
+
+        def family():
+            return [
+                Chain(1, {j: rng.randint(-2, 2) for j in rng.sample(range(6), rng.randint(0, 3))}, ring)
+                for _ in range(rng.randint(0, 3))
+            ]
+
+        cycles, cuts = family(), family()
+        expected = all(canonical_inner_product(z, c) == 0 for z in cycles for c in cuts)
+        assert homology_module._mutually_orthogonal(cycles, cuts) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_decomposition_reports_cuts_that_are_not_orthogonal(monkeypatch):
+    # a cut with a cycle added is no longer orthogonal to that cycle
+    real = homology_module._rref_tree
+
+    def cut_plus_cycle(rows, cols, order=None):
+        tree, cuts, cycles = real(rows, cols, order)
+        t, e = tree[0], min(cycles)
+        total = dict(cuts[t])
+        for j, x in cycles[e].items():
+            total[j] = total.get(j, 0) + x
+        cuts[t] = {j: x for j, x in sorted(total.items()) if x}
+        return tree, cuts, cycles
+
+    monkeypatch.setattr(homology_module, "_rref_tree", cut_plus_cycle)
+    report = cycle_cut_decomposition(triangle_graph(), Ring.RATIONAL)
+    assert not report.mutually_orthogonal
+    assert not report.intersection_trivial
+    assert not report.spans_all_chains
 
 
 def test_cycles_equal_cut_perp_everywhere():

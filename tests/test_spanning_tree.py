@@ -327,6 +327,66 @@ def test_integer_verification_matches_lattice_comparisons(monkeypatch):
     }
 
 
+def _pairwise_kronecker(chains, indices) -> bool:
+    """The Kronecker pattern checked one coefficient per pair of indices."""
+    return all(
+        chains[a].coefficient(b) == (1 if a == b else 0) for a in indices for b in indices
+    )
+
+
+def _kronecker_corruptions(tree):
+    """The tree and variants that break, or keep, one Kronecker pattern: a
+    unit added off the diagonal, on it or on the other side, the diagonal
+    entry removed, a chain doubled, two cut labels swapped."""
+    yield tree
+    ring, cuts, cycles = tree.ring, tree.fundamental_cuts, tree.fundamental_cycles
+    tree_edges, chords = tree.tree_edges, tree.chords
+
+    def unit(j):
+        return Chain.unit(1, j, ring)
+
+    def with_cut(t, chain):
+        return SpanningTree(tree_edges, {**cuts, t: chain}, cycles, ring)
+
+    def with_cycle(e, chain):
+        return SpanningTree(tree_edges, cuts, {**cycles, e: chain}, ring)
+
+    for t in tree_edges[:2]:
+        yield with_cut(t, cuts[t] - unit(t))
+        yield with_cut(t, 2 * cuts[t])
+        for other in tree_edges[:3] + chords[:1]:
+            yield with_cut(t, cuts[t] + unit(other))
+    for e in chords[:2]:
+        yield with_cycle(e, cycles[e] - unit(e))
+        yield with_cycle(e, 2 * cycles[e])
+        for other in chords[:3] + tree_edges[:1]:
+            yield with_cycle(e, cycles[e] + unit(other))
+    if len(tree_edges) > 1:
+        t, t2 = tree_edges[:2]
+        yield SpanningTree(tree_edges, {**cuts, t: cuts[t2], t2: cuts[t]}, cycles, ring)
+
+
+def test_kronecker_checks_match_pairwise_oracle():
+    outcomes = set()
+    for h in hypergraph_suite()[:120]:
+        for tree in (find_spanning_tree_rational(h), find_spanning_tree_integer(h)):
+            if tree is None:
+                continue
+            for candidate in _kronecker_corruptions(tree):
+                report = verify_tree_axioms(h, candidate)
+                cuts = _pairwise_kronecker(candidate.fundamental_cuts, candidate.tree_edges)
+                cycles = _pairwise_kronecker(
+                    candidate.fundamental_cycles, list(candidate.fundamental_cycles)
+                )
+                assert (report.cut_kronecker, report.cycle_kronecker) == (cuts, cycles), h
+                outcomes.add((candidate.ring, cuts, cycles))
+    assert outcomes == {
+        (ring, cuts, cycles)
+        for ring in (Ring.INTEGER, Ring.RATIONAL)
+        for cuts, cycles in ((True, True), (False, True), (True, False))
+    }
+
+
 # Replaces the RREF tree reader so that the accepted integer tree is wrong;
 # the search must refuse it whatever the interpreter's optimisation flags.
 _CORRUPT_TREE = """
@@ -337,12 +397,15 @@ real_rref_tree = spanning_tree._rref_tree
 def wrong_cut(rows, cols, order=None):
     tree, cuts, cycles = real_rref_tree(rows, cols, order)
     t, e = tree[0], min(cycles)
-    cuts[t] = [a + b for a, b in zip(cuts[t], cycles[e])]
+    total = dict(cuts[t])
+    for j, x in cycles[e].items():
+        total[j] = total.get(j, 0) + x
+    cuts[t] = {j: x for j, x in sorted(total.items()) if x}
     return tree, cuts, cycles
 
 def halved_cut(rows, cols, order=None):
     tree, cuts, cycles = real_rref_tree(rows, cols, order)
-    cuts[tree[0]] = [x / 2 for x in cuts[tree[0]]]
+    cuts[tree[0]] = {j: x / 2 for j, x in cuts[tree[0]].items()}
     return tree, cuts, cycles
 """
 
