@@ -219,9 +219,12 @@ class _FormalSum(_Record):
             raise ValueError("dimension must be 0 (vertices) or 1 (edges)")
         clean = {}
         for index, value in dict(coefficients).items():
+            index = int(index)
+            if index < 0:
+                raise ValueError(f"basis index {index} is negative")
             value = ring.coerce(value)
             if value:
-                clean[int(index)] = value
+                clean[index] = value
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "ring", ring)

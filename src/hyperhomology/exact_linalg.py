@@ -68,10 +68,6 @@ class ExactMatrix(_Record):
         return matrix
 
     @classmethod
-    def from_rows(cls, rows, ring: Ring, cols: int | None = None) -> "ExactMatrix":
-        return cls(rows, ring, cols)
-
-    @classmethod
     def from_columns(cls, columns, ring: Ring, rows: int | None = None) -> "ExactMatrix":
         columns = [list(c) for c in columns]
         if columns:
@@ -112,17 +108,6 @@ class ExactMatrix(_Record):
     def transpose(self) -> "ExactMatrix":
         data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return ExactMatrix(data, self.ring, cols=self.rows)
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if other.rows != self.rows or other.ring is not self.ring:
-            raise ValueError("shape or ring mismatch")
-        data = [list(self.entries[i]) + list(other.entries[i]) for i in range(self.rows)]
-        return ExactMatrix(data, self.ring, cols=self.cols + other.cols)
-
-    def to_ring(self, ring: Ring) -> "ExactMatrix":
-        if ring is self.ring:
-            return self
-        return ExactMatrix(self.entries, ring, cols=self.cols)
 
     def apply(self, vector) -> list:
         """Matrix-vector product."""
@@ -341,15 +326,24 @@ class SnfDecomposition(_Record):
         return self.v.apply(y)
 
 
-def _transposed(decomposition: SnfDecomposition) -> SnfDecomposition:
-    """The factorization of ``m^T`` that comes free with one of ``m``:
-    U m V = S transposes to V^T m^T U^T = S^T."""
-    return SnfDecomposition(
-        u=decomposition.v.transpose(),
-        s=decomposition.s.transpose(),
-        v=decomposition.u.transpose(),
-        u_inverse=decomposition.v_inverse.transpose(),
-        v_inverse=decomposition.u_inverse.transpose(),
+def _is_coboundary(decomposition: SnfDecomposition, vector: dict) -> bool:
+    """Whether the integer vector ``{index: value}`` is ``m^T y`` for some
+    integer y, where ``decomposition`` factors ``m`` as U m V = S.
+
+    Then m^T = V^-T S^T U^-T, so c = m^T y iff V^T c = S^T w for the integer
+    w = U^-T y: V^T c must vanish from the rank on, and its entry i must be
+    divisible by d_i below the rank.  V^T c is the sum of c_k times row k of
+    V, one row per nonzero of c.
+    """
+    v = decomposition.v.entries
+    image = [0] * decomposition.v.cols
+    for k, x in vector.items():
+        for i, y in enumerate(v[k]):
+            if y:
+                image[i] += x * y
+    diagonal = decomposition.diagonal
+    return not any(image[len(diagonal) :]) and all(
+        value % d == 0 for value, d in zip(image, diagonal)
     )
 
 
@@ -607,7 +601,7 @@ def annihilator_basis(generators, ambient_dim: int) -> list[list[int]]:
     for row in rows:
         if len(row) != ambient_dim:
             raise ValueError("generator length does not match ambient dimension")
-    matrix = ExactMatrix.from_rows(rows, Ring.INTEGER, cols=ambient_dim)
+    matrix = ExactMatrix(rows, Ring.INTEGER, cols=ambient_dim)
     return kernel_basis(matrix, Ring.INTEGER)
 
 

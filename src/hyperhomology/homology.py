@@ -5,8 +5,9 @@ cohomology group is the cokernel of the coboundary map.  Over the integers
 the homology, graph-likeness and decomposition reports read everything off
 one Smith normal form U B V = S with divisors d_0..d_{r-1}: the rank r,
 the cycles (columns r.. of V), the cohomology torsion, the annihilator of
-the cycles (rows < r of V^-1) and coboundary membership, since
-V^T B^T U^T = S^T factors the coboundary map too.  The
+the cycles (rows < r of V^-1) and coboundary membership (c = B^T y for an
+integer y iff V^T c vanishes from the rank on and its entry i is divisible
+by d_i below it), which reads only V.  The
 five graph-likeness conditions are equivalent; the report decides them
 once, by whether every divisor is 1, and builds the witnesses from the
 same factorization.  The other routes to the same conditions
@@ -33,9 +34,9 @@ from .exact_linalg import (
     ExactMatrix,
     ModuleStructure,
     SnfDecomposition,
+    _is_coboundary,
     _rref_tree,
     _sparse_rows,
-    _transposed,
     annihilator_basis,
     image_basis,
     image_rank,
@@ -141,31 +142,26 @@ class GraphLikenessReport(_Record):
         }
 
 
-def _annihilator_witness(decomposition: SnfDecomposition, coboundary: SnfDecomposition):
+def _annihilator_witness(decomposition: SnfDecomposition, position: int):
     """Lexicographically first cochain in the annihilator that is not a
     coboundary: standard edge cochains first, then annihilator generators.
 
     ``decomposition`` factors the boundary matrix, so the cycles are the
     columns from the rank on of its ``v``, and the annihilator generators
-    are the rows of ``v_inverse`` before the rank; ``coboundary`` is the
-    transposed factorization, which solves for coboundaries.
+    are the rows of ``v_inverse`` before the rank.  Row i of V^-1 has
+    V^T row = e_i, so it is a coboundary iff d_i = 1: the first generator
+    that is not one is row ``position``, the first divisor above 1.
     """
     rank = decomposition.rank
     m = decomposition.v.cols
     for e in range(m):
-        unit = [0] * m
-        unit[e] = 1
         kills_cycles = not any(decomposition.v.entries[e][rank:])
-        if kills_cycles and coboundary.solve(unit) is None:
+        if kills_cycles and not _is_coboundary(decomposition, {e: 1}):
             return (
-                tuple(unit),
+                tuple(int(j == e) for j in range(m)),
                 f"standard cochain on edge e{e + 1} kills every cycle but is not a coboundary",
             )
-    for i in range(rank):
-        generator = decomposition.v_inverse.row(i)
-        if coboundary.solve(generator) is None:
-            return tuple(generator), "annihilator generator that is not a coboundary"
-    raise InternalInconsistencyError("annihilator exceeds coboundary image but no witness found")
+    return decomposition.v_inverse.row(position), "annihilator generator that is not a coboundary"
 
 
 def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
@@ -182,8 +178,9 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
     graph_like = all(d == 1 for d in decomposition.diagonal)
     witnesses: list[Witness] = []
     if not graph_like:
-        coboundary = _transposed(decomposition)
-        coefficients, description = _annihilator_witness(decomposition, coboundary)
+        position = next(i for i, d in enumerate(decomposition.diagonal) if d > 1)
+        divisor = decomposition.diagonal[position]
+        coefficients, description = _annihilator_witness(decomposition, position)
         witnesses.append(
             Witness("canonical_iso", description, "edges", coefficients)
         )
@@ -198,8 +195,6 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
                 coefficients,
             )
         )
-        position = next(i for i, d in enumerate(decomposition.diagonal) if d > 1)
-        divisor = decomposition.diagonal[position]
         witnesses.append(
             Witness(
                 "boundary_image_direct_summand",
@@ -213,7 +208,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
                 "hom_dual_iso",
                 f"cochain whose class has finite order {divisor} in the cohomology",
                 "edges",
-                tuple(coboundary.u_inverse.column(position)),
+                decomposition.v_inverse.row(position),
             )
         )
 
@@ -285,7 +280,7 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     cuts are orthogonal, so e_k = z + c with z a cycle and c a cut gives
     1 = |z|^2 + |c|^2: e_k is then a cycle or a cut itself.  So e_k lies in
     the sum iff edge k is empty (column k of B is zero) or e_k is an
-    integer coboundary, that is, row k of V is zero from the rank on and
+    integer coboundary: V^T e_k, row k of V, is zero from the rank on and
     V[k, i] is divisible by d_i below it.
     """
     m = hypergraph.edge_count
@@ -294,18 +289,13 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     if ring is Ring.INTEGER:
         decomposition = smith_normal_form(matrix)
         rank, diagonal = decomposition.rank, decomposition.diagonal
-        v = decomposition.v
-        cycle_basis = tuple(_integer_chain(v.column(j)) for j in range(rank, m))
+        cycle_basis = tuple(_integer_chain(decomposition.v.column(j)) for j in range(rank, m))
         cut_basis = tuple(
             _integer_chain([d * x for x in decomposition.v_inverse.row(i)])
             for i, d in enumerate(diagonal)
         )
         for k, (tails, heads) in enumerate(hypergraph.edges):
-            row = v.row(k)
-            coboundary = not any(row[rank:]) and all(
-                row[i] % d == 0 for i, d in enumerate(diagonal)
-            )
-            if (tails or heads) and not coboundary:
+            if (tails or heads) and not _is_coboundary(decomposition, {k: 1}):
                 missing_chain = Chain.unit(1, k, Ring.INTEGER)
                 break
     else:

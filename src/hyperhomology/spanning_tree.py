@@ -25,11 +25,11 @@ from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _
 from .exact_linalg import (
     ExactMatrix,
     _dense,
+    _is_coboundary,
     _lattice_contains_all,
     _rref_tree,
     _sparse_rows,
     _sparse_rref,
-    _transposed,
     image_rank,
     smith_normal_form,
 )
@@ -137,12 +137,13 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     counts: one sparse elimination each, of the rows of B and of the
     chains' coefficient dicts.
     Over the integers everything is read off one Smith normal form
-    U B V = S with divisors d_i, i < r: cut membership solves against the
-    transposed factorization of B^T; the cut lattice is generated by d_i
-    times row i of V^-1 and the cycle lattice by columns r.. of V, whose
-    members are the vectors that rows < r of V^-1 kill.  Each span check is
-    two-way containment, so it factors only the family itself: at most
-    three Smith forms per call.
+    U B V = S with divisors d_i, i < r: a cut c is a coboundary iff V^T c
+    vanishes from the rank on and its entry i is divisible by d_i below it;
+    the cut lattice is generated by d_i times row i of V^-1 and the cycle
+    lattice by columns r.. of V.  Each span check is two-way containment:
+    the family lies in its lattice (cuts are cuts, cycles are cycles) and
+    the lattice's generators lie in the family's span, which factors only
+    the family itself: at most three Smith forms per call.
     """
     m = hypergraph.edge_count
     ring = tree.ring
@@ -187,17 +188,16 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
         cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
         decomposition = smith_normal_form(matrix)
         r = decomposition.rank
-        coboundary = _transposed(decomposition)
-        cuts_are_cuts = all(coboundary.solve(v) is not None for v in cut_vectors)
+        cuts_are_cuts = all(
+            _is_coboundary(decomposition, c.coefficients) for c in tree.fundamental_cuts.values()
+        )
         cut_lattice = [
             [d * x for x in decomposition.v_inverse.row(i)]
             for i, d in enumerate(decomposition.diagonal)
         ]
         cycle_lattice = [decomposition.v.column(j) for j in range(r, m)]
         cuts_span = cuts_are_cuts and _lattice_contains_all(cut_vectors, cut_lattice, m)
-        cycles_span = all(
-            not any(decomposition.v_inverse.apply(v)[:r]) for v in cycle_vectors
-        ) and _lattice_contains_all(cycle_vectors, cycle_lattice, m)
+        cycles_span = cycles_are_cycles and _lattice_contains_all(cycle_vectors, cycle_lattice, m)
 
     return TreeAxiomsReport(
         cut_kronecker=cut_kronecker,
@@ -213,20 +213,16 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
 def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     """Whether a rational tree is integral: every fundamental cycle has
     integer coefficients and every cut cochain is the coboundary of an
-    integer 0-cochain."""
+    integer 0-cochain, which one Smith form of the boundary matrix decides
+    for all cuts, reading one row of V per nonzero of a cut."""
     chains = [*tree.fundamental_cycles.values(), *tree.fundamental_cuts.values()]
     if any(x.denominator != 1 for c in chains for x in c.coefficients.values()):
         return False
-    coboundary = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER).transpose())
-    m = hypergraph.edge_count
-
-    def rhs(cut: Chain) -> list[int]:
-        vector = [0] * m
-        for j, x in cut.coefficients.items():
-            vector[j] = x.numerator
-        return vector
-
-    return all(coboundary.solve(rhs(cut)) is not None for cut in tree.fundamental_cuts.values())
+    decomposition = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER))
+    return all(
+        _is_coboundary(decomposition, {j: x.numerator for j, x in cut.coefficients.items()})
+        for cut in tree.fundamental_cuts.values()
+    )
 
 
 def find_spanning_tree_integer(

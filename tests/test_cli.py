@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from hyperhomology.cli import (
     serialize_document,
 )
 from hyperhomology.fixtures import BUILTIN_EXAMPLES
+
+from oracles import hypergraph_suite
 
 
 def _run(capsys, *argv):
@@ -337,3 +340,32 @@ def test_cli_start_up_skips_dataclasses_and_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert '"name": "path-graph"' in result.stdout
+
+
+# The four reports that read integer coboundary membership, over a seeded
+# suite and the built-in examples, text and --json.  The digest was taken
+# from a run of the program before coboundary membership moved onto the
+# Smith form of B; any change to a byte of stdout or to an exit code fails.
+_PINNED_REPORT_DIGEST = "0d1afb96a8ec6460b6dbe5d21a5f2710b2169ae1066e3837ad9d5224b8cc9a43"
+_PINNED_REPORT_COMMANDS = (
+    ("graphlike",),
+    ("decompose", "--ring", "int"),
+    ("spanning-tree", "--ring", "int"),
+    ("spanning-tree", "--ring", "rat", "--check-integral"),
+)
+
+
+def test_coboundary_reports_match_pinned_digest(tmp_path, capsys):
+    documents = [(name, factory()) for name, factory in sorted(BUILTIN_EXAMPLES.items())]
+    documents += [(f"suite-{k}", h) for k, h in enumerate(hypergraph_suite(60))]
+    digest = hashlib.sha256()
+    for name, h in documents:
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_document(h, name=name))
+        for command in _PINNED_REPORT_COMMANDS:
+            for flags in ((), ("--json",)):
+                argv = [command[0], str(path), *command[1:], *flags]
+                code, out, _ = _run(capsys, *argv)
+                digest.update(f"{name} {' '.join(command + flags)} -> {code}\n".encode())
+                digest.update(out.encode())
+    assert digest.hexdigest() == _PINNED_REPORT_DIGEST

@@ -159,6 +159,21 @@ def test_zero_coefficients_dropped_on_construction():
     assert chain.support == (2,)
 
 
+def test_negative_basis_indices_rejected():
+    # a negative key would index from the end: boundary() would read the
+    # last edge and to_vector()/coboundary() would drop the entry
+    builders = [
+        lambda: Chain(1, {-1: 1}, Ring.INTEGER),
+        lambda: Chain(0, {0: 1, -2: 3}, Ring.RATIONAL),
+        lambda: Cochain(1, {-1: 0}, Ring.INTEGER),
+        lambda: Chain.unit(1, -1, Ring.INTEGER),
+        lambda: Cochain.unit(0, -3, Ring.RATIONAL),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="negative"):
+            build()
+
+
 def test_ring_and_dimension_mismatch():
     a = Chain(1, {0: 1}, Ring.INTEGER)
     b = Chain(1, {0: Fraction(1)}, Ring.RATIONAL)

@@ -210,6 +210,30 @@ def test_sparse_rref_tree_matches_dense_oracle():
                     assert dense == want[j], (h, order, j)
 
 
+def test_coboundary_test_matches_transposed_solve():
+    # _is_coboundary reads V of the Smith form of B; the oracle solves
+    # B^T y = c against a Smith form of B^T
+    from hyperhomology import find_spanning_tree_rational
+
+    outcomes = {}
+    for h in hypergraph_suite():
+        m = h.edge_count
+        matrix = boundary_matrix(h, Ring.INTEGER)
+        transpose = matrix.transpose()
+        decomposition = smith_normal_form(matrix)
+        inputs = [{e: 1} for e in range(m)]
+        inputs += [dict(enumerate(decomposition.v_inverse.row(i))) for i in range(m)]
+        for cut in find_spanning_tree_rational(h).fundamental_cuts.values():
+            if all(x.denominator == 1 for x in cut.coefficients.values()):
+                inputs.append({j: x.numerator for j, x in cut.coefficients.items()})
+        for vector in inputs:
+            dense = [vector.get(j, 0) for j in range(m)]
+            expected = solve_integer(transpose, dense) is not None
+            assert exact_linalg._is_coboundary(decomposition, vector) == expected, (h, vector)
+            outcomes[expected] = outcomes.get(expected, 0) + 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
 def test_snf_random_roundtrip():
     rng = random.Random(101)
     for _ in range(150):

@@ -126,6 +126,30 @@ def test_parallel_edges_tree_integral():
     assert is_integral(h, tree)
 
 
+def test_is_integral_factors_the_boundary_matrix_once(monkeypatch):
+    # cut membership is read off the Smith form of B itself, not of B^T
+    calls = []
+    real = spanning_tree.smith_normal_form
+
+    def recorded(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(spanning_tree, "smith_normal_form", recorded)
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", recorded)
+    checked = 0
+    for h in (triangle_graph(), parallel_edges(), *hypergraph_suite()):
+        tree = find_spanning_tree_rational(h)
+        chains = [*tree.fundamental_cuts.values(), *tree.fundamental_cycles.values()]
+        if any(x.denominator != 1 for c in chains for x in c.coefficients.values()):
+            continue
+        calls.clear()
+        is_integral(h, tree)
+        assert calls == [boundary_matrix(h, Ring.INTEGER)], h
+        checked += 1
+    assert checked > 100
+
+
 def test_integer_search_main_example_exhausts_to_none():
     assert find_spanning_tree_integer(main_example(), search_limit=100) is None
 
