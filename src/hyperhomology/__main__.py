@@ -1,6 +1,4 @@
-import sys
-
-from .cli import run_command
+from .cli import entry_point
 
 if __name__ == "__main__":
-    sys.exit(run_command())
+    entry_point()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -453,4 +454,26 @@ def run_command(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(run_command())
+    """Run the command line and end the process at its exit code.
+
+    Both ``python -m hyperhomology`` and the console script end here.
+    Once stdout and then stderr are flushed, the process ends by
+    ``os._exit`` and skips the interpreter's teardown, which costs more
+    than the compute of a small query.  That is safe because the package
+    registers no ``atexit`` handlers, starts no threads and closes every
+    file it opens in a ``with`` block, so teardown has nothing left to
+    do.  A stream that is ``None`` (its descriptor was closed at start)
+    is skipped.  If a flush raises ``OSError`` (say, the reader of the
+    pipe is gone), the process ends by ``sys.exit`` instead, so the
+    interpreter reports the failure and picks the status as it always
+    has.  An exception from ``run_command`` propagates, prints its
+    traceback and exits 1.
+    """
+    code = run_command()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
