@@ -142,9 +142,13 @@ def _structure_json(structure) -> dict:
 def _read_text(path: str) -> str:
     """The document's text, which must be UTF-8, read from ``path`` or, for
     ``-``, from stdin's bytes (whatever the locale's error handler would
-    make of them; an in-memory text stream has no bytes and is taken as is)."""
+    make of them; an in-memory text stream has no bytes and is taken as is).
+    A stdin that is ``None`` (its descriptor was closed at start) is a
+    :class:`DocumentError`."""
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise DocumentError("stdin is closed")
             stream = getattr(sys.stdin, "buffer", None)
             return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
@@ -155,6 +159,14 @@ def _read_text(path: str) -> str:
 
 def _load(path: str) -> OrientedHypergraph:
     return parse_document(_read_text(path))
+
+
+def _diagnose(message: str) -> None:
+    """Write one diagnostic line to stderr.  When stderr is ``None`` (its
+    descriptor was closed at start) the line is dropped: ``print`` would
+    otherwise write it to stdout, among the reports."""
+    if sys.stderr is not None:
+        print(message, file=sys.stderr)
 
 
 def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
@@ -363,7 +375,7 @@ def _cmd_random(args) -> int:
             allow_empty_edges=args.allow_empty_edges,
         )
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _diagnose(f"error: {err}")
         return EXIT_USAGE
     name = f"random-v{args.vertices}-e{args.edges}-s{args.seed}"
     print(serialize_document(hypergraph, name=name))
@@ -442,14 +454,11 @@ def run_command(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (DocumentError, HypergraphValidationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (DocumentError, HypergraphValidationError, OSError) as err:
+        _diagnose(f"error: {err}")
         return EXIT_NEGATIVE
     except SearchLimitExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
+        _diagnose(f"error: {err}")
         return EXIT_LIMIT
 
 

@@ -6,8 +6,13 @@ integers, :func:`smith_normal_form` drives every lattice-level operation
 (integer kernels, image lattices, annihilators, quotient structure,
 integer solving), so the returned kernel and annihilator lattices are
 saturated by construction.  Over the rationals, one reduced row echelon
-form (RREF) over Fractions gives ranks, rational solutions, kernels, column
-bases and, read as a spanning tree, fundamental cuts and cycles.
+form (RREF) gives ranks, rational solutions, kernels, column bases and,
+read as a spanning tree, fundamental cuts and cycles.  The RREF is
+computed fraction-free (integer-preserving, after Bareiss): every row is
+held in ints as a positive multiple of the row the schoolbook elimination
+over Fractions holds at the same step, so it has the same nonzeros and
+leads to the same pivots, and each pivot row is divided by its pivot only
+at the end, one Fraction per returned nonzero.
 
 :class:`ExactMatrix` is dense, but both kernels hold their rows and
 columns as ``{index: nonzero}`` dicts, so each step costs in proportion to
@@ -20,15 +25,18 @@ pivot rules are pinned: the Smith form takes a nonzero of least absolute
 value, lowest current row first, then lowest current column (so a unit
 entry whenever there is one), and the RREF takes the first unused row of
 each column.  The results are therefore exactly those of the textbook
-dense elimination with the same rules.  Every Smith form is checked before
-it is returned: ``u @ m @ v == s`` is compared in full, exactly, on the
-sparse factors, and a mismatch raises :class:`InternalInconsistencyError`
-(never an ``assert``).
+dense elimination with the same rules.  Every Smith reduction is checked
+before anything is read off it: ``u @ m @ v == s`` is compared in full,
+exactly, on the sparse factors, and a mismatch raises
+:class:`InternalInconsistencyError` (never an ``assert``).  The integer-tree
+search reads each candidate's diagonal off that checked reduction, with no
+dense factor built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import InternalInconsistencyError, Ring, _Record
 
@@ -137,6 +145,15 @@ class ExactMatrix(_Record):
         return ExactMatrix(data, self.ring, cols=other.cols)
 
 
+def _integer_row(row: dict) -> dict:
+    """A ``{column: nonzero}`` row of ints or Fractions times the least
+    common multiple of its denominators: a positive multiple in ints."""
+    scale = lcm(*[x.denominator for x in row.values()])
+    if scale == 1:
+        return {j: x.numerator for j, x in row.items() if x}
+    return {j: x.numerator * (scale // x.denominator) for j, x in row.items() if x}
+
+
 def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form with the pivot columns, over Fractions, of
     the matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
@@ -149,9 +166,20 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
     elimination.  Returns the rows in their final order (the RREF rows,
     then empty dicts), every value a nonzero Fraction, and the pivot
     columns.
+
+    The elimination is fraction-free.  Each row is stored in ints, as a
+    positive multiple of the row the schoolbook elimination over Fractions
+    holds at the same step: its denominators are cleared on entry, a pivot
+    row is negated when its pivot is negative (and divided by its content
+    when the pivot is not 1), and another row with b at the pivot column
+    becomes ``a * row - b' * pivot_row``, where a and b' are the pivot p and
+    b divided by gcd(p, b), and is divided by its content when a is not 1.
+    A positive multiple has the nonzero pattern of the schoolbook row, so
+    the pivots, the ``holders`` sets and, once each pivot row is divided by
+    its pivot at the end, the returned rows are exactly the schoolbook ones.
     """
     height = len(rows)
-    matrix = [{j: Fraction(x) for j, x in row.items() if x} for row in rows]
+    matrix = [_integer_row(row) for row in rows]
     holders: list[set[int]] = [set() for _ in range(width)]
     for i, row in enumerate(matrix):
         for j in row:
@@ -171,14 +199,24 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
         order[r], order[moved_from] = pivot, displaced
         position[pivot], position[displaced] = r, moved_from
         pivot_row = matrix[pivot]
-        factor = pivot_row[c]
-        if factor != 1:
-            matrix[pivot] = pivot_row = {j: x / factor for j, x in pivot_row.items()}
+        p = pivot_row[c]
+        if p != 1:
+            content = gcd(*pivot_row.values())
+            if p < 0:
+                content = -content
+            if content != 1:
+                matrix[pivot] = pivot_row = {j: x // content for j, x in pivot_row.items()}
+                p = pivot_row[c]
         for i in holders[c] - {pivot}:
             row = matrix[i]
-            scale = row[c]
-            for j, b in pivot_row.items():
-                value = row.get(j, 0) - scale * b
+            a, b = 1, row[c]
+            if p != 1:
+                g = gcd(p, b)
+                a, b = p // g, b // g
+                if a != 1:
+                    matrix[i] = row = {j: a * x for j, x in row.items()}
+            for j, y in pivot_row.items():
+                value = row.get(j, 0) - b * y
                 if value:
                     if j not in row:
                         holders[j].add(i)
@@ -186,8 +224,20 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
                 else:
                     del row[j]
                     holders[j].discard(i)
+            if a != 1:
+                content = gcd(*row.values())
+                if content > 1:
+                    matrix[i] = {j: x // content for j, x in row.items()}
         pivots.append(c)
-    return [matrix[i] for i in order], pivots
+    reduced = [matrix[i] for i in order]
+    for k, c in enumerate(pivots):
+        row = reduced[k]
+        p = row[c]
+        if p == 1:
+            reduced[k] = {j: Fraction(x) for j, x in row.items()}
+        else:
+            reduced[k] = {j: Fraction(x, p) for j, x in row.items()}
+    return reduced, pivots
 
 
 def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -496,6 +546,30 @@ def _reproduces(rows: list[dict], u: list[dict], v: list[dict], s: list[dict]) -
     return True
 
 
+def _checked_smith(rows: list[dict], width: int):
+    """:func:`_smith_reduce` of a copy of the sparse ``rows``, whose factors
+    are checked exactly, ``u @ m @ v == s`` by :func:`_reproduces`, before
+    they are returned; a mismatch raises :class:`InternalInconsistencyError`."""
+    s, u, u_inv, v, v_inv = _smith_reduce([dict(row) for row in rows], width)
+    if not _reproduces(rows, u, v, s):
+        raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
+    return s, u, u_inv, v, v_inv
+
+
+def _smith_diagonal(rows: list[dict], width: int) -> tuple[int, ...]:
+    """The nonzero Smith diagonal of the integer matrix with sparse
+    ``rows``, read off the checked reduction with no dense factor built:
+    ``smith_normal_form(matrix).diagonal`` of the same matrix."""
+    s = _checked_smith(rows, width)[0]
+    out = []
+    for i in range(min(len(s), width)):
+        d = s[i].get(i)
+        if d is None:
+            break
+        out.append(d)
+    return tuple(out)
+
+
 def _from_lines(lines: list[dict], height: int, width: int, by_columns: bool = False):
     """Dense integer :class:`ExactMatrix` of sparse rows (or columns)."""
     dense = [[0] * width for _ in range(height)]
@@ -527,10 +601,7 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     if matrix.ring is not Ring.INTEGER:
         raise ValueError("Smith normal form requires integer entries")
     r, c = matrix.rows, matrix.cols
-    rows = _sparse_rows(matrix)
-    s, u, u_inv, v, v_inv = _smith_reduce([dict(row) for row in rows], c)
-    if not _reproduces(rows, u, v, s):
-        raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
+    s, u, u_inv, v, v_inv = _checked_smith(_sparse_rows(matrix), c)
     return SnfDecomposition(
         u=_from_lines(u, r, r),
         s=_from_lines(s, r, c),

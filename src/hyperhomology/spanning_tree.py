@@ -23,11 +23,11 @@ from fractions import Fraction
 from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
-    ExactMatrix,
     _dense,
     _is_coboundary,
     _lattice_contains_all,
     _rref_tree,
+    _smith_diagonal,
     _sparse_rows,
     _sparse_rref,
     image_rank,
@@ -234,7 +234,10 @@ def find_spanning_tree_integer(
     lexicographic order of edge indices; each counts against
     ``search_limit``.  A subset is accepted iff its boundary columns have
     Smith diagonal ``(1,) * rank``, which also requires them to be a column
-    basis; the fundamental cuts and cycles are then all integral.  Only the
+    basis; the fundamental cuts and cycles are then all integral.  The
+    diagonal is read off the checked sparse Smith reduction of the sparse
+    rows of B restricted to the subset, so each candidate's factors pass the
+    exact ``u @ B_T @ v == s`` check and no dense matrix is built.  Only the
     accepted subset is built, read off the RREF of the boundary matrix with
     its columns ordered first, and verified once against the integer axioms.
     Returns None when the enumeration completes without a hit; raises
@@ -242,20 +245,26 @@ def find_spanning_tree_integer(
     """
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    columns = matrix.columns()
+    rows = _sparse_rows(matrix)
+    columns: list[list] = [[] for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j].append((i, x))
     rank = image_rank(matrix)
+    units = (1,) * rank
     examined = 0
     for subset in itertools.combinations(range(m), rank):
         if examined >= search_limit:
             raise SearchLimitExceeded(examined)
         examined += 1
-        basis = ExactMatrix.from_columns(
-            [columns[j] for j in subset], Ring.INTEGER, rows=matrix.rows
-        )
-        if smith_normal_form(basis).diagonal != (1,) * rank:
+        basis: list[dict] = [{} for _ in rows]
+        for k, j in enumerate(subset):
+            for i, x in columns[j]:
+                basis[i][k] = x
+        if _smith_diagonal(basis, rank) != units:
             continue
         order = subset + tuple(j for j in range(m) if j not in subset)
-        tree = _spanning_tree(*_rref_tree(_sparse_rows(matrix), m, order), Ring.INTEGER)
+        tree = _spanning_tree(*_rref_tree(rows, m, order), Ring.INTEGER)
         if not verify_tree_axioms(hypergraph, tree).ok:
             raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
         return tree

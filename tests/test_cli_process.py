@@ -149,3 +149,19 @@ def test_stdout_pipe_without_reader_fails_as_the_interpreter_reports():
     # A large one fails inside the command, which reports it.
     result = without_reader(*LARGE_RANDOM)
     assert (result.returncode, result.stderr) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_closed_stderr_keeps_the_error_line_out_of_stdout(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": [')
+    result = _process("validate", str(bad), preexec_fn=lambda: os.close(2))
+    assert (result.returncode, result.stdout) == (1, b"")
+    infeasible = ("random", "--vertices", "0", "--edges", "2", "--seed", "1")
+    result = _process(*infeasible, preexec_fn=lambda: os.close(2))
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
+def test_closed_stdin_is_a_document_error():
+    result = _process("validate", "-", preexec_fn=lambda: os.close(0))
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr == b"error: stdin is closed\n"

@@ -29,7 +29,7 @@ from hyperhomology import (
     sublattice_equal,
 )
 from hyperhomology import exact_linalg
-from hyperhomology.exact_linalg import _fraction_rref, _rref_tree
+from hyperhomology.exact_linalg import _fraction_rref, _rref_tree, _sparse_rref
 
 from oracles import (
     brute_force_has_integer_solution,
@@ -174,17 +174,60 @@ def test_sparse_snf_matches_dense_oracle():
 
 
 def test_sparse_rref_matches_dense_oracle():
+    # the fraction-free elimination must return the schoolbook RREF, leave
+    # its input alone and hand back nonzero Fractions only
     rng = random.Random(108)
 
     def entry():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 5)) * (rng.random() < 0.5)
 
+    def mixed_entry():
+        # ints, integral-valued Fractions and proper ones side by side
+        return rng.choice(
+            [0, 0, 0, 1, -1, 3, -6, Fraction(4, 2), Fraction(-9, 3), Fraction(5, 6), Fraction(-7, 4)]
+        )
+
+    def snapshot(rows):
+        return [[(j, type(x), x) for j, x in row.items()] for row in rows]
+
     inputs = [[list(row) for row in matrix.entries] for matrix in _differential_matrices()]
+    inputs += [
+        [[-2, 4, 1], [3, -6, 5]],  # negative and non-unit pivots
+        [[0, -3, 6], [-5, 1, 0], [4, 0, -8]],
+        [[6, 10, 15], [-4, 6, 9], [10, -15, 3]],
+        [[Fraction(4, 2), Fraction(-6, 3)], [Fraction(9, 3), 1]],  # integral-valued
+        [[Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)], [Fraction(2, 7), Fraction(-3, 4), 1]],
+        [[0, 0, 0], [6, -4, 2], [0, 0, 0], [-9, 6, -3]],  # zero rows
+        [[], [], []],  # n x 0
+    ]
     for _ in range(200):
         rows, cols = rng.randint(0, 7), rng.randint(0, 7)
         inputs.append([[entry() for _ in range(cols)] for _ in range(rows)])
+    for _ in range(200):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        inputs.append([[mixed_entry() for _ in range(cols)] for _ in range(rows)])
     for rows in inputs:
         assert _fraction_rref(rows) == dense_fraction_rref(rows), rows
+        width = len(rows[0]) if rows else 0
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        before = snapshot(sparse)
+        reduced, pivots = _sparse_rref(sparse, width)
+        assert snapshot(sparse) == before, rows
+        assert all(type(x) is Fraction and x for row in reduced for x in row.values()), rows
+        assert len(reduced) == len(rows) and not any(reduced[len(pivots) :]), rows
+    for width in (0, 1, 4):  # 0 x n
+        assert _sparse_rref([], width) == ([], [])
+
+
+def test_smith_diagonal_matches_smith_normal_form():
+    # the integer-tree search reads each candidate's diagonal off the
+    # checked sparse reduction, with no dense factor built
+    for matrix in _differential_matrices():
+        rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
+        before = [dict(row) for row in rows]
+        diagonal = exact_linalg._smith_diagonal(rows, matrix.cols)
+        assert diagonal == smith_normal_form(matrix).diagonal, matrix
+        assert rows == before
 
 
 def test_sparse_rref_tree_matches_dense_oracle():

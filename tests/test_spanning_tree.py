@@ -462,6 +462,49 @@ except InternalInconsistencyError:
     assert result.stdout.split("\n")[:2] == ["debug False", "guard raised"]
 
 
+# Doubles the first Smith diagonal entry as the sparse reduction hands it
+# back, so no candidate of the triangle graph would read as a tree; the
+# exact check of each candidate's factors must refuse the wrong S instead,
+# whatever the interpreter's optimisation flags.
+_WRONG_S = """
+from hyperhomology import exact_linalg
+
+real_smith_reduce = exact_linalg._smith_reduce
+
+def wrong_s(rows, width):
+    s, u, u_inverse, v, v_inverse = real_smith_reduce(rows, width)
+    s[0] = {j: 2 * x for j, x in s[0].items()}
+    return s, u, u_inverse, v, v_inverse
+"""
+
+
+def test_integer_search_checks_each_candidate(monkeypatch):
+    namespace = {}
+    exec(_WRONG_S, namespace)
+    monkeypatch.setattr(exact_linalg, "_smith_reduce", namespace["wrong_s"])
+    with pytest.raises(InternalInconsistencyError):
+        find_spanning_tree_integer(triangle_graph())
+
+
+def test_integer_search_candidate_check_runs_under_python_O():
+    script = _WRONG_S + """
+from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer, triangle_graph
+print("debug", __debug__)
+exact_linalg._smith_reduce = wrong_s
+try:
+    find_spanning_tree_integer(triangle_graph())
+except InternalInconsistencyError:
+    print("check raised")
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["debug False", "check raised"]
+
+
 def test_vector_space_trivial_subspace():
     tree, cuts, cycles = vector_space_spanning_tree(3, [])
     assert tree == (0, 1, 2)
