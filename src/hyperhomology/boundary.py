@@ -2,8 +2,10 @@
 
 The boundary of an edge is the formal sum of its heads minus its tails; the
 coboundary of a 0-cochain evaluates each edge through the boundary.  Both
-are realized directly from the definitions; the matrix forms exist for
-cross-checking and for the lattice computations downstream.
+are realized directly from the definitions.  The boundary matrix B, from
+which every homology, graph-likeness, decomposition and spanning-tree
+report is read, is built as sparse rows, one ``{edge: +-1}`` dict per
+vertex.
 """
 
 from __future__ import annotations
@@ -57,19 +59,17 @@ def boundary_matrix(hypergraph: OrientedHypergraph, ring: Ring) -> ExactMatrix:
 
     Entry (v, e) is +1 when v is a head of e, -1 when v is a tail, else 0;
     rows follow vertex order, columns follow edge order.  The transpose
-    represents the coboundary map on coefficient vectors.
+    represents the coboundary map on coefficient vectors.  The rows are
+    filled directly, in O(total arity).
     """
-    n, m = hypergraph.vertex_count, hypergraph.edge_count
     index = hypergraph.vertex_index
-    entries = [[ring.zero] * m for _ in range(n)]
+    lines: list[dict] = [{} for _ in range(hypergraph.vertex_count)]
     for j, (tails, heads) in enumerate(hypergraph.edges):
         for vertex in heads:
-            entries[index[vertex]][j] = ring.one
+            lines[index[vertex]][j] = ring.one
         for vertex in tails:
-            entries[index[vertex]][j] = -ring.one
-    if ring is Ring.INTEGER:
-        return ExactMatrix._from_ints(tuple(map(tuple, entries)), m)
-    return ExactMatrix(entries, ring, cols=m)
+            lines[index[vertex]][j] = -ring.one
+    return ExactMatrix._of(lines, hypergraph.edge_count, ring)
 
 
 def canonical_inner_product(x, y):

@@ -219,7 +219,8 @@ class _FormalSum(_Record):
             raise ValueError("dimension must be 0 (vertices) or 1 (edges)")
         clean = {}
         for index, value in dict(coefficients).items():
-            index = int(index)
+            if type(index) is not int:
+                raise TypeError(f"basis index {index!r} is not an int")
             if index < 0:
                 raise ValueError(f"basis index {index} is negative")
             value = ring.coerce(value)

@@ -14,23 +14,24 @@ over Fractions holds at the same step, so it has the same nonzeros and
 leads to the same pivots, and each pivot row is divided by its pivot only
 at the end, one Fraction per returned nonzero.
 
-:class:`ExactMatrix` is dense, but both kernels hold their rows and
-columns as ``{index: nonzero}`` dicts, so each step costs in proportion to
-the nonzeros it touches; a boundary matrix has at most 2 * arity per
-column.  The RREF takes and returns such dict rows, and the spanning-tree
-reader returns its fundamental cuts and cycles as ``{index: nonzero
-Fraction}`` dicts, which the reports wrap as chains directly; only the
-public functions that return dense lists build them, at the end.  The
-pivot rules are pinned: the Smith form takes a nonzero of least absolute
-value, lowest current row first, then lowest current column (so a unit
-entry whenever there is one), and the RREF takes the first unused row of
-each column.  The results are therefore exactly those of the textbook
-dense elimination with the same rules.  Every Smith reduction is checked
+:class:`ExactMatrix` stores one ``{column: nonzero}`` dict per row, and
+its dense ``entries`` are only a view built on request, so a boundary
+matrix holds at most 2 * arity nonzeros per column and transposes,
+products and matrix-vector products cost in proportion to the nonzeros.
+Both kernels work on such dicts: the Smith reduction starts from the
+matrix's rows and its factors come back as sparse matrices, and the RREF
+takes and returns dict rows.  The spanning-tree reader returns its
+fundamental cuts and cycles as ``{index: nonzero Fraction}`` dicts, which
+the reports wrap as chains directly; only the public functions that
+return dense lists build them, at the end.  The pivot rules are pinned:
+the Smith form takes a nonzero of least absolute value, lowest current
+row first, then lowest current column (so a unit entry whenever there is
+one), and the RREF takes the first unused row of each column.  The
+results are therefore exactly those of the textbook dense elimination
+with the same rules.  Every Smith reduction is checked
 before anything is read off it: ``u @ m @ v == s`` is compared in full,
 exactly, on the sparse factors, and a mismatch raises
-:class:`InternalInconsistencyError` (never an ``assert``).  The integer-tree
-search reads each candidate's diagonal off that checked reduction, with no
-dense factor built.
+:class:`InternalInconsistencyError` (never an ``assert``).
 """
 
 from __future__ import annotations
@@ -42,15 +43,17 @@ from .core import InternalInconsistencyError, Ring, _Record
 
 
 class ExactMatrix(_Record):
-    """Dense rectangular matrix whose entries all lie in a single ring."""
+    """Rectangular matrix whose entries all lie in a single ring, stored as
+    one ``{column: nonzero}`` dict per row in ``lines``; ``entries`` is the
+    dense view, built when asked for.  The row dicts must not be modified."""
 
     rows: int
     cols: int
     ring: Ring
-    entries: tuple
+    lines: tuple
 
     def __init__(self, entries, ring: Ring, cols: int | None = None):
-        normalized = tuple(tuple(ring.coerce(x) for x in row) for row in entries)
+        normalized = [[ring.coerce(x) for x in row] for row in entries]
         if normalized:
             width = len(normalized[0])
             if any(len(row) != width for row in normalized):
@@ -59,21 +62,23 @@ class ExactMatrix(_Record):
                 raise ValueError("explicit column count disagrees with rows")
         else:
             width = cols if cols is not None else 0
-        object.__setattr__(self, "rows", len(normalized))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "entries", normalized)
+        lines = tuple({j: x for j, x in enumerate(row) if x} for row in normalized)
+        super().__init__(len(normalized), width, ring, lines)
 
     @classmethod
-    def _from_ints(cls, entries: tuple, cols: int) -> "ExactMatrix":
-        """Integer matrix from a tuple of int tuples that the package built
-        itself, without the per-entry coercion of the constructor."""
+    def _of(cls, lines, cols: int, ring: Ring = Ring.INTEGER) -> "ExactMatrix":
+        """Wrap ``{column: nonzero}`` row dicts the package built itself, with
+        values already in ``ring``, without the per-entry coercion of the
+        constructor.  The dicts are kept, not copied."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", len(entries))
-        object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "ring", Ring.INTEGER)
-        object.__setattr__(matrix, "entries", entries)
+        lines = tuple(lines)
+        _Record.__init__(matrix, len(lines), cols, ring, lines)
         return matrix
+
+    def __hash__(self):
+        return hash(
+            (self.rows, self.cols, self.ring, tuple(frozenset(line.items()) for line in self.lines))
+        )
 
     @classmethod
     def from_columns(cls, columns, ring: Ring, rows: int | None = None) -> "ExactMatrix":
@@ -86,63 +91,61 @@ class ExactMatrix(_Record):
                 raise ValueError("explicit row count disagrees with columns")
         else:
             height = rows if rows is not None else 0
-        data = [[columns[j][i] for j in range(len(columns))] for i in range(height)]
-        return cls(data, ring, cols=len(columns))
+        return cls(columns, ring, cols=height).transpose()
 
     @classmethod
     def identity(cls, n: int, ring: Ring = Ring.INTEGER) -> "ExactMatrix":
-        return cls(
-            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
-            ring,
-            cols=n,
-        )
+        return cls._of([{i: ring.one} for i in range(n)], n, ring)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, ring: Ring) -> "ExactMatrix":
-        return cls([[ring.zero] * cols for _ in range(rows)], ring, cols=cols)
+        return cls._of([{} for _ in range(rows)], cols, ring)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(self.row(i) for i in range(self.rows))
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        return self.lines[i].get(range(self.cols)[j], self.ring.zero)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i]
+        line, zero = self.lines[i], self.ring.zero
+        return tuple(line.get(j, zero) for j in range(self.cols))
 
     def column(self, j: int) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
+        j, zero = range(self.cols)[j], self.ring.zero
+        return [line.get(j, zero) for line in self.lines]
 
     def columns(self) -> list[list]:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "ExactMatrix":
-        data = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return ExactMatrix(data, self.ring, cols=self.rows)
+        lines: list[dict] = [{} for _ in range(self.cols)]
+        for i, line in enumerate(self.lines):
+            for j, x in line.items():
+                lines[j][i] = x
+        return ExactMatrix._of(lines, self.rows, self.ring)
 
     def apply(self, vector) -> list:
         """Matrix-vector product."""
         vector = list(vector)
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        return [
-            sum((self.entries[i][j] * vector[j] for j in range(self.cols)), self.ring.zero)
-            for i in range(self.rows)
-        ]
+        zero = self.ring.zero
+        return [sum((x * vector[j] for j, x in line.items()), zero) for line in self.lines]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows or self.ring is not other.ring:
             raise ValueError("shape or ring mismatch")
-        data = [
-            [
-                sum(
-                    (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                    self.ring.zero,
-                )
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return ExactMatrix(data, self.ring, cols=other.cols)
+        lines = []
+        for line in self.lines:
+            product: dict = {}
+            for k, a in line.items():
+                _axpy(product, other.lines[k], a)
+            lines.append(product)
+        return ExactMatrix._of(lines, other.cols, self.ring)
 
 
 def _integer_row(row: dict) -> dict:
@@ -240,18 +243,6 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
     return reduced, pivots
 
 
-def _fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """:func:`_sparse_rref` of dense rows, with the reduced rows dense."""
-    width = len(rows[0]) if rows else 0
-    reduced, pivots = _sparse_rref([dict(enumerate(row)) for row in rows], width)
-    return [_dense(row, width) for row in reduced], pivots
-
-
-def _sparse_rows(matrix: ExactMatrix) -> list[dict]:
-    """The rows of a dense matrix as ``{column: nonzero}`` dicts."""
-    return [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
-
-
 def _dense(vector: dict, length: int) -> list[Fraction]:
     """Dense Fraction vector of a ``{index: value}`` dict."""
     line = [Fraction(0)] * length
@@ -302,7 +293,7 @@ def image_rank(matrix: ExactMatrix) -> int:
     Deliberately independent of the Smith normal form so the two routes can
     be checked against each other.
     """
-    _, pivots = _sparse_rref(_sparse_rows(matrix), matrix.cols)
+    _, pivots = _sparse_rref(matrix.lines, matrix.cols)
     return len(pivots)
 
 
@@ -315,15 +306,17 @@ def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:
     rhs = list(rhs)
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
-    augmented = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(matrix.entries, rhs)]
-    if not augmented:
-        return [Fraction(0)] * matrix.cols
-    rref, pivots = _fraction_rref(augmented)
-    if matrix.cols in pivots:
+    width = matrix.cols
+    augmented = []
+    for line, b in zip(matrix.lines, rhs):
+        b = Fraction(b)
+        augmented.append({**line, width: b} if b else line)
+    rref, pivots = _sparse_rref(augmented, width + 1)
+    if width in pivots:
         return None
-    solution = [Fraction(0)] * matrix.cols
+    solution = [Fraction(0)] * width
     for row, pivot in zip(rref, pivots):
-        solution[pivot] = row[-1]
+        solution[pivot] = row.get(width, Fraction(0))
     return solution
 
 
@@ -345,9 +338,9 @@ class SnfDecomposition(_Record):
     def diagonal(self) -> tuple[int, ...]:
         """The nonzero diagonal entries (elementary divisors), in order."""
         out = []
-        for i in range(min(self.s.rows, self.s.cols)):
-            d = self.s.entries[i][i]
-            if d == 0:
+        for i, line in enumerate(self.s.lines[: self.s.cols]):
+            d = line.get(i)
+            if d is None:
                 break
             out.append(d)
         return tuple(out)
@@ -385,16 +378,13 @@ def _is_coboundary(decomposition: SnfDecomposition, vector: dict) -> bool:
     divisible by d_i below the rank.  V^T c is the sum of c_k times row k of
     V, one row per nonzero of c.
     """
-    v = decomposition.v.entries
-    image = [0] * decomposition.v.cols
+    image: dict = {}
     for k, x in vector.items():
-        for i, y in enumerate(v[k]):
-            if y:
-                image[i] += x * y
+        if x:
+            _axpy(image, decomposition.v.lines[k], x)
     diagonal = decomposition.diagonal
-    return not any(image[len(diagonal) :]) and all(
-        value % d == 0 for value, d in zip(image, diagonal)
-    )
+    rank = len(diagonal)
+    return all(i < rank and value % diagonal[i] == 0 for i, value in image.items())
 
 
 def _axpy(target: dict, source: dict, q: int) -> None:
@@ -556,32 +546,6 @@ def _checked_smith(rows: list[dict], width: int):
     return s, u, u_inv, v, v_inv
 
 
-def _smith_diagonal(rows: list[dict], width: int) -> tuple[int, ...]:
-    """The nonzero Smith diagonal of the integer matrix with sparse
-    ``rows``, read off the checked reduction with no dense factor built:
-    ``smith_normal_form(matrix).diagonal`` of the same matrix."""
-    s = _checked_smith(rows, width)[0]
-    out = []
-    for i in range(min(len(s), width)):
-        d = s[i].get(i)
-        if d is None:
-            break
-        out.append(d)
-    return tuple(out)
-
-
-def _from_lines(lines: list[dict], height: int, width: int, by_columns: bool = False):
-    """Dense integer :class:`ExactMatrix` of sparse rows (or columns)."""
-    dense = [[0] * width for _ in range(height)]
-    for a, line in enumerate(lines):
-        for b, x in line.items():
-            if by_columns:
-                dense[b][a] = x
-            else:
-                dense[a][b] = x
-    return ExactMatrix._from_ints(tuple(map(tuple, dense)), width)
-
-
 def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
@@ -593,21 +557,22 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     the pivot is forced to divide every entry of the remaining submatrix
     (an offending row is added to the pivot row), so the diagonal comes out
     positive and in divisibility order with no post-processing.  The
-    matrix and the factors are held sparse during the reduction, and the
-    factors are checked exactly, ``u @ m @ v == s`` on their nonzeros,
-    before they are returned as dense matrices; a mismatch raises
-    :class:`InternalInconsistencyError`.
+    reduction runs on the matrix's sparse rows, and the factors are checked
+    exactly, ``u @ m @ v == s`` on their nonzeros, before they are returned;
+    a mismatch raises :class:`InternalInconsistencyError`.  ``u``, ``s`` and
+    ``v_inverse`` come out of the reduction by rows, ``v`` and ``u_inverse``
+    by columns and are transposed once.
     """
     if matrix.ring is not Ring.INTEGER:
         raise ValueError("Smith normal form requires integer entries")
     r, c = matrix.rows, matrix.cols
-    s, u, u_inv, v, v_inv = _checked_smith(_sparse_rows(matrix), c)
+    s, u, u_inv, v, v_inv = _checked_smith(matrix.lines, c)
     return SnfDecomposition(
-        u=_from_lines(u, r, r),
-        s=_from_lines(s, r, c),
-        v=_from_lines(v, c, c, by_columns=True),
-        u_inverse=_from_lines(u_inv, r, r, by_columns=True),
-        v_inverse=_from_lines(v_inv, c, c),
+        u=ExactMatrix._of(u, r),
+        s=ExactMatrix._of(s, c),
+        v=ExactMatrix._of(v, c).transpose(),
+        u_inverse=ExactMatrix._of(u_inv, r).transpose(),
+        v_inverse=ExactMatrix._of(v_inv, c),
     )
 
 
@@ -624,7 +589,7 @@ def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
             raise ValueError("integer kernel requires an integer matrix")
         decomposition = smith_normal_form(matrix)
         return [decomposition.v.column(j) for j in range(decomposition.rank, matrix.cols)]
-    _, _, cycles = _rref_tree(_sparse_rows(matrix), matrix.cols)
+    _, _, cycles = _rref_tree(matrix.lines, matrix.cols)
     return [_dense(cycle, matrix.cols) for cycle in cycles.values()]
 
 
@@ -645,7 +610,7 @@ def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
         for i, d in enumerate(decomposition.diagonal):
             basis.append([d * x for x in decomposition.u_inverse.column(i)])
         return basis
-    tree, _, _ = _rref_tree(_sparse_rows(matrix), matrix.cols)
+    tree, _, _ = _rref_tree(matrix.lines, matrix.cols)
     return [[Fraction(x) for x in matrix.column(j)] for j in tree]
 
 
@@ -702,25 +667,30 @@ def quotient_structure(matrix: ExactMatrix) -> ModuleStructure:
 
 
 def _lattice_contains_all(generators, vectors, ambient_dim: int) -> bool:
-    """Whether every vector lies in the integer span of the generators; the
-    generator matrix is factored once for all of them."""
-    vectors = [list(v) for v in vectors]
-    if any(len(v) != ambient_dim for v in vectors):
-        raise ValueError("vector length does not match ambient dimension")
+    """Whether every integer ``{index: value}`` vector lies in the integer
+    span of the ``{index: value}`` generators.  The generators are the rows
+    of one matrix G, factored once for all the vectors: v = G^T y for an
+    integer y iff :func:`_is_coboundary` holds on the Smith form of G."""
     if not vectors:
         return True
-    matrix = ExactMatrix.from_columns(generators, Ring.INTEGER, rows=ambient_dim)
-    decomposition = smith_normal_form(matrix)
-    return all(decomposition.solve(v) is not None for v in vectors)
+    decomposition = smith_normal_form(ExactMatrix._of(generators, ambient_dim))
+    return all(_is_coboundary(decomposition, v) for v in vectors)
+
+
+def _integer_lines(vectors, ambient_dim: int) -> tuple:
+    """Integer vectors of length ``ambient_dim`` as ``{index: nonzero}`` dicts."""
+    return ExactMatrix(vectors, Ring.INTEGER, cols=ambient_dim).lines
 
 
 def lattice_contains(generators, vector, ambient_dim: int) -> bool:
     """Whether ``vector`` lies in the integer span of the generators."""
-    return _lattice_contains_all(generators, [vector], ambient_dim)
+    return _lattice_contains_all(
+        _integer_lines(generators, ambient_dim), _integer_lines([vector], ambient_dim), ambient_dim
+    )
 
 
 def sublattice_equal(generators_a, generators_b, ambient_dim: int) -> bool:
     """Whether two generating sets span the same integer lattice."""
-    return _lattice_contains_all(
-        generators_b, generators_a, ambient_dim
-    ) and _lattice_contains_all(generators_a, generators_b, ambient_dim)
+    a = _integer_lines(generators_a, ambient_dim)
+    b = _integer_lines(generators_b, ambient_dim)
+    return _lattice_contains_all(b, a, ambient_dim) and _lattice_contains_all(a, b, ambient_dim)

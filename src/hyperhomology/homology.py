@@ -36,7 +36,6 @@ from .exact_linalg import (
     SnfDecomposition,
     _is_coboundary,
     _rref_tree,
-    _sparse_rows,
     annihilator_basis,
     image_basis,
     image_rank,
@@ -59,9 +58,10 @@ class HomologyReport(_Record):
     rank_image_boundary: int
 
 
-def _integer_chain(vector) -> Chain:
-    """Integer 1-chain of a dense vector of ints the package computed."""
-    return Chain._of(1, {j: x for j, x in enumerate(vector) if x}, Ring.INTEGER)
+def _integer_chain(vector: dict) -> Chain:
+    """Integer 1-chain of an ``{index: nonzero int}`` dict the package
+    computed, with its indices put in ascending order."""
+    return Chain._of(1, dict(sorted(vector.items())), Ring.INTEGER)
 
 
 def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
@@ -77,10 +77,10 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     if ring is Ring.INTEGER:
         decomposition = smith_normal_form(matrix)
         rank = decomposition.rank
-        basis = tuple(_integer_chain(decomposition.v.column(j)) for j in range(rank, m))
+        basis = tuple(map(_integer_chain, decomposition.v.transpose().lines[rank:]))
         torsion = tuple(d for d in decomposition.diagonal if d > 1)
     else:
-        tree, _, cycles = _rref_tree(_sparse_rows(matrix), m)
+        tree, _, cycles = _rref_tree(matrix.lines, m)
         rank = len(tree)
         basis = tuple(Chain._of(1, cycle, ring) for cycle in cycles.values())
         torsion = ()
@@ -154,8 +154,8 @@ def _annihilator_witness(decomposition: SnfDecomposition, position: int):
     """
     rank = decomposition.rank
     m = decomposition.v.cols
-    for e in range(m):
-        kills_cycles = not any(decomposition.v.entries[e][rank:])
+    for e, line in enumerate(decomposition.v.lines):
+        kills_cycles = all(j < rank for j in line)
         if kills_cycles and not _is_coboundary(decomposition, {e: 1}):
             return (
                 tuple(int(j == e) for j in range(m)),
@@ -289,9 +289,9 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     if ring is Ring.INTEGER:
         decomposition = smith_normal_form(matrix)
         rank, diagonal = decomposition.rank, decomposition.diagonal
-        cycle_basis = tuple(_integer_chain(decomposition.v.column(j)) for j in range(rank, m))
+        cycle_basis = tuple(map(_integer_chain, decomposition.v.transpose().lines[rank:]))
         cut_basis = tuple(
-            _integer_chain([d * x for x in decomposition.v_inverse.row(i)])
+            _integer_chain({j: d * x for j, x in decomposition.v_inverse.lines[i].items()})
             for i, d in enumerate(diagonal)
         )
         for k, (tails, heads) in enumerate(hypergraph.edges):
@@ -299,7 +299,7 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
                 missing_chain = Chain.unit(1, k, Ring.INTEGER)
                 break
     else:
-        _, cuts, cycles = _rref_tree(_sparse_rows(matrix), m)
+        _, cuts, cycles = _rref_tree(matrix.lines, m)
         cycle_basis = tuple(Chain._of(1, c, ring) for c in cycles.values())
         cut_basis = tuple(Chain._of(1, c, ring) for c in cuts.values())
 

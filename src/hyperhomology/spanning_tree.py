@@ -23,12 +23,11 @@ from fractions import Fraction
 from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
+    ExactMatrix,
     _dense,
     _is_coboundary,
     _lattice_contains_all,
     _rref_tree,
-    _smith_diagonal,
-    _sparse_rows,
     _sparse_rref,
     image_rank,
     smith_normal_form,
@@ -96,7 +95,7 @@ def find_spanning_tree_rational(hypergraph: OrientedHypergraph) -> SpanningTree:
     the null vectors of the free columns are the fundamental cycles.
     """
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    return _spanning_tree(*_rref_tree(_sparse_rows(matrix), hypergraph.edge_count))
+    return _spanning_tree(*_rref_tree(matrix.lines, hypergraph.edge_count))
 
 
 class TreeAxiomsReport(_Record):
@@ -143,7 +142,8 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     lattice by columns r.. of V.  Each span check is two-way containment:
     the family lies in its lattice (cuts are cuts, cycles are cycles) and
     the lattice's generators lie in the family's span, which factors only
-    the family itself: at most three Smith forms per call.
+    the family itself, its chains as the rows: at most three Smith forms
+    per call, all on sparse rows.
     """
     m = hypergraph.edge_count
     ring = tree.ring
@@ -171,33 +171,27 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     )
 
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    cut_rows = [c.coefficients for c in tree.fundamental_cuts.values()]
+    cycle_rows = [c.coefficients for c in tree.fundamental_cycles.values()]
     if ring is Ring.RATIONAL:
 
         def rank(rows) -> int:
             return len(_sparse_rref(rows, m)[1])
 
-        rows = _sparse_rows(matrix)
-        cut_rows = [c.coefficients for c in tree.fundamental_cuts.values()]
-        cycle_rows = [c.coefficients for c in tree.fundamental_cycles.values()]
-        boundary_rank = rank(rows)
-        cuts_are_cuts = rank(rows + cut_rows) == boundary_rank
+        boundary_rank = rank(matrix.lines)
+        cuts_are_cuts = rank([*matrix.lines, *cut_rows]) == boundary_rank
         cuts_span = rank(cut_rows) == len(tree.tree_edges) == boundary_rank
         cycles_span = rank(cycle_rows) == len(chord_set) == m - boundary_rank
     else:
-        cut_vectors = [c.to_vector(m) for c in tree.fundamental_cuts.values()]
-        cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
         decomposition = smith_normal_form(matrix)
-        r = decomposition.rank
-        cuts_are_cuts = all(
-            _is_coboundary(decomposition, c.coefficients) for c in tree.fundamental_cuts.values()
-        )
+        cuts_are_cuts = all(_is_coboundary(decomposition, c) for c in cut_rows)
         cut_lattice = [
-            [d * x for x in decomposition.v_inverse.row(i)]
+            {j: d * x for j, x in decomposition.v_inverse.lines[i].items()}
             for i, d in enumerate(decomposition.diagonal)
         ]
-        cycle_lattice = [decomposition.v.column(j) for j in range(r, m)]
-        cuts_span = cuts_are_cuts and _lattice_contains_all(cut_vectors, cut_lattice, m)
-        cycles_span = cycles_are_cycles and _lattice_contains_all(cycle_vectors, cycle_lattice, m)
+        cycle_lattice = decomposition.v.transpose().lines[decomposition.rank :]
+        cuts_span = cuts_are_cuts and _lattice_contains_all(cut_rows, cut_lattice, m)
+        cycles_span = cycles_are_cycles and _lattice_contains_all(cycle_rows, cycle_lattice, m)
 
     return TreeAxiomsReport(
         cut_kronecker=cut_kronecker,
@@ -235,21 +229,17 @@ def find_spanning_tree_integer(
     ``search_limit``.  A subset is accepted iff its boundary columns have
     Smith diagonal ``(1,) * rank``, which also requires them to be a column
     basis; the fundamental cuts and cycles are then all integral.  The
-    diagonal is read off the checked sparse Smith reduction of the sparse
-    rows of B restricted to the subset, so each candidate's factors pass the
-    exact ``u @ B_T @ v == s`` check and no dense matrix is built.  Only the
-    accepted subset is built, read off the RREF of the boundary matrix with
-    its columns ordered first, and verified once against the integer axioms.
+    diagonal is read off :func:`smith_normal_form` of B_T, the transpose of
+    the subset's sparse columns of B, so each candidate's factors pass the
+    exact ``u @ B_T @ v == s`` check.  Only the accepted subset is built,
+    read off the RREF of the boundary matrix with its columns ordered
+    first, and verified once against the integer axioms.
     Returns None when the enumeration completes without a hit; raises
     :class:`SearchLimitExceeded` when the budget runs out first.
     """
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    rows = _sparse_rows(matrix)
-    columns: list[list] = [[] for _ in range(m)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            columns[j].append((i, x))
+    columns = matrix.transpose().lines
     rank = image_rank(matrix)
     units = (1,) * rank
     examined = 0
@@ -257,14 +247,11 @@ def find_spanning_tree_integer(
         if examined >= search_limit:
             raise SearchLimitExceeded(examined)
         examined += 1
-        basis: list[dict] = [{} for _ in rows]
-        for k, j in enumerate(subset):
-            for i, x in columns[j]:
-                basis[i][k] = x
-        if _smith_diagonal(basis, rank) != units:
+        candidate = ExactMatrix._of([columns[j] for j in subset], matrix.rows).transpose()
+        if smith_normal_form(candidate).diagonal != units:
             continue
         order = subset + tuple(j for j in range(m) if j not in subset)
-        tree = _spanning_tree(*_rref_tree(rows, m, order), Ring.INTEGER)
+        tree = _spanning_tree(*_rref_tree(matrix.lines, m, order), Ring.INTEGER)
         if not verify_tree_axioms(hypergraph, tree).ok:
             raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
         return tree

@@ -5,8 +5,9 @@ determinants come from a separate Fraction elimination, elementary divisors
 from gcds of minors, and graph fundamental cycles/cuts from tree traversal.
 The dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
-and :func:`stacked_smith_missing_chain` is its earlier integer spanning
-check.
+the dense list transpose and products beside them are the reference for
+the sparse rows of ``ExactMatrix``, and :func:`stacked_smith_missing_chain`
+is its earlier integer spanning check.
 """
 
 from __future__ import annotations
@@ -444,6 +445,23 @@ def dense_rref_tree(rows, cols: int, order=None):
             cycle[t] = -reduced[i][k]
         cycles[order[k]] = cycle
     return tree, cuts, cycles
+
+
+def dense_transpose(rows: list[list], cols: int) -> list[list]:
+    """Transpose of dense ``rows`` with ``cols`` columns."""
+    return [[row[j] for row in rows] for j in range(cols)]
+
+
+def dense_apply(rows: list[list], vector: list, zero) -> list:
+    """Schoolbook matrix-vector product of dense ``rows``."""
+    return [sum((x * y for x, y in zip(row, vector)), zero) for row in rows]
+
+
+def dense_product(a: list[list], b: list[list], cols: int, zero) -> list[list]:
+    """Schoolbook product of dense ``a`` and ``b``, ``b`` with ``cols`` columns."""
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(b))), zero) for j in range(cols)] for row in a
+    ]
 
 
 def dense_smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:

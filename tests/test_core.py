@@ -174,6 +174,17 @@ def test_negative_basis_indices_rejected():
             build()
 
 
+@pytest.mark.parametrize("index", [2.7, 2.0, Fraction(5, 2), Fraction(2), "3", True, False, None])
+def test_non_int_basis_indices_rejected(index):
+    # int() would truncate 2.7 and 5/2 to 2, parse "3" and read True as 1,
+    # so two keys that truncate alike would silently overwrite each other
+    for cls, dimension, ring in ((Chain, 1, Ring.INTEGER), (Cochain, 0, Ring.RATIONAL)):
+        with pytest.raises(TypeError, match="not an int"):
+            cls(dimension, {index: 1}, ring)
+    with pytest.raises(TypeError):
+        Chain.unit(1, index, Ring.INTEGER)
+
+
 def test_ring_and_dimension_mismatch():
     a = Chain(1, {0: 1}, Ring.INTEGER)
     b = Chain(1, {0: Fraction(1)}, Ring.RATIONAL)

@@ -29,14 +29,17 @@ from hyperhomology import (
     sublattice_equal,
 )
 from hyperhomology import exact_linalg
-from hyperhomology.exact_linalg import _fraction_rref, _rref_tree, _sparse_rref
+from hyperhomology.exact_linalg import _rref_tree, _sparse_rref
 
 from oracles import (
     brute_force_has_integer_solution,
     cofactor_det,
+    dense_apply,
     dense_fraction_rref,
+    dense_product,
     dense_rref_tree,
     dense_smith_normal_form,
+    dense_transpose,
     fraction_det,
     fraction_rank,
     hypergraph_suite,
@@ -207,27 +210,114 @@ def test_sparse_rref_matches_dense_oracle():
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         inputs.append([[mixed_entry() for _ in range(cols)] for _ in range(rows)])
     for rows in inputs:
-        assert _fraction_rref(rows) == dense_fraction_rref(rows), rows
         width = len(rows[0]) if rows else 0
         sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
         before = snapshot(sparse)
         reduced, pivots = _sparse_rref(sparse, width)
         assert snapshot(sparse) == before, rows
+        dense = [[row.get(j, 0) for j in range(width)] for row in reduced]
+        assert (dense, pivots) == dense_fraction_rref(rows), rows
         assert all(type(x) is Fraction and x for row in reduced for x in row.values()), rows
         assert len(reduced) == len(rows) and not any(reduced[len(pivots) :]), rows
     for width in (0, 1, 4):  # 0 x n
         assert _sparse_rref([], width) == ([], [])
 
 
-def test_smith_diagonal_matches_smith_normal_form():
-    # the integer-tree search reads each candidate's diagonal off the
-    # checked sparse reduction, with no dense factor built
+def _rational_matrices():
+    rng = random.Random(111)
+    for _ in range(100):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        entries = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) * (rng.random() < 0.6) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        yield ExactMatrix(entries, Ring.RATIONAL, cols=cols)
+
+
+def _random_like(rng, ring, rows, cols):
+    def value():
+        if ring is Ring.INTEGER:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    return [[value() if rng.random() < 0.5 else ring.zero for _ in range(cols)] for _ in range(rows)]
+
+
+def _public_calls(matrix):
+    yield matrix.entries
+    yield matrix.columns()
+    yield matrix.transpose()
+    yield matrix @ matrix.transpose()
+    yield matrix.apply([1] * matrix.cols)
+    yield image_rank(matrix)
+    yield solve_rational(matrix, [1] * matrix.rows)
+    yield kernel_basis(matrix, Ring.RATIONAL)
+    yield image_basis(matrix, Ring.RATIONAL)
+    if matrix.ring is Ring.INTEGER:
+        yield smith_normal_form(matrix)
+        yield kernel_basis(matrix, Ring.INTEGER)
+        yield image_basis(matrix, Ring.INTEGER)
+        yield solve_integer(matrix, [1] * matrix.rows)
+        yield is_direct_summand(matrix)
+        yield quotient_structure(matrix)
+
+
+def test_sparse_matrix_matches_dense_lists():
+    # the sparse rows against plain list arithmetic on the dense view, over
+    # integer matrices, the Smith factors built from sparse lines, and
+    # rational matrices; == and hash ignore the order in which each row
+    # dict was filled, and no public function modifies the rows it reads
+    rng = random.Random(112)
+    matrices = []
     for matrix in _differential_matrices():
-        rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
-        before = [dict(row) for row in rows]
-        diagonal = exact_linalg._smith_diagonal(rows, matrix.cols)
-        assert diagonal == smith_normal_form(matrix).diagonal, matrix
-        assert rows == before
+        matrices.append(matrix)
+        if matrix.rows * matrix.cols <= 64:
+            decomposition = smith_normal_form(matrix)
+            matrices += [decomposition.v, decomposition.u_inverse, decomposition.v_inverse]
+    matrices += _rational_matrices()
+    for matrix in matrices:
+        ring, zero, n, m = matrix.ring, matrix.ring.zero, matrix.rows, matrix.cols
+        dense = [list(row) for row in matrix.entries]
+        kind = int if ring is Ring.INTEGER else Fraction
+        assert len(dense) == n and all(len(row) == m for row in dense), matrix
+        assert all(type(x) is kind for row in dense for x in row), matrix
+        assert matrix.lines == tuple({j: x for j, x in enumerate(row) if x} for row in dense)
+        assert ExactMatrix(dense, ring, cols=m) == matrix
+        assert [list(matrix.row(i)) for i in range(n)] == dense
+        assert [[matrix.entry(i, j) for j in range(m)] for i in range(n)] == dense
+        columns = dense_transpose(dense, m)
+        assert [matrix.column(j) for j in range(m)] == matrix.columns() == columns
+        assert matrix.transpose() == ExactMatrix(columns, ring, cols=n)
+        assert ExactMatrix.from_columns(columns, ring, rows=n) == matrix
+        vector = _random_like(rng, ring, 1, m)[0]
+        assert matrix.apply(vector) == dense_apply(dense, vector, zero)
+        k = rng.randint(0, 5)
+        other = _random_like(rng, ring, m, k)
+        product = matrix @ ExactMatrix(other, ring, cols=k)
+        assert product == ExactMatrix(dense_product(dense, other, k, zero), ring, cols=k)
+        gram = matrix @ matrix.transpose()
+        assert gram == ExactMatrix(dense_product(dense, columns, n, zero), ring, cols=n)
+
+        refilled = ExactMatrix._of([dict(reversed(line.items())) for line in matrix.lines], m, ring)
+        for same in (refilled, matrix.transpose().transpose()):
+            assert same == matrix and hash(same) == hash(matrix), matrix
+
+        before = [list(line.items()) for line in matrix.lines]
+        for _ in _public_calls(matrix):
+            pass
+        assert [list(line.items()) for line in matrix.lines] == before, matrix
+
+
+def test_sparse_storage_of_boundary_and_smith_factors():
+    # B stores its nonzeros only, and the Smith factors the reports read
+    # stay linear in the size of a cycle graph
+    def stored(matrix):
+        return sum(map(len, matrix.lines))
+
+    assert stored(boundary_matrix(_cycle(3000), Ring.INTEGER)) == 6000
+    decomposition = smith_normal_form(boundary_matrix(_cycle(300), Ring.INTEGER))
+    for factor in (decomposition.v, decomposition.v_inverse, decomposition.u_inverse):
+        assert stored(factor) <= 600, stored(factor)
 
 
 def test_sparse_rref_tree_matches_dense_oracle():
