@@ -9,15 +9,26 @@ Exit codes: 0 for success or a positive verdict, 1 for a well-formed
 negative result (invalid hypergraph, not graph-like, no integer tree),
 2 for usage errors, 3 when an integer-tree search hits its limit.
 Reports go to stdout, diagnostics to stderr.
+
+The command line is parsed from one table, ``_COMMANDS``, that gives each
+subcommand its handler, its positional argument and its options.  It
+takes ``--opt value`` and ``--opt=value``, options before or after the
+positional, any unique prefix of a long option, ``-`` as a file (stdin),
+``--`` to end the options, and values that are negative numbers.  Help
+(``-h``/``--help``, before or after the subcommand) goes to stdout and
+exits 0.  A malformed command line exits 2 with one usage line and one
+``hyperhomology <cmd>: error: ...`` line on stderr and nothing on stdout.
+The parser does without ``argparse``, whose import and set-up cost more
+than the compute of a small query.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import fixtures
 from .core import (
@@ -74,12 +85,17 @@ def parse_document(text: str) -> OrientedHypergraph:
     for j, record in enumerate(edges):
         if not isinstance(record, dict):
             raise DocumentError(f"edge {j} must be an object with tails and heads")
-        tails = record.get("tails")
-        heads = record.get("heads")
-        for side, label in ((tails, "tails"), (heads, "heads")):
+        sides = []
+        for label in ("tails", "heads"):
+            side = record.get(label)
             if not isinstance(side, list) or not all(isinstance(v, str) for v in side):
                 raise DocumentError(f'edge {j}: "{label}" must be a list of strings')
-        pairs.append((tails, heads))
+            members = frozenset(side)
+            if len(members) != len(side):
+                twice = next(v for k, v in enumerate(side) if v in side[:k])
+                raise DocumentError(f'edge {j}: "{label}" names vertex {twice!r} twice')
+            sides.append(members)
+        pairs.append(sides)
     return OrientedHypergraph(vertices, pairs)
 
 
@@ -382,76 +398,270 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+        raise ValueError(f"must not be negative: {value}")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperhomology",
-        description="Exact cycle/cut homology and algebraic spanning trees "
-        "for oriented hypergraphs.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line, one entry per subcommand: its handler, its one-line
+# summary, its positional argument as ``(name, choices or None)`` or None,
+# and its options as ``{option: (kind, default, only_with)}``.  A kind is
+# None for a flag, a tuple of the accepted values for a choice, or the
+# function that converts a value; a default of ``_REQUIRED`` makes the
+# option required; ``only_with`` is None or the ``(option, value)`` that
+# must hold for the option to be given.  Every subcommand takes ``--json``
+# and, outside the table, ``-h``/``--help``.
+_REQUIRED = object()
+_RING = ("int", "rat")
+_FILE = ("file", None)
+_JSON = {"--json": (None, False, None)}
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a document's invariants", _FILE, _JSON),
+    "homology": (
+        _cmd_homology, "homology and cohomology groups", _FILE,
+        {**_JSON, "--ring": (_RING, "int", None)},
+    ),
+    "spanning-tree": (
+        _cmd_spanning_tree, "find an algebraic spanning tree", _FILE,
+        {
+            **_JSON,
+            "--ring": (_RING, _REQUIRED, None),
+            "--check-integral": (None, False, ("--ring", "rat")),
+            "--limit": (_nonnegative_int, 1_000_000, ("--ring", "int")),
+        },
+    ),
+    "graphlike": (_cmd_graphlike, "the five equivalence conditions", _FILE, _JSON),
+    "decompose": (
+        _cmd_decompose, "cycle/cut decomposition diagnostics", _FILE,
+        {**_JSON, "--ring": (_RING, "int", None)},
+    ),
+    "example": (
+        _cmd_example, "emit a built-in fixture document",
+        ("name", tuple(sorted(fixtures.BUILTIN_EXAMPLES))), _JSON,
+    ),
+    "random": (
+        _cmd_random, "emit a deterministic random document", None,
+        {
+            **_JSON,
+            "--vertices": (_int, _REQUIRED, None),
+            "--edges": (_int, _REQUIRED, None),
+            "--seed": (_int, _REQUIRED, None),
+            "--max-arity": (_int, 3, None),
+            "--allow-empty-edges": (None, False, None),
+        },
+    ),
+}
+_HELP = ("-h", "--help")
+_PROG = "hyperhomology"
+_DESCRIPTION = (
+    "Exact cycle/cut homology and algebraic spanning trees for oriented hypergraphs."
+)
 
-    p = sub.add_parser("validate", parents=[common], help="check a document's invariants")
-    p.add_argument("file", help="document path, or - for stdin")
-    p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("homology", parents=[common], help="homology and cohomology groups")
-    p.add_argument("file")
-    p.add_argument("--ring", choices=["int", "rat"], default="int")
-    p.set_defaults(handler=_cmd_homology)
+class _CommandLineExit(Exception):
+    """The command line asked for help (``code`` 0, ``text`` for stdout)
+    or is malformed (``code`` 2, ``text`` for stderr)."""
 
-    p = sub.add_parser(
-        "spanning-tree", parents=[common], help="find an algebraic spanning tree"
-    )
-    p.add_argument("file")
-    p.add_argument("--ring", choices=["int", "rat"], required=True)
-    p.add_argument("--check-integral", action="store_true", help="with --ring rat, also report integrality")
-    p.add_argument(
-        "--limit", type=_nonnegative_int, default=1_000_000, help="candidate budget for --ring int"
-    )
-    p.set_defaults(handler=_cmd_spanning_tree)
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+        self.text = text
 
-    p = sub.add_parser("graphlike", parents=[common], help="the five equivalence conditions")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_graphlike)
 
-    p = sub.add_parser("decompose", parents=[common], help="cycle/cut decomposition diagnostics")
-    p.add_argument("file")
-    p.add_argument("--ring", choices=["int", "rat"], default="int")
-    p.set_defaults(handler=_cmd_decompose)
+def _dest(option: str) -> str:
+    return option.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("example", parents=[common], help="emit a built-in fixture document")
-    p.add_argument("name", choices=sorted(fixtures.BUILTIN_EXAMPLES))
-    p.set_defaults(handler=_cmd_example)
 
-    p = sub.add_parser("random", parents=[common], help="emit a deterministic random document")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--allow-empty-edges", action="store_true")
-    p.set_defaults(handler=_cmd_random)
-    return parser
+def _choices(kind) -> str:
+    return "{" + ",".join(kind) + "}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] {_choices(_COMMANDS)} ..."
+    words = [f"usage: {_PROG} {command} [-h]"]
+    _, _, positional, options = _COMMANDS[command]
+    for option, (kind, default, _) in options.items():
+        if kind is not None:
+            option += " " + (_choices(kind) if type(kind) is tuple else _dest(option).upper())
+        words.append(option if default is _REQUIRED else f"[{option}]")
+    if positional is not None:
+        name, choices = positional
+        words.append(name if choices is None else _choices(choices))
+    return " ".join(words)
+
+
+def _help(command: str | None) -> _CommandLineExit:
+    if command is None:
+        width = max(map(len, _COMMANDS))
+        lines = [f"  {name:<{width}}  {entry[1]}" for name, entry in _COMMANDS.items()]
+        body = f"{_DESCRIPTION}\n\ncommands:\n" + "\n".join(lines)
+    else:
+        _, body, _, options = _COMMANDS[command]
+        limited = [(option, spec[2]) for option, spec in options.items() if spec[2]]
+        if limited:
+            width = max(len(option) for option, _ in limited)
+            body += "\n\n" + "\n".join(
+                f"  {option:<{width}}  only with {' '.join(only_with)}"
+                for option, only_with in limited
+            )
+    return _CommandLineExit(EXIT_OK, f"{_usage(command)}\n\n{body}")
+
+
+def _usage_error(command: str | None, message: str) -> _CommandLineExit:
+    prog = _PROG if command is None else f"{_PROG} {command}"
+    return _CommandLineExit(EXIT_USAGE, f"{_usage(command)}\n{prog}: error: {message}")
+
+
+def _is_number(text: str) -> bool:
+    whole, dot, fraction = text.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def _option(token: str, names, command: str | None):
+    """Classify one token against the option ``names`` of ``command``.
+
+    Returns None for a positional token (one that does not start with
+    ``-``, a lone ``-``, a negative number, or text holding a space),
+    ``(option, value)`` for a known option, with the value given after
+    ``=`` or None, and ``(None, None)`` for an unknown option.  A long
+    option may be shortened to any unique prefix.
+    """
+    if token[:1] != "-":
+        return None
+    if token in names:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, equals, value = token.partition("=")
+    if name in names:
+        return name, value
+    if token.startswith("--"):
+        matches = [option for option in names if option.startswith(name)]
+        if len(matches) > 1:
+            raise _usage_error(
+                command, f"ambiguous option: {token} could match {', '.join(matches)}"
+            )
+        if matches:
+            return matches[0], value if equals else None
+    if _is_number(token[1:]) or " " in token:
+        return None
+    return None, None
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The parsed command line: ``command``, ``handler`` and one attribute
+    per option and positional of the subcommand, as its handler reads
+    them.  Raises :class:`_CommandLineExit` for help and usage errors."""
+    extras = []
+    for start, token in enumerate(argv):
+        option = None if token == "--" else _option(token, _HELP, None)
+        if option is None:
+            break
+        name, value = option
+        if name is None:
+            extras.append(token)
+        elif value is not None:
+            raise _usage_error(None, f"argument {name}: ignored explicit argument {value!r}")
+        else:
+            raise _help(None)
+    else:
+        raise _usage_error(None, "the following arguments are required: command")
+    command = argv[start]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    handler, _, positional, options = _COMMANDS[command]
+    names = _HELP + tuple(options)
+    args = {"command": command, "handler": handler}
+    args.update((_dest(option), spec[1]) for option, spec in options.items())
+    given = set()
+
+    def convert(name: str, kind, value: str):
+        try:
+            if type(kind) is not tuple:
+                return kind(value)
+            if value not in kind:
+                choices = ", ".join(map(repr, kind))
+                raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+        except ValueError as err:
+            raise _usage_error(command, f"argument {name}: {err}") from None
+        return value
+
+    tokens = argv[start + 1:]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, names, command) for token in tokens[:end]]
+    del tokens[end:end + 1]  # the "--" that ends the options
+    kinds += [None] * (len(tokens) - end)
+    k = 0
+    while k < len(tokens):
+        token, option = tokens[k], kinds[k]
+        k += 1
+        if option is None:
+            if positional is None or positional[0] in given:
+                extras.append(token)
+            else:
+                name, choices = positional
+                args[name] = token if choices is None else convert(name, choices, token)
+                given.add(name)
+            continue
+        name, value = option
+        if name is None:
+            extras.append(token)
+            continue
+        kind = options[name][0] if name in options else None
+        if kind is None:  # a flag, -h and --help included
+            if value is not None:
+                raise _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+            if name in _HELP:
+                raise _help(command)
+            args[_dest(name)] = True
+        else:
+            if value is None:
+                if k >= end or kinds[k] is not None:
+                    raise _usage_error(command, f"argument {name}: expected one argument")
+                value = tokens[k]
+                k += 1
+            args[_dest(name)] = convert(name, kind, value)
+        given.add(name)
+    required = [positional[0]] if positional is not None else []
+    required += [option for option, spec in options.items() if spec[1] is _REQUIRED]
+    missing = [name for name in required if name not in given]
+    if missing:
+        raise _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _usage_error(command, f"unrecognized arguments: {' '.join(extras)}")
+    for option, (_, _, only_with) in options.items():
+        if option in given and only_with is not None:
+            other, wanted = only_with
+            if args[_dest(other)] != wanted:
+                raise _usage_error(
+                    command, f"argument {option}: not allowed with {other} {args[_dest(other)]}"
+                )
+    return SimpleNamespace(**args)
 
 
 def run_command(argv=None) -> int:
     """Dispatch one command line; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _CommandLineExit as stop:
+        if stop.code == EXIT_OK:
+            print(stop.text)
+        else:
+            _diagnose(stop.text)
+        return stop.code
     try:
         return args.handler(args)
     except (DocumentError, HypergraphValidationError, OSError) as err:

@@ -6,12 +6,14 @@ from gcds of minors, and graph fundamental cycles/cuts from tree traversal.
 The dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
 the dense list transpose and products beside them are the reference for
-the sparse rows of ``ExactMatrix``, and :func:`stacked_smith_missing_chain`
-is its earlier integer spanning check.
+the sparse rows of ``ExactMatrix``, :func:`stacked_smith_missing_chain`
+is its earlier integer spanning check, and :func:`reference_parser` is the
+command-line parser as it was built on argparse.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 from fractions import Fraction
@@ -19,6 +21,7 @@ from functools import lru_cache
 from math import gcd
 
 from hyperhomology import (
+    BUILTIN_EXAMPLES,
     ExactMatrix,
     InternalInconsistencyError,
     OrientedHypergraph,
@@ -26,6 +29,7 @@ from hyperhomology import (
     SnfDecomposition,
     random_hypergraph,
 )
+from hyperhomology import cli
 
 
 def dot(u, v):
@@ -580,3 +584,72 @@ def dense_smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     if (result.u @ matrix) @ result.v != result.s:
         raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
     return result
+
+
+# The command-line parser as it was built on argparse, kept as the reference
+# for the table-driven parser in ``cli``: both must accept and reject the
+# same command lines and parse accepted ones into the same values.
+
+
+def _reference_nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hyperhomology",
+        description="Exact cycle/cut homology and algebraic spanning trees "
+        "for oriented hypergraphs.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", parents=[common], help="check a document's invariants")
+    p.add_argument("file", help="document path, or - for stdin")
+    p.set_defaults(handler=cli._cmd_validate)
+
+    p = sub.add_parser("homology", parents=[common], help="homology and cohomology groups")
+    p.add_argument("file")
+    p.add_argument("--ring", choices=["int", "rat"], default="int")
+    p.set_defaults(handler=cli._cmd_homology)
+
+    p = sub.add_parser(
+        "spanning-tree", parents=[common], help="find an algebraic spanning tree"
+    )
+    p.add_argument("file")
+    p.add_argument("--ring", choices=["int", "rat"], required=True)
+    p.add_argument("--check-integral", action="store_true", help="with --ring rat, also report integrality")
+    p.add_argument(
+        "--limit", type=_reference_nonnegative_int, default=1_000_000,
+        help="candidate budget for --ring int",
+    )
+    p.set_defaults(handler=cli._cmd_spanning_tree)
+
+    p = sub.add_parser("graphlike", parents=[common], help="the five equivalence conditions")
+    p.add_argument("file")
+    p.set_defaults(handler=cli._cmd_graphlike)
+
+    p = sub.add_parser("decompose", parents=[common], help="cycle/cut decomposition diagnostics")
+    p.add_argument("file")
+    p.add_argument("--ring", choices=["int", "rat"], default="int")
+    p.set_defaults(handler=cli._cmd_decompose)
+
+    p = sub.add_parser("example", parents=[common], help="emit a built-in fixture document")
+    p.add_argument("name", choices=sorted(BUILTIN_EXAMPLES))
+    p.set_defaults(handler=cli._cmd_example)
+
+    p = sub.add_parser("random", parents=[common], help="emit a deterministic random document")
+    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--edges", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--max-arity", type=int, default=3)
+    p.add_argument("--allow-empty-edges", action="store_true")
+    p.set_defaults(handler=cli._cmd_random)
+    return parser

@@ -5,6 +5,7 @@ import pytest
 
 from hyperhomology import OrientedHypergraph, boundary_matrix, Ring
 from hyperhomology.cli import (
+    _COMMANDS,
     DocumentError,
     parse_document,
     run_command,
@@ -52,6 +53,8 @@ def test_parse_rejects_bad_shapes():
         parse_document('{"vertices": [1], "edges": []}')
     with pytest.raises(DocumentError):
         parse_document('{"vertices": [], "edges": [{"tails": "x", "heads": []}]}')
+    with pytest.raises(DocumentError, match="\"tails\" names vertex 'a' twice"):
+        parse_document('{"vertices": ["a", "b"], "edges": [{"tails": ["a", "a"], "heads": ["b"]}]}')
 
 
 def test_parse_forwards_validation_errors():
@@ -192,6 +195,29 @@ def test_spanning_tree_negative_limit_is_usage_error(tmp_path, capsys):
     assert "--limit" in err and "negative" in err
 
 
+@pytest.mark.parametrize(
+    "ring, flag",
+    [("int", ("--check-integral",)), ("rat", ("--limit", "5"))],
+)
+def test_spanning_tree_option_of_the_other_ring_is_usage_error(tmp_path, capsys, ring, flag):
+    graph = _write_example(tmp_path, "triangle-graph")
+    code, out, err = _run(capsys, "spanning-tree", graph, "--ring", ring, *flag)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"hyperhomology spanning-tree: error: argument {flag[0]}: not allowed with --ring {ring}"
+    )
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_goes_to_stdout_and_exits_0(capsys, command, flag):
+    code, out, err = _run(capsys, *([command] if command else []), flag)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: hyperhomology {command or ''}".rstrip() + " ")
+    if command is None:
+        assert all(f"\n  {name} " in out for name in _COMMANDS)
+
+
 def test_decompose_command(tmp_path, capsys):
     path = _write_example(tmp_path, "parallel-edges")
     code, out, _ = _run(capsys, "decompose", path, "--ring", "int", "--json")
@@ -320,19 +346,22 @@ def test_hostile_document_stdin_process_exits_1():
         _assert_clean_error(result.returncode, result.stdout.decode(), result.stderr.decode())
 
 
-def test_cli_start_up_skips_dataclasses_and_inspect():
+def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
     # -S keeps site hooks from preloading modules and hiding a regression
     import os
     import subprocess
     import sys
 
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    document = _write_example(tmp_path, "triangle-graph")
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "from hyperhomology.cli import run_command\n"
         "assert run_command(['example', 'path-graph']) == 0\n"
-        "loaded = [name for name in ('dataclasses', 'inspect') if name in sys.modules]\n"
+        f"assert run_command(['homology', {document!r}, '--ring', 'int']) == 0\n"
+        "heavy = ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale')\n"
+        "loaded = [name for name in heavy if name in sys.modules]\n"
         "sys.exit(f'loaded at start-up: {loaded}' if loaded else 0)\n"
     )
     result = subprocess.run(
@@ -340,6 +369,7 @@ def test_cli_start_up_skips_dataclasses_and_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert '"name": "path-graph"' in result.stdout
+    assert "homology: free rank 1, torsion []" in result.stdout
 
 
 # The four reports that read integer coboundary membership, over a seeded
