@@ -63,12 +63,14 @@ def boundary_matrix(hypergraph: OrientedHypergraph, ring: Ring) -> ExactMatrix:
     filled directly, in O(total arity).
     """
     index = hypergraph.vertex_index
+    one = ring.one
+    minus_one = -one
     lines: list[dict] = [{} for _ in range(hypergraph.vertex_count)]
     for j, (tails, heads) in enumerate(hypergraph.edges):
         for vertex in heads:
-            lines[index[vertex]][j] = ring.one
+            lines[index[vertex]][j] = one
         for vertex in tails:
-            lines[index[vertex]][j] = -ring.one
+            lines[index[vertex]][j] = minus_one
     return ExactMatrix._of(lines, hypergraph.edge_count, ring)
 
 

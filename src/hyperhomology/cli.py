@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
+from itertools import repeat
 from types import SimpleNamespace
 
 from . import fixtures
@@ -35,6 +35,7 @@ from .core import (
     Chain,
     Cochain,
     HypergraphValidationError,
+    InternalInconsistencyError,
     OrientedHypergraph,
     Ring,
 )
@@ -77,7 +78,7 @@ def parse_document(text: str) -> OrientedHypergraph:
         raise DocumentError("document must be a JSON object")
     vertices = payload.get("vertices")
     edges = payload.get("edges")
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(isinstance, vertices, repeat(str))):
         raise DocumentError('"vertices" must be a list of strings')
     if not isinstance(edges, list):
         raise DocumentError('"edges" must be a list')
@@ -85,18 +86,31 @@ def parse_document(text: str) -> OrientedHypergraph:
     for j, record in enumerate(edges):
         if not isinstance(record, dict):
             raise DocumentError(f"edge {j} must be an object with tails and heads")
-        sides = []
-        for label in ("tails", "heads"):
-            side = record.get(label)
-            if not isinstance(side, list) or not all(isinstance(v, str) for v in side):
-                raise DocumentError(f'edge {j}: "{label}" must be a list of strings')
-            members = frozenset(side)
-            if len(members) != len(side):
-                twice = next(v for k, v in enumerate(side) if v in side[:k])
-                raise DocumentError(f'edge {j}: "{label}" names vertex {twice!r} twice')
-            sides.append(members)
-        pairs.append(sides)
+        tails, heads = record.get("tails"), record.get("heads")
+        if not (
+            isinstance(tails, list)
+            and isinstance(heads, list)
+            and all(map(isinstance, tails + heads, repeat(str)))
+        ):
+            raise _edge_error(j, record)
+        pair = frozenset(tails), frozenset(heads)
+        if len(pair[0]) != len(tails) or len(pair[1]) != len(heads):
+            raise _edge_error(j, record)
+        pairs.append(pair)
     return OrientedHypergraph(vertices, pairs)
+
+
+def _edge_error(j: int, record: dict) -> DocumentError:
+    """The first fault of edge ``j``'s sides, checked in the order tails
+    then heads, each first for its type and then for a repeated vertex."""
+    for label in ("tails", "heads"):
+        side = record.get(label)
+        if not isinstance(side, list) or not all(isinstance(v, str) for v in side):
+            return DocumentError(f'edge {j}: "{label}" must be a list of strings')
+        if len(frozenset(side)) != len(side):
+            twice = next(v for k, v in enumerate(side) if v in side[:k])
+            return DocumentError(f'edge {j}: "{label}" names vertex {twice!r} twice')
+    raise InternalInconsistencyError(f"edge {j} was refused but has no fault")
 
 
 def serialize_document(hypergraph: OrientedHypergraph, name: str | None = None) -> str:
@@ -125,9 +139,8 @@ def _edge_labels(hypergraph: OrientedHypergraph) -> list[str]:
 
 
 def _scalar_json(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+    """An ``int`` coefficient as a JSON number, a Fraction as ``"p/q"``."""
+    return value if type(value) is int else str(value)
 
 
 def _formal_sum_json(item, labels) -> dict:

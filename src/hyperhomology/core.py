@@ -6,14 +6,18 @@ and never overflows.  Fractions stay in lowest terms with a positive
 denominator by construction.  Vertex order and edge order of a hypergraph
 fix the bases of the 0-chain and 1-chain groups and the layout of every
 matrix and report derived from them.
+
+``fractions`` (and with it ``decimal`` and ``numbers``) is imported only
+on the code paths that make or test a Fraction, never at module level, so
+an integer query does not load it.  Annotation types come from
+``collections.abc``, which ``functools`` loads anyway, not from ``typing``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 
 class Ring(Enum):
@@ -26,13 +30,15 @@ class Ring(Enum):
         """Convert ``value`` into this ring, rejecting lossy conversions."""
         if isinstance(value, bool):
             raise TypeError("booleans are not scalars")
+        if self is Ring.INTEGER and isinstance(value, int):
+            return value
+        from fractions import Fraction
+
         if self is Ring.INTEGER:
             if isinstance(value, Fraction):
                 if value.denominator != 1:
                     raise ValueError(f"{value} is not an integer")
                 return int(value)
-            if isinstance(value, int):
-                return value
             raise TypeError(f"cannot coerce {value!r} to the integers")
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
@@ -40,11 +46,19 @@ class Ring(Enum):
 
     @property
     def zero(self):
-        return 0 if self is Ring.INTEGER else Fraction(0)
+        if self is Ring.INTEGER:
+            return 0
+        from fractions import Fraction
+
+        return Fraction(0)
 
     @property
     def one(self):
-        return 1 if self is Ring.INTEGER else Fraction(1)
+        if self is Ring.INTEGER:
+            return 1
+        from fractions import Fraction
+
+        return Fraction(1)
 
 
 class _Record:
@@ -123,32 +137,35 @@ def validation_report(vertices, edges) -> list[str]:
     inverses of each other.  Two edges with identical (tails, heads) are
     allowed (parallel edges); an edge equal to the *inverse* of another is
     not.  A single edge with empty tails and heads is allowed, but a second
-    one counts as an inverse pair (it is its own inverse).
+    one counts as an inverse pair (it is its own inverse).  The duplicate
+    vertices come first, then the overlaps and unknown vertices edge by
+    edge, then the inverse pairs, later edge outer.  A valid edge costs a
+    disjointness test, two subset tests and one lookup of its inverse.
     """
+    vertices = tuple(vertices)
     violations = []
-    seen = set()
-    for v in vertices:
-        if v in seen:
-            violations.append(f"duplicate vertex {v!r}")
-        seen.add(v)
     known = set(vertices)
-    normalized = []
+    if len(known) != len(vertices):
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                violations.append(f"duplicate vertex {v!r}")
+            seen.add(v)
+    inverse_pairs = []
+    earlier: dict[tuple, list[int]] = {}
     for j, (tails, heads) in enumerate(edges):
         tails = frozenset(tails)
         heads = frozenset(heads)
-        overlap = tails & heads
-        if overlap:
-            names = ", ".join(sorted(repr(v) for v in overlap))
+        if not tails.isdisjoint(heads):
+            names = ", ".join(sorted(repr(v) for v in tails & heads))
             violations.append(f"edge {j}: tails and heads overlap on {names}")
-        for v in sorted((tails | heads) - known, key=repr):
-            violations.append(f"edge {j}: unknown vertex {v!r}")
-        normalized.append((tails, heads))
-    earlier: dict[tuple, list[int]] = {}
-    for j, (tails, heads) in enumerate(normalized):
+        if not (known >= tails and known >= heads):
+            for v in sorted((tails | heads) - known, key=repr):
+                violations.append(f"edge {j}: unknown vertex {v!r}")
         for i in earlier.get((heads, tails), ()):
-            violations.append(f"edges {i} and {j}: inverse pair")
+            inverse_pairs.append(f"edges {i} and {j}: inverse pair")
         earlier.setdefault((tails, heads), []).append(j)
-    return violations
+    return violations + inverse_pairs
 
 
 class OrientedHypergraph(_Record):

@@ -12,7 +12,9 @@ computed fraction-free (integer-preserving, after Bareiss): every row is
 held in ints as a positive multiple of the row the schoolbook elimination
 over Fractions holds at the same step, so it has the same nonzeros and
 leads to the same pivots, and each pivot row is divided by its pivot only
-at the end, one Fraction per returned nonzero.
+at the end, one Fraction per returned nonzero.  ``fractions`` is imported
+inside the functions that build Fractions, once per call, so the integer
+route never loads it.
 
 :class:`ExactMatrix` stores one ``{column: nonzero}`` dict per row, and
 its dense ``entries`` are only a view built on request, so a boundary
@@ -36,7 +38,6 @@ exactly, on the sparse factors, and a mismatch raises
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .core import InternalInconsistencyError, Ring, _Record
@@ -232,6 +233,8 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
                 if content > 1:
                     matrix[i] = {j: x // content for j, x in row.items()}
         pivots.append(c)
+    from fractions import Fraction
+
     reduced = [matrix[i] for i in order]
     for k, c in enumerate(pivots):
         row = reduced[k]
@@ -245,6 +248,8 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
 
 def _dense(vector: dict, length: int) -> list[Fraction]:
     """Dense Fraction vector of a ``{index: value}`` dict."""
+    from fractions import Fraction
+
     line = [Fraction(0)] * length
     for j, x in vector.items():
         line[j] = x
@@ -265,6 +270,8 @@ def _rref_tree(rows: list[dict], cols: int, order=None):
     scan order) to a ``{column: nonzero Fraction}`` dict with its columns
     ascending.
     """
+    from fractions import Fraction
+
     order = list(range(cols)) if order is None else list(order)
     place = {j: k for k, j in enumerate(order)}
     reduced, pivots = _sparse_rref(
@@ -303,6 +310,8 @@ def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:
     Free variables are set to zero, so the answer is deterministic; when the
     columns are independent the solution is unique anyway.
     """
+    from fractions import Fraction
+
     rhs = list(rhs)
     if len(rhs) != matrix.rows:
         raise ValueError("right-hand side length does not match row count")
@@ -610,6 +619,8 @@ def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
         for i, d in enumerate(decomposition.diagonal):
             basis.append([d * x for x in decomposition.u_inverse.column(i)])
         return basis
+    from fractions import Fraction
+
     tree, _, _ = _rref_tree(matrix.lines, matrix.cols)
     return [[Fraction(x) for x in matrix.column(j)] for j in tree]
 

@@ -18,7 +18,6 @@ fundamental cycles.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
@@ -268,6 +267,8 @@ def vector_space_spanning_tree(ambient_dim: int, subspace_generators):
     the hypergraph case, on a matrix whose kernel is the subspace (its rows
     span the orthogonal complement) in place of the boundary matrix.
     """
+    from fractions import Fraction
+
     rows = [[Fraction(x) for x in generator] for generator in subspace_generators]
     if any(len(row) != ambient_dim for row in rows):
         raise ValueError("generator length does not match ambient dimension")

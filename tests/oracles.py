@@ -7,8 +7,10 @@ The dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
 the dense list transpose and products beside them are the reference for
 the sparse rows of ``ExactMatrix``, :func:`stacked_smith_missing_chain`
-is its earlier integer spanning check, and :func:`reference_parser` is the
-command-line parser as it was built on argparse.
+is its earlier integer spanning check, :func:`pairwise_validation_report`
+checks a hypergraph's invariants edge pair by edge pair, and
+:func:`reference_parser` is the command-line parser as it was built on
+argparse.
 """
 
 from __future__ import annotations
@@ -30,6 +32,30 @@ from hyperhomology import (
     random_hypergraph,
 )
 from hyperhomology import cli
+
+
+def pairwise_validation_report(vertices, edges) -> list[str]:
+    """Every violated hypergraph invariant, in the order of
+    ``validation_report``: each repeated vertex, then each edge's overlap
+    and unknown vertices, then every inverse pair (i, j) with i < j, j
+    outer, found by comparing each edge with every earlier one."""
+    vertices = list(vertices)
+    edges = [(set(tails), set(heads)) for tails, heads in edges]
+    violations = [
+        f"duplicate vertex {v!r}" for k, v in enumerate(vertices) if v in vertices[:k]
+    ]
+    for j, (tails, heads) in enumerate(edges):
+        common = [v for v in tails if v in heads]
+        if common:
+            names = ", ".join(sorted(repr(v) for v in common))
+            violations.append(f"edge {j}: tails and heads overlap on {names}")
+        unknown = {v for v in [*tails, *heads] if v not in vertices}
+        violations += [f"edge {j}: unknown vertex {v!r}" for v in sorted(unknown, key=repr)]
+    for j, (tails, heads) in enumerate(edges):
+        for i in range(j):
+            if edges[i] == (heads, tails):
+                violations.append(f"edges {i} and {j}: inverse pair")
+    return violations
 
 
 def dot(u, v):

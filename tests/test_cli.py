@@ -57,6 +57,33 @@ def test_parse_rejects_bad_shapes():
         parse_document('{"vertices": ["a", "b"], "edges": [{"tails": ["a", "a"], "heads": ["b"]}]}')
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ('[{"tails": ["a"], "heads": ["b"]}, 3]', "edge 1 must be an object with tails and heads"),
+        ('[{"heads": ["b"]}]', 'edge 0: "tails" must be a list of strings'),
+        ('[{"tails": ["a"]}]', 'edge 0: "heads" must be a list of strings'),
+        ('[{"tails": "ab", "heads": ["b"]}]', 'edge 0: "tails" must be a list of strings'),
+        ('[{"tails": ["a"], "heads": ["b", 1]}]', 'edge 0: "heads" must be a list of strings'),
+        ('[{"tails": ["a", "a"], "heads": [1]}]', "edge 0: \"tails\" names vertex 'a' twice"),
+        ('[{"tails": [1], "heads": ["b", "b"]}]', 'edge 0: "tails" must be a list of strings'),
+        ('[{"tails": ["a"], "heads": ["b", "a", "b"]}]', "edge 0: \"heads\" names vertex 'b' twice"),
+        ('[{"tails": [["a"]], "heads": ["b"]}]', 'edge 0: "tails" must be a list of strings'),
+        (
+            '[{"tails": ["a"], "heads": ["b"]}, {"tails": ["b", "b"], "heads": []}]',
+            "edge 1: \"tails\" names vertex 'b' twice",
+        ),
+    ],
+)
+def test_parse_reports_the_first_edge_fault(edges, message):
+    # the first faulty edge is reported, its tails before its heads, each
+    # side's type before its repeated vertices
+    text = '{"vertices": ["a", "b"], "edges": %s}' % edges
+    with pytest.raises(DocumentError) as caught:
+        parse_document(text)
+    assert str(caught.value) == message
+
+
 def test_parse_forwards_validation_errors():
     document = '{"vertices": ["a"], "edges": [{"tails": ["a"], "heads": ["a"]}]}'
     with pytest.raises(Exception, match="overlap"):
@@ -346,30 +373,54 @@ def test_hostile_document_stdin_process_exits_1():
         _assert_clean_error(result.returncode, result.stdout.decode(), result.stderr.decode())
 
 
-def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
-    # -S keeps site hooks from preloading modules and hiding a regression
-    import os
+def _run_bare(src, script):
+    """Run ``script`` under ``python -S -E`` with ``src`` first on the path;
+    -S keeps site hooks from preloading modules and hiding a regression."""
     import subprocess
     import sys
 
+    script = f"import sys\nsys.path.insert(0, {src!r})\n" + script
+    return subprocess.run(
+        [sys.executable, "-S", "-E", "-c", script], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
+    import os
+
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     document = _write_example(tmp_path, "triangle-graph")
+    # integer and structural queries never make a Fraction, so they must not
+    # load the rational stack (fractions imports decimal and numbers)
     script = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
         "from hyperhomology.cli import run_command\n"
         "assert run_command(['example', 'path-graph']) == 0\n"
+        f"assert run_command(['validate', {document!r}]) == 0\n"
         f"assert run_command(['homology', {document!r}, '--ring', 'int']) == 0\n"
-        "heavy = ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale')\n"
+        f"assert run_command(['graphlike', {document!r}]) == 0\n"
+        f"assert run_command(['decompose', {document!r}, '--ring', 'int']) == 0\n"
+        "heavy = ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale',\n"
+        "         'fractions', 'decimal', 'numbers', 'typing')\n"
         "loaded = [name for name in heavy if name in sys.modules]\n"
         "sys.exit(f'loaded at start-up: {loaded}' if loaded else 0)\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-S", "-E", "-c", script], capture_output=True, text=True, timeout=60
-    )
+    result = _run_bare(src, script)
     assert result.returncode == 0, result.stderr
     assert '"name": "path-graph"' in result.stdout
+    assert "valid hypergraph: 3 vertices, 3 edges" in result.stdout
     assert "homology: free rank 1, torsion []" in result.stdout
+    assert "graph-like: yes" in result.stdout
+    assert "cut basis: e1 + e3, e2 + e3" in result.stdout
+    # a rational query loads the stack where it makes Fractions and answers
+    script = (
+        "from hyperhomology.cli import run_command\n"
+        f"sys.exit(run_command(['homology', {document!r}, '--ring', 'rat']))\n"
+    )
+    result = _run_bare(src, script)
+    assert result.returncode == 0, result.stderr
+    assert "ring: rat" in result.stdout
+    assert "homology: free rank 1, torsion []" in result.stdout
+    assert "homology basis: -e1 - e2 + e3" in result.stdout
 
 
 # The four reports that read integer coboundary membership, over a seeded
@@ -385,17 +436,41 @@ _PINNED_REPORT_COMMANDS = (
 )
 
 
-def test_coboundary_reports_match_pinned_digest(tmp_path, capsys):
+def _report_digest(tmp_path, capsys, commands) -> str:
+    """SHA-256 of the exit code and stdout of each of ``commands``, text and
+    --json, on the built-in examples and ``hypergraph_suite(60)``."""
     documents = [(name, factory()) for name, factory in sorted(BUILTIN_EXAMPLES.items())]
     documents += [(f"suite-{k}", h) for k, h in enumerate(hypergraph_suite(60))]
     digest = hashlib.sha256()
     for name, h in documents:
         path = tmp_path / f"{name}.json"
         path.write_text(serialize_document(h, name=name))
-        for command in _PINNED_REPORT_COMMANDS:
+        for command in commands:
             for flags in ((), ("--json",)):
                 argv = [command[0], str(path), *command[1:], *flags]
                 code, out, _ = _run(capsys, *argv)
                 digest.update(f"{name} {' '.join(command + flags)} -> {code}\n".encode())
                 digest.update(out.encode())
-    assert digest.hexdigest() == _PINNED_REPORT_DIGEST
+    return digest.hexdigest()
+
+
+def test_coboundary_reports_match_pinned_digest(tmp_path, capsys):
+    assert _report_digest(tmp_path, capsys, _PINNED_REPORT_COMMANDS) == _PINNED_REPORT_DIGEST
+
+
+# The reports that the digest above leaves out and that print coefficients
+# or come from an integer query: validation, homology over both rings and
+# the rational decomposition, over the same documents, text and --json.
+# The digest was taken from a run of the program before the rational stack
+# moved off the import path of integer queries.
+_PINNED_RING_DIGEST = "00cc49260261cfbe4c135dd5d89f4e4fc6d963705071fb672ddac23d919ac0bf"
+_PINNED_RING_COMMANDS = (
+    ("validate",),
+    ("homology", "--ring", "int"),
+    ("homology", "--ring", "rat"),
+    ("decompose", "--ring", "rat"),
+)
+
+
+def test_ring_reports_match_pinned_digest(tmp_path, capsys):
+    assert _report_digest(tmp_path, capsys, _PINNED_RING_COMMANDS) == _PINNED_RING_DIGEST

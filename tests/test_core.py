@@ -30,6 +30,8 @@ from hyperhomology import (
     verify_tree_axioms,
 )
 
+from oracles import pairwise_validation_report
+
 
 def test_overlapping_edge_rejected():
     report = validation_report(["a"], [({"a"}, {"a"})])
@@ -97,6 +99,34 @@ def test_violation_list_order_pinned():
         "edges 0 and 9: inverse pair",
         "edges 3 and 9: inverse pair",
     ]
+
+
+def test_validation_report_matches_pairwise_oracle():
+    # small pools make every fault common: repeated and unknown vertices,
+    # overlaps, parallel edges, inverse pairs and repeated empty edges
+    rng = random.Random(41)
+    pool = ["a", "b", "c", "d", "z", 0, ("t",)]
+    invalid = 0
+    for _ in range(600):
+        vertices = [rng.choice(pool[:5]) for _ in range(rng.randint(0, 5))]
+        edges = []
+        for _ in range(rng.randint(0, 7)):
+            if edges and rng.random() < 0.3:
+                tails, heads = rng.choice(edges)
+                edges.append((heads, tails) if rng.random() < 0.7 else (tails, heads))
+            else:
+                side = lambda: {rng.choice(pool) for _ in range(rng.randint(0, 2))}
+                edges.append((side(), side()))
+        expected = pairwise_validation_report(vertices, edges)
+        assert validation_report(vertices, edges) == expected
+        invalid += bool(expected)
+        if not expected:
+            assert validate(OrientedHypergraph(vertices, edges)) == []
+        else:
+            with pytest.raises(HypergraphValidationError) as caught:
+                OrientedHypergraph(vertices, edges)
+            assert list(caught.value.violations) == expected
+    assert 100 < invalid < 550
 
 
 def test_empty_sided_edges_allowed():
@@ -209,6 +239,45 @@ def test_scalar_normalization():
     chain = Chain(1, {0: Fraction(6, 4)}, Ring.RATIONAL)
     value = chain.coefficient(0)
     assert value.numerator == 3 and value.denominator == 2
+
+
+def test_integer_coerce_keeps_ints_and_takes_integral_fractions():
+    assert Ring.INTEGER.coerce(7) == 7 and type(Ring.INTEGER.coerce(7)) is int
+    for fraction, expected in ((Fraction(4, 2), 2), (Fraction(4), 4), (Fraction(-6, 3), -2)):
+        value = Ring.INTEGER.coerce(fraction)
+        assert value == expected and type(value) is int
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        Ring.INTEGER.coerce(Fraction(1, 2))
+
+
+def test_rational_coerce_makes_fractions():
+    for value, expected in ((3, Fraction(3)), (-5, Fraction(-5)), (Fraction(6, 4), Fraction(3, 2))):
+        coerced = Ring.RATIONAL.coerce(value)
+        assert coerced == expected and type(coerced) is Fraction
+
+
+@pytest.mark.parametrize("ring", list(Ring))
+@pytest.mark.parametrize("value", [True, False, 1.0, 0.5, "1", None])
+def test_coerce_rejects_booleans_floats_and_other_types(ring, value):
+    with pytest.raises(TypeError):
+        ring.coerce(value)
+
+
+def test_ring_zero_and_one_are_typed_by_ring():
+    assert (Ring.INTEGER.zero, Ring.INTEGER.one) == (0, 1)
+    assert type(Ring.INTEGER.zero) is int and type(Ring.INTEGER.one) is int
+    assert (Ring.RATIONAL.zero, Ring.RATIONAL.one) == (Fraction(0), Fraction(1))
+    assert type(Ring.RATIONAL.zero) is Fraction and type(Ring.RATIONAL.one) is Fraction
+
+
+def test_scalar_json_keeps_ints_and_writes_fractions_as_text():
+    from hyperhomology.cli import _scalar_json
+
+    assert _scalar_json(3) == 3 and type(_scalar_json(3)) is int
+    assert _scalar_json(-2) == -2
+    assert _scalar_json(Fraction(1, 2)) == "1/2"
+    assert _scalar_json(Fraction(-3, 4)) == "-3/4"
+    assert _scalar_json(Fraction(2)) == "2"
 
 
 def test_random_generator_always_validates():
