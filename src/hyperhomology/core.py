@@ -284,7 +284,8 @@ class _FormalSum(_Record):
     def to_vector(self, length: int) -> list:
         if self.coefficients and max(self.coefficients) >= length:
             raise IndexError("coefficient index out of range for requested length")
-        return [self.coefficients.get(i, self.ring.zero) for i in range(length)]
+        zero = self.ring.zero
+        return [self.coefficients.get(i, zero) for i in range(length)]
 
     def with_ring(self, ring: Ring):
         """Convert between rings; integer -> rational always works, the

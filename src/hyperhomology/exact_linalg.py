@@ -23,9 +23,13 @@ products and matrix-vector products cost in proportion to the nonzeros.
 Both kernels work on such dicts: the Smith reduction starts from the
 matrix's rows and its factors come back as sparse matrices, and the RREF
 takes and returns dict rows.  The spanning-tree reader returns its
-fundamental cuts and cycles as ``{index: nonzero Fraction}`` dicts, which
-the reports wrap as chains directly; only the public functions that
-return dense lists build them, at the end.  The pivot rules are pinned:
+fundamental cuts and cycles as ``{index: nonzero}`` dicts, of Fractions
+or, for an integer tree, of ints divided out exactly, which the reports
+wrap as chains directly; only the public functions that return dense
+lists build them, at the end.  A rank needs only the fraction-free
+elimination, so it makes no Fraction.  The integer-tree search keeps a
+log of unimodular row operations (swap, negate, add q times a row) and
+replays it on one sparse column at a time.  The pivot rules are pinned:
 the Smith form takes a nonzero of least absolute value, lowest current
 row first, then lowest current column (so a unit entry whenever there is
 one), and the RREF takes the first unused row of each column.  The
@@ -158,29 +162,30 @@ def _integer_row(row: dict) -> dict:
     return {j: x.numerator * (scale // x.denominator) for j, x in row.items() if x}
 
 
-def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form with the pivot columns, over Fractions, of
-    the matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
-    Fractions, which are not modified).
+def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
+    """Fraction-free reduced row echelon form with the pivot columns of the
+    matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
+    Fractions, which are not modified).  Returns the rows in their final
+    order, every value a nonzero int and each pivot positive: the RREF rows
+    each times its own pivot, then empty dicts.  :func:`_divide_pivots`
+    turns them into the RREF; the rank is the number of pivots.
 
     Each row is kept with the set of rows that are nonzero in each column,
     so a step touches only the nonzeros of the rows it changes.  The pivot
     of a column is the first row, in current order, not yet used as a
     pivot; a pivot row moves up to the next free position, as in schoolbook
-    elimination.  Returns the rows in their final order (the RREF rows,
-    then empty dicts), every value a nonzero Fraction, and the pivot
-    columns.
+    elimination.
 
-    The elimination is fraction-free.  Each row is stored in ints, as a
-    positive multiple of the row the schoolbook elimination over Fractions
-    holds at the same step: its denominators are cleared on entry, a pivot
-    row is negated when its pivot is negative (and divided by its content
-    when the pivot is not 1), and another row with b at the pivot column
-    becomes ``a * row - b' * pivot_row``, where a and b' are the pivot p and
-    b divided by gcd(p, b), and is divided by its content when a is not 1.
+    Each row is stored in ints, as a positive multiple of the row the
+    schoolbook elimination over Fractions holds at the same step: its
+    denominators are cleared on entry, a pivot row is negated when its
+    pivot is negative (and divided by its content when the pivot is not 1),
+    and another row with b at the pivot column becomes
+    ``a * row - b' * pivot_row``, where a and b' are the pivot p and b
+    divided by gcd(p, b), and is divided by its content when a is not 1.
     A positive multiple has the nonzero pattern of the schoolbook row, so
     the pivots, the ``holders`` sets and, once each pivot row is divided by
-    its pivot at the end, the returned rows are exactly the schoolbook ones.
+    its pivot, the rows are exactly the schoolbook ones.
     """
     height = len(rows)
     matrix = [_integer_row(row) for row in rows]
@@ -233,9 +238,29 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
                 if content > 1:
                     matrix[i] = {j: x // content for j, x in row.items()}
         pivots.append(c)
+    return [matrix[i] for i in order], pivots
+
+
+def _divide_pivots(reduced: list[dict], pivots: list[int], ring: Ring) -> list[dict]:
+    """The RREF rows: each row of :func:`_integer_echelon` divided by its
+    pivot, into Fractions over the rationals and exactly over the integers,
+    where a pivot that does not divide its row raises
+    :class:`InternalInconsistencyError`.  Rows past the rank are kept."""
+    reduced = list(reduced)
+    if ring is Ring.INTEGER:
+        for k, c in enumerate(pivots):
+            row = reduced[k]
+            p = row[c]
+            if p != 1:
+                for x in row.values():
+                    if x % p:
+                        raise InternalInconsistencyError(
+                            f"fractional integer tree: {x}/{p} is not an integer"
+                        )
+                reduced[k] = {j: x // p for j, x in row.items()}
+        return reduced
     from fractions import Fraction
 
-    reduced = [matrix[i] for i in order]
     for k, c in enumerate(pivots):
         row = reduced[k]
         p = row[c]
@@ -243,7 +268,18 @@ def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
             reduced[k] = {j: Fraction(x) for j, x in row.items()}
         else:
             reduced[k] = {j: Fraction(x, p) for j, x in row.items()}
-    return reduced, pivots
+    return reduced
+
+
+def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form with the pivot columns, over Fractions, of
+    the matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
+    Fractions, which are not modified).  Returns the rows in their final
+    order (the RREF rows, then empty dicts), every value a nonzero
+    Fraction, and the pivot columns: :func:`_integer_echelon` with each
+    pivot row divided by its pivot at the end."""
+    reduced, pivots = _integer_echelon(rows, width)
+    return _divide_pivots(reduced, pivots, Ring.RATIONAL), pivots
 
 
 def _dense(vector: dict, length: int) -> list[Fraction]:
@@ -256,7 +292,7 @@ def _dense(vector: dict, length: int) -> list[Fraction]:
     return line
 
 
-def _rref_tree(rows: list[dict], cols: int, order=None):
+def _rref_tree(rows: list[dict], cols: int, order=None, ring: Ring = Ring.RATIONAL):
     """Spanning tree of the row space, read off one RREF.
 
     ``rows`` are ``{column: nonzero}`` dicts.  Columns are scanned in
@@ -267,23 +303,26 @@ def _rref_tree(rows: list[dict], cols: int, order=None):
     column and minus the RREF entry at each pivot: the fundamental cycle of
     f.  Returns ``(tree, cuts, cycles)``: the tree columns in scan order,
     then dicts from tree column (in scan order) and from free column (in
-    scan order) to a ``{column: nonzero Fraction}`` dict with its columns
-    ascending.
+    scan order) to a ``{column: nonzero}`` dict with its columns ascending.
+    The values are Fractions over the rationals.  Over the integers they
+    are ints: the RREF is divided exactly, and a pivot that does not divide
+    its row (a tree whose cuts are not all integral) raises
+    :class:`InternalInconsistencyError`.
     """
-    from fractions import Fraction
-
     order = list(range(cols)) if order is None else list(order)
     place = {j: k for k, j in enumerate(order)}
-    reduced, pivots = _sparse_rref(
+    reduced, pivots = _integer_echelon(
         [{place[j]: x for j, x in row.items()} for row in rows], cols
     )
+    reduced = _divide_pivots(reduced, pivots, ring)
     tree = tuple(order[p] for p in pivots)
     cuts = {
         t: dict(sorted((order[k], x) for k, x in reduced[i].items()))
         for i, t in enumerate(tree)
     }
     pivot_set = set(pivots)
-    cycles = {order[k]: {order[k]: Fraction(1)} for k in range(cols) if k not in pivot_set}
+    one = ring.one
+    cycles = {order[k]: {order[k]: one} for k in range(cols) if k not in pivot_set}
     for i, t in enumerate(tree):
         for k, x in reduced[i].items():
             j = order[k]
@@ -300,8 +339,7 @@ def image_rank(matrix: ExactMatrix) -> int:
     Deliberately independent of the Smith normal form so the two routes can
     be checked against each other.
     """
-    _, pivots = _sparse_rref(matrix.lines, matrix.cols)
-    return len(pivots)
+    return len(_integer_echelon(matrix.lines, matrix.cols)[1])
 
 
 def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:
@@ -404,6 +442,68 @@ def _axpy(target: dict, source: dict, q: int) -> None:
             target[j] = x
         else:
             del target[j]
+
+
+def _replay(ops, vector: dict) -> dict:
+    """The integer ``{row: nonzero}`` vector with the unimodular row
+    operations ``ops`` applied in turn; ``vector`` is not modified.  An
+    operation ``(a, b, q)`` adds q times row b to row a when q is nonzero;
+    with q = 0 it swaps rows a and b, or negates row a when a == b.  An
+    operation whose rows are zero in the vector leaves it as it is."""
+    y = dict(vector)
+    for a, b, q in ops:
+        if q:
+            x = y.get(b)
+            if x:
+                x = y.get(a, 0) + q * x
+                if x:
+                    y[a] = x
+                else:
+                    del y[a]
+        elif a == b:
+            if a in y:
+                y[a] = -y[a]
+        else:
+            x, z = y.pop(a, 0), y.pop(b, 0)
+            if x:
+                y[b] = x
+            if z:
+                y[a] = z
+    return y
+
+
+def _unit_steps(residual: dict, depth: int) -> list[tuple[int, int, int]]:
+    """Row operations, in the encoding of :func:`_replay`, that take the
+    primitive integer vector ``residual`` (gcd 1, every nonzero in a row
+    from ``depth`` on) to the unit vector at row ``depth``, touching only
+    rows from ``depth`` on.  Euclid's algorithm on its entries: swap an
+    entry of least absolute value, lowest row first, into row ``depth``,
+    reduce every other entry modulo it, and repeat until one entry is
+    left, which is then 1 or -1, and negated if it is -1."""
+    y = dict(residual)
+    ops = []
+    while True:
+        i = min(y, key=lambda k: (abs(y[k]), k))
+        if i != depth:
+            ops.append((depth, i, 0))
+            x = y.pop(depth, 0)
+            y[depth] = y.pop(i)
+            if x:
+                y[i] = x
+        if len(y) == 1:
+            break
+        p = y[depth]
+        for k in [k for k in y if k != depth]:
+            q = -(y[k] // p)
+            ops.append((k, depth, q))
+            x = y[k] + q * p
+            if x:
+                y[k] = x
+            else:
+                del y[k]
+    if y[depth] < 0:
+        ops.append((depth, depth, 0))
+    return ops
 
 
 def _smith_reduce(rows: list[dict], width: int):

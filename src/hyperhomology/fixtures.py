@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 from .core import OrientedHypergraph
 
 
@@ -81,6 +79,8 @@ def random_hypergraph(
             raise ValueError(f"{label} must not be negative, got {value}")
     if edge_count and not allow_empty_edges and (vertex_count == 0 or max_arity == 0):
         raise ValueError("no nonempty edge can be drawn with these parameters")
+    import random
+
     rng = random.Random(seed)
     vertices = [f"v{i + 1}" for i in range(vertex_count)]
     edges: list[tuple[frozenset, frozenset]] = []

@@ -19,8 +19,6 @@ reduced row echelon form of B.
 
 from __future__ import annotations
 
-import random
-
 from .boundary import boundary_matrix
 from .core import (
     Chain,
@@ -403,6 +401,8 @@ def boundary_functional_injectivity_check(
     gram = matrix.transpose() @ matrix
     if image_rank(gram) != image_rank(matrix):
         return False
+    import random
+
     rng = random.Random(seed)
     m = hypergraph.edge_count
     for _ in range(samples):

@@ -7,41 +7,43 @@ the rationals one always exists.  Over the integers a column basis T of
 the boundary matrix B is a tree exactly when the columns B_T have every
 elementary divisor 1: then each chord's boundary is an integer combination
 of B_T and each unit vector on T an integer combination of the rows of
-B_T, so every fundamental cycle and cut is integral.  The search tests
-that criterion on each subset in turn and verifies only the tree it
-returns.  Every tree, rational, integer or vector-space, is read off one
-reduced row echelon form: pivot columns are the tree, nonzero rows the
-fundamental cuts, and the null vectors of the free columns the
-fundamental cycles.
+B_T, so every fundamental cycle and cut is integral.  Every subset of such
+a basis has the same property, so the search walks prefixes of edges in
+index order, extends a prefix only while it keeps the property, tests
+each new column in ints against the prefix's log of row operations, and
+verifies only the tree it returns.  Every tree, rational, integer or
+vector-space, is read off one reduced row echelon form: pivot columns are
+the tree, nonzero rows the fundamental cuts, and the null vectors of the
+free columns the fundamental cycles; an integer tree is read in ints.
 """
 
 from __future__ import annotations
 
-import itertools
+from math import gcd
 
 from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
-    ExactMatrix,
     _dense,
+    _integer_echelon,
     _is_coboundary,
     _lattice_contains_all,
+    _replay,
     _rref_tree,
-    _sparse_rref,
+    _unit_steps,
     image_rank,
     smith_normal_form,
 )
 
 
 class SearchLimitExceeded(RuntimeError):
-    """The integer-tree search ran out of budget before exhausting all
-    candidate subsets; distinct from a completed search returning none."""
+    """The integer-tree search ran out of budget before its walk over
+    prefixes ended; distinct from a completed search returning none.
+    ``examined`` is the number of prefixes tested."""
 
     def __init__(self, examined: int):
         self.examined = examined
-        super().__init__(
-            f"search limit reached after examining {examined} candidate subsets"
-        )
+        super().__init__(f"search limit reached after testing {examined} prefixes")
 
 
 class SpanningTree(_Record):
@@ -62,24 +64,12 @@ class SpanningTree(_Record):
 
 
 def _spanning_tree(tree_edges, cuts, cycles, ring: Ring = Ring.RATIONAL) -> SpanningTree:
-    """Wrap the ``{index: Fraction}`` vectors of :func:`_rref_tree` as
-    chains over ``ring``; over the integers every value must be integral,
-    or the tree is refused with :class:`InternalInconsistencyError`."""
-
-    def chain(vector: dict) -> Chain:
-        if ring is Ring.INTEGER:
-            for x in vector.values():
-                if x.denominator != 1:
-                    raise InternalInconsistencyError(
-                        f"fractional integer tree: {x} is not an integer"
-                    )
-            vector = {j: x.numerator for j, x in vector.items()}
-        return Chain._of(1, vector, ring)
-
+    """Wrap the ``{index: value}`` vectors of :func:`_rref_tree`, read
+    over ``ring``, as chains over ``ring``."""
     return SpanningTree(
         tree_edges,
-        {t: chain(v) for t, v in cuts.items()},
-        {e: chain(v) for e, v in cycles.items()},
+        {t: Chain._of(1, v, ring) for t, v in cuts.items()},
+        {e: Chain._of(1, v, ring) for e, v in cycles.items()},
         ring,
     )
 
@@ -175,7 +165,7 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     if ring is Ring.RATIONAL:
 
         def rank(rows) -> int:
-            return len(_sparse_rref(rows, m)[1])
+            return len(_integer_echelon(rows, m)[1])
 
         boundary_rank = rank(matrix.lines)
         cuts_are_cuts = rank([*matrix.lines, *cut_rows]) == boundary_rank
@@ -221,40 +211,68 @@ def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
 def find_spanning_tree_integer(
     hypergraph: OrientedHypergraph, search_limit: int = 1_000_000
 ) -> SpanningTree | None:
-    """Exhaustive search for a spanning tree over the integers.
+    """Search for a spanning tree over the integers: the first, in
+    lexicographic order of edge indices, of the size-``rank`` edge subsets
+    whose boundary columns have every elementary divisor 1.
 
-    Candidate subsets are the size-``rank`` edge subsets, visited in
-    lexicographic order of edge indices; each counts against
-    ``search_limit``.  A subset is accepted iff its boundary columns have
-    Smith diagonal ``(1,) * rank``, which also requires them to be a column
-    basis; the fundamental cuts and cycles are then all integral.  The
-    diagonal is read off :func:`smith_normal_form` of B_T, the transpose of
-    the subset's sparse columns of B, so each candidate's factors pass the
-    exact ``u @ B_T @ v == s`` check.  Only the accepted subset is built,
-    read off the RREF of the boundary matrix with its columns ordered
-    first, and verified once against the integer axioms.
-    Returns None when the enumeration completes without a hit; raises
+    Every subset of such a basis has that property too, so the search is a
+    depth-first walk over prefixes, edges in index order, that extends a
+    prefix only while its columns stay independent and saturated, and
+    backtracks once too few edges remain to reach the rank.  It visits the
+    surviving subsets in lexicographic order and returns the same first
+    basis as testing every subset in turn.  A prefix of depth k carries a
+    log of unimodular row operations taking its columns to the first k unit
+    vectors.  A new column, reduced against the log, extends the prefix
+    exactly when its residual on rows k.. is primitive (gcd 1); then the
+    Euclid steps that take the residual to the unit vector at row k are
+    appended to the log, and replaying them on the column must give that
+    unit vector from row k down, or :class:`InternalInconsistencyError` is
+    raised.  Backtracking truncates the log.  Each column tested counts
+    against ``search_limit``.  The accepted tree is read off the integer
+    RREF of the boundary matrix with its columns ordered first and verified
+    once against the integer axioms.
+    Returns None when the walk completes without a hit; raises
     :class:`SearchLimitExceeded` when the budget runs out first.
     """
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
     columns = matrix.transpose().lines
     rank = image_rank(matrix)
-    units = (1,) * rank
+    prefix: list[int] = []
+    marks: list[int] = []  # length of the log before each prefix edge's steps
+    log: list[tuple[int, int, int]] = []
     examined = 0
-    for subset in itertools.combinations(range(m), rank):
+    j = 0
+    while len(prefix) < rank:
+        depth = len(prefix)
+        if m - j < rank - depth:
+            if not prefix:
+                return None
+            j = prefix.pop() + 1
+            del log[marks.pop() :]
+            continue
         if examined >= search_limit:
             raise SearchLimitExceeded(examined)
         examined += 1
-        candidate = ExactMatrix._of([columns[j] for j in subset], matrix.rows).transpose()
-        if smith_normal_form(candidate).diagonal != units:
-            continue
-        order = subset + tuple(j for j in range(m) if j not in subset)
-        tree = _spanning_tree(*_rref_tree(matrix.lines, m, order), Ring.INTEGER)
-        if not verify_tree_axioms(hypergraph, tree).ok:
-            raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
-        return tree
-    return None
+        reduced = _replay(log, columns[j])
+        residual = {i: x for i, x in reduced.items() if i >= depth}
+        if gcd(*residual.values()) == 1:
+            steps = _unit_steps(residual, depth)
+            unit = {i: x for i, x in _replay(steps, reduced).items() if i >= depth}
+            if unit != {depth: 1}:
+                raise InternalInconsistencyError(
+                    f"row operations do not take edge {j} to a unit vector"
+                )
+            marks.append(len(log))
+            log += steps
+            prefix.append(j)
+        j += 1
+    chosen = set(prefix)
+    order = prefix + [e for e in range(m) if e not in chosen]
+    tree = _spanning_tree(*_rref_tree(matrix.lines, m, order, Ring.INTEGER), Ring.INTEGER)
+    if not verify_tree_axioms(hypergraph, tree).ok:
+        raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
+    return tree
 
 
 def vector_space_spanning_tree(ambient_dim: int, subspace_generators):

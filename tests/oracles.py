@@ -7,10 +7,11 @@ The dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
 the dense list transpose and products beside them are the reference for
 the sparse rows of ``ExactMatrix``, :func:`stacked_smith_missing_chain`
-is its earlier integer spanning check, :func:`pairwise_validation_report`
-checks a hypergraph's invariants edge pair by edge pair, and
-:func:`reference_parser` is the command-line parser as it was built on
-argparse.
+is its earlier integer spanning check and
+:func:`lexicographic_integer_tree_edges` its earlier integer-tree search,
+:func:`pairwise_validation_report` checks a hypergraph's invariants edge
+pair by edge pair, and :func:`reference_parser` is the command-line parser
+as it was built on argparse.
 """
 
 from __future__ import annotations
@@ -216,6 +217,42 @@ def enumerate_rational_candidate_trees(hypergraph: OrientedHypergraph):
                 vector[e] = -cycle[t]
             cuts[t] = vector
         yield subset, cuts, cycles
+
+
+def lexicographic_integer_tree_edges(hypergraph: OrientedHypergraph):
+    """Tree edges of the first integer spanning tree in lexicographic order
+    of edge indices, or None: every size-``rank`` edge subset in turn, each
+    accepted iff its boundary columns have Smith diagonal ``(1,) * rank``.
+    This is how the library searched before it walked prefixes."""
+    from hyperhomology import boundary_matrix, smith_normal_form
+
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    columns = matrix.transpose().lines
+    rank = fraction_rank(matrix.entries)
+    units = (1,) * rank
+    for subset in itertools.combinations(range(hypergraph.edge_count), rank):
+        candidate = ExactMatrix._of([columns[j] for j in subset], matrix.rows).transpose()
+        if smith_normal_form(candidate).diagonal == units:
+            return subset
+    return None
+
+
+def parallel_edge_suite(count: int = 300, base_seed: int = 4242) -> tuple:
+    """Deterministic suite of small random hypergraphs (arity at most 3),
+    each with one to three edges copied to random positions, so that
+    parallel pairs appear anywhere, a third of them at the front."""
+    rng = random.Random(base_seed)
+    instances = []
+    for k in range(count):
+        h = random_hypergraph(
+            rng.randint(2, 6), rng.randint(1, 6), seed=base_seed + 1000 + k, max_arity=3
+        )
+        edges = list(h.edges)
+        for copy in range(rng.randint(1, 3)):
+            position = 0 if copy == 0 and k % 3 == 0 else rng.randint(0, len(edges))
+            edges.insert(position, rng.choice(edges))
+        instances.append(OrientedHypergraph(h.vertices, edges))
+    return tuple(instances)
 
 
 def candidate_tree_is_integral(hypergraph: OrientedHypergraph, cuts, cycles) -> bool:

@@ -390,8 +390,10 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
 
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     document = _write_example(tmp_path, "triangle-graph")
+    no_tree = _write_example(tmp_path, "main-example")
     # integer and structural queries never make a Fraction, so they must not
-    # load the rational stack (fractions imports decimal and numbers)
+    # load the rational stack (fractions imports decimal and numbers); only
+    # the random subcommand loads random
     script = (
         "from hyperhomology.cli import run_command\n"
         "assert run_command(['example', 'path-graph']) == 0\n"
@@ -399,8 +401,10 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
         f"assert run_command(['homology', {document!r}, '--ring', 'int']) == 0\n"
         f"assert run_command(['graphlike', {document!r}]) == 0\n"
         f"assert run_command(['decompose', {document!r}, '--ring', 'int']) == 0\n"
+        f"assert run_command(['spanning-tree', {document!r}, '--ring', 'int']) == 0\n"
+        f"assert run_command(['spanning-tree', {no_tree!r}, '--ring', 'int']) == 1\n"
         "heavy = ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale',\n"
-        "         'fractions', 'decimal', 'numbers', 'typing')\n"
+        "         'fractions', 'decimal', 'numbers', 'typing', 'random')\n"
         "loaded = [name for name in heavy if name in sys.modules]\n"
         "sys.exit(f'loaded at start-up: {loaded}' if loaded else 0)\n"
     )
@@ -411,6 +415,8 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
     assert "homology: free rank 1, torsion []" in result.stdout
     assert "graph-like: yes" in result.stdout
     assert "cut basis: e1 + e3, e2 + e3" in result.stdout
+    assert "integer spanning tree found" in result.stdout
+    assert "no spanning tree over the integers (search exhausted)" in result.stdout
     # a rational query loads the stack where it makes Fractions and answers
     script = (
         "from hyperhomology.cli import run_command\n"

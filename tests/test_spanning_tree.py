@@ -39,6 +39,8 @@ from oracles import (
     hypergraph_suite,
     integer_tree_lattice_checks,
     is_combinatorial_spanning_tree,
+    lexicographic_integer_tree_edges,
+    parallel_edge_suite,
     random_connected_graph,
     tree_cut,
     tree_path_cycle,
@@ -152,6 +154,80 @@ def test_is_integral_factors_the_boundary_matrix_once(monkeypatch):
 
 def test_integer_search_main_example_exhausts_to_none():
     assert find_spanning_tree_integer(main_example(), search_limit=100) is None
+
+
+def test_integer_search_budget_counts_prefixes_tested():
+    # the main example tests two prefixes: edge 0 extends the empty one,
+    # edge 1 does not extend {0}, and then too few edges remain
+    h = main_example()
+    for limit in (0, 1):
+        with pytest.raises(SearchLimitExceeded) as info:
+            find_spanning_tree_integer(h, search_limit=limit)
+        assert info.value.examined == limit
+        assert str(info.value) == f"search limit reached after testing {limit} prefixes"
+    for limit in (2, 10, 100):
+        assert find_spanning_tree_integer(h, search_limit=limit) is None
+    # rank 0: the empty prefix is the tree, and no prefix is tested
+    edgeless = OrientedHypergraph(["a", "b"], [])
+    assert find_spanning_tree_integer(edgeless, search_limit=0).tree_edges == ()
+
+
+def _grid_with_leading_parallel_edge(rows: int, cols: int) -> OrientedHypergraph:
+    """Grid graph whose edge 0 is a parallel copy of its edge 1."""
+    names = [f"v{k}" for k in range(rows * cols)]
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            k = i * cols + j
+            if j + 1 < cols:
+                edges.append(({names[k]}, {names[k + 1]}))
+            if i + 1 < rows:
+                edges.append(({names[k]}, {names[k + cols]}))
+    return OrientedHypergraph(names, [edges[0], *edges])
+
+
+def test_integer_search_passes_the_parallel_edge_cliff():
+    # rank 15 of 25 edges: testing every subset in turn rejects the
+    # C(23, 13) = 1,144,066 subsets that hold both parallel edges before the
+    # first tree; the walk never extends a prefix that holds both
+    h = _grid_with_leading_parallel_edge(4, 4)
+    tree = find_spanning_tree_integer(h, search_limit=100)
+    assert tree is not None
+    assert verify_tree_axioms(h, tree).ok
+    assert tree.tree_edges[0] == 0 and 1 not in tree.tree_edges
+    assert is_combinatorial_spanning_tree(h, tree.tree_edges)
+    # a graph's boundary is totally unimodular: the first basis is the greedy one
+    assert tree.tree_edges == find_spanning_tree_rational(h).tree_edges
+
+
+def test_integer_search_factors_only_the_accepted_tree(monkeypatch):
+    # no Smith form per prefix: only the (at most three) of the verification
+    calls = []
+    real = spanning_tree.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(spanning_tree, "smith_normal_form", counted)
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", counted)
+    outcomes = set()
+    for h in (main_example(), _grid_with_leading_parallel_edge(3, 4), *hypergraph_suite()[:100]):
+        calls.clear()
+        tree = find_spanning_tree_integer(h)
+        assert (len(calls) <= 3) if tree else (calls == []), h
+        outcomes.add(tree is None)
+    assert outcomes == {True, False}
+
+
+def test_integer_search_matches_lexicographic_enumeration():
+    outcomes = []
+    for h in (*hypergraph_suite(), *parallel_edge_suite()):
+        found = find_spanning_tree_integer(h)
+        expected = lexicographic_integer_tree_edges(h)
+        assert (found and found.tree_edges) == expected, h
+        outcomes.append(expected is None)
+    assert sum(outcomes) > 50 and outcomes.count(False) > 400
 
 
 def test_integer_search_on_connected_graphs():
@@ -411,15 +487,20 @@ def test_kronecker_checks_match_pairwise_oracle():
     }
 
 
-# Replaces the RREF tree reader so that the accepted integer tree is wrong;
-# the search must refuse it whatever the interpreter's optimisation flags.
+# Corrupts the integer tree reader so that the accepted integer tree is
+# wrong; the search must refuse it whatever the interpreter's optimisation
+# flags.  ``wrong_cut`` replaces the reader by one that adds a fundamental
+# cycle to a cut, which the axiom check refuses; ``halved_cut`` doubles the
+# first pivot of the fraction-free elimination under it, so that cut read
+# off exactly would be halved, which the reader's exact division refuses.
 _CORRUPT_TREE = """
-from hyperhomology import exact_linalg, spanning_tree
+from hyperhomology import Ring, exact_linalg, spanning_tree
 
 real_rref_tree = spanning_tree._rref_tree
+real_integer_echelon = exact_linalg._integer_echelon
 
-def wrong_cut(rows, cols, order=None):
-    tree, cuts, cycles = real_rref_tree(rows, cols, order)
+def wrong_cut(rows, cols, order=None, ring=Ring.RATIONAL):
+    tree, cuts, cycles = real_rref_tree(rows, cols, order, ring)
     t, e = tree[0], min(cycles)
     total = dict(cuts[t])
     for j, x in cycles[e].items():
@@ -427,10 +508,15 @@ def wrong_cut(rows, cols, order=None):
     cuts[t] = {j: x for j, x in sorted(total.items()) if x}
     return tree, cuts, cycles
 
-def halved_cut(rows, cols, order=None):
-    tree, cuts, cycles = real_rref_tree(rows, cols, order)
-    cuts[tree[0]] = {j: x / 2 for j, x in cuts[tree[0]].items()}
-    return tree, cuts, cycles
+def halved_cut(rows, width):
+    reduced, pivots = real_integer_echelon(rows, width)
+    reduced[0] = {j: 2 * x if j == pivots[0] else x for j, x in reduced[0].items()}
+    return reduced, pivots
+
+CORRUPTIONS = {
+    "wrong_cut": (spanning_tree, "_rref_tree", "fails the spanning-tree axioms"),
+    "halved_cut": (exact_linalg, "_integer_echelon", "fractional integer tree"),
+}
 """
 
 
@@ -438,71 +524,95 @@ def halved_cut(rows, cols, order=None):
 def test_integer_search_guard_rejects_corrupt_tree(monkeypatch, corruption):
     namespace = {}
     exec(_CORRUPT_TREE, namespace)
-    monkeypatch.setattr(spanning_tree, "_rref_tree", namespace[corruption])
-    with pytest.raises(InternalInconsistencyError):
+    module, name, message = namespace["CORRUPTIONS"][corruption]
+    monkeypatch.setattr(module, name, namespace[corruption])
+    with pytest.raises(InternalInconsistencyError, match=message):
         find_spanning_tree_integer(triangle_graph())
+
+
+def _run_optimised(script):
+    """Run ``script`` under ``python -O`` with the package on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def test_integer_search_guard_runs_under_python_O():
     script = _CORRUPT_TREE + """
 from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer, triangle_graph
 print("debug", __debug__)
-spanning_tree._rref_tree = wrong_cut
-try:
-    find_spanning_tree_integer(triangle_graph())
-except InternalInconsistencyError:
-    print("guard raised")
+for corruption, (module, name, message) in CORRUPTIONS.items():
+    real = getattr(module, name)
+    setattr(module, name, globals()[corruption])
+    try:
+        find_spanning_tree_integer(triangle_graph())
+    except InternalInconsistencyError as err:
+        print(corruption, "guard raised", message in str(err))
+    setattr(module, name, real)
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    result = _run_optimised(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["debug False", "guard raised"]
+    assert result.stdout.split("\n")[:3] == [
+        "debug False",
+        "wrong_cut guard raised True",
+        "halved_cut guard raised True",
+    ]
 
 
-# Doubles the first Smith diagonal entry as the sparse reduction hands it
-# back, so no candidate of the triangle graph would read as a tree; the
-# exact check of each candidate's factors must refuse the wrong S instead,
-# whatever the interpreter's optimisation flags.
-_WRONG_S = """
-from hyperhomology import exact_linalg
+# Corrupts the Euclid steps that the prefix walk appends to its log of row
+# operations when a column extends the prefix: one drops the first step,
+# the other doubles the first multiplier.  Every column of the triangle
+# graph needs a step to reach its unit vector, so no accepted column would
+# come out right; the exact replay check of each accepted column must
+# refuse it, whatever the interpreter's optimisation flags.
+_WRONG_STEPS = """
+from hyperhomology import spanning_tree
 
-real_smith_reduce = exact_linalg._smith_reduce
+real_unit_steps = spanning_tree._unit_steps
 
-def wrong_s(rows, width):
-    s, u, u_inverse, v, v_inverse = real_smith_reduce(rows, width)
-    s[0] = {j: 2 * x for j, x in s[0].items()}
-    return s, u, u_inverse, v, v_inverse
+def dropped_op(residual, depth):
+    return real_unit_steps(residual, depth)[1:]
+
+def doubled_multiplier(residual, depth):
+    steps = real_unit_steps(residual, depth)
+    k = next(k for k, (a, b, q) in enumerate(steps) if q)
+    a, b, q = steps[k]
+    steps[k] = (a, b, 2 * q)
+    return steps
+
+CORRUPTIONS = {"dropped_op": dropped_op, "doubled_multiplier": doubled_multiplier}
 """
 
 
 def test_integer_search_checks_each_candidate(monkeypatch):
     namespace = {}
-    exec(_WRONG_S, namespace)
-    monkeypatch.setattr(exact_linalg, "_smith_reduce", namespace["wrong_s"])
-    with pytest.raises(InternalInconsistencyError):
-        find_spanning_tree_integer(triangle_graph())
+    exec(_WRONG_STEPS, namespace)
+    for corruption in namespace["CORRUPTIONS"].values():
+        monkeypatch.setattr(spanning_tree, "_unit_steps", corruption)
+        with pytest.raises(InternalInconsistencyError, match="unit vector"):
+            find_spanning_tree_integer(triangle_graph())
 
 
 def test_integer_search_candidate_check_runs_under_python_O():
-    script = _WRONG_S + """
+    script = _WRONG_STEPS + """
 from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer, triangle_graph
 print("debug", __debug__)
-exact_linalg._smith_reduce = wrong_s
-try:
-    find_spanning_tree_integer(triangle_graph())
-except InternalInconsistencyError:
-    print("check raised")
+for name, corruption in CORRUPTIONS.items():
+    spanning_tree._unit_steps = corruption
+    try:
+        find_spanning_tree_integer(triangle_graph())
+    except InternalInconsistencyError:
+        print(name, "check raised")
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    result = _run_optimised(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["debug False", "check raised"]
+    assert result.stdout.split("\n")[:3] == [
+        "debug False",
+        "dropped_op check raised",
+        "doubled_multiplier check raised",
+    ]
 
 
 def test_vector_space_trivial_subspace():
