@@ -20,15 +20,30 @@ exits 0.  A malformed command line exits 2 with one usage line and one
 ``hyperhomology <cmd>: error: ...`` line on stderr and nothing on stdout.
 The parser does without ``argparse``, whose import and set-up cost more
 than the compute of a small query.
+
+For the same reason a well-formed query never imports ``json``: its
+decoder, scanner and encoder modules compile regular expressions that
+no query uses.  Documents are decoded by the C scanner of ``_json``,
+CPython's accelerator module for ``json`` and the scanner that
+``json.loads`` itself runs, set up once at import as ``json.loads`` sets
+it up.  A text it does not decode whole (no value, data after the value,
+a syntax error, an integer past the interpreter's digit limit) goes to
+``json.loads``, imported only then, so the error raised is the one
+``json`` raises.  Reports and documents are encoded by ``_dumps``, which
+returns ``json.dumps(value, indent=2)`` for the types a report holds and
+quotes strings with ``_json``'s ASCII encoder, as ``json.dumps`` does.
+Each handler builds only the form asked for: the JSON payload with
+``--json``, the text lines without it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from itertools import repeat
 from types import SimpleNamespace
+
+from _json import encode_basestring_ascii as _quote, make_scanner
 
 from . import fixtures
 from .core import (
@@ -64,16 +79,54 @@ class DocumentError(ValueError):
     """A document failed to parse against the expected JSON shape."""
 
 
+# ``json.loads``'s own scanner, with the settings of its default decoder
+# (``parse_constant=float`` maps NaN and the infinities as ``json`` does).
+_scan_once = make_scanner(
+    SimpleNamespace(
+        strict=True,
+        object_hook=None,
+        object_pairs_hook=None,
+        parse_float=float,
+        parse_int=int,
+        parse_constant=float,
+    )
+)
+_WHITESPACE = " \t\n\r"
+
+
+def _loads(text: str):
+    """``json.loads(text)``, without importing ``json`` for a text that
+    the scanner decodes whole.  Any other text goes to ``json.loads``,
+    which raises the reference's error: the scanner alone stops with
+    ``StopIteration`` where no value starts, and reports its own syntax
+    errors as ``JSONDecodeError`` only once ``json.decoder`` is loaded (as
+    ``SystemError`` before that, on Python 3.11)."""
+    try:
+        value, end = _scan_once(text, len(text) - len(text.lstrip(_WHITESPACE)))
+    except (StopIteration, SystemError, ValueError):
+        pass
+    else:
+        if not text[end:].lstrip(_WHITESPACE):
+            return value
+    import json
+
+    return json.loads(text)
+
+
 def parse_document(text: str) -> OrientedHypergraph:
     """Parse a JSON hypergraph document into a validated hypergraph."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as err:
+        payload = _loads(text)
+    except RecursionError as err:
+        raise DocumentError("JSON nesting is too deep") from err
+    except ValueError as err:
+        from json import JSONDecodeError  # loaded: ``_loads`` handed the text to json
+
+        if not isinstance(err, JSONDecodeError):  # an integer past the digit limit
+            raise DocumentError(f"JSON number not accepted: {err}") from err
         raise DocumentError(
             f"JSON syntax error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
-    except RecursionError as err:
-        raise DocumentError("JSON nesting is too deep") from err
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     vertices = payload.get("vertices")
@@ -131,7 +184,55 @@ def serialize_document(hypergraph: OrientedHypergraph, name: str | None = None) 
         }
         for tails, heads in hypergraph.edges
     ]
-    return json.dumps(payload, indent=2)
+    return _dumps(payload)
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2)`` for the values a report holds: dicts
+    with ``str`` keys, lists and tuples, ``str``, ``int``, ``bool`` and
+    ``None``.  Any other type raises ``TypeError``."""
+    return _encode(value, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    """The JSON text of ``value``; ``newline`` is the line break and indent
+    of the level that holds it.  A container encodes its ``int`` and
+    ``str`` items in line, which saves a call per coefficient.  A key that
+    is not a ``str`` fails in ``_quote`` with ``TypeError``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [
+            int.__repr__(item) if type(item) is int
+            else _quote(item) if type(item) is str
+            else _encode(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _quote(key) + ": " + (
+                int.__repr__(item) if type(item) is int
+                else _quote(item) if type(item) is str
+                else _encode(item, inner)
+            )
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _edge_labels(hypergraph: OrientedHypergraph) -> list[str]:
@@ -198,11 +299,13 @@ def _diagnose(message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
+def _emit(as_json: bool, payload, lines) -> None:
+    """Print a report: with ``--json`` the JSON of ``payload()``, else each
+    line of ``lines()``.  Only the form asked for is built."""
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload()))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -210,23 +313,18 @@ def _cmd_validate(args) -> int:
     try:
         hypergraph = _load(args.file)
     except HypergraphValidationError as err:
+        violations = err.violations
         _emit(
-            {"valid": False, "violations": list(err.violations)},
-            ["invalid hypergraph:"] + [f"  {v}" for v in err.violations],
             args.json,
+            lambda: {"valid": False, "violations": list(violations)},
+            lambda: ["invalid hypergraph:"] + [f"  {v}" for v in violations],
         )
         return EXIT_NEGATIVE
+    vertices, edges = hypergraph.vertex_count, hypergraph.edge_count
     _emit(
-        {
-            "valid": True,
-            "vertices": hypergraph.vertex_count,
-            "edges": hypergraph.edge_count,
-        },
-        [
-            f"valid hypergraph: {hypergraph.vertex_count} vertices, "
-            f"{hypergraph.edge_count} edges"
-        ],
         args.json,
+        lambda: {"valid": True, "vertices": vertices, "edges": edges},
+        lambda: [f"valid hypergraph: {vertices} vertices, {edges} edges"],
     )
     return EXIT_OK
 
@@ -235,31 +333,36 @@ def _cmd_homology(args) -> int:
     hypergraph = _load(args.file)
     report = homology(hypergraph, _RINGS[args.ring])
     labels = _edge_labels(hypergraph)
-    payload = {
-        "ring": args.ring,
-        "rank_image_boundary": report.rank_image_boundary,
-        "h1": _structure_json(report.h1),
-        "h1_basis": [_formal_sum_json(c, labels) for c in report.h1_basis],
-        "h1_cohomology": _structure_json(report.h1_cohomology),
-    }
-    lines = [
-        f"ring: {args.ring}",
-        f"rank of boundary image: {report.rank_image_boundary}",
-        f"homology: free rank {report.h1.free_rank}, torsion {list(report.h1.torsion)}",
-        "homology basis: "
-        + (
-            ", ".join(_format_formal_sum(c, labels) for c in report.h1_basis)
-            if report.h1_basis
-            else "(empty)"
-        ),
-        f"cohomology: free rank {report.h1_cohomology.free_rank}, "
-        f"torsion {list(report.h1_cohomology.torsion)}",
-    ]
-    _emit(payload, lines, args.json)
+
+    def payload() -> dict:
+        return {
+            "ring": args.ring,
+            "rank_image_boundary": report.rank_image_boundary,
+            "h1": _structure_json(report.h1),
+            "h1_basis": [_formal_sum_json(c, labels) for c in report.h1_basis],
+            "h1_cohomology": _structure_json(report.h1_cohomology),
+        }
+
+    def lines() -> list[str]:
+        return [
+            f"ring: {args.ring}",
+            f"rank of boundary image: {report.rank_image_boundary}",
+            f"homology: free rank {report.h1.free_rank}, torsion {list(report.h1.torsion)}",
+            "homology basis: "
+            + (
+                ", ".join(_format_formal_sum(c, labels) for c in report.h1_basis)
+                if report.h1_basis
+                else "(empty)"
+            ),
+            f"cohomology: free rank {report.h1_cohomology.free_rank}, "
+            f"torsion {list(report.h1_cohomology.torsion)}",
+        ]
+
+    _emit(args.json, payload, lines)
     return EXIT_OK
 
 
-def _tree_payload(hypergraph, tree, labels) -> dict:
+def _tree_payload(tree, labels) -> dict:
     return {
         "ring": tree.ring.value,
         "tree_edges": [labels[t] for t in tree.tree_edges],
@@ -292,31 +395,38 @@ def _cmd_spanning_tree(args) -> int:
     labels = _edge_labels(hypergraph)
     if args.ring == "rat":
         tree = find_spanning_tree_rational(hypergraph)
-        report = verify_tree_axioms(hypergraph, tree)
-        payload = _tree_payload(hypergraph, tree, labels)
-        payload["axioms_verified"] = report.ok
-        lines = _tree_lines(tree, labels)
-        lines.append(f"axioms verified: {'yes' if report.ok else 'NO'}")
-        exit_code = EXIT_OK
-        if args.check_integral:
-            integral = is_integral(hypergraph, tree)
-            payload["integral"] = integral
-            lines.append(f"integral: {'yes' if integral else 'no'}")
-            if not integral:
-                exit_code = EXIT_NEGATIVE
-        _emit(payload, lines, args.json)
-        return exit_code
+        verified = verify_tree_axioms(hypergraph, tree).ok
+        integral = is_integral(hypergraph, tree) if args.check_integral else None
+
+        def payload() -> dict:
+            out = _tree_payload(tree, labels)
+            out["axioms_verified"] = verified
+            if integral is not None:
+                out["integral"] = integral
+            return out
+
+        def lines() -> list[str]:
+            out = _tree_lines(tree, labels)
+            out.append(f"axioms verified: {'yes' if verified else 'NO'}")
+            if integral is not None:
+                out.append(f"integral: {'yes' if integral else 'no'}")
+            return out
+
+        _emit(args.json, payload, lines)
+        return EXIT_NEGATIVE if integral is False else EXIT_OK
     tree = find_spanning_tree_integer(hypergraph, search_limit=args.limit)
     if tree is None:
         _emit(
-            {"found": False, "exhausted": True},
-            ["no spanning tree over the integers (search exhausted)"],
             args.json,
+            lambda: {"found": False, "exhausted": True},
+            lambda: ["no spanning tree over the integers (search exhausted)"],
         )
         return EXIT_NEGATIVE
-    payload = _tree_payload(hypergraph, tree, labels)
-    payload["found"] = True
-    _emit(payload, ["integer spanning tree found"] + _tree_lines(tree, labels), args.json)
+    _emit(
+        args.json,
+        lambda: {**_tree_payload(tree, labels), "found": True},
+        lambda: ["integer spanning tree found"] + _tree_lines(tree, labels),
+    )
     return EXIT_OK
 
 
@@ -324,32 +434,35 @@ def _cmd_graphlike(args) -> int:
     hypergraph = _load(args.file)
     report = graph_likeness(hypergraph)
     labels = {"edges": _edge_labels(hypergraph), "vertices": list(map(str, hypergraph.vertices))}
-    payload = {
-        "graph_like": report.graph_like,
-        "conditions": report.conditions(),
-        "witnesses": [
-            {
-                "condition": w.condition,
-                "description": w.description,
-                "basis": w.basis,
-                "coefficients": {
-                    labels[w.basis][i]: value
-                    for i, value in enumerate(w.coefficients)
-                    if value
-                },
-            }
-            for w in report.witnesses
-        ],
-    }
-    lines = [f"graph-like: {'yes' if report.graph_like else 'no'}"]
-    for name, value in report.conditions().items():
-        lines.append(f"  {name}: {'yes' if value else 'no'}")
-    for w in report.witnesses:
-        support = {
-            labels[w.basis][i]: value for i, value in enumerate(w.coefficients) if value
+
+    def support(w) -> dict:
+        names = labels[w.basis]
+        return {names[i]: value for i, value in enumerate(w.coefficients) if value}
+
+    def payload() -> dict:
+        return {
+            "graph_like": report.graph_like,
+            "conditions": report.conditions(),
+            "witnesses": [
+                {
+                    "condition": w.condition,
+                    "description": w.description,
+                    "basis": w.basis,
+                    "coefficients": support(w),
+                }
+                for w in report.witnesses
+            ],
         }
-        lines.append(f"  witness ({w.condition}): {support} [{w.description}]")
-    _emit(payload, lines, args.json)
+
+    def lines() -> list[str]:
+        out = [f"graph-like: {'yes' if report.graph_like else 'no'}"]
+        for name, value in report.conditions().items():
+            out.append(f"  {name}: {'yes' if value else 'no'}")
+        for w in report.witnesses:
+            out.append(f"  witness ({w.condition}): {support(w)} [{w.description}]")
+        return out
+
+    _emit(args.json, payload, lines)
     return EXIT_OK if report.graph_like else EXIT_NEGATIVE
 
 
@@ -357,34 +470,40 @@ def _cmd_decompose(args) -> int:
     hypergraph = _load(args.file)
     report = cycle_cut_decomposition(hypergraph, _RINGS[args.ring])
     labels = _edge_labels(hypergraph)
-    payload = {
-        "ring": args.ring,
-        "cycle_basis": [_formal_sum_json(c, labels) for c in report.cycle_basis],
-        "cut_basis": [_formal_sum_json(c, labels) for c in report.cut_basis],
-        "mutually_orthogonal": report.mutually_orthogonal,
-        "intersection_trivial": report.intersection_trivial,
-        "dimensions_sum_to_edge_count": report.dimensions_sum_to_edge_count,
-        "spans_all_chains": report.spans_all_chains,
-        "missing_chain": (
-            _formal_sum_json(report.missing_chain, labels) if report.missing_chain else None
-        ),
-    }
-    lines = [
-        f"ring: {args.ring}",
-        "cycle basis: "
-        + (", ".join(_format_formal_sum(c, labels) for c in report.cycle_basis) or "(empty)"),
-        "cut basis: "
-        + (", ".join(_format_formal_sum(c, labels) for c in report.cut_basis) or "(empty)"),
-        f"mutually orthogonal: {'yes' if report.mutually_orthogonal else 'no'}",
-        f"intersection trivial: {'yes' if report.intersection_trivial else 'no'}",
-        f"dimensions sum to edge count: {'yes' if report.dimensions_sum_to_edge_count else 'no'}",
-        f"sum spans all 1-chains: {'yes' if report.spans_all_chains else 'no'}",
-    ]
-    if report.missing_chain is not None:
-        lines.append(
-            f"chain outside the sum: {_format_formal_sum(report.missing_chain, labels)}"
-        )
-    _emit(payload, lines, args.json)
+
+    def payload() -> dict:
+        return {
+            "ring": args.ring,
+            "cycle_basis": [_formal_sum_json(c, labels) for c in report.cycle_basis],
+            "cut_basis": [_formal_sum_json(c, labels) for c in report.cut_basis],
+            "mutually_orthogonal": report.mutually_orthogonal,
+            "intersection_trivial": report.intersection_trivial,
+            "dimensions_sum_to_edge_count": report.dimensions_sum_to_edge_count,
+            "spans_all_chains": report.spans_all_chains,
+            "missing_chain": (
+                _formal_sum_json(report.missing_chain, labels) if report.missing_chain else None
+            ),
+        }
+
+    def lines() -> list[str]:
+        out = [
+            f"ring: {args.ring}",
+            "cycle basis: "
+            + (", ".join(_format_formal_sum(c, labels) for c in report.cycle_basis) or "(empty)"),
+            "cut basis: "
+            + (", ".join(_format_formal_sum(c, labels) for c in report.cut_basis) or "(empty)"),
+            f"mutually orthogonal: {'yes' if report.mutually_orthogonal else 'no'}",
+            f"intersection trivial: {'yes' if report.intersection_trivial else 'no'}",
+            f"dimensions sum to edge count: {'yes' if report.dimensions_sum_to_edge_count else 'no'}",
+            f"sum spans all 1-chains: {'yes' if report.spans_all_chains else 'no'}",
+        ]
+        if report.missing_chain is not None:
+            out.append(
+                f"chain outside the sum: {_format_formal_sum(report.missing_chain, labels)}"
+            )
+        return out
+
+    _emit(args.json, payload, lines)
     return EXIT_OK
 
 

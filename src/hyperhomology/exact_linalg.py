@@ -42,6 +42,7 @@ exactly, on the sparse factors, and a mismatch raises
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm
 
 from .core import InternalInconsistencyError, Ring, _Record
@@ -381,9 +382,10 @@ class SnfDecomposition(_Record):
     u_inverse: ExactMatrix
     v_inverse: ExactMatrix
 
-    @property
+    @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        """The nonzero diagonal entries (elementary divisors), in order."""
+        """The nonzero diagonal entries (elementary divisors), in order;
+        read off ``s`` once per decomposition."""
         out = []
         for i, line in enumerate(self.s.lines[: self.s.cols]):
             d = line.get(i)

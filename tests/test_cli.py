@@ -323,11 +323,13 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 
 
 # Hostile documents: bytes that are not UTF-8 (the stdin stream mimics a
-# C-locale interpreter, whose stdin would smuggle them in as surrogates), and
-# arrays nested past the interpreter's recursion limit.
+# C-locale interpreter, whose stdin would smuggle them in as surrogates),
+# arrays nested past the interpreter's recursion limit, and an integer past
+# the interpreter's limit on the digits of an int read from text.
 _HOSTILE = {
     "not_utf8": b'{"vertices": ["\xff"], "edges": []}',
     "deep_nesting": b"[" * 100000,
+    "long_integer": b'{"vertices": [], "edges": [], "x": ' + b"1" * 5000 + b"}",
 }
 
 
@@ -385,6 +387,15 @@ def _run_bare(src, script):
     )
 
 
+# Modules that no well-formed query loads, and the rational stack, which
+# only the queries that make a Fraction load.
+_HEAVY = (
+    "dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "random",
+    "json", "json.decoder", "json.scanner", "json.encoder",
+)
+_RATIONAL_STACK = ("fractions", "decimal", "numbers")
+
+
 def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
     import os
 
@@ -403,8 +414,7 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
         f"assert run_command(['decompose', {document!r}, '--ring', 'int']) == 0\n"
         f"assert run_command(['spanning-tree', {document!r}, '--ring', 'int']) == 0\n"
         f"assert run_command(['spanning-tree', {no_tree!r}, '--ring', 'int']) == 1\n"
-        "heavy = ('dataclasses', 'inspect', 'argparse', 'gettext', 'locale',\n"
-        "         'fractions', 'decimal', 'numbers', 'typing', 'random')\n"
+        f"heavy = {_HEAVY + _RATIONAL_STACK!r}\n"
         "loaded = [name for name in heavy if name in sys.modules]\n"
         "sys.exit(f'loaded at start-up: {loaded}' if loaded else 0)\n"
     )
@@ -417,16 +427,45 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
     assert "cut basis: e1 + e3, e2 + e3" in result.stdout
     assert "integer spanning tree found" in result.stdout
     assert "no spanning tree over the integers (search exhausted)" in result.stdout
-    # a rational query loads the stack where it makes Fractions and answers
+    # a rational query loads the stack where it makes Fractions and answers,
+    # and loads nothing else of the list above
     script = (
         "from hyperhomology.cli import run_command\n"
-        f"sys.exit(run_command(['homology', {document!r}, '--ring', 'rat']))\n"
+        f"assert run_command(['homology', {document!r}, '--ring', 'rat', '--json']) == 0\n"
+        f"assert run_command(['homology', {document!r}, '--ring', 'rat']) == 0\n"
+        f"loaded = [name for name in {_HEAVY!r} if name in sys.modules]\n"
+        "sys.exit(f'loaded by a rational query: {loaded}' if loaded else 0)\n"
     )
     result = _run_bare(src, script)
     assert result.returncode == 0, result.stderr
+    assert '"ring": "rat"' in result.stdout
     assert "ring: rat" in result.stdout
     assert "homology: free rank 1, torsion []" in result.stdout
     assert "homology basis: -e1 - e2 + e3" in result.stdout
+
+
+def test_cli_malformed_document_loads_json_for_its_error(tmp_path):
+    # a fresh process has no json.decoder, so the C scanner cannot raise its
+    # own JSONDecodeError; the text goes to json.loads, which reports it
+    import os
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    texts = ['{"vertices" []}', '{"vertices": [], "edges": []} x', '{"vertices": [', "\x01"]
+    script = "from hyperhomology.cli import run_command\n"
+    for k, text in enumerate(texts):
+        path = tmp_path / f"bad-{k}.json"
+        path.write_text(text)
+        script += f"assert run_command(['validate', {str(path)!r}]) == 1\n"
+    script += "assert 'json.decoder' in sys.modules\n"
+    result = _run_bare(src, script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: JSON syntax error at line 1, column 13: Expecting ':' delimiter",
+        "error: JSON syntax error at line 1, column 31: Extra data",
+        "error: JSON syntax error at line 1, column 15: Expecting value",
+        "error: JSON syntax error at line 1, column 1: Expecting value",
+    ]
 
 
 # The four reports that read integer coboundary membership, over a seeded

@@ -73,6 +73,25 @@ def test_snf_single_entry():
     assert smith_normal_form(ExactMatrix([[3]], Ring.INTEGER)).diagonal == (3,)
 
 
+def test_snf_diagonal_reads_s_once():
+    # the divisors are the nonzero diagonal of S, read once per
+    # decomposition: every later access returns the same tuple
+    rng = random.Random(77)
+    matrices = [boundary_matrix(h, Ring.INTEGER) for h in hypergraph_suite(40)]
+    matrices += [_random_matrix(rng) for _ in range(40)]
+    for matrix in matrices:
+        d = smith_normal_form(matrix)
+        s = d.s.entries
+        expected = []
+        for i in range(min(d.s.rows, d.s.cols)):
+            if not s[i][i]:
+                break
+            expected.append(s[i][i])
+        assert d.diagonal == tuple(expected)
+        assert d.diagonal is d.diagonal
+        assert d.rank == len(expected)
+
+
 def test_snf_rejects_rational_matrices():
     with pytest.raises(ValueError):
         smith_normal_form(ExactMatrix([[Fraction(1, 2)]], Ring.RATIONAL))
