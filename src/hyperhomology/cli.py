@@ -169,9 +169,15 @@ def _edge_error(j: int, record: dict) -> DocumentError:
 def serialize_document(hypergraph: OrientedHypergraph, name: str | None = None) -> str:
     """Render a hypergraph as a canonical JSON document.
 
-    Tails and heads are sorted by vertex order so that serialization is
-    deterministic and round-trips to an identical hypergraph.
+    Every vertex id must be a ``str``, the only id a document holds; the
+    first id that is not one raises ``TypeError`` before anything is
+    rendered.  Tails and heads are sorted by vertex order so that
+    serialization is deterministic and round-trips to an identical
+    hypergraph.
     """
+    for vertex in hypergraph.vertices:
+        if not isinstance(vertex, str):
+            raise TypeError(f"vertex id {vertex!r} is not a str; a document holds str ids only")
     order = hypergraph.vertex_index
     payload: dict = {}
     if name is not None:

@@ -2,34 +2,36 @@
 
 Everything is pure Python over ``int`` and ``fractions.Fraction``; no
 floating point anywhere.  There are two routes, one per ring.  Over the
-integers, :func:`smith_normal_form` drives every lattice-level operation
-(integer kernels, image lattices, annihilators, quotient structure,
-integer solving), so the returned kernel and annihilator lattices are
-saturated by construction.  Over the rationals, one reduced row echelon
-form (RREF) gives ranks, rational solutions, kernels, column bases and,
-read as a spanning tree, fundamental cuts and cycles.  The RREF is
-computed fraction-free (integer-preserving, after Bareiss): every row is
-held in ints as a positive multiple of the row the schoolbook elimination
-over Fractions holds at the same step, so it has the same nonzeros and
-leads to the same pivots, and each pivot row is divided by its pivot only
-at the end, one Fraction per returned nonzero.  ``fractions`` is imported
-inside the functions that build Fractions, once per call, so the integer
-route never loads it.
+integers, :func:`smith_normal_form` factors a matrix once, and the reports
+read ranks, elementary divisors, cycle and cut lattices and coboundary
+membership (:func:`_is_coboundary`) off its factors.  Over the rationals,
+one reduced row echelon form (RREF) gives ranks and, read as a spanning
+tree, fundamental cuts and cycles.  The RREF is computed fraction-free
+(integer-preserving, after Bareiss): every row is held in ints as a
+positive multiple of the row the schoolbook elimination over Fractions
+holds at the same step, so it has the same nonzeros and leads to the same
+pivots, and each pivot row is divided by its pivot only at the end, one
+Fraction per returned nonzero.  ``fractions`` is imported inside the
+functions that build Fractions, once per call, so the integer route never
+loads it.  The second routes to the same facts (kernel and
+image bases, integer and rational solving, annihilators, quotient
+structure, lattice comparison, matrix products) live in
+``tests/oracles.py``, where they check these ones.
 
 :class:`ExactMatrix` stores one ``{column: nonzero}`` dict per row, and
 its dense ``entries`` are only a view built on request, so a boundary
-matrix holds at most 2 * arity nonzeros per column and transposes,
-products and matrix-vector products cost in proportion to the nonzeros.
-Both kernels work on such dicts: the Smith reduction starts from the
-matrix's rows and its factors come back as sparse matrices, and the RREF
-takes and returns dict rows.  The spanning-tree reader returns its
-fundamental cuts and cycles as ``{index: nonzero}`` dicts, of Fractions
-or, for an integer tree, of ints divided out exactly, which the reports
-wrap as chains directly; only the public functions that return dense
-lists build them, at the end.  A rank needs only the fraction-free
-elimination, so it makes no Fraction.  The integer-tree search keeps a
-log of unimodular row operations (swap, negate, add q times a row) and
-replays it on one sparse column at a time.  The pivot rules are pinned:
+matrix holds at most 2 * arity nonzeros per column and a transpose costs
+in proportion to the nonzeros.  Both kernels work on such dicts: the
+Smith reduction starts from the matrix's rows and its factors come back
+as sparse matrices, and the RREF takes and returns dict rows.  The
+spanning-tree reader returns its fundamental cuts and cycles as
+``{index: nonzero}`` dicts, of Fractions or, for an integer tree, of ints
+divided out exactly, which the reports wrap as chains directly; only
+:func:`vector_space_spanning_tree`, which returns dense lists, builds
+them, at the end.  A rank needs only the fraction-free elimination, so it
+makes no Fraction.  The integer-tree search keeps a log of unimodular row
+operations (swap, negate, add q times a row) and replays it on one sparse
+column at a time.  The pivot rules are pinned:
 the Smith form takes a nonzero of least absolute value, lowest current
 row first, then lowest current column (so a unit entry whenever there is
 one), and the RREF takes the first unused row of each column.  The
@@ -87,19 +89,6 @@ class ExactMatrix(_Record):
         )
 
     @classmethod
-    def from_columns(cls, columns, ring: Ring, rows: int | None = None) -> "ExactMatrix":
-        columns = [list(c) for c in columns]
-        if columns:
-            height = len(columns[0])
-            if any(len(c) != height for c in columns):
-                raise ValueError("columns have inconsistent lengths")
-            if rows is not None and rows != height:
-                raise ValueError("explicit row count disagrees with columns")
-        else:
-            height = rows if rows is not None else 0
-        return cls(columns, ring, cols=height).transpose()
-
-    @classmethod
     def identity(cls, n: int, ring: Ring = Ring.INTEGER) -> "ExactMatrix":
         return cls._of([{i: ring.one} for i in range(n)], n, ring)
 
@@ -131,27 +120,6 @@ class ExactMatrix(_Record):
             for j, x in line.items():
                 lines[j][i] = x
         return ExactMatrix._of(lines, self.rows, self.ring)
-
-    def apply(self, vector) -> list:
-        """Matrix-vector product."""
-        vector = list(vector)
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        zero = self.ring.zero
-        return [sum((x * vector[j] for j, x in line.items()), zero) for line in self.lines]
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.cols != other.rows or self.ring is not other.ring:
-            raise ValueError("shape or ring mismatch")
-        lines = []
-        for line in self.lines:
-            product: dict = {}
-            for k, a in line.items():
-                _axpy(product, other.lines[k], a)
-            lines.append(product)
-        return ExactMatrix._of(lines, other.cols, self.ring)
 
 
 def _integer_row(row: dict) -> dict:
@@ -272,17 +240,6 @@ def _divide_pivots(reduced: list[dict], pivots: list[int], ring: Ring) -> list[d
     return reduced
 
 
-def _sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form with the pivot columns, over Fractions, of
-    the matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
-    Fractions, which are not modified).  Returns the rows in their final
-    order (the RREF rows, then empty dicts), every value a nonzero
-    Fraction, and the pivot columns: :func:`_integer_echelon` with each
-    pivot row divided by its pivot at the end."""
-    reduced, pivots = _integer_echelon(rows, width)
-    return _divide_pivots(reduced, pivots, Ring.RATIONAL), pivots
-
-
 def _dense(vector: dict, length: int) -> list[Fraction]:
     """Dense Fraction vector of a ``{index: value}`` dict."""
     from fractions import Fraction
@@ -343,37 +300,15 @@ def image_rank(matrix: ExactMatrix) -> int:
     return len(_integer_echelon(matrix.lines, matrix.cols)[1])
 
 
-def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:
-    """One rational solution of ``matrix @ x = rhs``, or None.
-
-    Free variables are set to zero, so the answer is deterministic; when the
-    columns are independent the solution is unique anyway.
-    """
-    from fractions import Fraction
-
-    rhs = list(rhs)
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side length does not match row count")
-    width = matrix.cols
-    augmented = []
-    for line, b in zip(matrix.lines, rhs):
-        b = Fraction(b)
-        augmented.append({**line, width: b} if b else line)
-    rref, pivots = _sparse_rref(augmented, width + 1)
-    if width in pivots:
-        return None
-    solution = [Fraction(0)] * width
-    for row, pivot in zip(rref, pivots):
-        solution[pivot] = row.get(width, Fraction(0))
-    return solution
-
-
 class SnfDecomposition(_Record):
     """Unimodular factors ``u @ m @ v = s`` with ``s`` in Smith form.
 
     The diagonal of ``s`` is nonnegative with each entry dividing the next;
-    ``u_inverse`` and ``v_inverse`` are accumulated during the reduction so
-    kernel and image lattice bases can be read off exactly.
+    ``u_inverse`` and ``v_inverse`` are accumulated during the reduction.
+    The reports read ``v`` (cycles, coboundary membership), ``v_inverse``
+    (cuts, witnesses) and ``u_inverse`` (a witness); ``u`` is read only by
+    the exact self-check ``u @ m @ v == s`` made before the factors are
+    returned.
     """
 
     u: ExactMatrix
@@ -397,25 +332,6 @@ class SnfDecomposition(_Record):
     @property
     def rank(self) -> int:
         return len(self.diagonal)
-
-    def solve(self, rhs) -> list[int] | None:
-        """Some integer solution of ``m @ x = rhs`` for the factored ``m``,
-        or None when no integer solution exists (even if a rational one
-        does).  ``u @ rhs`` must be divisible by the divisors and vanish
-        beyond the rank."""
-        rhs = [Ring.INTEGER.coerce(b) for b in rhs]
-        if len(rhs) != self.u.cols:
-            raise ValueError("right-hand side length does not match row count")
-        diagonal = self.diagonal
-        y = [0] * self.v.rows
-        for i, value in enumerate(self.u.apply(rhs)):
-            if i < len(diagonal):
-                if value % diagonal[i]:
-                    return None
-                y[i] = value // diagonal[i]
-            elif value:
-                return None
-        return self.v.apply(y)
 
 
 def _is_coboundary(decomposition: SnfDecomposition, vector: dict) -> bool:
@@ -687,81 +603,17 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     )
 
 
-def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
-    """Basis of the nullspace (rational) or of the kernel lattice (integer).
-
-    Integer kernels are read off the column change-of-basis factor of the
-    Smith normal form, so the returned lattice is saturated: it is a direct
-    summand of the ambient lattice.  Rational kernels are the null vectors
-    of the free columns of the RREF, one per free column in order.
-    """
-    if ring is Ring.INTEGER:
-        if matrix.ring is not Ring.INTEGER:
-            raise ValueError("integer kernel requires an integer matrix")
-        decomposition = smith_normal_form(matrix)
-        return [decomposition.v.column(j) for j in range(decomposition.rank, matrix.cols)]
-    _, _, cycles = _rref_tree(matrix.lines, matrix.cols)
-    return [_dense(cycle, matrix.cols) for cycle in cycles.values()]
-
-
-def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
-    """Basis of the column space (rational) or of the image lattice (integer).
-
-    Over the rationals this is the greedy independent subset of columns,
-    lowest indices first: the pivot columns of the RREF.  Over the integers
-    the basis is read off the Smith factors: the nonzero diagonal entries
-    times the matching columns of the inverse row transform generate exactly
-    the lattice spanned by the columns.
-    """
-    if ring is Ring.INTEGER:
-        if matrix.ring is not Ring.INTEGER:
-            raise ValueError("integer image requires an integer matrix")
-        decomposition = smith_normal_form(matrix)
-        basis = []
-        for i, d in enumerate(decomposition.diagonal):
-            basis.append([d * x for x in decomposition.u_inverse.column(i)])
-        return basis
-    from fractions import Fraction
-
-    tree, _, _ = _rref_tree(matrix.lines, matrix.cols)
-    return [[Fraction(x) for x in matrix.column(j)] for j in tree]
-
-
-def solve_integer(matrix: ExactMatrix, rhs) -> list[int] | None:
-    """Some integer solution of ``matrix @ x = rhs``, or None when no
-    integer solution exists (even if a rational one does)."""
-    return smith_normal_form(matrix).solve(rhs)
-
-
-def is_direct_summand(matrix: ExactMatrix) -> bool:
-    """Whether the lattice spanned by the columns is a direct summand of the
-    ambient integer lattice: all elementary divisors are 1."""
-    return all(d == 1 for d in smith_normal_form(matrix).diagonal)
-
-
-def annihilator_basis(generators, ambient_dim: int) -> list[list[int]]:
-    """Basis of the integer vectors orthogonal to every generator.
-
-    This is the integer kernel of the matrix whose rows are the generators,
-    so the resulting lattice is saturated.  With no generators it is the
-    whole ambient lattice.
-    """
-    rows = [list(g) for g in generators]
-    for row in rows:
-        if len(row) != ambient_dim:
-            raise ValueError("generator length does not match ambient dimension")
-    matrix = ExactMatrix(rows, Ring.INTEGER, cols=ambient_dim)
-    return kernel_basis(matrix, Ring.INTEGER)
-
-
 class ModuleStructure(_Record):
     """Isomorphism type of a finitely generated abelian group: a free rank
-    plus torsion orders in divisibility order."""
+    plus torsion orders, each at least 2, in divisibility order."""
 
     free_rank: int
     torsion: tuple[int, ...]
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        for d in torsion:
+            if d < 2:
+                raise ValueError(f"torsion order {d} is below 2")
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion orders must divide their successors")
@@ -770,13 +622,6 @@ class ModuleStructure(_Record):
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-
-def quotient_structure(matrix: ExactMatrix) -> ModuleStructure:
-    """Structure of the ambient integer lattice modulo the column span."""
-    decomposition = smith_normal_form(matrix)
-    torsion = tuple(d for d in decomposition.diagonal if d > 1)
-    return ModuleStructure(matrix.rows - decomposition.rank, torsion)
 
 
 def _lattice_contains_all(generators, vectors, ambient_dim: int) -> bool:
@@ -788,22 +633,3 @@ def _lattice_contains_all(generators, vectors, ambient_dim: int) -> bool:
         return True
     decomposition = smith_normal_form(ExactMatrix._of(generators, ambient_dim))
     return all(_is_coboundary(decomposition, v) for v in vectors)
-
-
-def _integer_lines(vectors, ambient_dim: int) -> tuple:
-    """Integer vectors of length ``ambient_dim`` as ``{index: nonzero}`` dicts."""
-    return ExactMatrix(vectors, Ring.INTEGER, cols=ambient_dim).lines
-
-
-def lattice_contains(generators, vector, ambient_dim: int) -> bool:
-    """Whether ``vector`` lies in the integer span of the generators."""
-    return _lattice_contains_all(
-        _integer_lines(generators, ambient_dim), _integer_lines([vector], ambient_dim), ambient_dim
-    )
-
-
-def sublattice_equal(generators_a, generators_b, ambient_dim: int) -> bool:
-    """Whether two generating sets span the same integer lattice."""
-    a = _integer_lines(generators_a, ambient_dim)
-    b = _integer_lines(generators_b, ambient_dim)
-    return _lattice_contains_all(b, a, ambient_dim) and _lattice_contains_all(a, b, ambient_dim)

@@ -10,39 +10,23 @@ integer y iff V^T c vanishes from the rank on and its entry i is divisible
 by d_i below it), which reads only V.  The
 five graph-likeness conditions are equivalent; the report decides them
 once, by whether every divisor is 1, and builds the witnesses from the
-same factorization.  The other routes to the same conditions
-(:func:`is_direct_summand`, :func:`cohomology_hom_iso_check`,
-:func:`annihilator_of_cycles` with a lattice comparison) stay public and
-serve as independent checks.  Over the rationals the bases come from one
-reduced row echelon form of B.
+same factorization.  The other routes to the same conditions (the direct
+summand test, the cohomology-to-dual check, the cycle annihilator with a
+lattice comparison) and to the pairing-functional lattice now live in
+``tests/oracles.py``, where they serve as independent checks.  Over the
+rationals the bases come from one reduced row echelon form of B.
 """
 
 from __future__ import annotations
 
 from .boundary import boundary_matrix
-from .core import (
-    Chain,
-    Cochain,
-    InternalInconsistencyError,
-    OrientedHypergraph,
-    Ring,
-    _Record,
-)
+from .core import Chain, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
-    ExactMatrix,
     ModuleStructure,
     SnfDecomposition,
     _is_coboundary,
     _rref_tree,
-    annihilator_basis,
-    image_basis,
-    image_rank,
-    kernel_basis,
-    lattice_contains,
-    quotient_structure,
     smith_normal_form,
-    solve_integer,
-    sublattice_equal,
 )
 
 
@@ -89,13 +73,6 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
         h1_cohomology=ModuleStructure(m - rank, torsion),
         rank_image_boundary=rank,
     )
-
-
-def annihilator_of_cycles(hypergraph: OrientedHypergraph) -> list[list[int]]:
-    """Basis of the 1-cochain lattice that vanishes on every cycle."""
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    cycles = kernel_basis(matrix, Ring.INTEGER)
-    return annihilator_basis(cycles, hypergraph.edge_count)
 
 
 class Witness(_Record):
@@ -319,106 +296,3 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
         spans_all_chains=spans,
         missing_chain=missing_chain,
     )
-
-
-def orthogonal_decomposition_rational(hypergraph: OrientedHypergraph) -> DecompositionReport:
-    """Rational cycle/cut decomposition; the two bases span complementary
-    orthogonal subspaces of the 1-chains."""
-    return cycle_cut_decomposition(hypergraph, Ring.RATIONAL)
-
-
-class PerpComparison(_Record):
-    """Result of comparing two lattices that should coincide, with a
-    witness generator on the offending side when they do not."""
-
-    equal: bool
-    witness: Chain | None
-
-
-def cycles_equal_cut_perp_check(hypergraph: OrientedHypergraph) -> PerpComparison:
-    """Check that the cycle lattice is exactly the orthogonal complement of
-    the cut lattice over the integers.
-
-    This holds for every hypergraph, so a False answer indicates a bug in
-    the lattice machinery rather than a property of the input.
-    """
-    m = hypergraph.edge_count
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    cuts = image_basis(matrix.transpose(), Ring.INTEGER)
-    perp = annihilator_basis(cuts, m)
-    cycles = kernel_basis(matrix, Ring.INTEGER)
-    if sublattice_equal(perp, cycles, m):
-        return PerpComparison(True, None)
-    for vector in perp:
-        if not lattice_contains(cycles, vector, m):
-            return PerpComparison(False, Chain.from_vector(1, vector, Ring.INTEGER))
-    for vector in cycles:
-        if not lattice_contains(perp, vector, m):
-            return PerpComparison(False, Chain.from_vector(1, vector, Ring.INTEGER))
-    raise InternalInconsistencyError("lattices differ but no witness found")
-
-
-def boundary_functional_lattice(hypergraph: OrientedHypergraph) -> list[list[int]]:
-    """Image lattice of the map sending a 1-chain to its pairing
-    functional: the column lattice of the boundary Gram matrix.
-
-    Always a sublattice of the coboundary image; the containment can be
-    proper.
-    """
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    gram = matrix.transpose() @ matrix
-    return image_basis(gram, Ring.INTEGER)
-
-
-def represents_dualized_boundary(hypergraph: OrientedHypergraph, candidate: Cochain) -> bool:
-    """Whether the 0-cochain is, modulo the coboundary kernel, the dual of
-    the boundary of some integer 1-chain.
-
-    Solved as one stacked integer system: boundary columns next to a basis
-    of the coboundary kernel.
-    """
-    if candidate.dimension != 0:
-        raise ValueError("expected a 0-cochain")
-    if candidate.ring is not Ring.INTEGER:
-        raise ValueError("membership is decided over the integers")
-    n = hypergraph.vertex_count
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    kernel_columns = kernel_basis(matrix.transpose(), Ring.INTEGER)
-    columns = matrix.columns() + kernel_columns
-    system = ExactMatrix.from_columns(columns, Ring.INTEGER, rows=n)
-    return solve_integer(system, candidate.to_vector(n)) is not None
-
-
-def boundary_functional_injectivity_check(
-    hypergraph: OrientedHypergraph, samples: int = 50, seed: int = 0
-) -> bool:
-    """Check that pairing functionals identify chains up to cycles.
-
-    Verifies that the Gram matrix has the same rank as the boundary map and
-    that sampled chains with a vanishing functional are themselves cycles.
-    """
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    gram = matrix.transpose() @ matrix
-    if image_rank(gram) != image_rank(matrix):
-        return False
-    import random
-
-    rng = random.Random(seed)
-    m = hypergraph.edge_count
-    for _ in range(samples):
-        vector = [rng.randint(-3, 3) for _ in range(m)]
-        if all(x == 0 for x in gram.apply(vector)) and any(
-            x != 0 for x in matrix.apply(vector)
-        ):
-            return False
-    return True
-
-
-def cohomology_hom_iso_check(hypergraph: OrientedHypergraph) -> bool:
-    """Whether restricting cochain classes to cycles is an isomorphism onto
-    the dual of the homology: the cohomology must be torsion-free of the
-    same rank as the homology."""
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    structure = quotient_structure(matrix.transpose())
-    homology_rank = hypergraph.edge_count - image_rank(matrix)
-    return not structure.torsion and structure.free_rank == homology_rank

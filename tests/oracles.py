@@ -1,12 +1,18 @@
 """Independent oracles and generators used only by the test-suite.
 
-Everything here deliberately avoids the library's own code paths: ranks and
-determinants come from a separate Fraction elimination, elementary divisors
-from gcds of minors, and graph fundamental cycles/cuts from tree traversal.
-The dense Smith normal form, RREF and RREF tree reader at the end are the
+Most of what is here deliberately avoids the library's own code paths:
+ranks and determinants come from a separate Fraction elimination,
+elementary divisors from gcds of minors, and graph fundamental cycles/cuts
+from tree traversal.  The second routes to the library's facts (kernel and
+image bases, integer and rational solving, annihilators, quotient
+structure, lattice comparison, the cycle/cut-perp and pairing-functional
+checks) were public in the library until it kept one route per fact; they
+run on its kernels but read each fact off another matrix or factor.  The
+dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
 the dense list transpose and products beside them are the reference for
-the sparse rows of ``ExactMatrix``, :func:`stacked_smith_missing_chain`
+the sparse rows of ``ExactMatrix`` and stand in for its former
+matrix-vector and matrix products, :func:`stacked_smith_missing_chain`
 is its earlier integer spanning check and
 :func:`lexicographic_integer_tree_edges` its earlier integer-tree search,
 :func:`pairwise_validation_report` checks a hypergraph's invariants edge
@@ -25,14 +31,27 @@ from math import gcd
 
 from hyperhomology import (
     BUILTIN_EXAMPLES,
+    Chain,
     ExactMatrix,
     InternalInconsistencyError,
+    ModuleStructure,
     OrientedHypergraph,
     Ring,
     SnfDecomposition,
+    boundary_matrix,
+    image_rank,
     random_hypergraph,
+    smith_normal_form,
 )
 from hyperhomology import cli
+from hyperhomology.core import _Record
+from hyperhomology.exact_linalg import (
+    _dense,
+    _divide_pivots,
+    _integer_echelon,
+    _lattice_contains_all,
+    _rref_tree,
+)
 
 
 def pairwise_validation_report(vertices, edges) -> list[str]:
@@ -180,8 +199,6 @@ def enumerate_rational_candidate_trees(hypergraph: OrientedHypergraph):
     """Test-side enumeration of candidate trees: every edge subset whose
     boundaries form a column basis, with cuts and cycles rebuilt from the
     defining formulas (independently of the library's construction)."""
-    from hyperhomology import Ring, boundary_matrix, solve_rational
-
     matrix = boundary_matrix(hypergraph, Ring.RATIONAL)
     m = hypergraph.edge_count
     rank = fraction_rank(matrix.entries)
@@ -196,7 +213,7 @@ def enumerate_rational_candidate_trees(hypergraph: OrientedHypergraph):
             if e in subset:
                 continue
             weights = solve_rational(
-                type(matrix).from_columns(columns, Ring.RATIONAL, rows=matrix.rows),
+                ExactMatrix(columns, Ring.RATIONAL, cols=matrix.rows).transpose(),
                 matrix.column(e),
             )
             if weights is None:
@@ -224,8 +241,6 @@ def lexicographic_integer_tree_edges(hypergraph: OrientedHypergraph):
     of edge indices, or None: every size-``rank`` edge subset in turn, each
     accepted iff its boundary columns have Smith diagonal ``(1,) * rank``.
     This is how the library searched before it walked prefixes."""
-    from hyperhomology import boundary_matrix, smith_normal_form
-
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
     columns = matrix.transpose().lines
     rank = fraction_rank(matrix.entries)
@@ -257,8 +272,6 @@ def parallel_edge_suite(count: int = 300, base_seed: int = 4242) -> tuple:
 
 def candidate_tree_is_integral(hypergraph: OrientedHypergraph, cuts, cycles) -> bool:
     """Integrality of a candidate: integer cycles, integrally solvable cuts."""
-    from hyperhomology import Ring, boundary_matrix, solve_integer
-
     for cycle in cycles.values():
         if any(Fraction(x).denominator != 1 for x in cycle):
             return False
@@ -276,14 +289,6 @@ def integer_tree_lattice_checks(hypergraph: OrientedHypergraph, tree) -> dict:
     computed as the library once did: cut membership by one Smith form of
     B^T, and each span check by comparing the family with the image lattice
     of B^T or the kernel lattice of B, both ways."""
-    from hyperhomology import (
-        boundary_matrix,
-        image_basis,
-        kernel_basis,
-        smith_normal_form,
-        sublattice_equal,
-    )
-
     m = hypergraph.edge_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
     transpose = matrix.transpose()
@@ -291,7 +296,7 @@ def integer_tree_lattice_checks(hypergraph: OrientedHypergraph, tree) -> dict:
     cycle_vectors = [c.to_vector(m) for c in tree.fundamental_cycles.values()]
     coboundary = smith_normal_form(transpose)
     return {
-        "cuts_are_cuts": all(coboundary.solve(v) is not None for v in cut_vectors),
+        "cuts_are_cuts": all(snf_solve(coboundary, v) is not None for v in cut_vectors),
         "cuts_span": sublattice_equal(cut_vectors, image_basis(transpose, Ring.INTEGER), m),
         "cycles_span": sublattice_equal(cycle_vectors, kernel_basis(matrix, Ring.INTEGER), m),
     }
@@ -321,16 +326,14 @@ def stacked_smith_missing_chain(cycle_vectors, cut_vectors, ambient_dim: int):
     matrix, then one integer solve per standard chain.  This is how the
     library decided the integer spanning check before it read the answer
     off the Smith form of the boundary matrix alone."""
-    from hyperhomology import smith_normal_form
-
-    generators = ExactMatrix.from_columns(
-        [*cycle_vectors, *cut_vectors], Ring.INTEGER, rows=ambient_dim
-    )
+    generators = ExactMatrix(
+        [*cycle_vectors, *cut_vectors], Ring.INTEGER, cols=ambient_dim
+    ).transpose()
     chain_sum = smith_normal_form(generators)
     for e in range(ambient_dim):
         unit = [0] * ambient_dim
         unit[e] = 1
-        if chain_sum.solve(unit) is None:
+        if snf_solve(chain_sum, unit) is None:
             return e
     return None
 
@@ -339,8 +342,6 @@ def spanning_tree_count(hypergraph: OrientedHypergraph) -> int:
     """Number of spanning trees of a graph, by the matrix-tree theorem: the
     determinant of its Laplacian B B^T with the last row and column
     removed."""
-    from hyperhomology import boundary_matrix
-
     rows = boundary_matrix(hypergraph, Ring.INTEGER).entries
     n = len(rows)
     laplacian = [[dot(rows[a], rows[b]) for b in range(n - 1)] for a in range(n - 1)]
@@ -459,6 +460,269 @@ def tree_cut(hypergraph: OrientedHypergraph, tree_edges, t) -> dict[int, int]:
         if value:
             coefficients[j] = value
     return coefficients
+
+
+# Second routes to facts the package decides one way.  Each was public in
+# the package until it kept one route per fact; here each checks that route
+# from another side.  They run on the package's kernels (the Smith form and
+# the fraction-free elimination) but read each fact off another matrix or
+# another factor: kernels and image lattices, integer and rational solving,
+# annihilators, quotient structure, lattice comparison, and the
+# pairing-functional lattice of the boundary Gram matrix.
+
+
+def snf_solve(decomposition: SnfDecomposition, rhs) -> list[int] | None:
+    """Some integer solution of ``m @ x = rhs`` for the ``m`` that
+    ``decomposition`` factors, or None when no integer solution exists (even
+    if a rational one does): ``u @ rhs`` must be divisible by the divisors
+    and vanish beyond the rank."""
+    rhs = [Ring.INTEGER.coerce(b) for b in rhs]
+    if len(rhs) != decomposition.u.cols:
+        raise ValueError("right-hand side length does not match row count")
+    diagonal = decomposition.diagonal
+    y = [0] * decomposition.v.rows
+    for i, value in enumerate(dense_apply(decomposition.u.entries, rhs, 0)):
+        if i < len(diagonal):
+            if value % diagonal[i]:
+                return None
+            y[i] = value // diagonal[i]
+        elif value:
+            return None
+    return dense_apply(decomposition.v.entries, y, 0)
+
+
+def snf_reproduces(decomposition: SnfDecomposition, matrix: ExactMatrix) -> bool:
+    """Whether ``u @ matrix @ v == s``, by schoolbook products of the dense
+    entries."""
+    cols = matrix.cols
+    um = dense_product(decomposition.u.entries, matrix.entries, cols, 0)
+    umv = dense_product(um, decomposition.v.entries, cols, 0)
+    return umv == [list(row) for row in decomposition.s.entries]
+
+
+def solve_integer(matrix: ExactMatrix, rhs) -> list[int] | None:
+    """Some integer solution of ``matrix @ x = rhs``, or None when no
+    integer solution exists (even if a rational one does)."""
+    return snf_solve(smith_normal_form(matrix), rhs)
+
+
+def sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form with the pivot columns, over Fractions, of
+    the matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
+    Fractions, which are not modified): the package's fraction-free
+    elimination with each pivot row divided by its pivot at the end."""
+    reduced, pivots = _integer_echelon(rows, width)
+    return _divide_pivots(reduced, pivots, Ring.RATIONAL), pivots
+
+
+def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:
+    """One rational solution of ``matrix @ x = rhs``, or None.
+
+    Free variables are set to zero, so the answer is deterministic; when the
+    columns are independent the solution is unique anyway.
+    """
+    rhs = list(rhs)
+    if len(rhs) != matrix.rows:
+        raise ValueError("right-hand side length does not match row count")
+    width = matrix.cols
+    augmented = []
+    for line, b in zip(matrix.lines, rhs):
+        b = Fraction(b)
+        augmented.append({**line, width: b} if b else line)
+    rref, pivots = sparse_rref(augmented, width + 1)
+    if width in pivots:
+        return None
+    solution = [Fraction(0)] * width
+    for row, pivot in zip(rref, pivots):
+        solution[pivot] = row.get(width, Fraction(0))
+    return solution
+
+
+def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
+    """Basis of the nullspace (rational) or of the kernel lattice (integer).
+
+    Integer kernels are read off the column change-of-basis factor of the
+    Smith normal form, so the returned lattice is saturated: it is a direct
+    summand of the ambient lattice.  Rational kernels are the null vectors
+    of the free columns of the RREF, one per free column in order.
+    """
+    if ring is Ring.INTEGER:
+        if matrix.ring is not Ring.INTEGER:
+            raise ValueError("integer kernel requires an integer matrix")
+        decomposition = smith_normal_form(matrix)
+        return [decomposition.v.column(j) for j in range(decomposition.rank, matrix.cols)]
+    _, _, cycles = _rref_tree(matrix.lines, matrix.cols)
+    return [_dense(cycle, matrix.cols) for cycle in cycles.values()]
+
+
+def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
+    """Basis of the column space (rational) or of the image lattice (integer).
+
+    Over the rationals this is the greedy independent subset of columns,
+    lowest indices first: the pivot columns of the RREF.  Over the integers
+    the basis is read off the Smith factors: the nonzero diagonal entries
+    times the matching columns of the inverse row transform generate exactly
+    the lattice spanned by the columns.
+    """
+    if ring is Ring.INTEGER:
+        if matrix.ring is not Ring.INTEGER:
+            raise ValueError("integer image requires an integer matrix")
+        decomposition = smith_normal_form(matrix)
+        return [
+            [d * x for x in decomposition.u_inverse.column(i)]
+            for i, d in enumerate(decomposition.diagonal)
+        ]
+    tree, _, _ = _rref_tree(matrix.lines, matrix.cols)
+    return [[Fraction(x) for x in matrix.column(j)] for j in tree]
+
+
+def is_direct_summand(matrix: ExactMatrix) -> bool:
+    """Whether the lattice spanned by the columns is a direct summand of the
+    ambient integer lattice: all elementary divisors are 1."""
+    return all(d == 1 for d in smith_normal_form(matrix).diagonal)
+
+
+def annihilator_basis(generators, ambient_dim: int) -> list[list[int]]:
+    """Basis of the integer vectors orthogonal to every generator: the
+    integer kernel of the matrix whose rows are the generators, so the
+    lattice is saturated.  With no generators it is the whole ambient
+    lattice."""
+    rows = [list(g) for g in generators]
+    if any(len(row) != ambient_dim for row in rows):
+        raise ValueError("generator length does not match ambient dimension")
+    return kernel_basis(ExactMatrix(rows, Ring.INTEGER, cols=ambient_dim), Ring.INTEGER)
+
+
+def quotient_structure(matrix: ExactMatrix) -> ModuleStructure:
+    """Structure of the ambient integer lattice modulo the column span."""
+    decomposition = smith_normal_form(matrix)
+    torsion = tuple(d for d in decomposition.diagonal if d > 1)
+    return ModuleStructure(matrix.rows - decomposition.rank, torsion)
+
+
+def _integer_lines(vectors, ambient_dim: int) -> tuple:
+    """Integer vectors of length ``ambient_dim`` as ``{index: nonzero}`` dicts."""
+    return ExactMatrix(vectors, Ring.INTEGER, cols=ambient_dim).lines
+
+
+def lattice_contains(generators, vector, ambient_dim: int) -> bool:
+    """Whether ``vector`` lies in the integer span of the generators."""
+    return _lattice_contains_all(
+        _integer_lines(generators, ambient_dim), _integer_lines([vector], ambient_dim), ambient_dim
+    )
+
+
+def sublattice_equal(generators_a, generators_b, ambient_dim: int) -> bool:
+    """Whether two generating sets span the same integer lattice."""
+    a = _integer_lines(generators_a, ambient_dim)
+    b = _integer_lines(generators_b, ambient_dim)
+    return _lattice_contains_all(b, a, ambient_dim) and _lattice_contains_all(a, b, ambient_dim)
+
+
+def annihilator_of_cycles(hypergraph: OrientedHypergraph) -> list[list[int]]:
+    """Basis of the 1-cochain lattice that vanishes on every cycle."""
+    cycles = kernel_basis(boundary_matrix(hypergraph, Ring.INTEGER), Ring.INTEGER)
+    return annihilator_basis(cycles, hypergraph.edge_count)
+
+
+class PerpComparison(_Record):
+    """Result of comparing two lattices that should coincide, with a
+    witness generator on the offending side when they do not."""
+
+    equal: bool
+    witness: Chain | None
+
+
+def cycles_equal_cut_perp_check(hypergraph: OrientedHypergraph) -> PerpComparison:
+    """Check that the cycle lattice is exactly the orthogonal complement of
+    the cut lattice over the integers.
+
+    This holds for every hypergraph, so a False answer indicates a bug in
+    the lattice machinery rather than a property of the input.
+    """
+    m = hypergraph.edge_count
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    cuts = image_basis(matrix.transpose(), Ring.INTEGER)
+    perp = annihilator_basis(cuts, m)
+    cycles = kernel_basis(matrix, Ring.INTEGER)
+    if sublattice_equal(perp, cycles, m):
+        return PerpComparison(True, None)
+    for vector in perp:
+        if not lattice_contains(cycles, vector, m):
+            return PerpComparison(False, Chain.from_vector(1, vector, Ring.INTEGER))
+    for vector in cycles:
+        if not lattice_contains(perp, vector, m):
+            return PerpComparison(False, Chain.from_vector(1, vector, Ring.INTEGER))
+    raise InternalInconsistencyError("lattices differ but no witness found")
+
+
+def boundary_gram(matrix: ExactMatrix) -> ExactMatrix:
+    """The Gram matrix ``B^T B`` of the integer boundary matrix B, by the
+    schoolbook product."""
+    m = matrix.cols
+    gram = dense_product(matrix.transpose().entries, matrix.entries, m, 0)
+    return ExactMatrix(gram, Ring.INTEGER, cols=m)
+
+
+def boundary_functional_lattice(hypergraph: OrientedHypergraph) -> list[list[int]]:
+    """Image lattice of the map sending a 1-chain to its pairing
+    functional: the column lattice of the boundary Gram matrix.
+
+    Always a sublattice of the coboundary image; the containment can be
+    proper.
+    """
+    return image_basis(boundary_gram(boundary_matrix(hypergraph, Ring.INTEGER)), Ring.INTEGER)
+
+
+def represents_dualized_boundary(hypergraph: OrientedHypergraph, candidate) -> bool:
+    """Whether the 0-cochain is, modulo the coboundary kernel, the dual of
+    the boundary of some integer 1-chain.
+
+    Solved as one stacked integer system: boundary columns next to a basis
+    of the coboundary kernel.
+    """
+    if candidate.dimension != 0:
+        raise ValueError("expected a 0-cochain")
+    if candidate.ring is not Ring.INTEGER:
+        raise ValueError("membership is decided over the integers")
+    n = hypergraph.vertex_count
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    columns = matrix.columns() + kernel_basis(matrix.transpose(), Ring.INTEGER)
+    system = ExactMatrix(columns, Ring.INTEGER, cols=n).transpose()
+    return solve_integer(system, candidate.to_vector(n)) is not None
+
+
+def boundary_functional_injectivity_check(
+    hypergraph: OrientedHypergraph, samples: int = 50, seed: int = 0
+) -> bool:
+    """Check that pairing functionals identify chains up to cycles.
+
+    Verifies that the Gram matrix has the same rank as the boundary map and
+    that sampled chains with a vanishing functional are themselves cycles.
+    """
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    gram = boundary_gram(matrix)
+    if image_rank(gram) != image_rank(matrix):
+        return False
+    rng = random.Random(seed)
+    m = hypergraph.edge_count
+    for _ in range(samples):
+        vector = [rng.randint(-3, 3) for _ in range(m)]
+        if not any(dense_apply(gram.entries, vector, 0)) and any(
+            dense_apply(matrix.entries, vector, 0)
+        ):
+            return False
+    return True
+
+
+def cohomology_hom_iso_check(hypergraph: OrientedHypergraph) -> bool:
+    """Whether restricting cochain classes to cycles is an isomorphism onto
+    the dual of the homology: the cohomology must be torsion-free of the
+    same rank as the homology."""
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    structure = quotient_structure(matrix.transpose())
+    homology_rank = hypergraph.edge_count - image_rank(matrix)
+    return not structure.torsion and structure.free_rank == homology_rank
 
 
 # Dense kernels, kept as they were before the library switched to sparse
@@ -644,7 +908,7 @@ def dense_smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
         u_inverse=ExactMatrix(u_inv, Ring.INTEGER, cols=r),
         v_inverse=ExactMatrix(v_inv, Ring.INTEGER, cols=c),
     )
-    if (result.u @ matrix) @ result.v != result.s:
+    if not snf_reproduces(result, matrix):
         raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
     return result
 

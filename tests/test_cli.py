@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,19 @@ def test_parse_serialize_round_trip():
         again = parse_document(serialize_document(h, name=name))
         assert again == h
         assert parse_document(serialize_document(again)) == again
+
+
+def test_serialize_refuses_ids_that_are_not_str():
+    # a document holds str ids only, so no other id could round-trip; the
+    # first one is named, and nothing is rendered
+    cases = [
+        (OrientedHypergraph([1, 2], [({1}, {2})]), "1"),
+        (OrientedHypergraph([0.5, 1.5], [({0.5}, {1.5})]), "0.5"),
+        (OrientedHypergraph(["a", 2, 3.0], [({"a"}, {2}), ({3.0}, {"a"})]), "2"),
+    ]
+    for h, first in cases:
+        with pytest.raises(TypeError, match=rf"^vertex id {re.escape(first)} is not a str"):
+            serialize_document(h, name="ids")
 
 
 def test_parse_empty_document():

@@ -21,11 +21,9 @@ from hyperhomology import (
     find_spanning_tree_rational,
     image_rank,
     is_integral,
-    kernel_basis,
     main_example,
     parallel_edges,
     smith_normal_form,
-    solve_rational,
     triangle_graph,
     vector_space_spanning_tree,
     verify_tree_axioms,
@@ -39,9 +37,11 @@ from oracles import (
     hypergraph_suite,
     integer_tree_lattice_checks,
     is_combinatorial_spanning_tree,
+    kernel_basis,
     lexicographic_integer_tree_edges,
     parallel_edge_suite,
     random_connected_graph,
+    solve_rational,
     tree_cut,
     tree_path_cycle,
 )
@@ -304,9 +304,9 @@ def test_integer_search_matches_exhaustive_enumeration():
         }
         first_integral = None
         for subset in itertools.combinations(range(m), rank):
-            columns = ExactMatrix.from_columns(
-                [matrix.column(j) for j in subset], Ring.INTEGER, rows=matrix.rows
-            )
+            columns = ExactMatrix(
+                [matrix.column(j) for j in subset], Ring.INTEGER, cols=matrix.rows
+            ).transpose()
             unimodular = smith_normal_form(columns).diagonal == (1,) * rank
             if subset not in bases:
                 assert not unimodular, (h, subset)

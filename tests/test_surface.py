@@ -1,0 +1,110 @@
+"""The package's public surface: ``__all__``, the second routes that left
+it for the test oracles, and the README's library example."""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import hyperhomology
+import oracles
+from hyperhomology import exact_linalg
+
+# the package re-exports the function ``homology`` under the module's name
+homology_module = importlib.import_module("hyperhomology.homology")
+
+PUBLIC = [
+    "BUILTIN_EXAMPLES",
+    "Chain",
+    "Cochain",
+    "DecompositionReport",
+    "ExactMatrix",
+    "GraphLikenessReport",
+    "HomologyReport",
+    "HypergraphValidationError",
+    "InternalInconsistencyError",
+    "ModuleStructure",
+    "OrientedHypergraph",
+    "Ring",
+    "SearchLimitExceeded",
+    "SnfDecomposition",
+    "SpanningTree",
+    "TreeAxiomsReport",
+    "Witness",
+    "boundary",
+    "boundary_functional",
+    "boundary_inner_product",
+    "boundary_matrix",
+    "canonical_inner_product",
+    "chain_to_cochain",
+    "coboundary",
+    "cochain_to_chain",
+    "cycle_cut_decomposition",
+    "find_spanning_tree_integer",
+    "find_spanning_tree_rational",
+    "graph_likeness",
+    "homology",
+    "image_rank",
+    "is_integral",
+    "main_example",
+    "parallel_edges",
+    "path_graph",
+    "random_hypergraph",
+    "smith_normal_form",
+    "triangle_graph",
+    "validate",
+    "validation_report",
+    "vector_space_spanning_tree",
+    "verify_tree_axioms",
+]
+
+# Second routes to facts the package decides one way; the oracles hold them.
+MOVED_TO_ORACLES = [
+    "PerpComparison",
+    "annihilator_basis",
+    "annihilator_of_cycles",
+    "boundary_functional_injectivity_check",
+    "boundary_functional_lattice",
+    "cohomology_hom_iso_check",
+    "cycles_equal_cut_perp_check",
+    "image_basis",
+    "is_direct_summand",
+    "kernel_basis",
+    "lattice_contains",
+    "quotient_structure",
+    "represents_dualized_boundary",
+    "solve_integer",
+    "solve_rational",
+    "sublattice_equal",
+]
+
+# ``cycle_cut_decomposition(h, Ring.RATIONAL)`` is the one route.
+DELETED_ALIAS = "orthogonal_decomposition_rational"
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(hyperhomology.__all__) == PUBLIC
+    for name in PUBLIC:
+        getattr(hyperhomology, name)
+
+
+def test_second_routes_left_the_package_for_the_oracles():
+    for name in MOVED_TO_ORACLES + [DELETED_ALIAS]:
+        for module in (hyperhomology, exact_linalg, homology_module):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+    for name in MOVED_TO_ORACLES:
+        getattr(oracles, name)
+    assert not hasattr(oracles, DELETED_ALIAS)
+    for method in ("apply", "__matmul__", "from_columns"):
+        assert not hasattr(hyperhomology.ExactMatrix, method)
+    assert not hasattr(hyperhomology.SnfDecomposition, "solve")
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
