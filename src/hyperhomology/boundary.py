@@ -75,7 +75,8 @@ def boundary_matrix(hypergraph: OrientedHypergraph, ring: Ring) -> ExactMatrix:
 
 
 def canonical_inner_product(x, y):
-    """Coefficient-wise dot product over the common basis."""
+    """Coefficient-wise dot product over the common basis, in the
+    canonical form of the ring."""
     if type(x) is not type(y):
         raise TypeError("inner product requires two chains or two cochains")
     if x.dimension != y.dimension:
@@ -87,7 +88,7 @@ def canonical_inner_product(x, y):
         other = y.coefficients.get(index)
         if other is not None:
             total += value * other
-    return total
+    return x.ring.coerce(total)
 
 
 def boundary_inner_product(hypergraph: OrientedHypergraph, x: Chain, y: Chain):

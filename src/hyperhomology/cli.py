@@ -47,8 +47,6 @@ from _json import encode_basestring_ascii as _quote, make_scanner
 
 from . import fixtures
 from .core import (
-    Chain,
-    Cochain,
     HypergraphValidationError,
     InternalInconsistencyError,
     OrientedHypergraph,
@@ -245,13 +243,15 @@ def _edge_labels(hypergraph: OrientedHypergraph) -> list[str]:
     return [f"e{j + 1}" for j in range(hypergraph.edge_count)]
 
 
-def _scalar_json(value):
-    """An ``int`` coefficient as a JSON number, a Fraction as ``"p/q"``."""
-    return value if type(value) is int else str(value)
+def _scalar_json(value, ring: Ring):
+    """A coefficient over the integers as a JSON number; one over the
+    rationals, integral or not, as its text ``"p"`` or ``"p/q"``."""
+    return str(value) if ring is Ring.RATIONAL else value
 
 
 def _formal_sum_json(item, labels) -> dict:
-    return {labels[i]: _scalar_json(item.coefficients[i]) for i in sorted(item.coefficients)}
+    ring = item.ring
+    return {labels[i]: _scalar_json(item.coefficients[i], ring) for i in sorted(item.coefficients)}
 
 
 def _format_formal_sum(item, labels) -> str:

@@ -1,16 +1,20 @@
 """Domain types: oriented hypergraphs, chains, cochains, exact scalars.
 
-Coefficients are plain ``int`` (ring ``Ring.INTEGER``) or
-``fractions.Fraction`` (ring ``Ring.RATIONAL``), so all arithmetic is exact
-and never overflows.  Fractions stay in lowest terms with a positive
-denominator by construction.  Vertex order and edge order of a hypergraph
-fix the bases of the 0-chain and 1-chain groups and the layout of every
-matrix and report derived from them.
+Coefficients are plain ``int`` over ``Ring.INTEGER``.  Over
+``Ring.RATIONAL`` they are in one canonical form: an ``int`` when the value
+is integral, and a ``fractions.Fraction`` (lowest terms, denominator above
+1) otherwise.  Python compares and hashes ``Fraction(n)`` as ``n``, so the
+form changes no equality, and all arithmetic stays exact and never
+overflows.  Vertex order and edge order of a hypergraph fix the bases of
+the 0-chain and 1-chain groups and the layout of every matrix and report
+derived from them.
 
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only
-on the code paths that make or test a Fraction, never at module level, so
-an integer query does not load it.  Annotation types come from
-``collections.abc``, which ``functools`` loads anyway, not from ``typing``.
+on the code paths that make or test a non-integral value, never at module
+level, so neither an integer query nor a rational one whose values are
+all integral (every query on a graph) loads it.  Annotation types come
+from ``collections.abc``, which ``functools`` loads anyway, not from
+``typing``.
 """
 
 from __future__ import annotations
@@ -27,38 +31,35 @@ class Ring(Enum):
     RATIONAL = "rat"
 
     def coerce(self, value):
-        """Convert ``value`` into this ring, rejecting lossy conversions."""
+        """Convert ``value`` into this ring, rejecting lossy conversions.
+
+        The result is in canonical form: an ``int`` when the value is
+        integral, in either ring, and otherwise (over the rationals only) a
+        ``Fraction`` with denominator above 1."""
         if isinstance(value, bool):
             raise TypeError("booleans are not scalars")
-        if self is Ring.INTEGER and isinstance(value, int):
+        if isinstance(value, int):
             return value
         from fractions import Fraction
 
-        if self is Ring.INTEGER:
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError(f"{value} is not an integer")
+        if isinstance(value, Fraction):
+            if value.denominator == 1:
                 return int(value)
-            raise TypeError(f"cannot coerce {value!r} to the integers")
-        if isinstance(value, (int, Fraction)):
+            if self is Ring.INTEGER:
+                raise ValueError(f"{value} is not an integer")
             return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} to the rationals")
+        name = "integers" if self is Ring.INTEGER else "rationals"
+        raise TypeError(f"cannot coerce {value!r} to the {name}")
 
     @property
     def zero(self):
-        if self is Ring.INTEGER:
-            return 0
-        from fractions import Fraction
-
-        return Fraction(0)
+        """``0``, the canonical form of zero in both rings."""
+        return 0
 
     @property
     def one(self):
-        if self is Ring.INTEGER:
-            return 1
-        from fractions import Fraction
-
-        return Fraction(1)
+        """``1``, the canonical form of one in both rings."""
+        return 1
 
 
 class _Record:
@@ -251,8 +252,8 @@ class _FormalSum(_Record):
     def _of(cls, dimension: int, coefficients: dict, ring: Ring):
         """Wrap a dict the package built itself, without the per-entry
         coercion of the constructor: its keys are ints and its values
-        nonzero ``int`` over the integers, ``Fraction`` over the rationals.
-        The dict is kept, not copied."""
+        nonzero and in the canonical form of ``ring``.  The dict is kept,
+        not copied."""
         formal_sum = object.__new__(cls)
         object.__setattr__(formal_sum, "dimension", dimension)
         object.__setattr__(formal_sum, "coefficients", coefficients)
@@ -347,7 +348,7 @@ class Cochain(_FormalSum):
             coefficient = chain.coefficients.get(index)
             if coefficient is not None:
                 total += value * coefficient
-        return total
+        return self.ring.coerce(total)
 
     __call__ = evaluate
 

@@ -10,12 +10,15 @@ tree, fundamental cuts and cycles.  The RREF is computed fraction-free
 (integer-preserving, after Bareiss): every row is held in ints as a
 positive multiple of the row the schoolbook elimination over Fractions
 holds at the same step, so it has the same nonzeros and leads to the same
-pivots, and each pivot row is divided by its pivot only at the end, one
-Fraction per returned nonzero.  ``fractions`` is imported inside the
-functions that build Fractions, once per call, so the integer route never
-loads it.  The second routes to the same facts (kernel and
-image bases, integer and rational solving, annihilators, quotient
-structure, lattice comparison, matrix products) live in
+pivots, and each pivot row is divided by its pivot only at the end.
+Rational values are in the canonical form of :mod:`core`: an entry the
+pivot divides is divided exactly, into an int, and only one it does not
+divide becomes a Fraction.  On a graph B is totally unimodular, so every
+RREF entry is integral and no Fraction is made.  ``fractions`` is imported
+only where a Fraction is made, so neither the integer route nor a
+rational query on a graph loads it.  The second routes to the same facts
+(kernel and image bases, integer and rational solving, annihilators,
+quotient structure, lattice comparison, matrix products) live in
 ``tests/oracles.py``, where they check these ones.
 
 :class:`ExactMatrix` stores one ``{column: nonzero}`` dict per row, and
@@ -25,8 +28,8 @@ in proportion to the nonzeros.  Both kernels work on such dicts: the
 Smith reduction starts from the matrix's rows and its factors come back
 as sparse matrices, and the RREF takes and returns dict rows.  The
 spanning-tree reader returns its fundamental cuts and cycles as
-``{index: nonzero}`` dicts, of Fractions or, for an integer tree, of ints
-divided out exactly, which the reports wrap as chains directly; only
+``{index: nonzero}`` dicts in canonical form (an integer tree's are all
+ints), which the reports wrap as chains directly; only
 :func:`vector_space_spanning_tree`, which returns dense lists, builds
 them, at the end.  A rank needs only the fraction-free elimination, so it
 makes no Fraction.  The integer-tree search keeps a log of unimodular row
@@ -212,39 +215,33 @@ def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int
 
 def _divide_pivots(reduced: list[dict], pivots: list[int], ring: Ring) -> list[dict]:
     """The RREF rows: each row of :func:`_integer_echelon` divided by its
-    pivot, into Fractions over the rationals and exactly over the integers,
-    where a pivot that does not divide its row raises
+    pivot, in canonical form.  An entry the pivot divides is divided
+    exactly, into an int; one it does not divide becomes a Fraction over
+    the rationals and, over the integers, raises
     :class:`InternalInconsistencyError`.  Rows past the rank are kept."""
     reduced = list(reduced)
-    if ring is Ring.INTEGER:
-        for k, c in enumerate(pivots):
-            row = reduced[k]
-            p = row[c]
-            if p != 1:
-                for x in row.values():
-                    if x % p:
-                        raise InternalInconsistencyError(
-                            f"fractional integer tree: {x}/{p} is not an integer"
-                        )
-                reduced[k] = {j: x // p for j, x in row.items()}
-        return reduced
-    from fractions import Fraction
-
     for k, c in enumerate(pivots):
         row = reduced[k]
         p = row[c]
         if p == 1:
-            reduced[k] = {j: Fraction(x) for j, x in row.items()}
+            continue
+        fractional = [x for x in row.values() if x % p]
+        if not fractional:
+            reduced[k] = {j: x // p for j, x in row.items()}
+        elif ring is Ring.INTEGER:
+            raise InternalInconsistencyError(
+                f"fractional integer tree: {fractional[0]}/{p} is not an integer"
+            )
         else:
-            reduced[k] = {j: Fraction(x, p) for j, x in row.items()}
+            from fractions import Fraction
+
+            reduced[k] = {j: Fraction(x, p) if x % p else x // p for j, x in row.items()}
     return reduced
 
 
-def _dense(vector: dict, length: int) -> list[Fraction]:
-    """Dense Fraction vector of a ``{index: value}`` dict."""
-    from fractions import Fraction
-
-    line = [Fraction(0)] * length
+def _dense(vector: dict, length: int) -> list:
+    """Dense vector of a ``{index: value}`` dict, zeros filled with ``0``."""
+    line = [0] * length
     for j, x in vector.items():
         line[j] = x
     return line
@@ -262,9 +259,9 @@ def _rref_tree(rows: list[dict], cols: int, order=None, ring: Ring = Ring.RATION
     f.  Returns ``(tree, cuts, cycles)``: the tree columns in scan order,
     then dicts from tree column (in scan order) and from free column (in
     scan order) to a ``{column: nonzero}`` dict with its columns ascending.
-    The values are Fractions over the rationals.  Over the integers they
-    are ints: the RREF is divided exactly, and a pivot that does not divide
-    its row (a tree whose cuts are not all integral) raises
+    The values are in canonical form: ints where the pivot divides the
+    entry, Fractions elsewhere.  Over the integers a pivot that does not
+    divide its row (a tree whose cuts are not all integral) raises
     :class:`InternalInconsistencyError`.
     """
     order = list(range(cols)) if order is None else list(order)

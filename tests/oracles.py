@@ -506,11 +506,18 @@ def solve_integer(matrix: ExactMatrix, rhs) -> list[int] | None:
     return snf_solve(smith_normal_form(matrix), rhs)
 
 
+def canonical_type(value) -> type:
+    """The type of ``value`` in the package's canonical rational form:
+    ``int`` when it is integral, ``Fraction`` otherwise."""
+    return int if value.denominator == 1 else Fraction
+
+
 def sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form with the pivot columns, over Fractions, of
-    the matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
-    Fractions, which are not modified): the package's fraction-free
-    elimination with each pivot row divided by its pivot at the end."""
+    """Reduced row echelon form with the pivot columns, over the rationals
+    in canonical form, of the matrix with sparse ``rows`` (``{column:
+    nonzero}`` dicts of ints or Fractions, which are not modified): the
+    package's fraction-free elimination with each pivot row divided by its
+    pivot at the end."""
     reduced, pivots = _integer_echelon(rows, width)
     return _divide_pivots(reduced, pivots, Ring.RATIONAL), pivots
 

@@ -7,7 +7,6 @@ approximation.  Each criterion prints one PASS/FAIL line (visible with
 
 import random
 from contextlib import contextmanager
-from fractions import Fraction
 
 from hyperhomology import (
     Chain,

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,11 +13,9 @@ from hyperhomology import (
     boundary_inner_product,
     boundary_matrix,
     canonical_inner_product,
-    chain_to_cochain,
     coboundary,
     main_example,
     parallel_edges,
-    random_hypergraph,
 )
 
 from oracles import dense_apply, hypergraph_suite

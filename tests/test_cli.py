@@ -410,7 +410,7 @@ _HEAVY = (
 _RATIONAL_STACK = ("fractions", "decimal", "numbers")
 
 
-def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
+def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path, capsys):
     import os
 
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -441,14 +441,18 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
     assert "cut basis: e1 + e3, e2 + e3" in result.stdout
     assert "integer spanning tree found" in result.stdout
     assert "no spanning tree over the integers (search exhausted)" in result.stdout
-    # a rational query loads the stack where it makes Fractions and answers,
-    # and loads nothing else of the list above
+    # every rational value on a graph is integral (its boundary matrix is
+    # totally unimodular), so rational queries on one make no Fraction and
+    # load nothing of either list
     script = (
         "from hyperhomology.cli import run_command\n"
         f"assert run_command(['homology', {document!r}, '--ring', 'rat', '--json']) == 0\n"
         f"assert run_command(['homology', {document!r}, '--ring', 'rat']) == 0\n"
-        f"loaded = [name for name in {_HEAVY!r} if name in sys.modules]\n"
-        "sys.exit(f'loaded by a rational query: {loaded}' if loaded else 0)\n"
+        f"assert run_command(['decompose', {document!r}, '--ring', 'rat', '--json']) == 0\n"
+        f"assert run_command(['spanning-tree', {document!r}, '--ring', 'rat', '--check-integral']) == 0\n"
+        f"heavy = {_HEAVY + _RATIONAL_STACK!r}\n"
+        "loaded = [name for name in heavy if name in sys.modules]\n"
+        "sys.exit(f'loaded by a rational query on a graph: {loaded}' if loaded else 0)\n"
     )
     result = _run_bare(src, script)
     assert result.returncode == 0, result.stderr
@@ -456,6 +460,68 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path):
     assert "ring: rat" in result.stdout
     assert "homology: free rank 1, torsion []" in result.stdout
     assert "homology basis: -e1 - e2 + e3" in result.stdout
+    assert '"cut_basis": [\n    {\n      "e1": "1",\n      "e3": "1"\n    },' in result.stdout
+    assert "cut of e1: e1 + e3" in result.stdout
+    assert "integral: yes" in result.stdout
+    # a tree with non-integral entries loads the stack where it makes its
+    # Fractions, writes every rational coefficient as text, and loads
+    # nothing else of the first list
+    code, out, _ = _run(capsys, "random", "--vertices", "4", "--edges", "5", "--seed", "5")
+    assert code == 0
+    fractional = tmp_path / "random-4-5-5.json"
+    fractional.write_text(out)
+    script = (
+        "from hyperhomology.cli import run_command\n"
+        f"assert run_command(['spanning-tree', {str(fractional)!r}, '--ring', 'rat', '--json']) == 0\n"
+        f"missing = [name for name in {_RATIONAL_STACK!r} if name not in sys.modules]\n"
+        f"loaded = [name for name in {_HEAVY!r} if name in sys.modules]\n"
+        "sys.exit(f'missing {missing}, loaded {loaded}' if missing or loaded else 0)\n"
+    )
+    result = _run_bare(src, script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n") == [
+        '{',
+        '  "ring": "rat",',
+        '  "tree_edges": [',
+        '    "e1",',
+        '    "e2",',
+        '    "e3"',
+        '  ],',
+        '  "chords": [',
+        '    "e4",',
+        '    "e5"',
+        '  ],',
+        '  "fundamental_cuts": {',
+        '    "e1": {',
+        '      "e1": "1",',
+        '      "e4": "1/2"',
+        '    },',
+        '    "e2": {',
+        '      "e2": "1",',
+        '      "e5": "-1"',
+        '    },',
+        '    "e3": {',
+        '      "e3": "1",',
+        '      "e4": "-1/2",',
+        '      "e5": "1"',
+        '    }',
+        '  },',
+        '  "fundamental_cycles": {',
+        '    "e4": {',
+        '      "e1": "-1/2",',
+        '      "e3": "1/2",',
+        '      "e4": "1"',
+        '    },',
+        '    "e5": {',
+        '      "e2": "1",',
+        '      "e3": "-1",',
+        '      "e5": "1"',
+        '    }',
+        '  },',
+        '  "axioms_verified": true',
+        '}',
+        "",
+    ]
 
 
 def test_cli_malformed_document_loads_json_for_its_error(tmp_path):

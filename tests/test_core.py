@@ -14,6 +14,7 @@ from hyperhomology import (
     Ring,
     Witness,
     boundary_matrix,
+    canonical_inner_product,
     chain_to_cochain,
     cochain_to_chain,
     cycle_cut_decomposition,
@@ -149,6 +150,17 @@ def test_cochain_evaluation_is_dot_product():
     cochain = Cochain(1, {0: 2, 2: -1}, Ring.INTEGER)
     chain = Chain(1, {0: 3, 1: 9, 2: 4}, Ring.INTEGER)
     assert cochain(chain) == 2 * 3 + (-1) * 4
+    # rational results are in canonical form: 1/2 * 1 + 1/2 * 1 is the int 1,
+    # from the evaluation and from the inner product alike
+    half = Fraction(1, 2)
+    cochain = Cochain(1, {0: half, 1: half}, Ring.RATIONAL)
+    chain = Chain(1, {0: 1, 1: 1}, Ring.RATIONAL)
+    for value in (cochain(chain), canonical_inner_product(cochain_to_chain(cochain), chain)):
+        assert value == 1 and type(value) is int
+    value = cochain(Chain(1, {0: 1}, Ring.RATIONAL))
+    assert value == half and type(value) is Fraction
+    value = Cochain.zero(1, Ring.RATIONAL)(chain)
+    assert value == 0 and type(value) is int
 
 
 def test_gamma_zero():
@@ -250,9 +262,20 @@ def test_integer_coerce_keeps_ints_and_takes_integral_fractions():
 
 
 def test_rational_coerce_makes_fractions():
-    for value, expected in ((3, Fraction(3)), (-5, Fraction(-5)), (Fraction(6, 4), Fraction(3, 2))):
+    # canonical form: an int when the value is integral, else a Fraction
+    # in lowest terms
+    for value, expected in (
+        (3, 3),
+        (-5, -5),
+        (Fraction(6, 3), 2),
+        (Fraction(-4), -4),
+        (Fraction(0, 7), 0),
+        (Fraction(6, 4), Fraction(3, 2)),
+        (Fraction(-1, 2), Fraction(-1, 2)),
+    ):
         coerced = Ring.RATIONAL.coerce(value)
-        assert coerced == expected and type(coerced) is Fraction
+        assert coerced == expected and type(coerced) is type(expected), value
+    assert Ring.RATIONAL.coerce(Fraction(6, 4)).denominator == 2
 
 
 @pytest.mark.parametrize("ring", list(Ring))
@@ -265,18 +288,19 @@ def test_coerce_rejects_booleans_floats_and_other_types(ring, value):
 def test_ring_zero_and_one_are_typed_by_ring():
     assert (Ring.INTEGER.zero, Ring.INTEGER.one) == (0, 1)
     assert type(Ring.INTEGER.zero) is int and type(Ring.INTEGER.one) is int
-    assert (Ring.RATIONAL.zero, Ring.RATIONAL.one) == (Fraction(0), Fraction(1))
-    assert type(Ring.RATIONAL.zero) is Fraction and type(Ring.RATIONAL.one) is Fraction
+    assert (Ring.RATIONAL.zero, Ring.RATIONAL.one) == (0, 1)
+    assert type(Ring.RATIONAL.zero) is int and type(Ring.RATIONAL.one) is int
 
 
 def test_scalar_json_keeps_ints_and_writes_fractions_as_text():
     from hyperhomology.cli import _scalar_json
 
-    assert _scalar_json(3) == 3 and type(_scalar_json(3)) is int
-    assert _scalar_json(-2) == -2
-    assert _scalar_json(Fraction(1, 2)) == "1/2"
-    assert _scalar_json(Fraction(-3, 4)) == "-3/4"
-    assert _scalar_json(Fraction(2)) == "2"
+    assert _scalar_json(3, Ring.INTEGER) == 3 and type(_scalar_json(3, Ring.INTEGER)) is int
+    assert _scalar_json(-2, Ring.INTEGER) == -2
+    assert _scalar_json(Fraction(1, 2), Ring.RATIONAL) == "1/2"
+    assert _scalar_json(Fraction(-3, 4), Ring.RATIONAL) == "-3/4"
+    assert _scalar_json(Fraction(2), Ring.RATIONAL) == "2"
+    assert _scalar_json(2, Ring.RATIONAL) == "2" and _scalar_json(-1, Ring.RATIONAL) == "-1"
 
 
 def test_random_generator_always_validates():

@@ -25,6 +25,7 @@ from hyperhomology.exact_linalg import _rref_tree
 from oracles import (
     annihilator_basis,
     brute_force_has_integer_solution,
+    canonical_type,
     cofactor_det,
     dense_apply,
     dense_fraction_rref,
@@ -198,7 +199,7 @@ def test_sparse_snf_matches_dense_oracle():
 
 def test_sparse_rref_matches_dense_oracle():
     # the fraction-free elimination must return the schoolbook RREF, leave
-    # its input alone and hand back nonzero Fractions only
+    # its input alone and hand back nonzero values in canonical form only
     rng = random.Random(108)
 
     def entry():
@@ -237,7 +238,7 @@ def test_sparse_rref_matches_dense_oracle():
         assert snapshot(sparse) == before, rows
         dense = [[row.get(j, 0) for j in range(width)] for row in reduced]
         assert (dense, pivots) == dense_fraction_rref(rows), rows
-        assert all(type(x) is Fraction and x for row in reduced for x in row.values()), rows
+        assert all(type(x) is canonical_type(x) and x for row in reduced for x in row.values()), rows
         assert len(reduced) == len(rows) and not any(reduced[len(pivots) :]), rows
     for width in (0, 1, 4):  # 0 x n
         assert sparse_rref([], width) == ([], [])
@@ -287,9 +288,10 @@ def test_sparse_matrix_matches_dense_lists():
     for matrix in matrices:
         ring, n, m = matrix.ring, matrix.rows, matrix.cols
         dense = [list(row) for row in matrix.entries]
-        kind = int if ring is Ring.INTEGER else Fraction
         assert len(dense) == n and all(len(row) == m for row in dense), matrix
-        assert all(type(x) is kind for row in dense for x in row), matrix
+        assert all(type(x) is canonical_type(x) for row in dense for x in row), matrix
+        if ring is Ring.INTEGER:
+            assert all(type(x) is int for row in dense for x in row), matrix
         assert matrix.lines == tuple({j: x for j, x in enumerate(row) if x} for row in dense)
         assert ExactMatrix(dense, ring, cols=m) == matrix
         assert [list(matrix.row(i)) for i in range(n)] == dense
@@ -322,7 +324,8 @@ def test_sparse_storage_of_boundary_and_smith_factors():
 
 def test_sparse_rref_tree_matches_dense_oracle():
     # same tree, same cut and cycle keys in the same order, densely equal
-    # vectors; each vector is a dict of nonzero Fractions, columns ascending
+    # vectors; each vector is a dict of nonzero values in canonical form
+    # (on a boundary matrix of a graph, all ints), columns ascending
     rng = random.Random(110)
     for h in hypergraph_suite(200):
         m = h.edge_count
@@ -335,7 +338,9 @@ def test_sparse_rref_tree_matches_dense_oracle():
             assert list(cuts) == list(want_cuts) and list(cycles) == list(want_cycles)
             for got, want in ((cuts, want_cuts), (cycles, want_cycles)):
                 for j, vector in got.items():
-                    assert all(type(x) is Fraction and x for x in vector.values())
+                    assert all(type(x) is canonical_type(x) and x for x in vector.values())
+                    if h.is_graph():
+                        assert all(type(x) is int for x in vector.values()), h
                     assert list(vector) == sorted(vector)
                     dense = [Fraction(0)] * m
                     for k, x in vector.items():

@@ -1,6 +1,8 @@
 """The package's public surface: ``__all__``, the second routes that left
-it for the test oracles, and the README's library example."""
+it for the test oracles, the README's library example, and no module-level
+import that its module never reads."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -108,3 +110,51 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "True"
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names a module's top-level imports bind that the module never
+    reads (a load of the name, or a string in ``__all__``), in import
+    order; ``from __future__`` imports bind nothing to read."""
+    tree = ast.parse(source)
+    bound = []
+    for statement in tree.body:
+        if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+            continue
+        if isinstance(statement, (ast.Import, ast.ImportFrom)):
+            for alias in statement.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in statement.targets
+        ):
+            read |= {node.value for node in ast.walk(statement.value) if isinstance(node, ast.Constant)}
+    return [name for name in bound if name not in read]
+
+
+def test_unread_import_scan_sees_aliases_dotted_names_and_all():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys as system\n"
+        "from math import gcd, lcm as least\n"
+        "from .core import Chain, Ring\n"
+        "__all__ = ['Chain']\n"
+        "def f(x: Ring):\n"
+        "    return gcd(x, 1)\n"
+    )
+    assert _unread_imports(source) == ["os", "system", "least"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(Path(hyperhomology.__file__).resolve().parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_package_modules_read_every_name_they_import(path):
+    assert _unread_imports(path.read_text(encoding="utf-8")) == []
