@@ -204,16 +204,6 @@ class OrientedHypergraph(_Record):
     def vertex_index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    def tails(self, j: int) -> frozenset:
-        return self.edges[j][0]
-
-    def heads(self, j: int) -> frozenset:
-        return self.edges[j][1]
-
-    def is_graph(self) -> bool:
-        """True when every edge has exactly one tail and one head."""
-        return all(len(t) == 1 and len(h) == 1 for t, h in self.edges)
-
 
 def validate(hypergraph: OrientedHypergraph) -> list[str]:
     """Re-run the invariant checks on an existing hypergraph."""
@@ -267,10 +257,6 @@ class _FormalSum(_Record):
     @classmethod
     def unit(cls, dimension: int, index: int, ring: Ring):
         return cls(dimension, {index: ring.one}, ring)
-
-    @classmethod
-    def from_vector(cls, dimension: int, values, ring: Ring):
-        return cls(dimension, {i: v for i, v in enumerate(values)}, ring)
 
     def coefficient(self, index: int):
         return self.coefficients.get(index, self.ring.zero)

@@ -25,24 +25,26 @@ quotient structure, lattice comparison, matrix products) live in
 its dense ``entries`` are only a view built on request, so a boundary
 matrix holds at most 2 * arity nonzeros per column and a transpose costs
 in proportion to the nonzeros.  Both kernels work on such dicts: the
-Smith reduction starts from the matrix's rows and its factors come back
-as sparse matrices, and the RREF takes and returns dict rows.  The
-spanning-tree reader returns its fundamental cuts and cycles as
-``{index: nonzero}`` dicts in canonical form (an integer tree's are all
-ints), which the reports wrap as chains directly; only
-:func:`vector_space_spanning_tree`, which returns dense lists, builds
-them, at the end.  A rank needs only the fraction-free elimination, so it
-makes no Fraction.  The integer-tree search keeps a log of unimodular row
-operations (swap, negate, add q times a row) and replays it on one sparse
-column at a time.  The pivot rules are pinned:
-the Smith form takes a nonzero of least absolute value, lowest current
-row first, then lowest current column (so a unit entry whenever there is
-one), and the RREF takes the first unused row of each column.  The
-results are therefore exactly those of the textbook dense elimination
-with the same rules.  Every Smith reduction is checked
-before anything is read off it: ``u @ m @ v == s`` is compared in full,
-exactly, on the sparse factors, and a mismatch raises
-:class:`InternalInconsistencyError` (never an ``assert``).
+Smith reduction starts from the matrix's rows, and the RREF takes and
+returns dict rows.  The spanning-tree reader returns its fundamental
+cuts and cycles as ``{index: nonzero}`` dicts in canonical form (an
+integer tree's are all ints), which the reports wrap as chains directly;
+only :func:`vector_space_spanning_tree`, which returns dense lists,
+builds them, at the end.  A rank needs only the fraction-free
+elimination, so it makes no Fraction.  Unimodular operations (swap,
+negate, add q times a line) are kept as logs in one encoding: the
+integer-tree search replays its row log on one sparse column at a time,
+and the Smith reduction logs its row and column operations instead of
+building factors (the product form of the inverse).  The pivot rules are
+pinned: the Smith form takes a nonzero of least absolute value, lowest
+current row first, then lowest current column (so a unit entry whenever
+there is one), and the RREF takes the first unused row of each column.
+The results are therefore exactly those of the textbook dense
+elimination with the same rules.  Every Smith form is checked exactly
+before anything is read off it, ``u @ m @ v == s`` with U the product of
+the logged row operations and ``v_inverse @ v`` the identity, and a
+mismatch raises :class:`InternalInconsistencyError` (never an
+``assert``).
 """
 
 from __future__ import annotations
@@ -91,14 +93,6 @@ class ExactMatrix(_Record):
             (self.rows, self.cols, self.ring, tuple(frozenset(line.items()) for line in self.lines))
         )
 
-    @classmethod
-    def identity(cls, n: int, ring: Ring = Ring.INTEGER) -> "ExactMatrix":
-        return cls._of([{i: ring.one} for i in range(n)], n, ring)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, ring: Ring) -> "ExactMatrix":
-        return cls._of([{} for _ in range(rows)], cols, ring)
-
     @property
     def entries(self) -> tuple:
         return tuple(self.row(i) for i in range(self.rows))
@@ -113,9 +107,6 @@ class ExactMatrix(_Record):
     def column(self, j: int) -> list:
         j, zero = range(self.cols)[j], self.ring.zero
         return [line.get(j, zero) for line in self.lines]
-
-    def columns(self) -> list[list]:
-        return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "ExactMatrix":
         lines: list[dict] = [{} for _ in range(self.cols)]
@@ -300,19 +291,28 @@ def image_rank(matrix: ExactMatrix) -> int:
 class SnfDecomposition(_Record):
     """Unimodular factors ``u @ m @ v = s`` with ``s`` in Smith form.
 
-    The diagonal of ``s`` is nonnegative with each entry dividing the next;
-    ``u_inverse`` and ``v_inverse`` are accumulated during the reduction.
-    The reports read ``v`` (cycles, coboundary membership), ``v_inverse``
-    (cuts, witnesses) and ``u_inverse`` (a witness); ``u`` is read only by
-    the exact self-check ``u @ m @ v == s`` made before the factors are
-    returned.
+    The diagonal of ``s`` is nonnegative with each entry dividing the next.
+    ``v`` and ``v_inverse`` are built from the reduction's column log when
+    the decomposition is made; the reports read ``v`` (cycles, coboundary
+    membership) and ``v_inverse`` (cuts, witnesses).  The row side is kept
+    as ``row_log``, the row operations in the encoding of :func:`_replay`;
+    ``u`` and ``u_inverse`` are built from it when first read (a
+    graph-likeness witness reads one column of ``u_inverse``).
     """
 
-    u: ExactMatrix
     s: ExactMatrix
     v: ExactMatrix
-    u_inverse: ExactMatrix
     v_inverse: ExactMatrix
+    row_log: tuple
+
+    @cached_property
+    def u(self) -> ExactMatrix:
+        return ExactMatrix._of(_apply(self.row_log, _identity(self.s.rows)), self.s.rows)
+
+    @cached_property
+    def u_inverse(self) -> ExactMatrix:
+        columns = _apply(map(_undo, self.row_log), _identity(self.s.rows))
+        return ExactMatrix._of(columns, self.s.rows).transpose()
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -421,17 +421,42 @@ def _unit_steps(residual: dict, depth: int) -> list[tuple[int, int, int]]:
     return ops
 
 
+def _identity(n: int) -> list[dict]:
+    return [{i: 1} for i in range(n)]
+
+
+def _undo(op: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The inverse of ``(a, b, q)``, acting on the other kind of line: a row
+    operation's on the columns of U^-1, a column operation's on the rows of
+    V^-1."""
+    return op[1], op[0], -op[2]
+
+
+def _apply(ops, lines: list[dict]) -> list[dict]:
+    """``lines`` (``{index: nonzero}`` dicts, modified and returned) with
+    ``ops``, in the encoding of :func:`_replay`, applied to whole lines in
+    turn.  On the identity, a row log gives U by rows and its :func:`_undo`
+    U^-1 by columns; a column log gives V by columns and V^-1 by rows."""
+    for a, b, q in ops:
+        if q:
+            _axpy(lines[a], lines[b], q)
+        elif a == b:
+            lines[a] = {j: -x for j, x in lines[a].items()}
+        else:
+            lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
 def _smith_reduce(rows: list[dict], width: int):
     """Sparse Smith reduction of the integer matrix with ``rows`` (one
     ``{column: nonzero}`` dict per row; consumed).
 
-    Returns ``(s, u, u_inverse, v, v_inverse)`` as lists of dicts: ``s``,
-    ``u`` and ``v_inverse`` by rows, ``u_inverse`` and ``v`` by columns.
-    ``s`` is also kept by columns while it is reduced.  A row operation acts
-    on the rows of ``s`` and ``u`` and on the columns of ``u_inverse``; a
-    column operation on the columns of ``s`` and ``v`` and on the rows of
-    ``v_inverse``.  Each factor is stored along the lines its operations
-    move, so both kinds run the same code on one "side" each.
+    Returns ``(s, row_log, column_log)``: ``s`` by rows and the row and
+    column operations, in the encoding of :func:`_replay`, in the order they
+    were made.  ``s`` is also kept by columns while it is reduced, so a row
+    operation and a column operation run the same code, each on its own
+    "side": the lines it moves, the lines that cross them, and its log.
+    No factor is built; :func:`_apply` builds each from its log.
     """
     height = len(rows)
     s_rows = rows
@@ -439,15 +464,13 @@ def _smith_reduce(rows: list[dict], width: int):
     for i, row in enumerate(s_rows):
         for j, x in row.items():
             s_cols[j][i] = x
-    u = [{i: 1} for i in range(height)]
-    u_inv = [{i: 1} for i in range(height)]
-    v = [{j: 1} for j in range(width)]
-    v_inv = [{j: 1} for j in range(width)]
-    by_rows = (s_rows, s_cols, u, u_inv)
-    by_cols = (s_cols, s_rows, v, v_inv)
+    row_log: list[tuple[int, int, int]] = []
+    column_log: list[tuple[int, int, int]] = []
+    by_rows = (s_rows, s_cols, row_log)
+    by_cols = (s_cols, s_rows, column_log)
 
     def swap(side, a, b):
-        lines, cross, factor, inverse = side
+        lines, cross, log = side
         for j in lines[a]:
             del cross[j][a]
         for j in lines[b]:
@@ -457,12 +480,10 @@ def _smith_reduce(rows: list[dict], width: int):
             cross[j][a] = x
         for j, x in lines[b].items():
             cross[j][b] = x
-        factor[a], factor[b] = factor[b], factor[a]
-        inverse[a], inverse[b] = inverse[b], inverse[a]
+        log.append((a, b, 0))
 
     def add(side, target, source, q):
-        # line target += q * line source; the inverse takes line source -= q * line target
-        lines, cross, factor, inverse = side
+        lines, cross, log = side
         line = lines[target]
         for j, y in lines[source].items():
             x = line.get(j, 0) + q * y
@@ -472,16 +493,14 @@ def _smith_reduce(rows: list[dict], width: int):
             else:
                 del line[j]
                 del cross[j][target]
-        _axpy(factor[target], factor[source], q)
-        _axpy(inverse[source], inverse[target], -q)
+        log.append((target, source, q))
 
     def negate(side, i):
-        lines, cross, factor, inverse = side
+        lines, cross, log = side
         lines[i] = {j: -x for j, x in lines[i].items()}
         for j, x in lines[i].items():
             cross[j][i] = x
-        factor[i] = {j: -x for j, x in factor[i].items()}
-        inverse[i] = {j: -x for j, x in inverse[i].items()}
+        log.append((i, i, 0))
 
     def find_pivot(k):
         # Rows and columns before k are finished, so every nonzero of rows
@@ -537,37 +556,7 @@ def _smith_reduce(rows: list[dict], width: int):
             add(by_rows, k, violation, 1)
         if pivot is None:
             break
-    return s_rows, u, u_inv, v, v_inv
-
-
-def _reproduces(rows: list[dict], u: list[dict], v: list[dict], s: list[dict]) -> bool:
-    """Whether ``u @ m @ v == s`` exactly, for ``m`` with sparse ``rows``,
-    ``u`` and ``s`` by rows and ``v`` by columns; the work is proportional
-    to the nonzeros met."""
-    v_rows: list[dict] = [{} for _ in v]
-    for j, column in enumerate(v):
-        for i, x in column.items():
-            v_rows[i][j] = x
-    for u_row, s_row in zip(u, s):
-        um: dict = {}
-        for k, a in u_row.items():
-            _axpy(um, rows[k], a)
-        umv: dict = {}
-        for j, x in um.items():
-            _axpy(umv, v_rows[j], x)
-        if umv != s_row:
-            return False
-    return True
-
-
-def _checked_smith(rows: list[dict], width: int):
-    """:func:`_smith_reduce` of a copy of the sparse ``rows``, whose factors
-    are checked exactly, ``u @ m @ v == s`` by :func:`_reproduces`, before
-    they are returned; a mismatch raises :class:`InternalInconsistencyError`."""
-    s, u, u_inv, v, v_inv = _smith_reduce([dict(row) for row in rows], width)
-    if not _reproduces(rows, u, v, s):
-        raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
-    return s, u, u_inv, v, v_inv
+    return s_rows, row_log, column_log
 
 
 def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
@@ -576,28 +565,35 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     The pivot at each step is a nonzero entry of minimal absolute value
     (ties broken by lowest current row, then lowest current column), which
     limits coefficient growth and takes a unit entry whenever the remaining
-    submatrix has one, as a boundary matrix mostly does.  While any entry in the pivot's row or column
-    leaves a nonzero remainder, the step starts again from a new pivot; then
-    the pivot is forced to divide every entry of the remaining submatrix
-    (an offending row is added to the pivot row), so the diagonal comes out
-    positive and in divisibility order with no post-processing.  The
-    reduction runs on the matrix's sparse rows, and the factors are checked
-    exactly, ``u @ m @ v == s`` on their nonzeros, before they are returned;
-    a mismatch raises :class:`InternalInconsistencyError`.  ``u``, ``s`` and
-    ``v_inverse`` come out of the reduction by rows, ``v`` and ``u_inverse``
-    by columns and are transposed once.
+    submatrix has one, as a boundary matrix mostly does.  While any entry in
+    the pivot's row or column leaves a nonzero remainder, the step starts
+    again from a new pivot; then the pivot is forced to divide every entry
+    of the remaining submatrix (an offending row is added to the pivot
+    row), so the diagonal comes out positive and in divisibility order with
+    no post-processing.  The reduction runs on the matrix's sparse rows and
+    logs its operations; V and V^-1 are built from the column log.  Before
+    they are returned, the row log applied to the rows of ``m @ v`` must
+    give ``s`` and the column log applied to the columns of ``v_inverse``
+    the identity, exactly, or :class:`InternalInconsistencyError` is
+    raised.
     """
     if matrix.ring is not Ring.INTEGER:
         raise ValueError("Smith normal form requires integer entries")
-    r, c = matrix.rows, matrix.cols
-    s, u, u_inv, v, v_inv = _checked_smith(matrix.lines, c)
-    return SnfDecomposition(
-        u=ExactMatrix._of(u, r),
-        s=ExactMatrix._of(s, c),
-        v=ExactMatrix._of(v, c).transpose(),
-        u_inverse=ExactMatrix._of(u_inv, r).transpose(),
-        v_inverse=ExactMatrix._of(v_inv, c),
-    )
+    c = matrix.cols
+    s, row_log, column_log = _smith_reduce([dict(row) for row in matrix.lines], c)
+    v = ExactMatrix._of(_apply(column_log, _identity(c)), c).transpose()
+    v_inverse = ExactMatrix._of(_apply(map(_undo, column_log), _identity(c)), c)
+    product = []  # the rows of m @ v
+    for row in matrix.lines:
+        line: dict = {}
+        for k, x in row.items():
+            _axpy(line, v.lines[k], x)
+        product.append(line)
+    if _apply(row_log, product) != s:
+        raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
+    if _apply(column_log, list(v_inverse.transpose().lines)) != _identity(c):
+        raise InternalInconsistencyError("the column operations do not invert V^-1")
+    return SnfDecomposition(s=ExactMatrix._of(s, c), v=v, v_inverse=v_inverse, row_log=tuple(row_log))
 
 
 class ModuleStructure(_Record):

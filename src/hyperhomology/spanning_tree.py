@@ -284,10 +284,9 @@ def vector_space_spanning_tree(ambient_dim: int, subspace_generators):
     coordinates on the tree positions.  This runs the same construction as
     the hypergraph case, on a matrix whose kernel is the subspace (its rows
     span the orthogonal complement) in place of the boundary matrix.
+    Entries are ints or Fractions; anything else raises ``TypeError``.
     """
-    from fractions import Fraction
-
-    rows = [[Fraction(x) for x in generator] for generator in subspace_generators]
+    rows = [[Ring.RATIONAL.coerce(x) for x in generator] for generator in subspace_generators]
     if any(len(row) != ambient_dim for row in rows):
         raise ValueError("generator length does not match ambient dimension")
     _, _, kernel = _rref_tree([dict(enumerate(row)) for row in rows], ambient_dim)

@@ -12,7 +12,8 @@ dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
 the dense list transpose and products beside them are the reference for
 the sparse rows of ``ExactMatrix`` and stand in for its former
-matrix-vector and matrix products, :func:`stacked_smith_missing_chain`
+matrix-vector and matrix products (and the identity and zero matrices for
+its former constructors), :func:`stacked_smith_missing_chain`
 is its earlier integer spanning check and
 :func:`lexicographic_integer_tree_edges` its earlier integer-tree search,
 :func:`pairwise_validation_report` checks a hypergraph's invariants edge
@@ -371,8 +372,7 @@ def random_connected_graph(rng: random.Random) -> OrientedHypergraph:
 
 
 def _endpoints(hypergraph: OrientedHypergraph, j: int) -> tuple[int, int]:
-    (tail,) = hypergraph.tails(j)
-    (head,) = hypergraph.heads(j)
+    (tail,), (head,) = hypergraph.edges[j]
     index = hypergraph.vertex_index
     return index[tail], index[head]
 
@@ -491,7 +491,7 @@ def snf_solve(decomposition: SnfDecomposition, rhs) -> list[int] | None:
     return dense_apply(decomposition.v.entries, y, 0)
 
 
-def snf_reproduces(decomposition: SnfDecomposition, matrix: ExactMatrix) -> bool:
+def snf_reproduces(decomposition: SnfDecomposition | DenseSnf, matrix: ExactMatrix) -> bool:
     """Whether ``u @ matrix @ v == s``, by schoolbook products of the dense
     entries."""
     cols = matrix.cols
@@ -656,10 +656,10 @@ def cycles_equal_cut_perp_check(hypergraph: OrientedHypergraph) -> PerpCompariso
         return PerpComparison(True, None)
     for vector in perp:
         if not lattice_contains(cycles, vector, m):
-            return PerpComparison(False, Chain.from_vector(1, vector, Ring.INTEGER))
+            return PerpComparison(False, Chain(1, dict(enumerate(vector)), Ring.INTEGER))
     for vector in cycles:
         if not lattice_contains(perp, vector, m):
-            return PerpComparison(False, Chain.from_vector(1, vector, Ring.INTEGER))
+            return PerpComparison(False, Chain(1, dict(enumerate(vector)), Ring.INTEGER))
     raise InternalInconsistencyError("lattices differ but no witness found")
 
 
@@ -694,7 +694,8 @@ def represents_dualized_boundary(hypergraph: OrientedHypergraph, candidate) -> b
         raise ValueError("membership is decided over the integers")
     n = hypergraph.vertex_count
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    columns = matrix.columns() + kernel_basis(matrix.transpose(), Ring.INTEGER)
+    columns = dense_transpose(matrix.entries, matrix.cols)
+    columns += kernel_basis(matrix.transpose(), Ring.INTEGER)
     system = ExactMatrix(columns, Ring.INTEGER, cols=n).transpose()
     return solve_integer(system, candidate.to_vector(n)) is not None
 
@@ -802,7 +803,29 @@ def dense_product(a: list[list], b: list[list], cols: int, zero) -> list[list]:
     ]
 
 
-def dense_smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
+def identity_matrix(n: int) -> ExactMatrix:
+    """The n x n integer identity matrix."""
+    return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)], Ring.INTEGER, cols=n)
+
+
+def zero_matrix(rows: int, cols: int) -> ExactMatrix:
+    """The rows x cols integer zero matrix."""
+    return ExactMatrix([[0] * cols for _ in range(rows)], Ring.INTEGER, cols=cols)
+
+
+class DenseSnf(_Record):
+    """The five dense factors ``u @ m @ v = s`` of :func:`dense_smith_normal_form`,
+    each an :class:`ExactMatrix`, so they compare equal to those the
+    package's :class:`SnfDecomposition` reads or builds from its row log."""
+
+    u: ExactMatrix
+    s: ExactMatrix
+    v: ExactMatrix
+    u_inverse: ExactMatrix
+    v_inverse: ExactMatrix
+
+
+def dense_smith_normal_form(matrix: ExactMatrix) -> DenseSnf:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     The pivot at each step is a nonzero entry of minimal absolute value
@@ -908,7 +931,7 @@ def dense_smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
         if find_pivot(k) is None:
             break
 
-    result = SnfDecomposition(
+    result = DenseSnf(
         u=ExactMatrix(u, Ring.INTEGER, cols=r),
         s=ExactMatrix(s, Ring.INTEGER, cols=c),
         v=ExactMatrix(v, Ring.INTEGER, cols=c),

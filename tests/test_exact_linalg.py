@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -13,6 +14,10 @@ from hyperhomology import (
     OrientedHypergraph,
     Ring,
     boundary_matrix,
+    cycle_cut_decomposition,
+    find_spanning_tree_integer,
+    graph_likeness,
+    homology,
     image_rank,
     main_example,
     parallel_edges,
@@ -35,6 +40,7 @@ from oracles import (
     fraction_det,
     fraction_rank,
     hypergraph_suite,
+    identity_matrix,
     image_basis,
     is_direct_summand,
     kernel_basis,
@@ -46,6 +52,7 @@ from oracles import (
     solve_rational,
     sparse_rref,
     sublattice_equal,
+    zero_matrix,
 )
 
 
@@ -68,7 +75,7 @@ def test_snf_main_example_divisors():
 
 
 def test_snf_identity():
-    assert smith_normal_form(ExactMatrix.identity(4)).diagonal == (1, 1, 1, 1)
+    assert smith_normal_form(identity_matrix(4)).diagonal == (1, 1, 1, 1)
 
 
 def test_snf_single_entry():
@@ -99,38 +106,88 @@ def test_snf_rejects_rational_matrices():
         smith_normal_form(ExactMatrix([[Fraction(1, 2)]], Ring.RATIONAL))
 
 
-# Corrupts one entry of the factor u as the sparse reduction hands it back,
-# so the factors no longer reproduce the matrix; the exact product check must
-# refuse them whatever the interpreter's optimisation flags.
-_CORRUPT_FACTOR = """
-from hyperhomology import exact_linalg
+# Plants one fault in what the sparse reduction hands back (the row log, the
+# column log or S) or in how V^-1 is built from the column log; the exact
+# self-checks must refuse each one whatever the interpreter's optimisation
+# flags.  The main example's reduction logs row and column operations of
+# every kind the faults need.
+_CORRUPTIONS = """
+from hyperhomology import Ring, boundary_matrix, exact_linalg, main_example
 
 real_smith_reduce = exact_linalg._smith_reduce
+MATRIX = boundary_matrix(main_example(), Ring.INTEGER)
 
-def corrupt_u(rows, width):
-    s, u, u_inverse, v, v_inverse = real_smith_reduce(rows, width)
-    u[0][1] = u[0].get(1, 0) + 1
-    return s, u, u_inverse, v, v_inverse
+
+def extra_row_op(s, row_log, column_log):
+    row_log.append((0, 1, 1))
+
+
+def dropped_row_op(s, row_log, column_log):
+    row_log.pop()
+
+
+def doubled_column_multiplier(s, row_log, column_log):
+    k = next(k for k, (a, b, q) in enumerate(column_log) if q)
+    a, b, q = column_log[k]
+    column_log[k] = (a, b, 2 * q)
+
+
+def off_diagonal_s_entry(s, row_log, column_log):
+    s[0][1] = s[0].get(1, 0) + 1
+
+
+def corrupted(fault):
+    def smith_reduce(rows, width):
+        s, row_log, column_log = real_smith_reduce(rows, width)
+        fault(s, row_log, column_log)
+        return s, row_log, column_log
+
+    return smith_reduce
+
+
+def undo_keeps_multiplier(op):
+    return op
+
+
+# fault name -> (module attribute to replace, its faulty stand-in)
+FAULTS = {
+    fault.__name__: ("_smith_reduce", corrupted(fault))
+    for fault in (extra_row_op, dropped_row_op, doubled_column_multiplier, off_diagonal_s_entry)
+}
+FAULTS["undo_keeps_multiplier"] = ("_undo", undo_keeps_multiplier)
 """
 
 
-def test_snf_self_check_raises_on_wrong_product(monkeypatch):
+def _planted_faults() -> dict:
     namespace = {}
-    exec(_CORRUPT_FACTOR, namespace)
-    monkeypatch.setattr(exact_linalg, "_smith_reduce", namespace["corrupt_u"])
-    with pytest.raises(InternalInconsistencyError):
-        smith_normal_form(ExactMatrix.identity(2))
+    exec(_CORRUPTIONS, namespace)
+    return namespace
+
+
+def test_snf_self_check_raises_on_wrong_product(monkeypatch):
+    planted = _planted_faults()
+    matrix = planted["MATRIX"]
+    smith_normal_form(matrix)  # the factors as made pass
+    assert len(planted["FAULTS"]) == 5
+    for replacement in planted["FAULTS"].values():
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_linalg, *replacement)
+            with pytest.raises(InternalInconsistencyError):
+                smith_normal_form(matrix)
 
 
 def test_snf_self_check_runs_under_python_O():
-    script = _CORRUPT_FACTOR + """
-from hyperhomology import ExactMatrix, InternalInconsistencyError, smith_normal_form
+    script = _CORRUPTIONS + """
+from hyperhomology import InternalInconsistencyError, smith_normal_form
 print("debug", __debug__)
-exact_linalg._smith_reduce = corrupt_u
-try:
-    smith_normal_form(ExactMatrix.identity(2))
-except InternalInconsistencyError:
-    print("check raised")
+for name, (attribute, fault) in FAULTS.items():
+    real = getattr(exact_linalg, attribute)
+    setattr(exact_linalg, attribute, fault)
+    try:
+        smith_normal_form(MATRIX)
+    except InternalInconsistencyError:
+        print("check raised", name)
+    setattr(exact_linalg, attribute, real)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -138,7 +195,8 @@ except InternalInconsistencyError:
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["debug False", "check raised"]
+    raised = [f"check raised {name}" for name in _planted_faults()["FAULTS"]]
+    assert result.stdout.splitlines() == ["debug False", *raised]
 
 
 def _graph(vertex_count, pairs):
@@ -174,7 +232,7 @@ def _differential_matrices():
     for h in (_cycle(3), _cycle(17), _cycle(45), _grid(4, 5), _bundle(6, 3)):
         yield boundary_matrix(h, Ring.INTEGER)
     for rows, cols in ((0, 0), (0, 4), (3, 0)):
-        yield ExactMatrix.zeros(rows, cols, Ring.INTEGER)
+        yield zero_matrix(rows, cols)
     # a pivot that leaves a remainder in its row, and a pivot that does not
     # divide the rest of the matrix
     yield ExactMatrix([[4, 6]], Ring.INTEGER)
@@ -257,7 +315,7 @@ def _rational_matrices():
 
 def _public_calls(matrix):
     yield matrix.entries
-    yield matrix.columns()
+    yield [matrix.column(j) for j in range(matrix.cols)]
     yield matrix.transpose()
     yield image_rank(matrix)
     yield solve_rational(matrix, [1] * matrix.rows)
@@ -297,7 +355,7 @@ def test_sparse_matrix_matches_dense_lists():
         assert [list(matrix.row(i)) for i in range(n)] == dense
         assert [[matrix.entry(i, j) for j in range(m)] for i in range(n)] == dense
         columns = dense_transpose(dense, m)
-        assert [matrix.column(j) for j in range(m)] == matrix.columns() == columns
+        assert [matrix.column(j) for j in range(m)] == columns
         assert matrix.transpose() == ExactMatrix(columns, ring, cols=n)
 
         refilled = ExactMatrix._of([dict(reversed(line.items())) for line in matrix.lines], m, ring)
@@ -320,6 +378,35 @@ def test_sparse_storage_of_boundary_and_smith_factors():
     decomposition = smith_normal_form(boundary_matrix(_cycle(300), Ring.INTEGER))
     for factor in (decomposition.v, decomposition.v_inverse, decomposition.u_inverse):
         assert stored(factor) <= 600, stored(factor)
+    # the row side is kept as its log, two operations per pivot on a cycle
+    assert len(decomposition.row_log) <= 600, len(decomposition.row_log)
+
+
+def test_reports_never_build_u(monkeypatch):
+    # U and U^-1 are built from the row log only when read: no integer
+    # report on a graph reads either, so none of its Smith forms holds them
+    made = []
+
+    def recording(matrix):
+        made.append(smith_normal_form(matrix))
+        return made[-1]
+
+    for name in ("homology", "spanning_tree", "exact_linalg"):
+        monkeypatch.setattr(import_module(f"hyperhomology.{name}"), "smith_normal_form", recording)
+    cycle = _cycle(300)
+    calls = []
+    for report in (
+        lambda: homology(cycle, Ring.INTEGER),
+        lambda: graph_likeness(cycle).graph_like,
+        lambda: cycle_cut_decomposition(cycle, Ring.INTEGER),
+        lambda: find_spanning_tree_integer(cycle),
+    ):
+        before = len(made)
+        assert report()
+        calls.append(len(made) - before)
+    assert calls[:3] == [1, 1, 1] and calls[3] >= 1, calls
+    for decomposition in made:
+        assert "u" not in vars(decomposition) and "u_inverse" not in vars(decomposition)
 
 
 def test_sparse_rref_tree_matches_dense_oracle():
@@ -329,6 +416,7 @@ def test_sparse_rref_tree_matches_dense_oracle():
     rng = random.Random(110)
     for h in hypergraph_suite(200):
         m = h.edge_count
+        is_graph = all(len(tails) == len(heads) == 1 for tails, heads in h.edges)
         matrix = boundary_matrix(h, Ring.INTEGER)
         sparse_rows = [{j: x for j, x in enumerate(row) if x} for row in matrix.entries]
         for order in [None] + [rng.sample(range(m), m) for _ in range(3)]:
@@ -339,7 +427,7 @@ def test_sparse_rref_tree_matches_dense_oracle():
             for got, want in ((cuts, want_cuts), (cycles, want_cycles)):
                 for j, vector in got.items():
                     assert all(type(x) is canonical_type(x) and x for x in vector.values())
-                    if h.is_graph():
+                    if is_graph:
                         assert all(type(x) is int for x in vector.values()), h
                     assert list(vector) == sorted(vector)
                     dense = [Fraction(0)] * m
@@ -406,7 +494,7 @@ def test_kernel_parallel_edges():
 
 
 def test_kernel_zero_matrix():
-    matrix = ExactMatrix.zeros(3, 4, Ring.INTEGER)
+    matrix = zero_matrix(3, 4)
     basis = kernel_basis(matrix, Ring.INTEGER)
     assert sorted(basis) == sorted(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -436,7 +524,7 @@ def test_kernel_properties_random():
 
 def test_image_rank_examples():
     assert image_rank(boundary_matrix(main_example(), Ring.INTEGER)) == 3
-    assert image_rank(ExactMatrix.zeros(2, 3, Ring.INTEGER)) == 0
+    assert image_rank(zero_matrix(2, 3)) == 0
     path = boundary_matrix(path_graph(), Ring.INTEGER)
     assert fraction_rank(path.entries) == 2
     assert image_rank(path) == 2
@@ -461,7 +549,7 @@ def test_image_basis_rational_greedy_columns():
 
 
 def test_is_direct_summand_examples():
-    assert is_direct_summand(ExactMatrix.identity(3))
+    assert is_direct_summand(identity_matrix(3))
     assert not is_direct_summand(boundary_matrix(main_example(), Ring.INTEGER))
     # any graph: textbook direct summands
     assert is_direct_summand(boundary_matrix(path_graph(), Ring.INTEGER))
@@ -538,8 +626,8 @@ def test_annihilator_orthogonal_and_saturated():
 def test_quotient_structure_examples():
     transpose = boundary_matrix(main_example(), Ring.INTEGER).transpose()
     assert quotient_structure(transpose) == ModuleStructure(0, (2, 2))
-    assert quotient_structure(ExactMatrix.identity(4)) == ModuleStructure(0, ())
-    assert quotient_structure(ExactMatrix.zeros(3, 2, Ring.INTEGER)) == ModuleStructure(3, ())
+    assert quotient_structure(identity_matrix(4)) == ModuleStructure(0, ())
+    assert quotient_structure(zero_matrix(3, 2)) == ModuleStructure(3, ())
 
 
 def test_quotient_structure_rank_sum():

@@ -282,7 +282,7 @@ def test_report_chains_are_canonical_with_ring_typed_values():
             assert all(type(x) is canonical_type(x) and x for x in chain.coefficients.values())
             if ring is Ring.INTEGER:
                 assert all(type(x) is int for x in chain.coefficients.values())
-            rebuilt = Chain.from_vector(1, chain.to_vector(m), ring)
+            rebuilt = Chain(1, dict(enumerate(chain.to_vector(m))), ring)
             assert chain == rebuilt and repr(chain) == repr(rebuilt), (h, chain)
             seen.add(ring)
     assert seen == set(Ring)

@@ -315,8 +315,8 @@ def test_integer_search_matches_exhaustive_enumeration():
             integral = candidate_tree_is_integral(h, cuts, cycles)
             tree = SpanningTree(
                 subset,
-                {t: Chain.from_vector(1, v, Ring.RATIONAL) for t, v in cuts.items()},
-                {e: Chain.from_vector(1, v, Ring.RATIONAL) for e, v in cycles.items()},
+                {t: Chain(1, dict(enumerate(v)), Ring.RATIONAL) for t, v in cuts.items()},
+                {e: Chain(1, dict(enumerate(v)), Ring.RATIONAL) for e, v in cycles.items()},
                 Ring.RATIONAL,
             )
             assert unimodular == integral == is_integral(h, tree), (h, subset)
@@ -640,6 +640,34 @@ def test_vector_space_diagonal_line():
     assert tree == (0,)
     assert cycles[1] == [Fraction(-1), Fraction(1)]
     assert cuts[0] == [Fraction(1), Fraction(1)]
+
+
+def test_vector_space_refuses_lossy_generators():
+    # each entry is coerced into the rationals, which take ints and
+    # Fractions only
+    for bad in (0.5, "1/2", True):
+        with pytest.raises(TypeError):
+            vector_space_spanning_tree(2, [[bad, 1]])
+    tree, _, cycles = vector_space_spanning_tree(2, [[Fraction(1, 2), Fraction(-1, 2)]])
+    assert tree == (0,) and cycles[1] == [-1, 1]
+
+
+def test_vector_space_integer_generators_load_no_fractions():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        f"import sys\nsys.path.insert(0, {src!r})\n"
+        "from hyperhomology import vector_space_spanning_tree\n"
+        "print(vector_space_spanning_tree(3, [[1, -1, 0]]))\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "((0, 2), {0: [1, 1, 0], 2: [0, 0, 1]}, {1: [-1, 1, 0]})",
+        "False",
+    ]
 
 
 def test_vector_space_reproduces_hypergraph_trees():

@@ -1,6 +1,6 @@
 """The package's public surface: ``__all__``, the second routes that left
-it for the test oracles, the README's library example, and no module-level
-import that its module never reads."""
+it for the test oracles, the README's library example, no module-level
+import that its module never reads, and no ``assert`` statement."""
 
 import ast
 import importlib
@@ -84,6 +84,8 @@ MOVED_TO_ORACLES = [
 # ``cycle_cut_decomposition(h, Ring.RATIONAL)`` is the one route.
 DELETED_ALIAS = "orthogonal_decomposition_rational"
 
+PACKAGE_MODULES = sorted(Path(hyperhomology.__file__).resolve().parent.glob("*.py"))
+
 
 def test_public_names_are_pinned_and_resolve():
     assert sorted(hyperhomology.__all__) == PUBLIC
@@ -99,9 +101,14 @@ def test_second_routes_left_the_package_for_the_oracles():
     for name in MOVED_TO_ORACLES:
         getattr(oracles, name)
     assert not hasattr(oracles, DELETED_ALIAS)
-    for method in ("apply", "__matmul__", "from_columns"):
+    # helpers that no package code calls; the tests build or inline them
+    for method in ("apply", "__matmul__", "from_columns", "identity", "zeros", "columns"):
         assert not hasattr(hyperhomology.ExactMatrix, method)
     assert not hasattr(hyperhomology.SnfDecomposition, "solve")
+    for record in (hyperhomology.Chain, hyperhomology.Cochain):
+        assert not hasattr(record, "from_vector")
+    for method in ("is_graph", "tails", "heads"):
+        assert not hasattr(hyperhomology.OrientedHypergraph, method)
 
 
 def test_readme_library_example_runs(capsys):
@@ -151,10 +158,23 @@ def test_unread_import_scan_sees_aliases_dotted_names_and_all():
     assert _unread_imports(source) == ["os", "system", "least"]
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(Path(hyperhomology.__file__).resolve().parent.glob("*.py")),
-    ids=lambda path: path.name,
-)
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
 def test_package_modules_read_every_name_they_import(path):
     assert _unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _assert_lines(source: str) -> list[int]:
+    """The line of every ``assert`` statement in a module, which
+    ``python -O`` strips."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scan_sees_nested_statements():
+    source = "def f(x):\n    if x:\n        assert x > 0, x\n    return x\nassert f\n"
+    assert sorted(_assert_lines(source)) == [3, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
+def test_package_modules_check_without_assert(path):
+    # a self-check must hold under python -O, so it raises instead
+    assert _assert_lines(path.read_text(encoding="utf-8")) == []
