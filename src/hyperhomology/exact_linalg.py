@@ -1,12 +1,12 @@
 """Exact integer and rational linear algebra.
 
 Everything is pure Python over ``int`` and ``fractions.Fraction``; no
-floating point anywhere.  There are two routes, one per ring.  Over the
-integers, :func:`smith_normal_form` factors a matrix once, and the reports
-read ranks, elementary divisors, cycle and cut lattices and coboundary
-membership (:func:`_is_coboundary`) off its factors.  Over the rationals,
-one reduced row echelon form (RREF) gives ranks and, read as a spanning
-tree, fundamental cuts and cycles.  The RREF is computed fraction-free
+floating point anywhere.  :func:`smith_normal_form` factors an integer
+matrix once; the reports read ranks, elementary divisors, cycle and cut
+lattices and coboundary membership (:func:`_is_coboundary`, also over the
+rationals, without the divisibility) off its factors, and so does tree
+verification.  One reduced row echelon form (RREF) builds each tree and
+gives :func:`image_rank`.  The RREF is computed fraction-free
 (integer-preserving, after Bareiss): every row is held in ints as a
 positive multiple of the row the schoolbook elimination over Fractions
 holds at the same step, so it has the same nonzeros and leads to the same
@@ -73,8 +73,8 @@ class ExactMatrix(_Record):
                 raise ValueError("rows have inconsistent lengths")
             if cols is not None and cols != width:
                 raise ValueError("explicit column count disagrees with rows")
-        else:
-            width = cols if cols is not None else 0
+        elif (width := cols or 0) < 0:
+            raise ValueError(f"column count {cols} is negative")
         lines = tuple({j: x for j, x in enumerate(row) if x} for row in normalized)
         super().__init__(len(normalized), width, ring, lines)
 
@@ -331,14 +331,14 @@ class SnfDecomposition(_Record):
         return len(self.diagonal)
 
 
-def _is_coboundary(decomposition: SnfDecomposition, vector: dict) -> bool:
-    """Whether the integer vector ``{index: value}`` is ``m^T y`` for some
-    integer y, where ``decomposition`` factors ``m`` as U m V = S.
+def _is_coboundary(decomposition: SnfDecomposition, vector: dict, ring=Ring.INTEGER) -> bool:
+    """Whether the integer vector ``{index: value}`` is ``m^T y`` for some y
+    in ``ring``, where ``decomposition`` factors ``m`` as U m V = S.
 
-    Then m^T = V^-T S^T U^-T, so c = m^T y iff V^T c = S^T w for the integer
-    w = U^-T y: V^T c must vanish from the rank on, and its entry i must be
-    divisible by d_i below the rank.  V^T c is the sum of c_k times row k of
-    V, one row per nonzero of c.
+    Then m^T = V^-T S^T U^-T, so c = m^T y iff V^T c = S^T w for w = U^-T y
+    in ``ring``: V^T c must vanish from the rank on and, over the integers,
+    its entry i must be divisible by d_i below the rank.  V^T c is the sum
+    of c_k times row k of V, one row per nonzero of c.
     """
     image: dict = {}
     for k, x in vector.items():
@@ -346,7 +346,8 @@ def _is_coboundary(decomposition: SnfDecomposition, vector: dict) -> bool:
             _axpy(image, decomposition.v.lines[k], x)
     diagonal = decomposition.diagonal
     rank = len(diagonal)
-    return all(i < rank and value % diagonal[i] == 0 for i, value in image.items())
+    integer = ring is Ring.INTEGER
+    return all(i < rank and not (integer and value % diagonal[i]) for i, value in image.items())
 
 
 def _axpy(target: dict, source: dict, q: int) -> None:
@@ -604,6 +605,8 @@ class ModuleStructure(_Record):
     torsion: tuple[int, ...]
 
     def __init__(self, free_rank: int, torsion: tuple[int, ...]):
+        if free_rank < 0:
+            raise ValueError(f"free rank {free_rank} is negative")
         for d in torsion:
             if d < 2:
                 raise ValueError(f"torsion order {d} is below 2")
@@ -615,14 +618,3 @@ class ModuleStructure(_Record):
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
-
-
-def _lattice_contains_all(generators, vectors, ambient_dim: int) -> bool:
-    """Whether every integer ``{index: value}`` vector lies in the integer
-    span of the ``{index: value}`` generators.  The generators are the rows
-    of one matrix G, factored once for all the vectors: v = G^T y for an
-    integer y iff :func:`_is_coboundary` holds on the Smith form of G."""
-    if not vectors:
-        return True
-    decomposition = smith_normal_form(ExactMatrix._of(generators, ambient_dim))
-    return all(_is_coboundary(decomposition, v) for v in vectors)

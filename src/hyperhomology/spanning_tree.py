@@ -15,19 +15,23 @@ verifies only the tree it returns.  Every tree, rational, integer or
 vector-space, is read off one reduced row echelon form: pivot columns are
 the tree, nonzero rows the fundamental cuts, and the null vectors of the
 free columns the fundamental cycles; an integer tree is read in ints.
+Verification, in both rings, reads one Smith form of B, a kernel apart
+from that elimination; by the tree lemma a family with its Kronecker
+pattern spans its module once it lies in it and has the right size.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
+    ExactMatrix,
     _dense,
     _integer_echelon,
+    _integer_row,
     _is_coboundary,
-    _lattice_contains_all,
     _replay,
     _rref_tree,
     _unit_steps,
@@ -113,75 +117,75 @@ class TreeAxiomsReport(_Record):
         )
 
 
+def _check_edge_indices(chains, m: int) -> None:
+    """Raise the ``IndexError`` of :func:`boundary` for the first index of
+    ``chains`` that names no edge."""
+    for j in (j for chain in chains for j in chain.coefficients if j >= m):
+        raise IndexError(f"edge index {j} out of range")
+
+
 def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> TreeAxiomsReport:
     """Re-check both spanning-tree axioms from scratch.
 
     A cut's Kronecker pattern is its restriction to the tree edges, which
     must be 1 at its own edge and nothing else; a cycle's is its
-    restriction to the chords.  Each costs one pass over the chain's
-    nonzeros.  Cycle membership applies the boundary.  Over the rationals
-    the cuts lie in the row space of B exactly when stacking them under the
-    rows of B leaves the rank of B unchanged, and the span checks are rank
-    counts: one sparse elimination each, of the rows of B and of the
-    chains' coefficient dicts.
-    Over the integers everything is read off one Smith normal form
-    U B V = S with divisors d_i, i < r: a cut c is a coboundary iff V^T c
-    vanishes from the rank on and its entry i is divisible by d_i below it;
-    the cut lattice is generated by d_i times row i of V^-1 and the cycle
-    lattice by columns r.. of V.  Each span check is two-way containment:
-    the family lies in its lattice (cuts are cuts, cycles are cycles) and
-    the lattice's generators lie in the family's span, which factors only
-    the family itself, its chains as the rows: at most three Smith forms
-    per call, all on sparse rows.
+    restriction to the chords: one pass over each chain's nonzeros.  Cycle
+    membership applies the boundary.  The rest is read off one Smith form
+    U B V = S with divisors d_i, i < r, in both rings: a cut c (over the
+    rationals scaled to an integer multiple) lies in the row space of B iff
+    V^T c vanishes from the rank on and, over the integers, its entry i is
+    divisible by d_i below it.  A family with its Kronecker pattern (cuts
+    keyed by the tree edges) has an identity minor: its rank is its size
+    and the product of its elementary divisors is 1.  Only a family without
+    it is factored, by elimination over the rationals and a Smith form over
+    the integers.  Over the rationals a family spans when its rank and size
+    are r (cuts) or m - r (cycles); over the integers a family inside a
+    lattice spans it iff the ranks and the products of the divisors (the
+    index in the saturation) agree: (r, d_1 ... d_r) for cuts, (m - r, 1)
+    for cycles.  A tree the finders build costs one Smith form.
     """
     m = hypergraph.edge_count
-    ring = tree.ring
+    cuts, cycles = tree.fundamental_cuts, tree.fundamental_cycles
+    _check_edge_indices([*cycles.values(), *cuts.values()], m)
+    integer = tree.ring is Ring.INTEGER
     tree_set = set(tree.tree_edges)
-    chord_set = set(tree.fundamental_cycles)
+    chord_set = set(cycles)
     counts_consistent = (
         len(tree.tree_edges) == len(tree_set)
         and tree_set.isdisjoint(chord_set)
         and tree_set | chord_set == set(range(m))
-        and set(tree.fundamental_cuts) == tree_set
+        and set(cuts) == tree_set
     )
 
     def restriction(chain: Chain, indices: set) -> dict:
         return {j: x for j, x in chain.coefficients.items() if j in indices}
 
-    cut_kronecker = all(
-        restriction(tree.fundamental_cuts[t], tree_set) == {t: 1} for t in tree.tree_edges
-    )
-    cycle_kronecker = all(
-        restriction(cycle, chord_set) == {e: 1}
-        for e, cycle in tree.fundamental_cycles.items()
-    )
-    cycles_are_cycles = all(
-        boundary(hypergraph, cycle).is_zero() for cycle in tree.fundamental_cycles.values()
-    )
+    cut_kronecker = all(restriction(cuts[t], tree_set) == {t: 1} for t in tree.tree_edges)
+    cycle_kronecker = all(restriction(x, chord_set) == {e: 1} for e, x in cycles.items())
+    cycles_are_cycles = all(boundary(hypergraph, cycle).is_zero() for cycle in cycles.values())
 
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    cut_rows = [c.coefficients for c in tree.fundamental_cuts.values()]
-    cycle_rows = [c.coefficients for c in tree.fundamental_cycles.values()]
-    if ring is Ring.RATIONAL:
+    decomposition = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER))
+    r = decomposition.rank
+    cut_rows = [c.coefficients if integer else _integer_row(c.coefficients) for c in cuts.values()]
+    cuts_are_cuts = all(_is_coboundary(decomposition, c, tree.ring) for c in cut_rows)
 
-        def rank(rows) -> int:
-            return len(_integer_echelon(rows, m)[1])
+    def rank_and_index(rows: list, pattern: bool) -> tuple[int, int | None]:
+        if pattern:
+            return len(rows), 1
+        if not integer:
+            return len(_integer_echelon(rows, m)[1]), None
+        divisors = smith_normal_form(ExactMatrix._of(rows, m)).diagonal
+        return len(divisors), prod(divisors)
 
-        boundary_rank = rank(matrix.lines)
-        cuts_are_cuts = rank([*matrix.lines, *cut_rows]) == boundary_rank
-        cuts_span = rank(cut_rows) == len(tree.tree_edges) == boundary_rank
-        cycles_span = rank(cycle_rows) == len(chord_set) == m - boundary_rank
+    cut_rank, cut_index = rank_and_index(cut_rows, cut_kronecker and set(cuts) == tree_set)
+    cycle_rows = [x.coefficients for x in cycles.values()]
+    cycle_rank, cycle_index = rank_and_index(cycle_rows, cycle_kronecker)
+    if integer:
+        cuts_span = cuts_are_cuts and (cut_rank, cut_index) == (r, prod(decomposition.diagonal))
+        cycles_span = cycles_are_cycles and (cycle_rank, cycle_index) == (m - r, 1)
     else:
-        decomposition = smith_normal_form(matrix)
-        cuts_are_cuts = all(_is_coboundary(decomposition, c) for c in cut_rows)
-        cut_lattice = [
-            {j: d * x for j, x in decomposition.v_inverse.lines[i].items()}
-            for i, d in enumerate(decomposition.diagonal)
-        ]
-        cycle_lattice = decomposition.v.transpose().lines[decomposition.rank :]
-        cuts_span = cuts_are_cuts and _lattice_contains_all(cut_rows, cut_lattice, m)
-        cycles_span = cycles_are_cycles and _lattice_contains_all(cycle_rows, cycle_lattice, m)
-
+        cuts_span = cut_rank == len(tree.tree_edges) == r
+        cycles_span = cycle_rank == len(chord_set) == m - r
     return TreeAxiomsReport(
         cut_kronecker=cut_kronecker,
         cycle_kronecker=cycle_kronecker,
@@ -199,6 +203,7 @@ def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     integer 0-cochain, which one Smith form of the boundary matrix decides
     for all cuts, reading one row of V per nonzero of a cut."""
     chains = [*tree.fundamental_cycles.values(), *tree.fundamental_cuts.values()]
+    _check_edge_indices(chains, hypergraph.edge_count)
     if any(x.denominator != 1 for c in chains for x in c.coefficients.values()):
         return False
     decomposition = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER))
@@ -286,6 +291,8 @@ def vector_space_spanning_tree(ambient_dim: int, subspace_generators):
     span the orthogonal complement) in place of the boundary matrix.
     Entries are ints or Fractions; anything else raises ``TypeError``.
     """
+    if ambient_dim < 0:
+        raise ValueError(f"ambient dimension {ambient_dim} is negative")
     rows = [[Ring.RATIONAL.coerce(x) for x in generator] for generator in subspace_generators]
     if any(len(row) != ambient_dim for row in rows):
         raise ValueError("generator length does not match ambient dimension")

@@ -14,8 +14,11 @@ the dense list transpose and products beside them are the reference for
 the sparse rows of ``ExactMatrix`` and stand in for its former
 matrix-vector and matrix products (and the identity and zero matrices for
 its former constructors), :func:`stacked_smith_missing_chain`
-is its earlier integer spanning check and
+is its earlier integer spanning check,
 :func:`lexicographic_integer_tree_edges` its earlier integer-tree search,
+:func:`reference_tree_axioms` its earlier tree verification (with
+:func:`_lattice_contains_all`, which also backs :func:`lattice_contains`
+and :func:`sublattice_equal`),
 :func:`pairwise_validation_report` checks a hypergraph's invariants edge
 pair by edge pair, and :func:`reference_parser` is the command-line parser
 as it was built on argparse.
@@ -39,6 +42,8 @@ from hyperhomology import (
     OrientedHypergraph,
     Ring,
     SnfDecomposition,
+    TreeAxiomsReport,
+    boundary,
     boundary_matrix,
     image_rank,
     random_hypergraph,
@@ -50,7 +55,7 @@ from hyperhomology.exact_linalg import (
     _dense,
     _divide_pivots,
     _integer_echelon,
-    _lattice_contains_all,
+    _is_coboundary,
     _rref_tree,
 )
 
@@ -301,6 +306,70 @@ def integer_tree_lattice_checks(hypergraph: OrientedHypergraph, tree) -> dict:
         "cuts_span": sublattice_equal(cut_vectors, image_basis(transpose, Ring.INTEGER), m),
         "cycles_span": sublattice_equal(cycle_vectors, kernel_basis(matrix, Ring.INTEGER), m),
     }
+
+
+def reference_tree_axioms(hypergraph: OrientedHypergraph, tree) -> TreeAxiomsReport:
+    """Every field of ``verify_tree_axioms``, computed as the library did
+    before it read the spans off the tree lemma: over the rationals four
+    eliminations (the rank of B, of B stacked over the cuts, of the cuts and
+    of the cycles); over the integers cut membership on the Smith form of B
+    and each span check as two-way containment, the generators of the cut
+    lattice (d_i times row i of V^-1) and of the cycle lattice (columns r..
+    of V) tested against the Smith form of the family itself."""
+    m = hypergraph.edge_count
+    tree_set = set(tree.tree_edges)
+    chord_set = set(tree.fundamental_cycles)
+    counts_consistent = (
+        len(tree.tree_edges) == len(tree_set)
+        and tree_set.isdisjoint(chord_set)
+        and tree_set | chord_set == set(range(m))
+        and set(tree.fundamental_cuts) == tree_set
+    )
+
+    def restriction(chain, indices: set) -> dict:
+        return {j: x for j, x in chain.coefficients.items() if j in indices}
+
+    cut_kronecker = all(
+        restriction(tree.fundamental_cuts[t], tree_set) == {t: 1} for t in tree.tree_edges
+    )
+    cycle_kronecker = all(
+        restriction(cycle, chord_set) == {e: 1}
+        for e, cycle in tree.fundamental_cycles.items()
+    )
+    cycles_are_cycles = all(
+        boundary(hypergraph, cycle).is_zero() for cycle in tree.fundamental_cycles.values()
+    )
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    cut_rows = [c.coefficients for c in tree.fundamental_cuts.values()]
+    cycle_rows = [c.coefficients for c in tree.fundamental_cycles.values()]
+    if tree.ring is Ring.RATIONAL:
+
+        def rank(rows) -> int:
+            return len(_integer_echelon(rows, m)[1])
+
+        boundary_rank = rank(matrix.lines)
+        cuts_are_cuts = rank([*matrix.lines, *cut_rows]) == boundary_rank
+        cuts_span = rank(cut_rows) == len(tree.tree_edges) == boundary_rank
+        cycles_span = rank(cycle_rows) == len(chord_set) == m - boundary_rank
+    else:
+        decomposition = smith_normal_form(matrix)
+        cuts_are_cuts = all(_is_coboundary(decomposition, c) for c in cut_rows)
+        cut_lattice = [
+            {j: d * x for j, x in decomposition.v_inverse.lines[i].items()}
+            for i, d in enumerate(decomposition.diagonal)
+        ]
+        cycle_lattice = decomposition.v.transpose().lines[decomposition.rank :]
+        cuts_span = cuts_are_cuts and _lattice_contains_all(cut_rows, cut_lattice, m)
+        cycles_span = cycles_are_cycles and _lattice_contains_all(cycle_rows, cycle_lattice, m)
+    return TreeAxiomsReport(
+        cut_kronecker=cut_kronecker,
+        cycle_kronecker=cycle_kronecker,
+        cycles_are_cycles=cycles_are_cycles,
+        cuts_are_cuts=cuts_are_cuts,
+        counts_consistent=counts_consistent,
+        cuts_span=cuts_span,
+        cycles_span=cycles_span,
+    )
 
 
 def seeded_suite(
@@ -605,6 +674,17 @@ def quotient_structure(matrix: ExactMatrix) -> ModuleStructure:
     decomposition = smith_normal_form(matrix)
     torsion = tuple(d for d in decomposition.diagonal if d > 1)
     return ModuleStructure(matrix.rows - decomposition.rank, torsion)
+
+
+def _lattice_contains_all(generators, vectors, ambient_dim: int) -> bool:
+    """Whether every integer ``{index: value}`` vector lies in the integer
+    span of the ``{index: value}`` generators.  The generators are the rows
+    of one matrix G, factored once for all the vectors: v = G^T y for an
+    integer y iff ``_is_coboundary`` holds on the Smith form of G."""
+    if not vectors:
+        return True
+    decomposition = smith_normal_form(ExactMatrix._of(generators, ambient_dim))
+    return all(_is_coboundary(decomposition, v) for v in vectors)
 
 
 def _integer_lines(vectors, ambient_dim: int) -> tuple:

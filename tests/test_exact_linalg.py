@@ -460,6 +460,39 @@ def test_coboundary_test_matches_transposed_solve():
     assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
 
 
+def test_rational_coboundary_test_matches_rational_solve():
+    # over the rationals _is_coboundary drops the divisibility by d_i; the
+    # oracle solves B^T y = c over the rationals by elimination
+    outcomes = {}
+    for h in hypergraph_suite():
+        m = h.edge_count
+        transpose = boundary_matrix(h, Ring.INTEGER).transpose()
+        decomposition = smith_normal_form(boundary_matrix(h, Ring.INTEGER))
+        inputs = [{e: 1} for e in range(m)]
+        inputs += [dict(enumerate(decomposition.v_inverse.row(i))) for i in range(m)]
+        for vector in inputs:
+            dense = [vector.get(j, 0) for j in range(m)]
+            expected = solve_rational(transpose, dense) is not None
+            found = exact_linalg._is_coboundary(decomposition, vector, Ring.RATIONAL)
+            assert found == expected, (h, vector)
+            outcomes[expected] = outcomes.get(expected, 0) + 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+def test_exact_matrix_refuses_inconsistent_shapes():
+    with pytest.raises(ValueError, match="rows have inconsistent lengths"):
+        ExactMatrix([[1, 2], [3]], Ring.INTEGER)
+    for cols in (1, 3, -2):
+        with pytest.raises(ValueError, match="explicit column count disagrees with rows"):
+            ExactMatrix([[1, 2]], Ring.INTEGER, cols=cols)
+    with pytest.raises(ValueError, match="column count -1 is negative"):
+        ExactMatrix([], Ring.INTEGER, cols=-1)
+    for cols, width in ((None, 0), (0, 0), (3, 3)):
+        empty = ExactMatrix([], Ring.RATIONAL, cols=cols)
+        assert (empty.rows, empty.cols, empty.lines) == (0, width, ())
+    assert ExactMatrix([[1, 0]], Ring.INTEGER, cols=2).lines == ({0: 1},)
+
+
 def test_snf_random_roundtrip():
     rng = random.Random(101)
     for _ in range(150):
@@ -643,6 +676,8 @@ def test_module_structure_rejects_bad_torsion():
         ModuleStructure(0, (4, 2))
     with pytest.raises(ValueError):
         ModuleStructure(free_rank=0, torsion=(4, 2))
+    with pytest.raises(ValueError, match="free rank -1 is negative"):
+        ModuleStructure(-1, ())
 
 
 def test_module_structure_rejects_torsion_below_two():

@@ -15,6 +15,7 @@ from hyperhomology import (
     Ring,
     SearchLimitExceeded,
     SpanningTree,
+    TreeAxiomsReport,
     boundary_matrix,
     canonical_inner_product,
     find_spanning_tree_integer,
@@ -41,6 +42,8 @@ from oracles import (
     lexicographic_integer_tree_edges,
     parallel_edge_suite,
     random_connected_graph,
+    reference_tree_axioms,
+    seeded_suite,
     solve_rational,
     tree_cut,
     tree_path_cycle,
@@ -427,6 +430,123 @@ def test_integer_verification_matches_lattice_comparisons(monkeypatch):
     }
 
 
+def _differential_variants(tree):
+    """The tree, its Kronecker corruptions, on an integer tree its lattice
+    corruptions too, and variants that rescale or recombine one chain (a
+    cut times 1/3 and a cycle times 1/2 over the rationals only, a cut
+    replaced by another, a cycle plus another) or break the counts (a
+    repeated tree edge, a cut keyed by a chord, a missing chord)."""
+    yield from _kronecker_corruptions(tree)
+    if tree.ring is Ring.INTEGER:
+        yield from (bad for name, bad in _corrupted_integer_trees(tree) if name != "intact")
+    ring, cuts, cycles = tree.ring, tree.fundamental_cuts, tree.fundamental_cycles
+    tree_edges, chords = tree.tree_edges, tree.chords
+
+    def variant(new_cuts=cuts, new_cycles=cycles, edges=tree_edges):
+        return SpanningTree(edges, new_cuts, new_cycles, ring)
+
+    if tree_edges:
+        t = tree_edges[0]
+        yield variant(edges=tree_edges + (t,))
+        if ring is Ring.RATIONAL:
+            yield variant(new_cuts={**cuts, t: Fraction(1, 3) * cuts[t]})
+        if len(tree_edges) > 1:
+            yield variant(new_cuts={**cuts, t: cuts[tree_edges[1]]})
+    if chords:
+        e = chords[0]
+        yield variant(new_cuts={**cuts, e: Chain.unit(1, e, ring)})
+        yield variant(new_cycles={f: x for f, x in cycles.items() if f != e})
+        if ring is Ring.RATIONAL:
+            yield variant(new_cycles={**cycles, e: Fraction(1, 2) * cycles[e]})
+        if len(chords) > 1:
+            yield variant(new_cycles={**cycles, e: cycles[e] + cycles[chords[1]]})
+
+
+def test_verification_matches_reference_axioms():
+    # the tree lemma and the one Smith form of B must decide every field as
+    # the four eliminations (rationals) and three Smith forms (integers) did
+    instances = (
+        *hypergraph_suite(200),
+        *parallel_edge_suite(),
+        *seeded_suite(100, 31, max_arity=1),
+        *seeded_suite(100, 37, allow_empty_edges=True),
+    )
+    outcomes = set()
+    cases = 0
+    for h in instances:
+        for tree in (find_spanning_tree_rational(h), find_spanning_tree_integer(h)):
+            if tree is None:
+                continue
+            for candidate in _differential_variants(tree):
+                report = verify_tree_axioms(h, candidate)
+                assert report == reference_tree_axioms(h, candidate), (h, candidate)
+                outcomes.update((tree.ring, key, getattr(report, key)) for key in report._fields)
+                cases += 1
+    assert cases > 10000
+    assert outcomes == {
+        (ring, key, value)
+        for ring in Ring
+        for key in TreeAxiomsReport._fields
+        for value in (True, False)
+    }
+
+
+def test_verifying_a_built_tree_factors_only_the_boundary_matrix(monkeypatch):
+    # a tree from either finder, read in either ring, has both Kronecker
+    # patterns: one Smith form of B and no elimination decide every field
+    instances = (triangle_graph(), main_example(), parallel_edges(), *hypergraph_suite())
+    trees = [
+        (h, SpanningTree(tree.tree_edges, tree.fundamental_cuts, tree.fundamental_cycles, ring))
+        for h in instances
+        for tree in (find_spanning_tree_rational(h), find_spanning_tree_integer(h))
+        if tree is not None
+        for ring in Ring
+    ]
+    calls, eliminations = [], []
+    real_smith, real_echelon = spanning_tree.smith_normal_form, exact_linalg._integer_echelon
+
+    def smith(matrix):
+        calls.append(matrix)
+        return real_smith(matrix)
+
+    def echelon(rows, width):
+        eliminations.append(width)
+        return real_echelon(rows, width)
+
+    for module in (spanning_tree, exact_linalg):
+        monkeypatch.setattr(module, "smith_normal_form", smith)
+        monkeypatch.setattr(module, "_integer_echelon", echelon)
+    rings = set()
+    for h, tree in trees:
+        calls.clear()
+        verify_tree_axioms(h, tree)
+        assert calls == [boundary_matrix(h, Ring.INTEGER)] and eliminations == [], (h, tree)
+        rings.add(tree.ring)
+    assert len(trees) > 500 and rings == set(Ring)
+
+
+@pytest.mark.parametrize(
+    "check, ring",
+    [
+        (verify_tree_axioms, Ring.RATIONAL),
+        (verify_tree_axioms, Ring.INTEGER),
+        (is_integral, Ring.RATIONAL),
+    ],
+    ids=["verify-rat", "verify-int", "is_integral"],
+)
+def test_out_of_range_edge_index_is_refused_before_factoring(monkeypatch, check, ring):
+    h = triangle_graph()
+    tree = find_spanning_tree_rational(h) if ring is Ring.RATIONAL else find_spanning_tree_integer(h)
+    t = tree.tree_edges[0]
+    cuts = {**tree.fundamental_cuts, t: tree.fundamental_cuts[t] + Chain.unit(1, 7, ring)}
+    bad = SpanningTree(tree.tree_edges, cuts, tree.fundamental_cycles, ring)
+    calls = []
+    monkeypatch.setattr(spanning_tree, "smith_normal_form", calls.append)
+    with pytest.raises(IndexError, match="^edge index 7 out of range$"):
+        check(h, bad)
+    assert calls == []
+
+
 def _pairwise_kronecker(chains, indices) -> bool:
     """The Kronecker pattern checked one coefficient per pair of indices."""
     return all(
@@ -623,6 +743,12 @@ def test_vector_space_trivial_subspace():
         expected = [Fraction(0)] * 3
         expected[t] = Fraction(1)
         assert cuts[t] == expected
+
+
+def test_vector_space_refuses_negative_ambient_dim():
+    with pytest.raises(ValueError, match="ambient dimension -1 is negative"):
+        vector_space_spanning_tree(-1, [])
+    assert vector_space_spanning_tree(0, []) == ((), {}, {})
 
 
 def test_vector_space_full_subspace():

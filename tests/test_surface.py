@@ -64,6 +64,7 @@ PUBLIC = [
 # Second routes to facts the package decides one way; the oracles hold them.
 MOVED_TO_ORACLES = [
     "PerpComparison",
+    "_lattice_contains_all",
     "annihilator_basis",
     "annihilator_of_cycles",
     "boundary_functional_injectivity_check",
