@@ -175,7 +175,10 @@ class OrientedHypergraph(_Record):
     Each edge is a pair (tails, heads) of disjoint vertex sets: the edge
     points away from its tails and towards its heads.  Construction
     validates the data and raises :class:`HypergraphValidationError` on any
-    violation.
+    violation.  The Smith form of the integer boundary matrix B is computed
+    on first use and kept, so every integer report, tree check and the
+    integer-tree search on one hypergraph share one factorization; the
+    cache is not a field, so equality, hash and ``repr`` ignore it.
     """
 
     vertices: tuple
@@ -203,6 +206,16 @@ class OrientedHypergraph(_Record):
     @cached_property
     def vertex_index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _smith_form(self):
+        """``smith_normal_form(boundary_matrix(self, Ring.INTEGER))``, made
+        once.  ``boundary`` and ``exact_linalg`` import this module, so
+        they are imported on first use, not at module level."""
+        from .boundary import boundary_matrix
+        from .exact_linalg import smith_normal_form
+
+        return smith_normal_form(boundary_matrix(self, Ring.INTEGER))
 
 
 def validate(hypergraph: OrientedHypergraph) -> list[str]:

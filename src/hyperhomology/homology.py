@@ -3,7 +3,8 @@
 The first homology group is the kernel of the boundary map B; the first
 cohomology group is the cokernel of the coboundary map.  Over the integers
 the homology, graph-likeness and decomposition reports read everything off
-one Smith normal form U B V = S with divisors d_0..d_{r-1}: the rank r,
+one Smith normal form U B V = S with divisors d_0..d_{r-1}, the one the
+hypergraph keeps once it is first factored (``_smith_form``): the rank r,
 the cycles (columns r.. of V), the cohomology torsion, the annihilator of
 the cycles (rows < r of V^-1) and coboundary membership (c = B^T y for an
 integer y iff V^T c vanishes from the rank on and its entry i is divisible
@@ -21,13 +22,7 @@ from __future__ import annotations
 
 from .boundary import boundary_matrix
 from .core import Chain, OrientedHypergraph, Ring, _Record
-from .exact_linalg import (
-    ModuleStructure,
-    SnfDecomposition,
-    _is_coboundary,
-    _rref_tree,
-    smith_normal_form,
-)
+from .exact_linalg import ModuleStructure, SnfDecomposition, _is_coboundary, _rref_tree
 
 
 class HomologyReport(_Record):
@@ -55,14 +50,13 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     rationals only the free ranks remain.
     """
     m = hypergraph.edge_count
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
     if ring is Ring.INTEGER:
-        decomposition = smith_normal_form(matrix)
+        decomposition = hypergraph._smith_form
         rank = decomposition.rank
         basis = tuple(map(_integer_chain, decomposition.v.transpose().lines[rank:]))
         torsion = tuple(d for d in decomposition.diagonal if d > 1)
     else:
-        tree, _, cycles = _rref_tree(matrix.lines, m)
+        tree, _, cycles = _rref_tree(boundary_matrix(hypergraph, Ring.INTEGER).lines, m)
         rank = len(tree)
         basis = tuple(Chain._of(1, cycle, ring) for cycle in cycles.values())
         torsion = ()
@@ -149,7 +143,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
     annihilator with the coboundary image.  When the verdict is negative,
     the witnesses come from the same factorization.
     """
-    decomposition = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER))
+    decomposition = hypergraph._smith_form
     graph_like = all(d == 1 for d in decomposition.diagonal)
     witnesses: list[Witness] = []
     if not graph_like:
@@ -259,10 +253,9 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     V[k, i] is divisible by d_i below it.
     """
     m = hypergraph.edge_count
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
     missing_chain = None
     if ring is Ring.INTEGER:
-        decomposition = smith_normal_form(matrix)
+        decomposition = hypergraph._smith_form
         rank, diagonal = decomposition.rank, decomposition.diagonal
         cycle_basis = tuple(map(_integer_chain, decomposition.v.transpose().lines[rank:]))
         cut_basis = tuple(
@@ -274,7 +267,7 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
                 missing_chain = Chain.unit(1, k, Ring.INTEGER)
                 break
     else:
-        _, cuts, cycles = _rref_tree(matrix.lines, m)
+        _, cuts, cycles = _rref_tree(boundary_matrix(hypergraph, Ring.INTEGER).lines, m)
         cycle_basis = tuple(Chain._of(1, c, ring) for c in cycles.values())
         cut_basis = tuple(Chain._of(1, c, ring) for c in cuts.values())
 

@@ -11,13 +11,18 @@ B_T, so every fundamental cycle and cut is integral.  Every subset of such
 a basis has the same property, so the search walks prefixes of edges in
 index order, extends a prefix only while it keeps the property, tests
 each new column in ints against the prefix's log of row operations, and
-verifies only the tree it returns.  Every tree, rational, integer or
-vector-space, is read off one reduced row echelon form: pivot columns are
-the tree, nonzero rows the fundamental cuts, and the null vectors of the
-free columns the fundamental cycles; an integer tree is read in ints.
-Verification, in both rings, reads one Smith form of B, a kernel apart
-from that elimination; by the tree lemma a family with its Kronecker
-pattern spans its module once it lies in it and has the right size.
+verifies only the tree it returns.  Such a tree T makes im B = im B_T
+saturated, so a hypergraph with an elementary divisor above 1 (one that
+is not graph-like) has none, and the search returns before walking.
+Every tree, rational, integer or vector-space, is read off one reduced
+row echelon form: pivot columns are the tree, nonzero rows the
+fundamental cuts, and the null vectors of the free columns the
+fundamental cycles; an integer tree is read in ints.  The search's rank
+and divisors, verification in both rings and the integrality test all
+read the one Smith form of B the hypergraph keeps (``_smith_form``), a
+kernel apart from that elimination; by the tree lemma a family with its
+Kronecker pattern spans its module once it lies in it and has the right
+size.
 """
 
 from __future__ import annotations
@@ -29,13 +34,11 @@ from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _
 from .exact_linalg import (
     ExactMatrix,
     _dense,
-    _integer_echelon,
     _integer_row,
     _is_coboundary,
     _replay,
     _rref_tree,
     _unit_steps,
-    image_rank,
     smith_normal_form,
 )
 
@@ -128,21 +131,23 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     """Re-check both spanning-tree axioms from scratch.
 
     A cut's Kronecker pattern is its restriction to the tree edges, which
-    must be 1 at its own edge and nothing else; a cycle's is its
-    restriction to the chords: one pass over each chain's nonzeros.  Cycle
-    membership applies the boundary.  The rest is read off one Smith form
-    U B V = S with divisors d_i, i < r, in both rings: a cut c (over the
-    rationals scaled to an integer multiple) lies in the row space of B iff
-    V^T c vanishes from the rank on and, over the integers, its entry i is
-    divisible by d_i below it.  A family with its Kronecker pattern (cuts
-    keyed by the tree edges) has an identity minor: its rank is its size
-    and the product of its elementary divisors is 1.  Only a family without
-    it is factored, by elimination over the rationals and a Smith form over
-    the integers.  Over the rationals a family spans when its rank and size
-    are r (cuts) or m - r (cycles); over the integers a family inside a
-    lattice spans it iff the ranks and the products of the divisors (the
-    index in the saturation) agree: (r, d_1 ... d_r) for cuts, (m - r, 1)
-    for cycles.  A tree the finders build costs one Smith form.
+    must be 1 at its own edge and nothing else (a tree edge without a cut
+    has none); a cycle's is its restriction to the chords: one pass over
+    each chain's nonzeros.  Cycle membership applies the boundary.  The
+    rest is read off the hypergraph's Smith form U B V = S with divisors
+    d_i, i < r, in both rings: a cut c (over the rationals scaled to an
+    integer multiple) lies in the row space of B iff V^T c vanishes from
+    the rank on and, over the integers, its entry i is divisible by d_i
+    below it.  A family with its Kronecker pattern (cuts keyed by the tree
+    edges) has an identity minor: its rank is its size and the product of
+    its elementary divisors is 1.  Only a family without it, which only a
+    corrupt tree has, is factored, by a Smith form in both rings, its rows
+    over the rationals first scaled to integer multiples.  Over the
+    rationals a family spans when its rank and size are r (cuts) or m - r
+    (cycles); over the integers a family inside a lattice spans it iff the
+    ranks and the products of the divisors (the index in the saturation)
+    agree: (r, d_1 ... d_r) for cuts, (m - r, 1) for cycles.  A tree the
+    finders build costs no factorization beyond the hypergraph's one.
     """
     m = hypergraph.edge_count
     cuts, cycles = tree.fundamental_cuts, tree.fundamental_cycles
@@ -160,25 +165,29 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     def restriction(chain: Chain, indices: set) -> dict:
         return {j: x for j, x in chain.coefficients.items() if j in indices}
 
-    cut_kronecker = all(restriction(cuts[t], tree_set) == {t: 1} for t in tree.tree_edges)
+    cut_kronecker = all(
+        t in cuts and restriction(cuts[t], tree_set) == {t: 1} for t in tree.tree_edges
+    )
     cycle_kronecker = all(restriction(x, chord_set) == {e: 1} for e, x in cycles.items())
     cycles_are_cycles = all(boundary(hypergraph, cycle).is_zero() for cycle in cycles.values())
 
-    decomposition = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER))
+    decomposition = hypergraph._smith_form
     r = decomposition.rank
-    cut_rows = [c.coefficients if integer else _integer_row(c.coefficients) for c in cuts.values()]
+
+    def integer_rows(family: dict) -> list:
+        return [c.coefficients if integer else _integer_row(c.coefficients) for c in family.values()]
+
+    cut_rows = integer_rows(cuts)
     cuts_are_cuts = all(_is_coboundary(decomposition, c, tree.ring) for c in cut_rows)
 
-    def rank_and_index(rows: list, pattern: bool) -> tuple[int, int | None]:
+    def rank_and_index(rows: list, pattern: bool) -> tuple[int, int]:
         if pattern:
             return len(rows), 1
-        if not integer:
-            return len(_integer_echelon(rows, m)[1]), None
         divisors = smith_normal_form(ExactMatrix._of(rows, m)).diagonal
         return len(divisors), prod(divisors)
 
     cut_rank, cut_index = rank_and_index(cut_rows, cut_kronecker and set(cuts) == tree_set)
-    cycle_rows = [x.coefficients for x in cycles.values()]
+    cycle_rows = integer_rows(cycles)
     cycle_rank, cycle_index = rank_and_index(cycle_rows, cycle_kronecker)
     if integer:
         cuts_span = cuts_are_cuts and (cut_rank, cut_index) == (r, prod(decomposition.diagonal))
@@ -200,13 +209,13 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
 def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     """Whether a rational tree is integral: every fundamental cycle has
     integer coefficients and every cut cochain is the coboundary of an
-    integer 0-cochain, which one Smith form of the boundary matrix decides
-    for all cuts, reading one row of V per nonzero of a cut."""
+    integer 0-cochain, which the hypergraph's Smith form of the boundary
+    matrix decides for all cuts, reading one row of V per nonzero of a cut."""
     chains = [*tree.fundamental_cycles.values(), *tree.fundamental_cuts.values()]
     _check_edge_indices(chains, hypergraph.edge_count)
     if any(x.denominator != 1 for c in chains for x in c.coefficients.values()):
         return False
-    decomposition = smith_normal_form(boundary_matrix(hypergraph, Ring.INTEGER))
+    decomposition = hypergraph._smith_form
     return all(
         _is_coboundary(decomposition, {j: x.numerator for j, x in cut.coefficients.items()})
         for cut in tree.fundamental_cuts.values()
@@ -219,6 +228,12 @@ def find_spanning_tree_integer(
     """Search for a spanning tree over the integers: the first, in
     lexicographic order of edge indices, of the size-``rank`` edge subsets
     whose boundary columns have every elementary divisor 1.
+
+    Such a tree T makes im B = im B_T saturated, so unless every
+    elementary divisor of B is 1 there is none, and the search returns
+    None before testing any prefix, whatever ``search_limit``.  The rank
+    and the divisors are read off the hypergraph's Smith form of B, which
+    the verification of the tree found reads too.
 
     Every subset of such a basis has that property too, so the search is a
     depth-first walk over prefixes, edges in index order, that extends a
@@ -236,13 +251,15 @@ def find_spanning_tree_integer(
     against ``search_limit``.  The accepted tree is read off the integer
     RREF of the boundary matrix with its columns ordered first and verified
     once against the integer axioms.
-    Returns None when the walk completes without a hit; raises
-    :class:`SearchLimitExceeded` when the budget runs out first.
+    Returns None when B is not graph-like or the walk completes without a
+    hit; raises :class:`SearchLimitExceeded` when the budget runs out first.
     """
-    m = hypergraph.edge_count
+    divisors = hypergraph._smith_form.diagonal
+    if any(d != 1 for d in divisors):
+        return None
+    m, rank = hypergraph.edge_count, len(divisors)
     matrix = boundary_matrix(hypergraph, Ring.INTEGER)
     columns = matrix.transpose().lines
-    rank = image_rank(matrix)
     prefix: list[int] = []
     marks: list[int] = []  # length of the log before each prefix edge's steps
     log: list[tuple[int, int, int]] = []

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from hyperhomology import OrientedHypergraph, boundary_matrix, Ring
+from hyperhomology import OrientedHypergraph, boundary_matrix, Ring, main_example
+from hyperhomology import exact_linalg
 from hyperhomology.cli import (
     _COMMANDS,
     DocumentError,
@@ -14,7 +15,12 @@ from hyperhomology.cli import (
 )
 from hyperhomology.fixtures import BUILTIN_EXAMPLES
 
-from oracles import hypergraph_suite
+from oracles import (
+    disjoint_union,
+    graph_like_without_integer_tree,
+    grid_graph,
+    hypergraph_suite,
+)
 
 
 def _run(capsys, *argv):
@@ -24,8 +30,12 @@ def _run(capsys, *argv):
 
 
 def _write_example(tmp_path, name):
+    return _write_document(tmp_path, BUILTIN_EXAMPLES[name](), name)
+
+
+def _write_document(tmp_path, hypergraph, name):
     path = tmp_path / f"{name}.json"
-    path.write_text(serialize_document(BUILTIN_EXAMPLES[name](), name=name))
+    path.write_text(serialize_document(hypergraph, name=name))
     return str(path)
 
 
@@ -207,6 +217,23 @@ def test_spanning_tree_check_integral_flag(tmp_path, capsys):
     assert json.loads(out)["integral"] is False
 
 
+def test_spanning_tree_check_integral_factors_b_once(tmp_path, capsys, monkeypatch):
+    # the verification and the integrality test read the one Smith form of
+    # B that the query's hypergraph keeps
+    calls = []
+    real = exact_linalg.smith_normal_form
+
+    def recorded(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(exact_linalg, "smith_normal_form", recorded)
+    graph = _write_example(tmp_path, "triangle-graph")
+    code, _, _ = _run(capsys, "spanning-tree", graph, "--ring", "rat", "--check-integral")
+    assert code == 0
+    assert calls == [boundary_matrix(BUILTIN_EXAMPLES["triangle-graph"](), Ring.INTEGER)]
+
+
 def test_spanning_tree_integer_command(tmp_path, capsys):
     graph = _write_example(tmp_path, "parallel-edges")
     code, out, _ = _run(capsys, "spanning-tree", graph, "--ring", "int", "--json")
@@ -223,10 +250,23 @@ def test_spanning_tree_integer_command(tmp_path, capsys):
 
 
 def test_spanning_tree_limit_exceeded(tmp_path, capsys):
-    hyper = _write_example(tmp_path, "main-example")
+    # graph-like, so the search must walk it to find that it has no tree
+    hyper = _write_document(tmp_path, graph_like_without_integer_tree(), "no-tree")
     code, _, err = _run(capsys, "spanning-tree", hyper, "--ring", "int", "--limit", "0")
     assert code == 3
     assert "limit" in err
+
+
+def test_spanning_tree_without_graph_likeness_has_no_integer_tree(tmp_path, capsys):
+    # an elementary divisor above 1 rules every integer tree out before the
+    # walk, whatever the budget: the union ran out of 1,000,000 prefixes
+    # (exit 3) before the search was pruned so
+    union = disjoint_union(grid_graph(2, 12), main_example())
+    document = _write_document(tmp_path, union, "grid-and-main-example")
+    for limit in ("0", "1000000"):
+        code, out, err = _run(capsys, "spanning-tree", document, "--ring", "int", "--limit", limit)
+        assert (code, err) == (1, "")
+        assert out == "no spanning tree over the integers (search exhausted)\n"
 
 
 def test_spanning_tree_negative_limit_is_usage_error(tmp_path, capsys):

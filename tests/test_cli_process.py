@@ -16,6 +16,8 @@ import pytest
 from hyperhomology.cli import run_command, serialize_document
 from hyperhomology.fixtures import BUILTIN_EXAMPLES
 
+from oracles import graph_like_without_integer_tree
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = {
     **{k: v for k, v in os.environ.items() if not k.startswith("PYTHON")},
@@ -44,6 +46,15 @@ def main_example(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def no_tree(tmp_path):
+    """A graph-like document without an integer tree: the search walks it,
+    so a budget of 0 runs out (main-example is ruled out before the walk)."""
+    path = tmp_path / "no-tree.json"
+    path.write_text(serialize_document(graph_like_without_integer_tree(), name="no-tree"))
+    return str(path)
+
+
 def test_console_script_is_the_entry_point():
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
@@ -68,11 +79,12 @@ def test_module_run_ends_through_the_entry_point(monkeypatch):
         (("example", "path-graph"), 0),
         (("graphlike", "DOC"), 1),
         (("homology", "DOC", "--ring", "complex"), 2),
-        (("spanning-tree", "DOC", "--ring", "int", "--limit", "0"), 3),
+        (("spanning-tree", "NO-TREE", "--ring", "int", "--limit", "0"), 3),
     ],
 )
-def test_process_exit_codes(capsys, main_example, argv, status):
-    argv = [main_example if arg == "DOC" else arg for arg in argv]
+def test_process_exit_codes(capsys, main_example, no_tree, argv, status):
+    documents = {"DOC": main_example, "NO-TREE": no_tree}
+    argv = [documents.get(arg, arg) for arg in argv]
     result = _process(*argv)
     code, out, err = _in_process(capsys, *argv)
     assert result.returncode == code == status

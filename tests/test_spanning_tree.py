@@ -20,6 +20,7 @@ from hyperhomology import (
     canonical_inner_product,
     find_spanning_tree_integer,
     find_spanning_tree_rational,
+    graph_likeness,
     image_rank,
     is_integral,
     main_example,
@@ -33,8 +34,11 @@ from hyperhomology import exact_linalg, spanning_tree
 
 from oracles import (
     candidate_tree_is_integral,
+    disjoint_union,
     enumerate_rational_candidate_trees,
     fraction_rank,
+    graph_like_without_integer_tree,
+    grid_graph,
     hypergraph_suite,
     integer_tree_lattice_checks,
     is_combinatorial_spanning_tree,
@@ -131,10 +135,18 @@ def test_parallel_edges_tree_integral():
     assert is_integral(h, tree)
 
 
-def test_is_integral_factors_the_boundary_matrix_once(monkeypatch):
-    # cut membership is read off the Smith form of B itself, not of B^T
+def _fresh(h: OrientedHypergraph) -> OrientedHypergraph:
+    """An equal hypergraph that holds no Smith form yet: the suites are
+    shared between tests, and a form kept by an earlier test would hide
+    the factorization a test counts."""
+    return OrientedHypergraph(h.vertices, h.edges)
+
+
+def _record_smith_forms(monkeypatch) -> list:
+    """Record the matrix of every Smith form made from now on: the one the
+    hypergraph keeps and any other."""
     calls = []
-    real = spanning_tree.smith_normal_form
+    real = exact_linalg.smith_normal_form
 
     def recorded(matrix):
         calls.append(matrix)
@@ -142,16 +154,22 @@ def test_is_integral_factors_the_boundary_matrix_once(monkeypatch):
 
     monkeypatch.setattr(spanning_tree, "smith_normal_form", recorded)
     monkeypatch.setattr(exact_linalg, "smith_normal_form", recorded)
+    return calls
+
+
+def test_is_integral_factors_the_boundary_matrix_once(monkeypatch):
+    # cut membership is read off the Smith form of B itself, not of B^T,
+    # and the rational tree, its verification and the integrality test
+    # make that one Smith form together
+    calls = _record_smith_forms(monkeypatch)
     checked = 0
     for h in (triangle_graph(), parallel_edges(), *hypergraph_suite()):
-        tree = find_spanning_tree_rational(h)
-        chains = [*tree.fundamental_cuts.values(), *tree.fundamental_cycles.values()]
-        if any(x.denominator != 1 for c in chains for x in c.coefficients.values()):
-            continue
+        h = _fresh(h)
         calls.clear()
-        is_integral(h, tree)
+        tree = find_spanning_tree_rational(h)
+        assert verify_tree_axioms(h, tree).ok
+        checked += is_integral(h, tree)
         assert calls == [boundary_matrix(h, Ring.INTEGER)], h
-        checked += 1
     assert checked > 100
 
 
@@ -160,33 +178,36 @@ def test_integer_search_main_example_exhausts_to_none():
 
 
 def test_integer_search_budget_counts_prefixes_tested():
-    # the main example tests two prefixes: edge 0 extends the empty one,
-    # edge 1 does not extend {0}, and then too few edges remain
-    h = main_example()
-    for limit in (0, 1):
+    # a graph-like input without a tree: the walk tests 13 prefixes
+    h = graph_like_without_integer_tree()
+    for limit in range(13):
         with pytest.raises(SearchLimitExceeded) as info:
             find_spanning_tree_integer(h, search_limit=limit)
         assert info.value.examined == limit
         assert str(info.value) == f"search limit reached after testing {limit} prefixes"
-    for limit in (2, 10, 100):
+    for limit in (13, 20, 100):
         assert find_spanning_tree_integer(h, search_limit=limit) is None
     # rank 0: the empty prefix is the tree, and no prefix is tested
     edgeless = OrientedHypergraph(["a", "b"], [])
     assert find_spanning_tree_integer(edgeless, search_limit=0).tree_edges == ()
 
 
+def test_integer_search_prunes_what_is_not_graph_like():
+    # an integer tree T makes im B = im B_T saturated, so an input with an
+    # elementary divisor above 1 has none, and no prefix is tested: the
+    # union below walks a 2x12 grid's trees against main-example's edges
+    # and ran out of a budget of 1,000,000 prefixes before the prune
+    union = disjoint_union(grid_graph(2, 12), main_example())
+    for h in (main_example(), union):
+        assert not graph_likeness(h).graph_like
+        assert find_spanning_tree_integer(h, search_limit=0) is None
+    assert find_spanning_tree_integer(union) is None
+
+
 def _grid_with_leading_parallel_edge(rows: int, cols: int) -> OrientedHypergraph:
     """Grid graph whose edge 0 is a parallel copy of its edge 1."""
-    names = [f"v{k}" for k in range(rows * cols)]
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            k = i * cols + j
-            if j + 1 < cols:
-                edges.append(({names[k]}, {names[k + 1]}))
-            if i + 1 < rows:
-                edges.append(({names[k]}, {names[k + cols]}))
-    return OrientedHypergraph(names, [edges[0], *edges])
+    grid = grid_graph(rows, cols)
+    return OrientedHypergraph(grid.vertices, [grid.edges[0], *grid.edges])
 
 
 def test_integer_search_passes_the_parallel_edge_cliff():
@@ -204,21 +225,36 @@ def test_integer_search_passes_the_parallel_edge_cliff():
 
 
 def test_integer_search_factors_only_the_accepted_tree(monkeypatch):
-    # no Smith form per prefix: only the (at most three) of the verification
-    calls = []
-    real = spanning_tree.smith_normal_form
+    # no Smith form per prefix and no rank elimination: the one Smith form
+    # of B gives the rank and the prune, and the verification of the tree
+    # found reads it too; the one elimination reads the tree found
+    calls = _record_smith_forms(monkeypatch)
+    eliminations, ranks = [], []
+    real_echelon, real_rank = exact_linalg._integer_echelon, exact_linalg.image_rank
 
-    def counted(matrix):
-        calls.append(matrix)
-        return real(matrix)
+    def echelon(rows, width):
+        eliminations.append(width)
+        return real_echelon(rows, width)
 
-    monkeypatch.setattr(spanning_tree, "smith_normal_form", counted)
-    monkeypatch.setattr(exact_linalg, "smith_normal_form", counted)
+    def rank(matrix):
+        ranks.append(matrix)
+        return real_rank(matrix)
+
+    monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
+    monkeypatch.setattr(exact_linalg, "image_rank", rank)
     outcomes = set()
-    for h in (main_example(), _grid_with_leading_parallel_edge(3, 4), *hypergraph_suite()[:100]):
+    instances = (
+        main_example(),
+        graph_like_without_integer_tree(),
+        _grid_with_leading_parallel_edge(3, 4),
+        *hypergraph_suite()[:100],
+    )
+    for h in map(_fresh, instances):
         calls.clear()
+        eliminations.clear()
         tree = find_spanning_tree_integer(h)
-        assert (len(calls) <= 3) if tree else (calls == []), h
+        assert calls == [boundary_matrix(h, Ring.INTEGER)], h
+        assert len(eliminations) == (tree is not None) and ranks == [], h
         outcomes.add(tree is None)
     assert outcomes == {True, False}
 
@@ -254,7 +290,7 @@ def test_integer_search_edgeless():
 
 def test_integer_search_limit_exceeded():
     with pytest.raises(SearchLimitExceeded):
-        find_spanning_tree_integer(main_example(), search_limit=0)
+        find_spanning_tree_integer(graph_like_without_integer_tree(), search_limit=0)
 
 
 def test_graph_cycles_and_cuts_match_traversal_oracle():
@@ -448,6 +484,7 @@ def _differential_variants(tree):
     if tree_edges:
         t = tree_edges[0]
         yield variant(edges=tree_edges + (t,))
+        yield variant(new_cuts={s: c for s, c in cuts.items() if s != t})
         if ring is Ring.RATIONAL:
             yield variant(new_cuts={**cuts, t: Fraction(1, 3) * cuts[t]})
         if len(tree_edges) > 1:
@@ -493,36 +530,36 @@ def test_verification_matches_reference_axioms():
 
 def test_verifying_a_built_tree_factors_only_the_boundary_matrix(monkeypatch):
     # a tree from either finder, read in either ring, has both Kronecker
-    # patterns: one Smith form of B and no elimination decide every field
-    instances = (triangle_graph(), main_example(), parallel_edges(), *hypergraph_suite())
-    trees = [
-        (h, SpanningTree(tree.tree_edges, tree.fundamental_cuts, tree.fundamental_cycles, ring))
-        for h in instances
-        for tree in (find_spanning_tree_rational(h), find_spanning_tree_integer(h))
-        if tree is not None
-        for ring in Ring
-    ]
-    calls, eliminations = [], []
-    real_smith, real_echelon = spanning_tree.smith_normal_form, exact_linalg._integer_echelon
-
-    def smith(matrix):
-        calls.append(matrix)
-        return real_smith(matrix)
+    # patterns: the finder and the verification make one Smith form of B
+    # together, and the verification no elimination
+    calls = _record_smith_forms(monkeypatch)
+    eliminations = []
+    real_echelon = exact_linalg._integer_echelon
 
     def echelon(rows, width):
         eliminations.append(width)
         return real_echelon(rows, width)
 
-    for module in (spanning_tree, exact_linalg):
-        monkeypatch.setattr(module, "smith_normal_form", smith)
-        monkeypatch.setattr(module, "_integer_echelon", echelon)
+    monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
+    instances = (triangle_graph(), main_example(), parallel_edges(), *hypergraph_suite())
+    trees = 0
     rings = set()
-    for h, tree in trees:
+    for h, finder, ring in itertools.product(
+        instances, (find_spanning_tree_rational, find_spanning_tree_integer), Ring
+    ):
+        h = _fresh(h)
         calls.clear()
+        tree = finder(h)
+        if tree is None:
+            continue
+        cuts, cycles = tree.fundamental_cuts, tree.fundamental_cycles
+        tree = SpanningTree(tree.tree_edges, cuts, cycles, ring)
+        eliminations.clear()
         verify_tree_axioms(h, tree)
         assert calls == [boundary_matrix(h, Ring.INTEGER)] and eliminations == [], (h, tree)
-        rings.add(tree.ring)
-    assert len(trees) > 500 and rings == set(Ring)
+        trees += 1
+        rings.add(ring)
+    assert trees > 500 and rings == set(Ring)
 
 
 @pytest.mark.parametrize(
@@ -541,9 +578,10 @@ def test_out_of_range_edge_index_is_refused_before_factoring(monkeypatch, check,
     cuts = {**tree.fundamental_cuts, t: tree.fundamental_cuts[t] + Chain.unit(1, 7, ring)}
     bad = SpanningTree(tree.tree_edges, cuts, tree.fundamental_cycles, ring)
     calls = []
-    monkeypatch.setattr(spanning_tree, "smith_normal_form", calls.append)
+    for module in (spanning_tree, exact_linalg):
+        monkeypatch.setattr(module, "smith_normal_form", calls.append)
     with pytest.raises(IndexError, match="^edge index 7 out of range$"):
-        check(h, bad)
+        check(_fresh(h), bad)
     assert calls == []
 
 

@@ -1,6 +1,7 @@
 """The package's public surface: ``__all__``, the second routes that left
 it for the test oracles, the README's library example, no module-level
-import that its module never reads, and no ``assert`` statement."""
+import that its module never reads, no ``assert`` statement, and the two
+places that make a Smith form."""
 
 import ast
 import importlib
@@ -179,3 +180,62 @@ def test_assert_scan_sees_nested_statements():
 def test_package_modules_check_without_assert(path):
     # a self-check must hold under python -O, so it raises instead
     assert _assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def _calls(source: str, name: str) -> list[str]:
+    """The dotted name of the function or class body around each call of
+    ``name`` in a module, in source order (``""`` at module level)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            found.append((node.lineno, ".".join(scope)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return [where for _, where in sorted(found)]
+
+
+def test_call_scan_names_the_enclosing_scopes():
+    source = (
+        "f(1)\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            return f(2)\n"
+        "        return f(h())\n"
+        "    x = m.f(3)\n"
+    )
+    assert _calls(source, "f") == ["", "A.g.h", "A.g"]
+
+
+def test_the_package_makes_a_smith_form_in_two_places():
+    # B's form, which the hypergraph keeps and every report, tree check
+    # and the integer search read, and that of a tree family without its
+    # Kronecker pattern, which only a corrupt tree has
+    calls = {
+        path.name: _calls(path.read_text(encoding="utf-8"), "smith_normal_form")
+        for path in PACKAGE_MODULES
+    }
+    assert {name: where for name, where in calls.items() if where} == {
+        "core.py": ["OrientedHypergraph._smith_form"],
+        "spanning_tree.py": ["verify_tree_axioms.rank_and_index"],
+    }
+
+
+@pytest.mark.parametrize(
+    "module, allowed", [("homology", set()), ("spanning_tree", {"smith_normal_form"})]
+)
+def test_reports_import_no_second_factorization(module, allowed):
+    # a rank or a Smith form of B comes from the hypergraph's one form
+    source = (PACKAGE_MODULES[0].parent / f"{module}.py").read_text(encoding="utf-8")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported & {"image_rank", "_integer_echelon", "smith_normal_form"} == allowed
