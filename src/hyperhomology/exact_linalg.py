@@ -294,10 +294,11 @@ class SnfDecomposition(_Record):
     The diagonal of ``s`` is nonnegative with each entry dividing the next.
     ``v`` and ``v_inverse`` are built from the reduction's column log when
     the decomposition is made; the reports read ``v`` (cycles, coboundary
-    membership) and ``v_inverse`` (cuts, witnesses).  The row side is kept
-    as ``row_log``, the row operations in the encoding of :func:`_replay`;
-    ``u`` and ``u_inverse`` are built from it when first read (a
-    graph-likeness witness reads one column of ``u_inverse``).
+    membership) and ``v_inverse`` (cuts, witnesses, the columns the
+    integer-tree search walks).  The row side is kept as ``row_log``, the
+    row operations in the encoding of :func:`_replay`; ``u`` and
+    ``u_inverse`` are built from it when first read (a graph-likeness
+    witness reads one column of ``u_inverse``).
     """
 
     s: ExactMatrix

@@ -15,14 +15,16 @@ same factorization.  The other routes to the same conditions (the direct
 summand test, the cohomology-to-dual check, the cycle annihilator with a
 lattice comparison) and to the pairing-functional lattice now live in
 ``tests/oracles.py``, where they serve as independent checks.  Over the
-rationals the bases come from one reduced row echelon form of B.
+rationals the bases are the fundamental cycles and cuts of the greedy
+rational spanning tree of B (``find_spanning_tree_rational``), read off
+one reduced row echelon form of B.
 """
 
 from __future__ import annotations
 
-from .boundary import boundary_matrix
 from .core import Chain, OrientedHypergraph, Ring, _Record
-from .exact_linalg import ModuleStructure, SnfDecomposition, _is_coboundary, _rref_tree
+from .exact_linalg import ModuleStructure, SnfDecomposition, _is_coboundary
+from .spanning_tree import find_spanning_tree_rational
 
 
 class HomologyReport(_Record):
@@ -47,7 +49,9 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
 
     Over the integers the homology is always free of rank |E| minus the
     boundary rank, while the cohomology may carry torsion; over the
-    rationals only the free ranks remain.
+    rationals only the free ranks remain.  The integer report reads the
+    Smith form of B, the rational one the rational spanning tree: its
+    rank is the number of tree edges and its basis the fundamental cycles.
     """
     m = hypergraph.edge_count
     if ring is Ring.INTEGER:
@@ -56,9 +60,9 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
         basis = tuple(map(_integer_chain, decomposition.v.transpose().lines[rank:]))
         torsion = tuple(d for d in decomposition.diagonal if d > 1)
     else:
-        tree, _, cycles = _rref_tree(boundary_matrix(hypergraph, Ring.INTEGER).lines, m)
-        rank = len(tree)
-        basis = tuple(Chain._of(1, cycle, ring) for cycle in cycles.values())
+        tree = find_spanning_tree_rational(hypergraph)
+        rank = len(tree.tree_edges)
+        basis = tuple(tree.fundamental_cycles.values())
         torsion = ()
     return HomologyReport(
         ring=ring,
@@ -239,9 +243,9 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     sublattice; the first standard edge chain outside the sum is reported.
     Integer cycles are columns r.. of V in the Smith form U B V = S, and the
     cuts d_i times row i of V^-1 for i < r; rational cycles and cuts are the
-    fundamental cycles and cuts of the RREF of B.  Either way each family
-    is independent (V is unimodular, every d_i is nonzero, RREF rows and
-    free-column null vectors have Kronecker patterns), so the intersection
+    fundamental cycles and cuts of the rational spanning tree.  Either way
+    each family is independent (V is unimodular, every d_i is nonzero, the
+    fundamental cuts and cycles have Kronecker patterns), so the intersection
     and rational spanning diagnostics follow from orthogonality and the
     dimension count.  Orthogonality is one pass over the nonzeros.
 
@@ -267,9 +271,9 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
                 missing_chain = Chain.unit(1, k, Ring.INTEGER)
                 break
     else:
-        _, cuts, cycles = _rref_tree(boundary_matrix(hypergraph, Ring.INTEGER).lines, m)
-        cycle_basis = tuple(Chain._of(1, c, ring) for c in cycles.values())
-        cut_basis = tuple(Chain._of(1, c, ring) for c in cuts.values())
+        tree = find_spanning_tree_rational(hypergraph)
+        cycle_basis = tuple(tree.fundamental_cycles.values())
+        cut_basis = tuple(tree.fundamental_cuts.values())
 
     orthogonal = _mutually_orthogonal(cycle_basis, cut_basis)
     intersection_trivial = orthogonal

@@ -14,15 +14,21 @@ each new column in ints against the prefix's log of row operations, and
 verifies only the tree it returns.  Such a tree T makes im B = im B_T
 saturated, so a hypergraph with an elementary divisor above 1 (one that
 is not graph-like) has none, and the search returns before walking.
-Every tree, rational, integer or vector-space, is read off one reduced
-row echelon form: pivot columns are the tree, nonzero rows the
-fundamental cuts, and the null vectors of the free columns the
-fundamental cycles; an integer tree is read in ints.  The search's rank
-and divisors, verification in both rings and the integrality test all
-read the one Smith form of B the hypergraph keeps (``_smith_form``), a
-kernel apart from that elimination; by the tree lemma a family with its
-Kronecker pattern spans its module once it lies in it and has the right
-size.
+
+Integer questions read the one Smith form U B V = S of B the hypergraph
+keeps (``_smith_form``), rational ones the one rational tree of B.  The
+search's rank, divisors and columns come from the Smith form: with every
+divisor 1, U B = [W; 0] for W the first r rows of V^-1, so the search
+walks W's columns, not B's, and reads its tree off W.  Verification in
+both rings and the integrality test read the Smith form too; by the tree
+lemma a family with its Kronecker pattern spans its module once it lies
+in it and has the right size.  Every tree, rational, integer or
+vector-space, is read off one reduced row echelon form: pivot columns
+are the tree, nonzero rows the fundamental cuts, and the null vectors of
+the free columns the fundamental cycles; an integer tree is read in
+ints.  The rational tree is the greedy one of B, and its fundamental
+cycles and cuts are the rational bases of ``homology`` and
+``cycle_cut_decomposition``.
 """
 
 from __future__ import annotations
@@ -232,8 +238,16 @@ def find_spanning_tree_integer(
     Such a tree T makes im B = im B_T saturated, so unless every
     elementary divisor of B is 1 there is none, and the search returns
     None before testing any prefix, whatever ``search_limit``.  The rank
-    and the divisors are read off the hypergraph's Smith form of B, which
-    the verification of the tree found reads too.
+    and the divisors are read off the hypergraph's Smith form U B V = S,
+    which the verification of the tree found reads too.
+
+    The walk reads the columns of W, the first r rows of V^-1, not those
+    of B.  With every divisor 1, U B = S V^-1 = [W; 0], and U is
+    unimodular, so a set of columns of B is independent and saturated
+    exactly when the same columns of W are: every prefix gets the same
+    answer, the walk tests the same prefixes (``search_limit`` counts the
+    same) and ends at the same tree.  W and B have the same row space
+    over the rationals, so W's RREF gives the same cuts and cycles.
 
     Every subset of such a basis has that property too, so the search is a
     depth-first walk over prefixes, edges in index order, that extends a
@@ -249,17 +263,17 @@ def find_spanning_tree_integer(
     unit vector from row k down, or :class:`InternalInconsistencyError` is
     raised.  Backtracking truncates the log.  Each column tested counts
     against ``search_limit``.  The accepted tree is read off the integer
-    RREF of the boundary matrix with its columns ordered first and verified
-    once against the integer axioms.
+    RREF of W with its columns ordered first and verified once against the
+    integer axioms.
     Returns None when B is not graph-like or the walk completes without a
     hit; raises :class:`SearchLimitExceeded` when the budget runs out first.
     """
-    divisors = hypergraph._smith_form.diagonal
-    if any(d != 1 for d in divisors):
+    decomposition = hypergraph._smith_form
+    if any(d != 1 for d in decomposition.diagonal):
         return None
-    m, rank = hypergraph.edge_count, len(divisors)
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    columns = matrix.transpose().lines
+    m, rank = hypergraph.edge_count, decomposition.rank
+    rows = decomposition.v_inverse.lines[:rank]
+    columns = ExactMatrix._of(rows, m).transpose().lines
     prefix: list[int] = []
     marks: list[int] = []  # length of the log before each prefix edge's steps
     log: list[tuple[int, int, int]] = []
@@ -291,7 +305,7 @@ def find_spanning_tree_integer(
         j += 1
     chosen = set(prefix)
     order = prefix + [e for e in range(m) if e not in chosen]
-    tree = _spanning_tree(*_rref_tree(matrix.lines, m, order, Ring.INTEGER), Ring.INTEGER)
+    tree = _spanning_tree(*_rref_tree(rows, m, order, Ring.INTEGER), Ring.INTEGER)
     if not verify_tree_axioms(hypergraph, tree).ok:
         raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
     return tree

@@ -16,6 +16,8 @@ matrix-vector and matrix products (and the identity and zero matrices for
 its former constructors), :func:`stacked_smith_missing_chain`
 is its earlier integer spanning check,
 :func:`lexicographic_integer_tree_edges` its earlier integer-tree search,
+:func:`prefix_walk_over_boundary` that search's prefix walk over the
+columns of B, counting the prefixes it tests,
 :func:`reference_tree_axioms` its earlier tree verification (with
 :func:`_lattice_contains_all`, which also backs :func:`lattice_contains`
 and :func:`sublattice_equal`),
@@ -56,7 +58,9 @@ from hyperhomology.exact_linalg import (
     _divide_pivots,
     _integer_echelon,
     _is_coboundary,
+    _replay,
     _rref_tree,
+    _unit_steps,
 )
 
 
@@ -256,6 +260,40 @@ def lexicographic_integer_tree_edges(hypergraph: OrientedHypergraph):
         if smith_normal_form(candidate).diagonal == units:
             return subset
     return None
+
+
+def prefix_walk_over_boundary(hypergraph: OrientedHypergraph):
+    """``(tree_edges, examined)``: the prefix walk of the integer-tree search
+    run on the columns of B itself, as the library ran it before it walked
+    the columns of B's Smith factor W, with no budget and no prune: the
+    edges of the first integer spanning tree (or None when the walk ends
+    without one) and the number of prefixes it tested.  The rank comes from
+    a Fraction elimination; on a graph-like input the library's walk must
+    test the same prefixes."""
+    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
+    columns = matrix.transpose().lines
+    m, rank = hypergraph.edge_count, fraction_rank(matrix.entries)
+    prefix: list[int] = []
+    marks: list[int] = []
+    log: list[tuple[int, int, int]] = []
+    examined = j = 0
+    while len(prefix) < rank:
+        depth = len(prefix)
+        if m - j < rank - depth:
+            if not prefix:
+                return None, examined
+            j = prefix.pop() + 1
+            del log[marks.pop() :]
+            continue
+        examined += 1
+        reduced = _replay(log, columns[j])
+        residual = {i: x for i, x in reduced.items() if i >= depth}
+        if gcd(*residual.values()) == 1:
+            marks.append(len(log))
+            log += _unit_steps(residual, depth)
+            prefix.append(j)
+        j += 1
+    return tuple(prefix), examined
 
 
 def graph_like_without_integer_tree() -> OrientedHypergraph:

@@ -1,11 +1,12 @@
 import hashlib
+import importlib
 import json
 import re
 
 import pytest
 
 from hyperhomology import OrientedHypergraph, boundary_matrix, Ring, main_example
-from hyperhomology import exact_linalg
+from hyperhomology import exact_linalg, spanning_tree
 from hyperhomology.cli import (
     _COMMANDS,
     DocumentError,
@@ -21,6 +22,9 @@ from oracles import (
     grid_graph,
     hypergraph_suite,
 )
+
+# the package re-exports the function ``boundary`` under the module's name
+boundary_module = importlib.import_module("hyperhomology.boundary")
 
 
 def _run(capsys, *argv):
@@ -232,6 +236,24 @@ def test_spanning_tree_check_integral_factors_b_once(tmp_path, capsys, monkeypat
     code, _, _ = _run(capsys, "spanning-tree", graph, "--ring", "rat", "--check-integral")
     assert code == 0
     assert calls == [boundary_matrix(BUILTIN_EXAMPLES["triangle-graph"](), Ring.INTEGER)]
+
+
+def test_spanning_tree_integer_search_builds_b_once(tmp_path, capsys, monkeypatch):
+    # the search walks the Smith factor W of B, so on a graph-like document
+    # B is built once, for the Smith form the hypergraph keeps
+    calls = []
+    real = boundary_module.boundary_matrix
+
+    def recorded(hypergraph, ring):
+        calls.append(ring)
+        return real(hypergraph, ring)
+
+    monkeypatch.setattr(boundary_module, "boundary_matrix", recorded)
+    monkeypatch.setattr(spanning_tree, "boundary_matrix", recorded)
+    graph = _write_example(tmp_path, "parallel-edges")
+    code, _, _ = _run(capsys, "spanning-tree", graph, "--ring", "int")
+    assert code == 0
+    assert calls == [Ring.INTEGER]
 
 
 def test_spanning_tree_integer_command(tmp_path, capsys):

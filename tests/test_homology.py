@@ -54,6 +54,7 @@ from oracles import (
 
 # the package re-exports the function ``homology`` under the module's name
 homology_module = importlib.import_module("hyperhomology.homology")
+spanning_tree_module = importlib.import_module("hyperhomology.spanning_tree")
 
 
 def test_homology_main_example_integer():
@@ -354,8 +355,9 @@ def test_mutual_orthogonality_matches_pairwise_products():
 
 
 def test_decomposition_reports_cuts_that_are_not_orthogonal(monkeypatch):
-    # a cut with a cycle added is no longer orthogonal to that cycle
-    real = homology_module._rref_tree
+    # a cut with a cycle added is no longer orthogonal to that cycle; the
+    # rational bases are the fundamental cuts and cycles of the rational tree
+    real = spanning_tree_module._rref_tree
 
     def cut_plus_cycle(rows, cols, order=None):
         tree, cuts, cycles = real(rows, cols, order)
@@ -366,7 +368,7 @@ def test_decomposition_reports_cuts_that_are_not_orthogonal(monkeypatch):
         cuts[t] = {j: x for j, x in sorted(total.items()) if x}
         return tree, cuts, cycles
 
-    monkeypatch.setattr(homology_module, "_rref_tree", cut_plus_cycle)
+    monkeypatch.setattr(spanning_tree_module, "_rref_tree", cut_plus_cycle)
     report = cycle_cut_decomposition(triangle_graph(), Ring.RATIONAL)
     assert not report.mutually_orthogonal
     assert not report.intersection_trivial

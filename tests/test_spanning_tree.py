@@ -45,6 +45,7 @@ from oracles import (
     kernel_basis,
     lexicographic_integer_tree_edges,
     parallel_edge_suite,
+    prefix_walk_over_boundary,
     random_connected_graph,
     reference_tree_axioms,
     seeded_suite,
@@ -190,6 +191,41 @@ def test_integer_search_budget_counts_prefixes_tested():
     # rank 0: the empty prefix is the tree, and no prefix is tested
     edgeless = OrientedHypergraph(["a", "b"], [])
     assert find_spanning_tree_integer(edgeless, search_limit=0).tree_edges == ()
+
+
+def _budget_suite() -> list:
+    """Graph-like inputs for the differential budget test: seeded random
+    hypergraphs and graphs, the graph-like input without a tree, and
+    disjoint unions that walk one part's choices against another's."""
+    rng = random.Random(31)
+    seeded = [*seeded_suite(150, 808), *parallel_edge_suite(60, 909)]
+    seeded += [random_connected_graph(rng) for _ in range(6)]
+    no_tree = graph_like_without_integer_tree()
+    unions = [
+        disjoint_union(triangle_graph(), no_tree),
+        disjoint_union(grid_graph(2, 3), no_tree),
+        disjoint_union(no_tree, parallel_edges()),
+        disjoint_union(*seeded[:3]),
+    ]
+    return [h for h in (*seeded, no_tree, *unions) if graph_likeness(h).graph_like]
+
+
+def test_integer_search_budget_matches_the_walk_over_b():
+    # the search walks the columns of W (B = U^-1 [W; 0] with U unimodular,
+    # every divisor 1), which are independent and saturated exactly where
+    # B's are: it must test the prefixes the walk over B's columns tests
+    suite = _budget_suite()
+    outcomes = set()
+    for h in suite:
+        tree_edges, examined = prefix_walk_over_boundary(h)
+        found = find_spanning_tree_integer(h, search_limit=examined)
+        assert (found and found.tree_edges) == tree_edges, h
+        if examined:
+            with pytest.raises(SearchLimitExceeded) as info:
+                find_spanning_tree_integer(h, search_limit=examined - 1)
+            assert info.value.examined == examined - 1, h
+        outcomes.add((tree_edges is None, examined > 1))
+    assert len(suite) > 100 and outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_integer_search_prunes_what_is_not_graph_like():
@@ -721,12 +757,14 @@ for corruption, (module, name, message) in CORRUPTIONS.items():
 
 # Corrupts the Euclid steps that the prefix walk appends to its log of row
 # operations when a column extends the prefix: one drops the first step,
-# the other doubles the first multiplier.  Every column of the triangle
-# graph needs a step to reach its unit vector, so no accepted column would
-# come out right; the exact replay check of each accepted column must
-# refuse it, whatever the interpreter's optimisation flags.
+# the other doubles the first multiplier.  The walk reads the columns of W,
+# the first rows of V^-1 in B's Smith form, and on the input below some
+# accepted column needs an addition (q != 0) to reach its unit vector,
+# which each test first checks with the real steps; the exact
+# replay check of each accepted column must then refuse the corrupt steps,
+# whatever the interpreter's optimisation flags.
 _WRONG_STEPS = """
-from hyperhomology import spanning_tree
+from hyperhomology import random_hypergraph, spanning_tree
 
 real_unit_steps = spanning_tree._unit_steps
 
@@ -740,6 +778,24 @@ def doubled_multiplier(residual, depth):
     steps[k] = (a, b, 2 * q)
     return steps
 
+def made_steps():
+    made = []
+
+    def recording(residual, depth):
+        steps = real_unit_steps(residual, depth)
+        made.extend(steps)
+        return steps
+
+    spanning_tree._unit_steps = recording
+    try:
+        spanning_tree.find_spanning_tree_integer(fresh_input())
+    finally:
+        spanning_tree._unit_steps = real_unit_steps
+    return made
+
+def fresh_input():
+    return random_hypergraph(4, 4, 28)
+
 CORRUPTIONS = {"dropped_op": dropped_op, "doubled_multiplier": doubled_multiplier}
 """
 
@@ -747,29 +803,32 @@ CORRUPTIONS = {"dropped_op": dropped_op, "doubled_multiplier": doubled_multiplie
 def test_integer_search_checks_each_candidate(monkeypatch):
     namespace = {}
     exec(_WRONG_STEPS, namespace)
+    assert any(q for _, _, q in namespace["made_steps"]())
     for corruption in namespace["CORRUPTIONS"].values():
         monkeypatch.setattr(spanning_tree, "_unit_steps", corruption)
         with pytest.raises(InternalInconsistencyError, match="unit vector"):
-            find_spanning_tree_integer(triangle_graph())
+            find_spanning_tree_integer(namespace["fresh_input"]())
 
 
 def test_integer_search_candidate_check_runs_under_python_O():
     script = _WRONG_STEPS + """
-from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer, triangle_graph
+from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer
 print("debug", __debug__)
+print("steps with q", any(q for _, _, q in made_steps()))
 for name, corruption in CORRUPTIONS.items():
     spanning_tree._unit_steps = corruption
     try:
-        find_spanning_tree_integer(triangle_graph())
-    except InternalInconsistencyError:
-        print(name, "check raised")
+        find_spanning_tree_integer(fresh_input())
+    except InternalInconsistencyError as err:
+        print(name, "check raised", "unit vector" in str(err))
 """
     result = _run_optimised(script)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:3] == [
+    assert result.stdout.split("\n")[:4] == [
         "debug False",
-        "dropped_op check raised",
-        "doubled_multiplier check raised",
+        "steps with q True",
+        "dropped_op check raised True",
+        "doubled_multiplier check raised True",
     ]
 
 

@@ -1,7 +1,8 @@
 """The package's public surface: ``__all__``, the second routes that left
 it for the test oracles, the README's library example, no module-level
-import that its module never reads, no ``assert`` statement, and the two
-places that make a Smith form."""
+import that its module never reads, no ``assert`` statement, the two
+places that make a Smith form, the two that build B and the four that read
+a tree off an RREF."""
 
 import ast
 import importlib
@@ -212,18 +213,52 @@ def test_call_scan_names_the_enclosing_scopes():
     assert _calls(source, "f") == ["", "A.g.h", "A.g"]
 
 
+def _package_calls(name: str) -> dict[str, list[str]]:
+    """``{module file: scopes}`` of every call of ``name`` in the package."""
+    calls = {path.name: _calls(path.read_text(encoding="utf-8"), name) for path in PACKAGE_MODULES}
+    return {module: where for module, where in calls.items() if where}
+
+
 def test_the_package_makes_a_smith_form_in_two_places():
     # B's form, which the hypergraph keeps and every report, tree check
     # and the integer search read, and that of a tree family without its
     # Kronecker pattern, which only a corrupt tree has
-    calls = {
-        path.name: _calls(path.read_text(encoding="utf-8"), "smith_normal_form")
-        for path in PACKAGE_MODULES
-    }
-    assert {name: where for name, where in calls.items() if where} == {
+    assert _package_calls("smith_normal_form") == {
         "core.py": ["OrientedHypergraph._smith_form"],
         "spanning_tree.py": ["verify_tree_axioms.rank_and_index"],
     }
+
+
+def test_the_package_builds_b_in_two_places():
+    # the hypergraph's Smith form reads B, and so does the rational tree,
+    # which the rational reports read; the integer search walks B's Smith
+    # factor W instead
+    assert _package_calls("boundary_matrix") == {
+        "core.py": ["OrientedHypergraph._smith_form"],
+        "spanning_tree.py": ["find_spanning_tree_rational"],
+    }
+
+
+def test_the_package_reads_a_tree_off_an_rref_in_four_places():
+    # the rational tree of B, the integer tree of W, and the two
+    # eliminations of the vector-space tree
+    assert _package_calls("_rref_tree") == {
+        "spanning_tree.py": [
+            "find_spanning_tree_rational",
+            "find_spanning_tree_integer",
+            "vector_space_spanning_tree",
+            "vector_space_spanning_tree",
+        ],
+    }
+
+
+def test_homology_imports_nothing_from_boundary():
+    # its rational bases are the rational tree's fundamental cycles and cuts
+    source = (PACKAGE_MODULES[0].parent / "homology.py").read_text(encoding="utf-8")
+    modules = {
+        node.module for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+    }
+    assert "boundary" not in modules
 
 
 @pytest.mark.parametrize(
