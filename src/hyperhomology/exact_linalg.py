@@ -5,12 +5,12 @@ floating point anywhere.  :func:`smith_normal_form` factors an integer
 matrix once; the reports read ranks, elementary divisors, cycle and cut
 lattices and coboundary membership (:func:`_is_coboundary`, also over the
 rationals, without the divisibility) off its factors, and so does tree
-verification.  One reduced row echelon form (RREF) builds each tree and
-gives :func:`image_rank`.  The RREF is computed fraction-free
-(integer-preserving, after Bareiss): every row is held in ints as a
-positive multiple of the row the schoolbook elimination over Fractions
-holds at the same step, so it has the same nonzeros and leads to the same
-pivots, and each pivot row is divided by its pivot only at the end.
+verification.  One reduced row echelon form (RREF) builds each tree.  The
+RREF is computed fraction-free (integer-preserving, after Bareiss): every
+row is held in ints as a positive multiple of the row the schoolbook
+elimination over Fractions holds at the same step, so it has the same
+nonzeros and leads to the same pivots, and each pivot row is divided by
+its pivot only at the end.
 Rational values are in the canonical form of :mod:`core`: an entry the
 pivot divides is divided exactly, into an int, and only one it does not
 divide becomes a Fraction.  On a graph B is totally unimodular, so every
@@ -18,8 +18,8 @@ RREF entry is integral and no Fraction is made.  ``fractions`` is imported
 only where a Fraction is made, so neither the integer route nor a
 rational query on a graph loads it.  The second routes to the same facts
 (kernel and image bases, integer and rational solving, annihilators,
-quotient structure, lattice comparison, matrix products) live in
-``tests/oracles.py``, where they check these ones.
+quotient structure, lattice comparison, matrix products, the rank by
+elimination) live in ``tests/oracles.py``, where they check these ones.
 
 :class:`ExactMatrix` stores one ``{column: nonzero}`` dict per row, and
 its dense ``entries`` are only a view built on request, so a boundary
@@ -35,14 +35,17 @@ elimination, so it makes no Fraction.  Unimodular operations (swap,
 negate, add q times a line) are kept as logs in one encoding: the
 integer-tree search replays its row log on one sparse column at a time,
 and the Smith reduction logs its row and column operations instead of
-building factors (the product form of the inverse).  The pivot rules are
+building factors (the product form of the inverse); of its factors only
+V^-1 is built with it, and U, U^-1 and V when read.  The pivot rules are
 pinned: the Smith form takes a nonzero of least absolute value, lowest
 current row first, then lowest current column (so a unit entry whenever
 there is one), and the RREF takes the first unused row of each column.
 The results are therefore exactly those of the textbook dense
 elimination with the same rules.  Every Smith form is checked exactly
-before anything is read off it, ``u @ m @ v == s`` with U the product of
-the logged row operations and ``v_inverse @ v`` the identity, and a
+before anything is read off it, through V^-1 and without building V:
+``u @ m == s @ v_inverse`` with U the product of the logged row
+operations, and ``v_inverse @ v`` the identity with V the product of the
+logged column operations, which together give ``u @ m @ v == s``.  A
 mismatch raises :class:`InternalInconsistencyError` (never an
 ``assert``).
 """
@@ -96,9 +99,6 @@ class ExactMatrix(_Record):
     @property
     def entries(self) -> tuple:
         return tuple(self.row(i) for i in range(self.rows))
-
-    def entry(self, i: int, j: int):
-        return self.lines[i].get(range(self.cols)[j], self.ring.zero)
 
     def row(self, i: int) -> tuple:
         line, zero = self.lines[i], self.ring.zero
@@ -279,32 +279,24 @@ def _rref_tree(rows: list[dict], cols: int, order=None, ring: Ring = Ring.RATION
     return tree, cuts, cycles
 
 
-def image_rank(matrix: ExactMatrix) -> int:
-    """Rank over the fraction field, by Gaussian elimination.
-
-    Deliberately independent of the Smith normal form so the two routes can
-    be checked against each other.
-    """
-    return len(_integer_echelon(matrix.lines, matrix.cols)[1])
-
-
 class SnfDecomposition(_Record):
     """Unimodular factors ``u @ m @ v = s`` with ``s`` in Smith form.
 
     The diagonal of ``s`` is nonnegative with each entry dividing the next.
-    ``v`` and ``v_inverse`` are built from the reduction's column log when
-    the decomposition is made; the reports read ``v`` (cycles, coboundary
-    membership) and ``v_inverse`` (cuts, witnesses, the columns the
-    integer-tree search walks).  The row side is kept as ``row_log``, the
-    row operations in the encoding of :func:`_replay`; ``u`` and
-    ``u_inverse`` are built from it when first read (a graph-likeness
-    witness reads one column of ``u_inverse``).
+    ``v_inverse`` is built from the reduction's column log when the
+    decomposition is made, because its check reads it; the reports read it
+    for cuts, witnesses and the columns the integer-tree search walks.
+    Both sides are kept as logs, ``row_log`` and ``column_log``, the
+    operations in the encoding of :func:`_replay`; ``u``, ``u_inverse`` and
+    ``v`` are built from them when first read (the cycles and coboundary
+    membership read ``v``, a graph-likeness witness one column of
+    ``u_inverse``).
     """
 
     s: ExactMatrix
-    v: ExactMatrix
     v_inverse: ExactMatrix
     row_log: tuple
+    column_log: tuple
 
     @cached_property
     def u(self) -> ExactMatrix:
@@ -314,6 +306,11 @@ class SnfDecomposition(_Record):
     def u_inverse(self) -> ExactMatrix:
         columns = _apply(map(_undo, self.row_log), _identity(self.s.rows))
         return ExactMatrix._of(columns, self.s.rows).transpose()
+
+    @cached_property
+    def v(self) -> ExactMatrix:
+        columns = _apply(self.column_log, _identity(self.s.cols))
+        return ExactMatrix._of(columns, self.s.cols).transpose()
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -573,29 +570,31 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     of the remaining submatrix (an offending row is added to the pivot
     row), so the diagonal comes out positive and in divisibility order with
     no post-processing.  The reduction runs on the matrix's sparse rows and
-    logs its operations; V and V^-1 are built from the column log.  Before
-    they are returned, the row log applied to the rows of ``m @ v`` must
-    give ``s`` and the column log applied to the columns of ``v_inverse``
-    the identity, exactly, or :class:`InternalInconsistencyError` is
-    raised.
+    logs its operations; V^-1 is built from the column log, V only when
+    read.  Before the form is returned it is checked exactly through V^-1,
+    or :class:`InternalInconsistencyError` is raised: the row log applied
+    to the rows of ``m`` must give ``s @ v_inverse``, and the column log
+    applied to the columns of ``v_inverse`` the identity.  With U and V the
+    products of the logged row and column operations, these say U m = S
+    V^-1 and V^-1 V = I, so U m V = S, and the V later built from the same
+    log is the exact inverse of ``v_inverse``.
     """
     if matrix.ring is not Ring.INTEGER:
         raise ValueError("Smith normal form requires integer entries")
     c = matrix.cols
     s, row_log, column_log = _smith_reduce([dict(row) for row in matrix.lines], c)
-    v = ExactMatrix._of(_apply(column_log, _identity(c)), c).transpose()
     v_inverse = ExactMatrix._of(_apply(map(_undo, column_log), _identity(c)), c)
-    product = []  # the rows of m @ v
-    for row in matrix.lines:
+    product = []  # the rows of s @ v_inverse
+    for row in s:
         line: dict = {}
         for k, x in row.items():
-            _axpy(line, v.lines[k], x)
+            _axpy(line, v_inverse.lines[k], x)
         product.append(line)
-    if _apply(row_log, product) != s:
+    if _apply(row_log, [dict(row) for row in matrix.lines]) != product:
         raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
     if _apply(column_log, list(v_inverse.transpose().lines)) != _identity(c):
         raise InternalInconsistencyError("the column operations do not invert V^-1")
-    return SnfDecomposition(s=ExactMatrix._of(s, c), v=v, v_inverse=v_inverse, row_log=tuple(row_log))
+    return SnfDecomposition(ExactMatrix._of(s, c), v_inverse, tuple(row_log), tuple(column_log))
 
 
 class ModuleStructure(_Record):

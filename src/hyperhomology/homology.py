@@ -8,13 +8,16 @@ hypergraph keeps once it is first factored (``_smith_form``): the rank r,
 the cycles (columns r.. of V), the cohomology torsion, the annihilator of
 the cycles (rows < r of V^-1) and coboundary membership (c = B^T y for an
 integer y iff V^T c vanishes from the rank on and its entry i is divisible
-by d_i below it), which reads only V.  The
-five graph-likeness conditions are equivalent; the report decides them
-once, by whether every divisor is 1, and builds the witnesses from the
-same factorization.  The other routes to the same conditions (the direct
-summand test, the cohomology-to-dual check, the cycle annihilator with a
-lattice comparison) and to the pairing-functional lattice now live in
-``tests/oracles.py``, where they serve as independent checks.  Over the
+by d_i below it), which reads only V.  The Smith form is checked without
+V, and V is built from its column log when first read: by the cycles and
+by coboundary membership, not by the divisors.  The five graph-likeness
+conditions are equivalent; the report decides them once, by whether
+every divisor is 1, and builds the witnesses from the same factorization,
+so a positive verdict builds no V.  The other routes to the same
+conditions (the direct summand test, the cohomology-to-dual check, the
+cycle annihilator with a lattice comparison) and to the
+pairing-functional lattice now live in ``tests/oracles.py``, where they
+serve as independent checks.  Over the
 rationals the bases are the fundamental cycles and cuts of the greedy
 rational spanning tree of B (``find_spanning_tree_rational``), read off
 one reduced row echelon form of B.
@@ -144,8 +147,9 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
     elementary divisor of the boundary matrix is 1, so all five booleans
     carry that one verdict.  The canonical-isomorphism condition is recorded
     through its computable form, the lattice equality of the cycle
-    annihilator with the coboundary image.  When the verdict is negative,
-    the witnesses come from the same factorization.
+    annihilator with the coboundary image.  A positive verdict reads only
+    the divisors.  When the verdict is negative, the witnesses come from
+    the same factorization, and the first one builds V.
     """
     decomposition = hypergraph._smith_form
     graph_like = all(d == 1 for d in decomposition.diagonal)

@@ -19,8 +19,10 @@ Integer questions read the one Smith form U B V = S of B the hypergraph
 keeps (``_smith_form``), rational ones the one rational tree of B.  The
 search's rank, divisors and columns come from the Smith form: with every
 divisor 1, U B = [W; 0] for W the first r rows of V^-1, so the search
-walks W's columns, not B's, and reads its tree off W.  Verification in
-both rings and the integrality test read the Smith form too; by the tree
+walks W's columns, not B's, and reads its tree off W; V^-1 is built with
+the Smith form, so the walk builds no factor.  Verification in both
+rings and the integrality test read the Smith form too, through V, which
+their first coboundary test builds from the column log; by the tree
 lemma a family with its Kronecker pattern spans its module once it lies
 in it and has the right size.  Every tree, rational, integer or
 vector-space, is read off one reduced row echelon form: pivot columns

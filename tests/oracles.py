@@ -47,7 +47,6 @@ from hyperhomology import (
     TreeAxiomsReport,
     boundary,
     boundary_matrix,
-    image_rank,
     random_hypergraph,
     smith_normal_form,
 )
@@ -108,6 +107,13 @@ def fraction_rank(rows) -> int:
                 matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
         rank += 1
     return rank
+
+
+def image_rank(matrix: ExactMatrix) -> int:
+    """Rank over the fraction field, by the package's fraction-free
+    Gaussian elimination: independent of the Smith normal form, so the
+    two routes check each other."""
+    return len(_integer_echelon(matrix.lines, matrix.cols)[1])
 
 
 def fraction_det(rows) -> Fraction:

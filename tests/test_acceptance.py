@@ -22,7 +22,6 @@ from hyperhomology import (
     find_spanning_tree_rational,
     graph_likeness,
     homology,
-    image_rank,
     main_example,
     parallel_edges,
     smith_normal_form,
@@ -41,6 +40,7 @@ from oracles import (
     fraction_rank,
     hypergraph_suite,
     image_basis,
+    image_rank,
     is_combinatorial_spanning_tree,
     is_direct_summand,
     kernel_basis,
@@ -254,5 +254,5 @@ def test_criterion_6_snf_kernel():
             for i in range(decomposition.s.rows):
                 for j in range(decomposition.s.cols):
                     if i != j:
-                        assert decomposition.s.entry(i, j) == 0
+                        assert decomposition.s.row(i)[j] == 0
             assert len(diagonal) == fraction_rank(matrix.entries)

@@ -17,7 +17,6 @@ from hyperhomology import (
     find_spanning_tree_integer,
     graph_likeness,
     homology,
-    image_rank,
     main_example,
     parallel_edges,
     path_graph,
@@ -33,6 +32,7 @@ from oracles import (
     cofactor_det,
     dense_apply,
     dense_fraction_rref,
+    dense_product,
     dense_rref_tree,
     dense_smith_normal_form,
     dense_transpose,
@@ -41,6 +41,7 @@ from oracles import (
     hypergraph_suite,
     identity_matrix,
     image_basis,
+    image_rank,
     is_direct_summand,
     kernel_basis,
     lattice_contains,
@@ -247,11 +248,17 @@ def _differential_matrices():
 
 
 def test_sparse_snf_matches_dense_oracle():
+    # V, built from the column log when read, must give U B V = S and
+    # V V^-1 = I by schoolbook products of the dense entries
     for matrix in _differential_matrices():
         sparse = smith_normal_form(matrix)
         dense = dense_smith_normal_form(matrix)
         for factor in ("u", "s", "v", "u_inverse", "v_inverse"):
             assert getattr(sparse, factor) == getattr(dense, factor), (matrix, factor)
+        assert snf_reproduces(sparse, matrix), matrix
+        n = matrix.cols
+        product = dense_product(sparse.v.entries, sparse.v_inverse.entries, n, 0)
+        assert product == [list(row) for row in identity_matrix(n).entries], matrix
 
 
 def test_sparse_rref_matches_dense_oracle():
@@ -352,7 +359,7 @@ def test_sparse_matrix_matches_dense_lists():
         assert matrix.lines == tuple({j: x for j, x in enumerate(row) if x} for row in dense)
         assert ExactMatrix(dense, ring, cols=m) == matrix
         assert [list(matrix.row(i)) for i in range(n)] == dense
-        assert [[matrix.entry(i, j) for j in range(m)] for i in range(n)] == dense
+        assert [[matrix.row(i)[j] for j in range(m)] for i in range(n)] == dense
         columns = dense_transpose(dense, m)
         assert [matrix.column(j) for j in range(m)] == columns
         assert matrix.transpose() == ExactMatrix(columns, ring, cols=n)
@@ -384,7 +391,14 @@ def test_sparse_storage_of_boundary_and_smith_factors():
 def test_reports_never_build_u(monkeypatch):
     # U and U^-1 are built from the row log only when read: no integer
     # report on a graph reads either, so the Smith form the hypergraph
-    # keeps holds neither; the first report makes it, the others read it
+    # keeps holds neither; the first report makes it, the others read it.
+    # V is built from the column log only when read too: the Smith form is
+    # checked without it, and a positive graph-likeness verdict reads none
+    assert exact_linalg.SnfDecomposition._fields == ("s", "v_inverse", "row_log", "column_log")
+    assert "v" not in vars(smith_normal_form(boundary_matrix(main_example(), Ring.INTEGER)))
+    fresh = _cycle(300)
+    assert graph_likeness(fresh).graph_like
+    assert "v" not in vars(fresh._smith_form)
     made = []
 
     def recording(matrix):
@@ -506,7 +520,7 @@ def test_snf_random_roundtrip():
         for i in range(decomposition.s.rows):
             for j in range(decomposition.s.cols):
                 if i != j:
-                    assert decomposition.s.entry(i, j) == 0
+                    assert decomposition.s.row(i)[j] == 0
         assert len(diagonal) == fraction_rank(matrix.entries)
         assert image_rank(matrix) == len(diagonal)
         if matrix.rows <= 4 and matrix.cols <= 4:

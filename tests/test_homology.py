@@ -16,7 +16,6 @@ from hyperhomology import (
     find_spanning_tree_rational,
     graph_likeness,
     homology,
-    image_rank,
     main_example,
     parallel_edges,
     path_graph,
@@ -39,6 +38,7 @@ from oracles import (
     fraction_rank,
     hypergraph_suite,
     image_basis,
+    image_rank,
     is_direct_summand,
     kernel_basis,
     lattice_contains,
