@@ -7,10 +7,10 @@ lattices and coboundary membership (:func:`_is_coboundary`, also over the
 rationals, without the divisibility) off its factors, and so does tree
 verification.  One reduced row echelon form (RREF) builds each tree.  The
 RREF is computed fraction-free (integer-preserving, after Bareiss): every
-row is held in ints as a positive multiple of the row the schoolbook
-elimination over Fractions holds at the same step, so it has the same
-nonzeros and leads to the same pivots, and each pivot row is divided by
-its pivot only at the end.
+row is held in ints as a positive multiple of the row the elimination over
+Fractions with the same pivot rows holds at the same step, so it has the
+same nonzeros and leads to the same pivots, and each pivot row is divided
+by its pivot only at the end.
 Rational values are in the canonical form of :mod:`core`: an entry the
 pivot divides is divided exactly, into an int, and only one it does not
 divide becomes a Fraction.  On a graph B is totally unimodular, so every
@@ -36,18 +36,21 @@ negate, add q times a line) are kept as logs in one encoding: the
 integer-tree search replays its row log on one sparse column at a time,
 and the Smith reduction logs its row and column operations instead of
 building factors (the product form of the inverse); of its factors only
-V^-1 is built with it, and U, U^-1 and V when read.  The pivot rules are
-pinned: the Smith form takes a nonzero of least absolute value, lowest
-current row first, then lowest current column (so a unit entry whenever
-there is one), and the RREF takes the first unused row of each column.
-The results are therefore exactly those of the textbook dense
-elimination with the same rules.  Every Smith form is checked exactly
-before anything is read off it, through V^-1 and without building V:
-``u @ m == s @ v_inverse`` with U the product of the logged row
-operations, and ``v_inverse @ v`` the identity with V the product of the
-logged column operations, which together give ``u @ m @ v == s``.  A
-mismatch raises :class:`InternalInconsistencyError` (never an
-``assert``).
+V^-1 is built with it, and V when read (U and U^-1 only for a caller
+outside the package).  The Smith form's pivot rule is pinned, because
+its factors and the witnesses read off them depend on it: a nonzero of
+least absolute value, lowest current row first, then lowest current
+column (so a unit entry whenever there is one); its S, V^-1 and V are
+therefore exactly those of the textbook dense reduction with that rule.
+The RREF's pivot row is free, because the RREF is unique for a given
+column order: it takes the lowest-index unused row that holds the
+column, and its rows are those of the textbook dense elimination with any
+rule.  Every Smith form is checked exactly before anything is read off
+it, through V^-1 and without building V: ``u @ m == s @ v_inverse`` with
+U the product of the logged row operations, and ``v_inverse @ v`` the
+identity with V the product of the logged column operations, which
+together give ``u @ m @ v == s``.  A mismatch raises
+:class:`InternalInconsistencyError` (never an ``assert``).
 """
 
 from __future__ import annotations
@@ -125,51 +128,48 @@ def _integer_row(row: dict) -> dict:
     return {j: x.numerator * (scale // x.denominator) for j, x in row.items() if x}
 
 
-def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
+def _integer_echelon(rows: list[dict], width: int, order=None) -> tuple[list[dict], list[int]]:
     """Fraction-free reduced row echelon form with the pivot columns of the
     matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
-    Fractions, which are not modified).  Returns the rows in their final
-    order, every value a nonzero int and each pivot positive: the RREF rows
-    each times its own pivot, then empty dicts.  :func:`_divide_pivots`
-    turns them into the RREF; the rank is the number of pivots.
+    Fractions, which are not modified), its columns scanned in ``order``
+    (default: left to right).  Returns the pivot rows in pivot order, then
+    one empty dict per other row, every value a nonzero int and each pivot
+    positive: the RREF rows each times its own pivot.  The pivots are the
+    columns in scan order.  :func:`_divide_pivots` turns the rows into the
+    RREF; the rank is the number of pivots.
 
     Each row is kept with the set of rows that are nonzero in each column,
     so a step touches only the nonzeros of the rows it changes.  The pivot
-    of a column is the first row, in current order, not yet used as a
-    pivot; a pivot row moves up to the next free position, as in schoolbook
-    elimination.
+    of a column is the lowest-index row that holds it and is not yet a
+    pivot row.  Any such row gives the same RREF, which is unique for a
+    given column order, so the choice changes only the work.
 
     Each row is stored in ints, as a positive multiple of the row the
-    schoolbook elimination over Fractions holds at the same step: its
-    denominators are cleared on entry, a pivot row is negated when its
+    elimination over Fractions with the same pivots holds at the same step:
+    its denominators are cleared on entry, a pivot row is negated when its
     pivot is negative (and divided by its content when the pivot is not 1),
     and another row with b at the pivot column becomes
     ``a * row - b' * pivot_row``, where a and b' are the pivot p and b
     divided by gcd(p, b), and is divided by its content when a is not 1.
-    A positive multiple has the nonzero pattern of the schoolbook row, so
-    the pivots, the ``holders`` sets and, once each pivot row is divided by
-    its pivot, the rows are exactly the schoolbook ones.
+    A positive multiple has the nonzero pattern of the row over Fractions,
+    so the pivots, the ``holders`` sets and, once each pivot row is divided
+    by its pivot, the rows are exactly those of the elimination over
+    Fractions.
     """
-    height = len(rows)
     matrix = [_integer_row(row) for row in rows]
     holders: list[set[int]] = [set() for _ in range(width)]
     for i, row in enumerate(matrix):
         for j in row:
             holders[j].add(i)
-    order = list(range(height))  # order[p]: the stored row now at position p
-    position = list(range(height))  # its inverse
+    used: set[int] = set()
+    pivot_rows: list[int] = []
     pivots: list[int] = []
-    for c in range(width):
-        r = len(pivots)
-        if r == height:
-            break
-        candidates = [i for i in holders[c] if position[i] >= r]
+    for c in range(width) if order is None else order:
+        candidates = holders[c] - used
         if not candidates:
             continue
-        pivot = min(candidates, key=position.__getitem__)
-        displaced, moved_from = order[r], position[pivot]
-        order[r], order[moved_from] = pivot, displaced
-        position[pivot], position[displaced] = r, moved_from
+        pivot = min(candidates)
+        used.add(pivot)
         pivot_row = matrix[pivot]
         p = pivot_row[c]
         if p != 1:
@@ -200,8 +200,10 @@ def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int
                 content = gcd(*row.values())
                 if content > 1:
                     matrix[i] = {j: x // content for j, x in row.items()}
+        pivot_rows.append(pivot)
         pivots.append(c)
-    return [matrix[i] for i in order], pivots
+    reduced = [matrix[i] for i in pivot_rows]
+    return reduced + [{} for _ in range(len(matrix) - len(reduced))], pivots
 
 
 def _divide_pivots(reduced: list[dict], pivots: list[int], ring: Ring) -> list[dict]:
@@ -242,41 +244,32 @@ def _rref_tree(rows: list[dict], cols: int, order=None, ring: Ring = Ring.RATION
     """Spanning tree of the row space, read off one RREF.
 
     ``rows`` are ``{column: nonzero}`` dicts.  Columns are scanned in
-    ``order`` (default: left to right).  The pivot columns are the greedy
-    column basis, which is the tree.  RREF row i has 1 at its pivot and 0
-    at every other pivot, so it is the fundamental cut of that pivot.  Each
-    free column f gives the null vector with 1 at f, 0 at every other free
-    column and minus the RREF entry at each pivot: the fundamental cycle of
-    f.  Returns ``(tree, cuts, cycles)``: the tree columns in scan order,
-    then dicts from tree column (in scan order) and from free column (in
-    scan order) to a ``{column: nonzero}`` dict with its columns ascending.
-    The values are in canonical form: ints where the pivot divides the
-    entry, Fractions elsewhere.  Over the integers a pivot that does not
-    divide its row (a tree whose cuts are not all integral) raises
-    :class:`InternalInconsistencyError`.
+    ``order`` (default: left to right).  The RREF is unique for a given
+    column order, so the result depends neither on the order of the rows
+    nor on which row the elimination takes as each pivot.  The pivot
+    columns are the greedy column basis, which is the tree.  RREF row i has
+    1 at its pivot and 0 at every other pivot, so it is the fundamental cut
+    of that pivot.  Each free column f gives the null vector with 1 at f, 0
+    at every other free column and minus the RREF entry at each pivot: the
+    fundamental cycle of f.  Returns ``(tree, cuts, cycles)``: the tree
+    columns in scan order, then dicts from tree column (in scan order) and
+    from free column (in scan order) to a ``{column: nonzero}`` dict with
+    its columns ascending.  The values are in canonical form: ints where
+    the pivot divides the entry, Fractions elsewhere.  Over the integers a
+    pivot that does not divide its row (a tree whose cuts are not all
+    integral) raises :class:`InternalInconsistencyError`.
     """
-    order = list(range(cols)) if order is None else list(order)
-    place = {j: k for k, j in enumerate(order)}
-    reduced, pivots = _integer_echelon(
-        [{place[j]: x for j, x in row.items()} for row in rows], cols
-    )
-    reduced = _divide_pivots(reduced, pivots, ring)
-    tree = tuple(order[p] for p in pivots)
-    cuts = {
-        t: dict(sorted((order[k], x) for k, x in reduced[i].items()))
-        for i, t in enumerate(tree)
-    }
-    pivot_set = set(pivots)
-    one = ring.one
-    cycles = {order[k]: {order[k]: one} for k in range(cols) if k not in pivot_set}
-    for i, t in enumerate(tree):
-        for k, x in reduced[i].items():
-            j = order[k]
+    reduced, tree = _integer_echelon(rows, cols, order)
+    reduced = _divide_pivots(reduced, tree, ring)
+    cuts = {t: dict(sorted(reduced[i].items())) for i, t in enumerate(tree)}
+    cycles = {j: {j: 1} for j in (range(cols) if order is None else order) if j not in cuts}
+    for t, cut in cuts.items():
+        for j, x in cut.items():
             if j in cycles:
                 cycles[j][t] = -x
     for j, cycle in cycles.items():
         cycles[j] = dict(sorted(cycle.items()))
-    return tree, cuts, cycles
+    return tuple(tree), cuts, cycles
 
 
 class SnfDecomposition(_Record):
@@ -288,9 +281,10 @@ class SnfDecomposition(_Record):
     for cuts, witnesses and the columns the integer-tree search walks.
     Both sides are kept as logs, ``row_log`` and ``column_log``, the
     operations in the encoding of :func:`_replay`; ``u``, ``u_inverse`` and
-    ``v`` are built from them when first read (the cycles and coboundary
-    membership read ``v``, a graph-likeness witness one column of
-    ``u_inverse``).
+    ``v`` are built from them when first read.  The cycles and coboundary
+    membership read ``v``.  No report reads ``u`` or ``u_inverse``: a
+    graph-likeness witness replays the row log on one unit vector for the
+    one column of U^-1 it needs.
     """
 
     s: ExactMatrix

@@ -26,7 +26,7 @@ one reduced row echelon form of B.
 from __future__ import annotations
 
 from .core import Chain, OrientedHypergraph, Ring, _Record
-from .exact_linalg import ModuleStructure, SnfDecomposition, _is_coboundary
+from .exact_linalg import ModuleStructure, SnfDecomposition, _dense, _is_coboundary, _replay
 from .spanning_tree import find_spanning_tree_rational
 
 
@@ -172,12 +172,16 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
                 coefficients,
             )
         )
+        # column ``position`` of U^-1: the row log undone, last operation
+        # first, on the unit vector at ``position``
+        undo = [(a, b, -q) for a, b, q in reversed(decomposition.row_log)]
+        column = _replay(undo, {position: 1})
         witnesses.append(
             Witness(
                 "boundary_image_direct_summand",
                 f"0-chain whose {divisor}-multiple is a boundary although it is not one itself",
                 "vertices",
-                tuple(decomposition.u_inverse.column(position)),
+                tuple(_dense(column, decomposition.s.rows)),
             )
         )
         witnesses.append(

@@ -268,8 +268,12 @@ def find_spanning_tree_integer(
     RREF of W with its columns ordered first and verified once against the
     integer axioms.
     Returns None when B is not graph-like or the walk completes without a
-    hit; raises :class:`SearchLimitExceeded` when the budget runs out first.
+    hit; raises :class:`SearchLimitExceeded` when the budget runs out first,
+    and ``ValueError`` for a negative ``search_limit``, before the Smith
+    form is read.
     """
+    if search_limit < 0:
+        raise ValueError(f"search limit {search_limit} is negative")
     decomposition = hypergraph._smith_form
     if any(d != 1 for d in decomposition.diagonal):
         return None

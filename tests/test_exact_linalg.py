@@ -36,6 +36,7 @@ from oracles import (
     dense_rref_tree,
     dense_smith_normal_form,
     dense_transpose,
+    disjoint_union,
     fraction_det,
     fraction_rank,
     hypergraph_suite,
@@ -420,13 +421,18 @@ def test_reports_never_build_u(monkeypatch):
     assert calls == [1, 0, 0, 0], calls
     for decomposition in made:
         assert "u" not in vars(decomposition) and "u_inverse" not in vars(decomposition)
+    # a negative verdict's witnesses read one column of U^-1 off the row
+    # log, and build neither factor of U
+    for h in (main_example(), disjoint_union(_grid(3, 4), main_example())):
+        assert not graph_likeness(h).graph_like
+        assert "u" not in vars(h._smith_form) and "u_inverse" not in vars(h._smith_form)
 
 
 def test_sparse_rref_tree_matches_dense_oracle():
     # same tree, same cut and cycle keys in the same order, densely equal
     # vectors; each vector is a dict of nonzero values in canonical form
     # (on a boundary matrix of a graph, all ints), columns ascending
-    rng = random.Random(110)
+    rng, row_rng = random.Random(110), random.Random(113)
     for h in hypergraph_suite(200):
         m = h.edge_count
         is_graph = all(len(tails) == len(heads) == 1 for tails, heads in h.edges)
@@ -447,6 +453,40 @@ def test_sparse_rref_tree_matches_dense_oracle():
                     for k, x in vector.items():
                         dense[k] = x
                     assert dense == want[j], (h, order, j)
+            # the RREF is unique, so neither the order of the rows nor a
+            # repeated row changes the tree, the cuts or the cycles
+            variants = [sparse_rows[::-1], row_rng.sample(sparse_rows, len(sparse_rows))]
+            if sparse_rows:
+                repeated = list(sparse_rows)
+                copy = dict(row_rng.choice(sparse_rows))
+                repeated.insert(row_rng.randrange(len(sparse_rows) + 1), copy)
+                variants.append(repeated)
+            for rows in variants:
+                got = _rref_tree(rows, m, order)
+                assert _listed(got) == _listed((tree, cuts, cycles)), (h, order)
+    # the integer search's read: the rows of W, tree columns first, on the
+    # 30x30 grid; shuffling them gives the identical read
+    grid = _grid(30, 30)
+    m = grid.edge_count
+    found = find_spanning_tree_integer(grid).tree_edges
+    decomposition = grid._smith_form
+    rows = list(decomposition.v_inverse.lines[: decomposition.rank])
+    chosen = set(found)
+    order = list(found) + [e for e in range(m) if e not in chosen]
+    want = _listed(_rref_tree(rows, m, order, Ring.INTEGER))
+    assert want[0] == found
+    shuffled = row_rng.sample(rows, len(rows))
+    assert shuffled != rows
+    assert _listed(_rref_tree(shuffled, m, order, Ring.INTEGER)) == want
+
+
+def _listed(read):
+    """A tree read with its cuts and cycles as lists of items, so that
+    comparing two reads also compares the order of their keys."""
+    tree, cuts, cycles = read
+    return tree, [(j, list(v.items())) for j, v in cuts.items()], [
+        (j, list(v.items())) for j, v in cycles.items()
+    ]
 
 
 def test_coboundary_test_matches_transposed_solve():

@@ -33,6 +33,7 @@ from oracles import (
     cohomology_hom_iso_check,
     cycles_equal_cut_perp_check,
     dense_apply,
+    dense_smith_normal_form,
     dot,
     fraction_det,
     fraction_rank,
@@ -187,7 +188,11 @@ def test_graph_likeness_matches_reference_routes_and_witnesses_certify():
             w = witnesses[condition]
             assert all(dot(w, cycle) == 0 for cycle in cycles)
             assert solve_integer(transpose, w) is None
-        divisor = next(d for d in smith_normal_form(matrix).diagonal if d > 1)
+        diagonal = smith_normal_form(matrix).diagonal
+        position, divisor = next((i, d) for i, d in enumerate(diagonal) if d > 1)
+        # the replayed row log gives the column of the textbook U^-1
+        want = dense_smith_normal_form(matrix).u_inverse.column(position)
+        assert witnesses["boundary_image_direct_summand"] == want
         for condition, lattice in (
             ("boundary_image_direct_summand", matrix),
             ("hom_dual_iso", transpose),

@@ -268,9 +268,9 @@ def test_integer_search_factors_only_the_accepted_tree(monkeypatch):
     eliminations = []
     real_echelon = exact_linalg._integer_echelon
 
-    def echelon(rows, width):
+    def echelon(rows, width, order=None):
         eliminations.append(width)
-        return real_echelon(rows, width)
+        return real_echelon(rows, width, order)
 
     monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
     outcomes = set()
@@ -322,6 +322,16 @@ def test_integer_search_edgeless():
 def test_integer_search_limit_exceeded():
     with pytest.raises(SearchLimitExceeded):
         find_spanning_tree_integer(graph_like_without_integer_tree(), search_limit=0)
+
+
+def test_integer_search_refuses_a_negative_budget():
+    # refused before the Smith form is read, whether or not the input is
+    # graph-like and whether or not it has an integer tree
+    for h in (graph_like_without_integer_tree(), main_example(), triangle_graph()):
+        h = _fresh(h)
+        with pytest.raises(ValueError, match="search limit -1 is negative"):
+            find_spanning_tree_integer(h, search_limit=-1)
+        assert "_smith_form" not in vars(h), h
 
 
 def test_graph_cycles_and_cuts_match_traversal_oracle():
@@ -567,9 +577,9 @@ def test_verifying_a_built_tree_factors_only_the_boundary_matrix(monkeypatch):
     eliminations = []
     real_echelon = exact_linalg._integer_echelon
 
-    def echelon(rows, width):
+    def echelon(rows, width, order=None):
         eliminations.append(width)
-        return real_echelon(rows, width)
+        return real_echelon(rows, width, order)
 
     monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
     instances = (triangle_graph(), main_example(), parallel_edges(), *hypergraph_suite())
@@ -697,8 +707,8 @@ def wrong_cut(rows, cols, order=None, ring=Ring.RATIONAL):
     cuts[t] = {j: x for j, x in sorted(total.items()) if x}
     return tree, cuts, cycles
 
-def halved_cut(rows, width):
-    reduced, pivots = real_integer_echelon(rows, width)
+def halved_cut(rows, width, order=None):
+    reduced, pivots = real_integer_echelon(rows, width, order)
     reduced[0] = {j: 2 * x if j == pivots[0] else x for j, x in reduced[0].items()}
     return reduced, pivots
 

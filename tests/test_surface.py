@@ -1,8 +1,8 @@
 """The package's public surface: ``__all__``, the second routes that left
 it for the test oracles, the README's library example, no module-level
-import that its module never reads, no ``assert`` statement, the two
-places that make a Smith form, the two that build B and the four that read
-a tree off an RREF."""
+import that its module never reads, no ``assert`` statement, no read of
+the Smith factors ``u`` and ``u_inverse``, the two places that make a Smith
+form, the two that build B and the four that read a tree off an RREF."""
 
 import ast
 import importlib
@@ -181,6 +181,35 @@ def test_assert_scan_sees_nested_statements():
 def test_package_modules_check_without_assert(path):
     # a self-check must hold under python -O, so it raises instead
     assert _assert_lines(path.read_text(encoding="utf-8")) == []
+
+
+def _attribute_reads(source: str, names: set[str]) -> list[int]:
+    """The line of every read of an attribute named in ``names``, on any
+    object, in a module."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names
+    )
+
+
+def test_attribute_scan_sees_reads_not_definitions():
+    source = (
+        "class S:\n"
+        "    def u(self):\n"
+        "        return 1\n"
+        "x = d.u_inverse.column(0)\n"
+        "y = f(d).u\n"
+    )
+    assert _attribute_reads(source, {"u", "u_inverse"}) == [4, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
+def test_package_modules_read_no_u(path):
+    # no report builds U or U^-1: a graph-likeness witness replays the row
+    # log for its one column; the factors stay for readers outside
+    source = path.read_text(encoding="utf-8")
+    assert _attribute_reads(source, {"u", "u_inverse"}) == []
 
 
 def _calls(source: str, name: str) -> list[str]:
