@@ -5,7 +5,8 @@ floating point anywhere.  :func:`smith_normal_form` factors an integer
 matrix once; the reports read ranks, elementary divisors, cycle and cut
 lattices and coboundary membership (:func:`_is_coboundary`, also over the
 rationals, without the divisibility) off its factors, and so does tree
-verification.  One reduced row echelon form (RREF) builds each tree.  The
+verification.  One reduced row echelon form (RREF), its columns scanned
+left to right, builds the rational and the vector-space trees.  The
 RREF is computed fraction-free (integer-preserving, after Bareiss): every
 row is held in ints as a positive multiple of the row the elimination over
 Fractions with the same pivot rows holds at the same step, so it has the
@@ -27,21 +28,24 @@ matrix holds at most 2 * arity nonzeros per column and a transpose costs
 in proportion to the nonzeros.  Both kernels work on such dicts: the
 Smith reduction starts from the matrix's rows, and the RREF takes and
 returns dict rows.  The spanning-tree reader returns its fundamental
-cuts and cycles as ``{index: nonzero}`` dicts in canonical form (an
-integer tree's are all ints), which the reports wrap as chains directly;
-only :func:`vector_space_spanning_tree`, which returns dense lists,
-builds them, at the end.  A rank needs only the fraction-free
-elimination, so it makes no Fraction.  Unimodular operations (swap,
-negate, add q times a line) are kept as logs in one encoding: the
-integer-tree search replays its row log on one sparse column at a time,
-and the Smith reduction logs its row and column operations instead of
-building factors (the product form of the inverse); of its factors only
-V^-1 is built with it, and V when read (U and U^-1 only for a caller
-outside the package).  The Smith form's pivot rule is pinned, because
-its factors and the witnesses read off them depend on it: a nonzero of
-least absolute value, lowest current row first, then lowest current
-column (so a unit entry whenever there is one); its S, V^-1 and V are
-therefore exactly those of the textbook dense reduction with that rule.
+cuts and cycles as ``{index: nonzero}`` dicts in canonical form, which
+the reports wrap as chains directly; only
+:func:`vector_space_spanning_tree`, which returns dense lists, builds
+them, at the end.  :func:`_fundamental_cycles` reads the cycles off the
+cuts, for the RREF and for the integer-tree search.  A rank needs only
+the fraction-free elimination, so it makes no Fraction.  Unimodular
+operations (swap, negate, add q times a line) are kept as logs in one
+encoding: the integer-tree search replays its row log on one sparse
+column at a time, and reads its tree by applying the log, with a back
+substitution appended, to whole rows; the Smith reduction logs its row
+and column operations instead of building factors (the product form of
+the inverse); of its factors only V^-1 is built with it, and V when read
+(U and U^-1 only for a caller outside the package).  The Smith form's
+pivot rule is pinned, because its factors and the witnesses read off
+them depend on it: a nonzero of least absolute value, lowest current row
+first, then lowest current column (so a unit entry whenever there is
+one); its S, V^-1 and V are therefore exactly those of the textbook
+dense reduction with that rule.
 The RREF's pivot row is free, because the RREF is unique for a given
 column order: it takes the lowest-index unused row that holds the
 column, and its rows are those of the textbook dense elimination with any
@@ -107,10 +111,6 @@ class ExactMatrix(_Record):
         line, zero = self.lines[i], self.ring.zero
         return tuple(line.get(j, zero) for j in range(self.cols))
 
-    def column(self, j: int) -> list:
-        j, zero = range(self.cols)[j], self.ring.zero
-        return [line.get(j, zero) for line in self.lines]
-
     def transpose(self) -> "ExactMatrix":
         lines: list[dict] = [{} for _ in range(self.cols)]
         for i, line in enumerate(self.lines):
@@ -128,15 +128,14 @@ def _integer_row(row: dict) -> dict:
     return {j: x.numerator * (scale // x.denominator) for j, x in row.items() if x}
 
 
-def _integer_echelon(rows: list[dict], width: int, order=None) -> tuple[list[dict], list[int]]:
+def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
     """Fraction-free reduced row echelon form with the pivot columns of the
     matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
-    Fractions, which are not modified), its columns scanned in ``order``
-    (default: left to right).  Returns the pivot rows in pivot order, then
-    one empty dict per other row, every value a nonzero int and each pivot
-    positive: the RREF rows each times its own pivot.  The pivots are the
-    columns in scan order.  :func:`_divide_pivots` turns the rows into the
-    RREF; the rank is the number of pivots.
+    Fractions, which are not modified), its columns scanned left to right.
+    Returns the pivot rows in pivot order, every value a nonzero int and
+    each pivot positive: the RREF rows each times its own pivot.  The
+    pivots are the columns in ascending order.  :func:`_divide_pivots`
+    turns the rows into the RREF; the rank is the number of pivots.
 
     Each row is kept with the set of rows that are nonzero in each column,
     so a step touches only the nonzeros of the rows it changes.  The pivot
@@ -164,7 +163,7 @@ def _integer_echelon(rows: list[dict], width: int, order=None) -> tuple[list[dic
     used: set[int] = set()
     pivot_rows: list[int] = []
     pivots: list[int] = []
-    for c in range(width) if order is None else order:
+    for c in range(width):
         candidates = holders[c] - used
         if not candidates:
             continue
@@ -202,33 +201,25 @@ def _integer_echelon(rows: list[dict], width: int, order=None) -> tuple[list[dic
                     matrix[i] = {j: x // content for j, x in row.items()}
         pivot_rows.append(pivot)
         pivots.append(c)
-    reduced = [matrix[i] for i in pivot_rows]
-    return reduced + [{} for _ in range(len(matrix) - len(reduced))], pivots
+    return [matrix[i] for i in pivot_rows], pivots
 
 
-def _divide_pivots(reduced: list[dict], pivots: list[int], ring: Ring) -> list[dict]:
+def _divide_pivots(reduced: list[dict], pivots: list[int]) -> list[dict]:
     """The RREF rows: each row of :func:`_integer_echelon` divided by its
     pivot, in canonical form.  An entry the pivot divides is divided
-    exactly, into an int; one it does not divide becomes a Fraction over
-    the rationals and, over the integers, raises
-    :class:`InternalInconsistencyError`.  Rows past the rank are kept."""
+    exactly, into an int; one it does not divide becomes a Fraction."""
     reduced = list(reduced)
     for k, c in enumerate(pivots):
         row = reduced[k]
         p = row[c]
         if p == 1:
             continue
-        fractional = [x for x in row.values() if x % p]
-        if not fractional:
-            reduced[k] = {j: x // p for j, x in row.items()}
-        elif ring is Ring.INTEGER:
-            raise InternalInconsistencyError(
-                f"fractional integer tree: {fractional[0]}/{p} is not an integer"
-            )
-        else:
+        if any(x % p for x in row.values()):
             from fractions import Fraction
 
             reduced[k] = {j: Fraction(x, p) if x % p else x // p for j, x in row.items()}
+        else:
+            reduced[k] = {j: x // p for j, x in row.items()}
     return reduced
 
 
@@ -240,36 +231,40 @@ def _dense(vector: dict, length: int) -> list:
     return line
 
 
-def _rref_tree(rows: list[dict], cols: int, order=None, ring: Ring = Ring.RATIONAL):
-    """Spanning tree of the row space, read off one RREF.
-
-    ``rows`` are ``{column: nonzero}`` dicts.  Columns are scanned in
-    ``order`` (default: left to right).  The RREF is unique for a given
-    column order, so the result depends neither on the order of the rows
-    nor on which row the elimination takes as each pivot.  The pivot
-    columns are the greedy column basis, which is the tree.  RREF row i has
-    1 at its pivot and 0 at every other pivot, so it is the fundamental cut
-    of that pivot.  Each free column f gives the null vector with 1 at f, 0
-    at every other free column and minus the RREF entry at each pivot: the
-    fundamental cycle of f.  Returns ``(tree, cuts, cycles)``: the tree
-    columns in scan order, then dicts from tree column (in scan order) and
-    from free column (in scan order) to a ``{column: nonzero}`` dict with
-    its columns ascending.  The values are in canonical form: ints where
-    the pivot divides the entry, Fractions elsewhere.  Over the integers a
-    pivot that does not divide its row (a tree whose cuts are not all
-    integral) raises :class:`InternalInconsistencyError`.
-    """
-    reduced, tree = _integer_echelon(rows, cols, order)
-    reduced = _divide_pivots(reduced, tree, ring)
-    cuts = {t: dict(sorted(reduced[i].items())) for i, t in enumerate(tree)}
-    cycles = {j: {j: 1} for j in (range(cols) if order is None else order) if j not in cuts}
+def _fundamental_cycles(cuts: dict, cols: int) -> dict:
+    """The fundamental cycles of a tree with fundamental ``cuts``, each a
+    ``{column: nonzero}`` dict with 1 at its own tree column and 0 at the
+    others: for each other column f, ascending, the null vector of the cuts
+    with 1 at f, 0 at every other free column and minus cut t's entry at f
+    at each tree column t, its columns ascending."""
+    cycles = {j: {j: 1} for j in range(cols) if j not in cuts}
     for t, cut in cuts.items():
         for j, x in cut.items():
             if j in cycles:
                 cycles[j][t] = -x
-    for j, cycle in cycles.items():
-        cycles[j] = dict(sorted(cycle.items()))
-    return tuple(tree), cuts, cycles
+    return {j: dict(sorted(cycle.items())) for j, cycle in cycles.items()}
+
+
+def _rref_tree(rows: list[dict], cols: int):
+    """Spanning tree of the row space, read off one RREF.
+
+    ``rows`` are ``{column: nonzero}`` dicts; columns are scanned left to
+    right.  The RREF is unique for a given column order, so the result
+    depends neither on the order of the rows nor on which row the
+    elimination takes as each pivot.  The pivot columns are the greedy
+    column basis, which is the tree.  RREF row i has 1 at its pivot and 0
+    at every other pivot, so it is the fundamental cut of that pivot, and
+    :func:`_fundamental_cycles` reads the cycles off the cuts.  Returns
+    ``(tree, cuts, cycles)``: the tree columns ascending, then dicts from
+    tree column and from free column (both ascending) to a ``{column:
+    nonzero}`` dict with its columns ascending.  The values are in
+    canonical form: ints where the pivot divides the entry, Fractions
+    elsewhere.
+    """
+    reduced, tree = _integer_echelon(rows, cols)
+    reduced = _divide_pivots(reduced, tree)
+    cuts = {t: dict(sorted(row.items())) for t, row in zip(tree, reduced)}
+    return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
 
 
 class SnfDecomposition(_Record):

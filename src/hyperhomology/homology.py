@@ -173,7 +173,9 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
             )
         )
         # column ``position`` of U^-1: the row log undone, last operation
-        # first, on the unit vector at ``position``
+        # first, on the unit vector at ``position``; each inverse acts on
+        # rows, so it keeps a and b, unlike ``_undo``, whose inverse acts on
+        # columns
         undo = [(a, b, -q) for a, b, q in reversed(decomposition.row_log)]
         column = _replay(undo, {position: 1})
         witnesses.append(

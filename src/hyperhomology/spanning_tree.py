@@ -24,13 +24,17 @@ the Smith form, so the walk builds no factor.  Verification in both
 rings and the integrality test read the Smith form too, through V, which
 their first coboundary test builds from the column log; by the tree
 lemma a family with its Kronecker pattern spans its module once it lies
-in it and has the right size.  Every tree, rational, integer or
-vector-space, is read off one reduced row echelon form: pivot columns
-are the tree, nonzero rows the fundamental cuts, and the null vectors of
-the free columns the fundamental cycles; an integer tree is read in
-ints.  The rational tree is the greedy one of B, and its fundamental
-cycles and cuts are the rational bases of ``homology`` and
-``cycle_cut_decomposition``.
+in it and has the right size.  The rational and vector-space trees are
+read off one reduced row echelon form: pivot columns are the tree,
+nonzero rows the fundamental cuts, and the null vectors of the free
+columns the fundamental cycles.  The rational tree is the greedy one of
+B, and its fundamental cycles and cuts are the rational bases of
+``homology`` and ``cycle_cut_decomposition``.  The integer tree is read
+off the walk's own log of row operations, in ints: the log takes the
+tree's columns of W to an upper unitriangular block, a back substitution
+appended after the walk takes that block to the identity, so the log
+applied to W's rows gives the fundamental cuts, and the cycles come from
+the cuts as they do from an RREF.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .exact_linalg import (
     ExactMatrix,
+    _apply,
     _dense,
+    _fundamental_cycles,
     _integer_row,
     _is_coboundary,
     _replay,
@@ -79,8 +85,8 @@ class SpanningTree(_Record):
 
 
 def _spanning_tree(tree_edges, cuts, cycles, ring: Ring = Ring.RATIONAL) -> SpanningTree:
-    """Wrap the ``{index: value}`` vectors of :func:`_rref_tree`, read
-    over ``ring``, as chains over ``ring``."""
+    """Wrap the ``{index: value}`` cut and cycle vectors of a tree read
+    over ``ring`` as chains over ``ring``."""
     return SpanningTree(
         tree_edges,
         {t: Chain._of(1, v, ring) for t, v in cuts.items()},
@@ -249,7 +255,7 @@ def find_spanning_tree_integer(
     exactly when the same columns of W are: every prefix gets the same
     answer, the walk tests the same prefixes (``search_limit`` counts the
     same) and ends at the same tree.  W and B have the same row space
-    over the rationals, so W's RREF gives the same cuts and cycles.
+    over the rationals, so the cuts and cycles read off W are B's.
 
     Every subset of such a basis has that property too, so the search is a
     depth-first walk over prefixes, edges in index order, that extends a
@@ -264,9 +270,20 @@ def find_spanning_tree_integer(
     appended to the log, and replaying them on the column must give that
     unit vector from row k down, or :class:`InternalInconsistencyError` is
     raised.  Backtracking truncates the log.  Each column tested counts
-    against ``search_limit``.  The accepted tree is read off the integer
-    RREF of W with its columns ordered first and verified once against the
-    integer axioms.
+    against ``search_limit``.
+
+    Later steps touch only rows below the earlier prefix edges' unit rows,
+    so at the end the log L takes the tree's columns W_T to an upper
+    unitriangular T = L W_T, whose column k is prefix edge k's column as
+    its own steps left it.  A back substitution, ``(i, k, -T[i, k])`` for
+    each i < k with k from the last tree edge down, appended to the log,
+    takes T to the identity.  The whole log is unimodular, so applied to
+    W's rows it gives integer rows with the row space of W and 1 at one
+    tree edge and 0 at the others each: row k is the fundamental cut of
+    prefix edge k, and the same cut the RREF of W with the tree's columns
+    first gives.  The cycles are read off the cuts, and the tree is
+    verified once against the integer axioms.
+
     Returns None when B is not graph-like or the walk completes without a
     hit; raises :class:`SearchLimitExceeded` when the budget runs out first,
     and ``ValueError`` for a negative ``search_limit``, before the Smith
@@ -281,7 +298,9 @@ def find_spanning_tree_integer(
     rows = decomposition.v_inverse.lines[:rank]
     columns = ExactMatrix._of(rows, m).transpose().lines
     prefix: list[int] = []
-    marks: list[int] = []  # length of the log before each prefix edge's steps
+    # per prefix edge: the length of the log before its steps, and its
+    # column after them
+    marks: list[tuple[int, dict]] = []
     log: list[tuple[int, int, int]] = []
     examined = 0
     j = 0
@@ -291,7 +310,7 @@ def find_spanning_tree_integer(
             if not prefix:
                 return None
             j = prefix.pop() + 1
-            del log[marks.pop() :]
+            del log[marks.pop()[0] :]
             continue
         if examined >= search_limit:
             raise SearchLimitExceeded(examined)
@@ -300,18 +319,21 @@ def find_spanning_tree_integer(
         residual = {i: x for i, x in reduced.items() if i >= depth}
         if gcd(*residual.values()) == 1:
             steps = _unit_steps(residual, depth)
-            unit = {i: x for i, x in _replay(steps, reduced).items() if i >= depth}
-            if unit != {depth: 1}:
+            column = _replay(steps, reduced)
+            if {i: x for i, x in column.items() if i >= depth} != {depth: 1}:
                 raise InternalInconsistencyError(
                     f"row operations do not take edge {j} to a unit vector"
                 )
-            marks.append(len(log))
+            marks.append((len(log), column))
             log += steps
             prefix.append(j)
         j += 1
-    chosen = set(prefix)
-    order = prefix + [e for e in range(m) if e not in chosen]
-    tree = _spanning_tree(*_rref_tree(rows, m, order, Ring.INTEGER), Ring.INTEGER)
+    # back substitution: clear T above its diagonal, last column first
+    for k in reversed(range(rank)):
+        log += [(i, k, -x) for i, x in marks[k][1].items() if i < k]
+    cut_rows = _apply(log, [dict(row) for row in rows])
+    cuts = {t: dict(sorted(cut.items())) for t, cut in zip(prefix, cut_rows)}
+    tree = _spanning_tree(tuple(prefix), cuts, _fundamental_cycles(cuts, m), Ring.INTEGER)
     if not verify_tree_axioms(hypergraph, tree).ok:
         raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
     return tree

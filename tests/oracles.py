@@ -219,7 +219,7 @@ def enumerate_rational_candidate_trees(hypergraph: OrientedHypergraph):
     m = hypergraph.edge_count
     rank = fraction_rank(matrix.entries)
     for subset in itertools.combinations(range(m), rank):
-        columns = [matrix.column(j) for j in subset]
+        columns = [column(matrix, j) for j in subset]
         # rank of the transpose equals the rank of the selected columns
         if fraction_rank(columns) != rank:
             continue
@@ -230,7 +230,7 @@ def enumerate_rational_candidate_trees(hypergraph: OrientedHypergraph):
                 continue
             weights = solve_rational(
                 ExactMatrix(columns, Ring.RATIONAL, cols=matrix.rows).transpose(),
-                matrix.column(e),
+                column(matrix, e),
             )
             if weights is None:
                 ok = False
@@ -672,7 +672,7 @@ def sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
     package's fraction-free elimination with each pivot row divided by its
     pivot at the end."""
     reduced, pivots = _integer_echelon(rows, width)
-    return _divide_pivots(reduced, pivots, Ring.RATIONAL), pivots
+    return _divide_pivots(reduced, pivots), pivots
 
 
 def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:
@@ -710,7 +710,7 @@ def kernel_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
         if matrix.ring is not Ring.INTEGER:
             raise ValueError("integer kernel requires an integer matrix")
         decomposition = smith_normal_form(matrix)
-        return [decomposition.v.column(j) for j in range(decomposition.rank, matrix.cols)]
+        return [column(decomposition.v, j) for j in range(decomposition.rank, matrix.cols)]
     _, _, cycles = _rref_tree(matrix.lines, matrix.cols)
     return [_dense(cycle, matrix.cols) for cycle in cycles.values()]
 
@@ -729,11 +729,11 @@ def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
             raise ValueError("integer image requires an integer matrix")
         decomposition = smith_normal_form(matrix)
         return [
-            [d * x for x in decomposition.u_inverse.column(i)]
+            [d * x for x in column(decomposition.u_inverse, i)]
             for i, d in enumerate(decomposition.diagonal)
         ]
     tree, _, _ = _rref_tree(matrix.lines, matrix.cols)
-    return [[Fraction(x) for x in matrix.column(j)] for j in tree]
+    return [[Fraction(x) for x in column(matrix, j)] for j in tree]
 
 
 def is_direct_summand(matrix: ExactMatrix) -> bool:
@@ -903,8 +903,10 @@ def cohomology_hom_iso_check(hypergraph: OrientedHypergraph) -> bool:
 
 
 def dense_fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with the pivot columns, over Fractions."""
-    matrix = [list(map(Fraction, row)) for row in rows]
+    """Reduced row echelon form with the pivot columns, over Fractions: a
+    zero entry may come back as the int 0.  A row is updated only where the
+    pivot row is nonzero."""
+    matrix = [[Fraction(x) if x else 0 for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
     cols = len(matrix[0]) if matrix else 0
@@ -913,12 +915,16 @@ def dense_fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]
         if pivot_row is None:
             continue
         matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        factor = matrix[r][c]
-        matrix[r] = [x / factor for x in matrix[r]]
+        pivot = matrix[r]
+        support = [k for k, x in enumerate(pivot) if x]
+        factor = pivot[c]
+        for k in support:
+            pivot[k] /= factor
         for i in range(len(matrix)):
             if i != r and matrix[i][c]:
-                scale = matrix[i][c]
-                matrix[i] = [a - scale * b for a, b in zip(matrix[i], matrix[r])]
+                row, scale = matrix[i], matrix[i][c]
+                for k in support:
+                    row[k] -= scale * pivot[k]
         pivots.append(c)
         r += 1
         if r == len(matrix):
@@ -948,6 +954,13 @@ def dense_rref_tree(rows, cols: int, order=None):
             cycle[t] = -reduced[i][k]
         cycles[order[k]] = cycle
     return tree, cuts, cycles
+
+
+def column(matrix: ExactMatrix, j: int) -> list:
+    """Column ``j`` of ``matrix`` as a dense list, zeros in the matrix's
+    ring; a negative ``j`` counts from the right."""
+    j, zero = range(matrix.cols)[j], matrix.ring.zero
+    return [line.get(j, zero) for line in matrix.lines]
 
 
 def dense_transpose(rows: list[list], cols: int) -> list[list]:

@@ -31,6 +31,7 @@ from oracles import (
     boundary_gram,
     canonical_type,
     cohomology_hom_iso_check,
+    column,
     cycles_equal_cut_perp_check,
     dense_apply,
     dense_smith_normal_form,
@@ -133,7 +134,7 @@ def test_graph_likeness_main_example_all_false_with_witness():
     summand_witness = by_condition["boundary_image_direct_summand"]
     vector = list(summand_witness.coefficients)
     matrix = boundary_matrix(h, Ring.INTEGER)
-    columns = [matrix.column(j) for j in range(3)]
+    columns = [column(matrix, j) for j in range(3)]
     assert not lattice_contains(columns, vector, 3)
     assert lattice_contains(columns, [2 * x for x in vector], 3)
 
@@ -191,7 +192,7 @@ def test_graph_likeness_matches_reference_routes_and_witnesses_certify():
         diagonal = smith_normal_form(matrix).diagonal
         position, divisor = next((i, d) for i, d in enumerate(diagonal) if d > 1)
         # the replayed row log gives the column of the textbook U^-1
-        want = dense_smith_normal_form(matrix).u_inverse.column(position)
+        want = column(dense_smith_normal_form(matrix).u_inverse, position)
         assert witnesses["boundary_image_direct_summand"] == want
         for condition, lattice in (
             ("boundary_image_direct_summand", matrix),
@@ -364,8 +365,8 @@ def test_decomposition_reports_cuts_that_are_not_orthogonal(monkeypatch):
     # rational bases are the fundamental cuts and cycles of the rational tree
     real = spanning_tree_module._rref_tree
 
-    def cut_plus_cycle(rows, cols, order=None):
-        tree, cuts, cycles = real(rows, cols, order)
+    def cut_plus_cycle(rows, cols):
+        tree, cuts, cycles = real(rows, cols)
         t, e = tree[0], min(cycles)
         total = dict(cuts[t])
         for j, x in cycles[e].items():

@@ -33,6 +33,8 @@ from hyperhomology import exact_linalg, spanning_tree
 
 from oracles import (
     candidate_tree_is_integral,
+    column,
+    dense_rref_tree,
     disjoint_union,
     enumerate_rational_candidate_trees,
     fraction_rank,
@@ -262,15 +264,15 @@ def test_integer_search_passes_the_parallel_edge_cliff():
 
 def test_integer_search_factors_only_the_accepted_tree(monkeypatch):
     # no Smith form per prefix: the one Smith form of B gives the rank and
-    # the prune, and the verification of the tree found reads it too; the
-    # one elimination reads the tree found
+    # the prune, and the verification of the tree found reads it too; no
+    # elimination: the tree found is read off the walk's own row log
     calls = _record_smith_forms(monkeypatch)
     eliminations = []
     real_echelon = exact_linalg._integer_echelon
 
-    def echelon(rows, width, order=None):
+    def echelon(rows, width):
         eliminations.append(width)
-        return real_echelon(rows, width, order)
+        return real_echelon(rows, width)
 
     monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
     outcomes = set()
@@ -285,9 +287,40 @@ def test_integer_search_factors_only_the_accepted_tree(monkeypatch):
         eliminations.clear()
         tree = find_spanning_tree_integer(h)
         assert calls == [boundary_matrix(h, Ring.INTEGER)], h
-        assert len(eliminations) == (tree is not None), h
+        assert eliminations == [], h
         outcomes.add(tree is None)
     assert outcomes == {True, False}
+
+
+def test_integer_search_read_matches_dense_oracle():
+    # the tree read off the walk's own row log is the RREF of W with the
+    # tree's columns first: the same tree, the same cut and cycle keys in
+    # the same order, densely equal vectors of nonzero ints, columns
+    # ascending
+    found = 0
+    for h in (*hypergraph_suite(200), *parallel_edge_suite(), grid_graph(30, 30)):
+        tree = find_spanning_tree_integer(h)
+        if tree is None:
+            continue
+        found += 1
+        m, decomposition = h.edge_count, h._smith_form
+        lines = decomposition.v_inverse.lines[: decomposition.rank]
+        w = [[line.get(j, 0) for j in range(m)] for line in lines]
+        chosen = set(tree.tree_edges)
+        order = [*tree.tree_edges, *(e for e in range(m) if e not in chosen)]
+        want_tree, want_cuts, want_cycles = dense_rref_tree(w, m, order)
+        assert tree.tree_edges == want_tree, h
+        for got, want in (
+            (tree.fundamental_cuts, want_cuts),
+            (tree.fundamental_cycles, want_cycles),
+        ):
+            assert list(got) == list(want), h
+            for j, chain in got.items():
+                vector = chain.coefficients
+                assert list(vector) == sorted(vector), (h, j)
+                assert all(type(x) is int and x for x in vector.values()), (h, j)
+                assert [vector.get(k, 0) for k in range(m)] == want[j], (h, j)
+    assert found > 400, found
 
 
 def test_integer_search_matches_lexicographic_enumeration():
@@ -385,7 +418,7 @@ def test_integer_search_matches_exhaustive_enumeration():
         first_integral = None
         for subset in itertools.combinations(range(m), rank):
             columns = ExactMatrix(
-                [matrix.column(j) for j in subset], Ring.INTEGER, cols=matrix.rows
+                [column(matrix, j) for j in subset], Ring.INTEGER, cols=matrix.rows
             ).transpose()
             unimodular = smith_normal_form(columns).diagonal == (1,) * rank
             if subset not in bases:
@@ -577,9 +610,9 @@ def test_verifying_a_built_tree_factors_only_the_boundary_matrix(monkeypatch):
     eliminations = []
     real_echelon = exact_linalg._integer_echelon
 
-    def echelon(rows, width, order=None):
+    def echelon(rows, width):
         eliminations.append(width)
-        return real_echelon(rows, width, order)
+        return real_echelon(rows, width)
 
     monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
     instances = (triangle_graph(), main_example(), parallel_edges(), *hypergraph_suite())
@@ -686,47 +719,54 @@ def test_kronecker_checks_match_pairwise_oracle():
     }
 
 
-# Corrupts the integer tree reader so that the accepted integer tree is
+# Corrupts the integer tree read so that the accepted integer tree is
 # wrong; the search must refuse it whatever the interpreter's optimisation
-# flags.  ``wrong_cut`` replaces the reader by one that adds a fundamental
-# cycle to a cut, which the axiom check refuses; ``halved_cut`` doubles the
-# first pivot of the fraction-free elimination under it, so that cut read
-# off exactly would be halved, which the reader's exact division refuses.
+# flags.  ``wrong_cut`` adds a fundamental cycle to a cut when the cycles
+# are read off the cuts, which the axiom check refuses.
+# ``dropped_back_op`` drops the last operation of the back substitution
+# from the log before it is applied to W's rows (the walk's additions
+# add a row to a later one, the back substitution's a later row to an
+# earlier one), so that cut keeps a nonzero at another tree edge, which
+# the axiom check refuses too.  On the input below the back substitution
+# has operations to drop, and the tree has a chord.
 _CORRUPT_TREE = """
-from hyperhomology import Ring, exact_linalg, spanning_tree
+from hyperhomology import random_hypergraph, spanning_tree
 
-real_rref_tree = spanning_tree._rref_tree
-real_integer_echelon = exact_linalg._integer_echelon
+real_apply = spanning_tree._apply
+real_fundamental_cycles = spanning_tree._fundamental_cycles
 
-def wrong_cut(rows, cols, order=None, ring=Ring.RATIONAL):
-    tree, cuts, cycles = real_rref_tree(rows, cols, order, ring)
-    t, e = tree[0], min(cycles)
+def wrong_cut(cuts, cols):
+    cycles = real_fundamental_cycles(cuts, cols)
+    t, e = min(cuts), min(cycles)
     total = dict(cuts[t])
     for j, x in cycles[e].items():
         total[j] = total.get(j, 0) + x
     cuts[t] = {j: x for j, x in sorted(total.items()) if x}
-    return tree, cuts, cycles
+    return cycles
 
-def halved_cut(rows, width, order=None):
-    reduced, pivots = real_integer_echelon(rows, width, order)
-    reduced[0] = {j: 2 * x if j == pivots[0] else x for j, x in reduced[0].items()}
-    return reduced, pivots
+def dropped_back_op(ops, lines):
+    ops = list(ops)
+    del ops[max(k for k, (a, b, q) in enumerate(ops) if q and a < b)]
+    return real_apply(ops, lines)
+
+def fresh_input():
+    return random_hypergraph(4, 5, 0)
 
 CORRUPTIONS = {
-    "wrong_cut": (spanning_tree, "_rref_tree", "fails the spanning-tree axioms"),
-    "halved_cut": (exact_linalg, "_integer_echelon", "fractional integer tree"),
+    "wrong_cut": (spanning_tree, "_fundamental_cycles", "fails the spanning-tree axioms"),
+    "dropped_back_op": (spanning_tree, "_apply", "fails the spanning-tree axioms"),
 }
 """
 
 
-@pytest.mark.parametrize("corruption", ["wrong_cut", "halved_cut"])
+@pytest.mark.parametrize("corruption", ["wrong_cut", "dropped_back_op"])
 def test_integer_search_guard_rejects_corrupt_tree(monkeypatch, corruption):
     namespace = {}
     exec(_CORRUPT_TREE, namespace)
     module, name, message = namespace["CORRUPTIONS"][corruption]
     monkeypatch.setattr(module, name, namespace[corruption])
     with pytest.raises(InternalInconsistencyError, match=message):
-        find_spanning_tree_integer(triangle_graph())
+        find_spanning_tree_integer(namespace["fresh_input"]())
 
 
 def _run_optimised(script):
@@ -740,13 +780,13 @@ def _run_optimised(script):
 
 def test_integer_search_guard_runs_under_python_O():
     script = _CORRUPT_TREE + """
-from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer, triangle_graph
+from hyperhomology import InternalInconsistencyError, find_spanning_tree_integer
 print("debug", __debug__)
 for corruption, (module, name, message) in CORRUPTIONS.items():
     real = getattr(module, name)
     setattr(module, name, globals()[corruption])
     try:
-        find_spanning_tree_integer(triangle_graph())
+        find_spanning_tree_integer(fresh_input())
     except InternalInconsistencyError as err:
         print(corruption, "guard raised", message in str(err))
     setattr(module, name, real)
@@ -756,7 +796,7 @@ for corruption, (module, name, message) in CORRUPTIONS.items():
     assert result.stdout.split("\n")[:3] == [
         "debug False",
         "wrong_cut guard raised True",
-        "halved_cut guard raised True",
+        "dropped_back_op guard raised True",
     ]
 
 
