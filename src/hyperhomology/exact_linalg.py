@@ -6,7 +6,8 @@ matrix once; the reports read ranks, elementary divisors, cycle and cut
 lattices and coboundary membership (:func:`_is_coboundary`, also over the
 rationals, without the divisibility) off its factors, and so does tree
 verification.  One reduced row echelon form (RREF), its columns scanned
-left to right, builds the rational and the vector-space trees.  The
+left to right, builds the rational tree, and over the generators with
+their columns reversed, the vector-space tree.  The
 RREF is computed fraction-free (integer-preserving, after Bareiss): every
 row is held in ints as a positive multiple of the row the elimination over
 Fractions with the same pivot rows holds at the same step, so it has the
@@ -37,12 +38,13 @@ the fraction-free elimination, so it makes no Fraction.  Unimodular
 operations (swap, negate, add q times a line) are kept as logs in one
 encoding: the integer-tree search replays its row log on one sparse
 column at a time, and reads its tree by applying the log, with a back
-substitution appended, to whole rows; the Smith reduction logs its row
-and column operations instead of building factors (the product form of
-the inverse); of its factors only V^-1 is built with it, and V when read
-(U and U^-1 only for a caller outside the package).  The Smith form's
-pivot rule is pinned, because its factors and the witnesses read off
-them depend on it: a nonzero of least absolute value, lowest current row
+substitution appended, to whole rows; the Smith reduction hands back
+its elementary divisors and logs its row and column operations instead
+of building factors (the product form of the inverse); of its factors
+only V^-1 is built with it, S from the divisors, and V when read (U and
+U^-1 only for a caller outside the package).  The Smith form's pivot
+rule is pinned, because its factors and the witnesses read off them
+depend on it: a nonzero of least absolute value, lowest current row
 first, then lowest current column (so a unit entry whenever there is
 one); its S, V^-1 and V are therefore exactly those of the textbook
 dense reduction with that rule.
@@ -50,11 +52,14 @@ The RREF's pivot row is free, because the RREF is unique for a given
 column order: it takes the lowest-index unused row that holds the
 column, and its rows are those of the textbook dense elimination with any
 rule.  Every Smith form is checked exactly before anything is read off
-it, through V^-1 and without building V: ``u @ m == s @ v_inverse`` with
-U the product of the logged row operations, and ``v_inverse @ v`` the
-identity with V the product of the logged column operations, which
-together give ``u @ m @ v == s``.  A mismatch raises
-:class:`InternalInconsistencyError` (never an ``assert``).
+it, through V^-1 and without building V: the divisors d_1, ..., d_r must
+be positive with each dividing the next, ``u @ m`` must equal
+``D @ v_inverse`` (row i is d_i times row i of V^-1 below the rank r,
+empty after it) with U the product of the logged row operations, and
+``v_inverse @ v`` the identity with V the product of the logged column
+operations.  Together these give ``u @ m @ v == D`` with D in Smith form.
+A mismatch raises :class:`InternalInconsistencyError` (never an
+``assert``).
 """
 
 from __future__ import annotations
@@ -270,10 +275,13 @@ def _rref_tree(rows: list[dict], cols: int):
 class SnfDecomposition(_Record):
     """Unimodular factors ``u @ m @ v = s`` with ``s`` in Smith form.
 
-    The diagonal of ``s`` is nonnegative with each entry dividing the next.
-    ``v_inverse`` is built from the reduction's column log when the
-    decomposition is made, because its check reads it; the reports read it
-    for cuts, witnesses and the columns the integer-tree search walks.
+    ``s`` is built from the elementary divisors the reduction hands back:
+    row i holds d_i at column i below the rank, and the rows after it are
+    empty.  The divisors are positive with each dividing the next, and
+    ``diagonal`` reads them off the nonempty rows.  ``v_inverse`` is built
+    from the reduction's column log when the decomposition is made,
+    because its check reads it; the reports read it for cuts, witnesses and
+    the columns the integer-tree search walks.
     Both sides are kept as logs, ``row_log`` and ``column_log``, the
     operations in the encoding of :func:`_replay`; ``u``, ``u_inverse`` and
     ``v`` are built from them when first read.  The cycles and coboundary
@@ -303,15 +311,10 @@ class SnfDecomposition(_Record):
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
-        """The nonzero diagonal entries (elementary divisors), in order;
-        read off ``s`` once per decomposition."""
-        out = []
-        for i, line in enumerate(self.s.lines[: self.s.cols]):
-            d = line.get(i)
-            if d is None:
-                break
-            out.append(d)
-        return tuple(out)
+        """The nonzero diagonal entries (elementary divisors), in order:
+        the entries of the nonempty rows of ``s``, read once per
+        decomposition."""
+        return tuple(x for line in self.s.lines for x in line.values())
 
     @property
     def rank(self) -> int:
@@ -439,10 +442,11 @@ def _smith_reduce(rows: list[dict], width: int):
     """Sparse Smith reduction of the integer matrix with ``rows`` (one
     ``{column: nonzero}`` dict per row; consumed).
 
-    Returns ``(s, row_log, column_log)``: ``s`` by rows and the row and
-    column operations, in the encoding of :func:`_replay`, in the order they
-    were made.  ``s`` is also kept by columns while it is reduced, so a row
-    operation and a column operation run the same code, each on its own
+    Returns ``(divisors, row_log, column_log)``: the elementary divisors,
+    d_k appended when step k ends, and the row and column operations, in
+    the encoding of :func:`_replay`, in the order they were made.  The
+    working matrix is kept by rows and by columns while it is reduced, so a
+    row operation and a column operation run the same code, each on its own
     "side": the lines it moves, the lines that cross them, and its log.
     No factor is built; :func:`_apply` builds each from its log.
     """
@@ -452,6 +456,7 @@ def _smith_reduce(rows: list[dict], width: int):
     for i, row in enumerate(s_rows):
         for j, x in row.items():
             s_cols[j][i] = x
+    divisors: list[int] = []
     row_log: list[tuple[int, int, int]] = []
     column_log: list[tuple[int, int, int]] = []
     by_rows = (s_rows, s_cols, row_log)
@@ -544,7 +549,8 @@ def _smith_reduce(rows: list[dict], width: int):
             add(by_rows, k, violation, 1)
         if pivot is None:
             break
-    return s_rows, row_log, column_log
+        divisors.append(p)
+    return divisors, row_log, column_log
 
 
 def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
@@ -557,32 +563,37 @@ def smith_normal_form(matrix: ExactMatrix) -> SnfDecomposition:
     the pivot's row or column leaves a nonzero remainder, the step starts
     again from a new pivot; then the pivot is forced to divide every entry
     of the remaining submatrix (an offending row is added to the pivot
-    row), so the diagonal comes out positive and in divisibility order with
-    no post-processing.  The reduction runs on the matrix's sparse rows and
-    logs its operations; V^-1 is built from the column log, V only when
-    read.  Before the form is returned it is checked exactly through V^-1,
-    or :class:`InternalInconsistencyError` is raised: the row log applied
-    to the rows of ``m`` must give ``s @ v_inverse``, and the column log
-    applied to the columns of ``v_inverse`` the identity.  With U and V the
-    products of the logged row and column operations, these say U m = S
-    V^-1 and V^-1 V = I, so U m V = S, and the V later built from the same
-    log is the exact inverse of ``v_inverse``.
+    row), so the divisors come out positive and in divisibility order with
+    no post-processing.  The reduction runs on the matrix's sparse rows,
+    logs its operations and hands back the divisors d_1, ..., d_r; V^-1 is
+    built from the column log, V only when read.  Before the form is
+    returned it is checked exactly through V^-1, or
+    :class:`InternalInconsistencyError` is raised: the divisors must be a
+    chain (positive, at most one per row and column, each dividing the
+    next), the row log applied to the rows of ``m`` must give D V^-1 (row
+    i is d_i times row i of ``v_inverse`` below the rank, empty after it),
+    and the column log applied to the columns of ``v_inverse`` the
+    identity.  With U and V the products of the logged row and column
+    operations, these say U m = D V^-1 and V^-1 V = I, so U m V = D, a
+    Smith form, and the V later built from the same log is the exact
+    inverse of ``v_inverse``.  ``s`` is then built from the divisors.
     """
     if matrix.ring is not Ring.INTEGER:
         raise ValueError("Smith normal form requires integer entries")
-    c = matrix.cols
-    s, row_log, column_log = _smith_reduce([dict(row) for row in matrix.lines], c)
+    r, c = matrix.rows, matrix.cols
+    divisors, row_log, column_log = _smith_reduce([dict(row) for row in matrix.lines], c)
+    rank = len(divisors)
+    # each divisor positive and dividing the next (every d divides the closing 0)
+    if rank > min(r, c) or any(a < 1 or b % a for a, b in zip(divisors, divisors[1:] + [0])):
+        raise InternalInconsistencyError("the elementary divisors are not a divisor chain")
     v_inverse = ExactMatrix._of(_apply(map(_undo, column_log), _identity(c)), c)
-    product = []  # the rows of s @ v_inverse
-    for row in s:
-        line: dict = {}
-        for k, x in row.items():
-            _axpy(line, v_inverse.lines[k], x)
-        product.append(line)
-    if _apply(row_log, [dict(row) for row in matrix.lines]) != product:
+    # the rows of D @ v_inverse: d_i times row i of V^-1 below the rank
+    product = [{j: d * x for j, x in line.items()} for d, line in zip(divisors, v_inverse.lines)]
+    if _apply(row_log, [dict(row) for row in matrix.lines]) != product + [{}] * (r - rank):
         raise InternalInconsistencyError("Smith normal form factors do not reproduce the matrix")
     if _apply(column_log, list(v_inverse.transpose().lines)) != _identity(c):
         raise InternalInconsistencyError("the column operations do not invert V^-1")
+    s = [{i: d} for i, d in enumerate(divisors)] + [{} for _ in range(r - rank)]
     return SnfDecomposition(ExactMatrix._of(s, c), v_inverse, tuple(row_log), tuple(column_log))
 
 

@@ -24,12 +24,15 @@ the Smith form, so the walk builds no factor.  Verification in both
 rings and the integrality test read the Smith form too, through V, which
 their first coboundary test builds from the column log; by the tree
 lemma a family with its Kronecker pattern spans its module once it lies
-in it and has the right size.  The rational and vector-space trees are
-read off one reduced row echelon form: pivot columns are the tree,
-nonzero rows the fundamental cuts, and the null vectors of the free
-columns the fundamental cycles.  The rational tree is the greedy one of
-B, and its fundamental cycles and cuts are the rational bases of
-``homology`` and ``cycle_cut_decomposition``.  The integer tree is read
+in it and has the right size.  The rational tree is read off one reduced
+row echelon form (RREF) of B: pivot columns are the tree, nonzero rows
+the fundamental cuts, and the null vectors of the free columns the
+fundamental cycles.  The vector-space tree is read off one RREF of the
+generators with their columns reversed, with the roles swapped by
+matroid duality: pivots are the non-tree positions, rows the cycles and
+null vectors the cuts.  The rational tree is the greedy one of B, and
+its fundamental cycles and cuts are the rational bases of ``homology``
+and ``cycle_cut_decomposition``.  The integer tree is read
 off the walk's own log of row operations, in ints: the log takes the
 tree's columns of W to an upper unitriangular block, a back substitution
 appended after the walk takes that block to the identity, so the log
@@ -345,20 +348,26 @@ def vector_space_spanning_tree(ambient_dim: int, subspace_generators):
     Returns ``(tree_positions, cuts, cycles)`` where the cycles are a basis
     of the subspace with Kronecker coordinates on the non-tree positions and
     the cuts are a basis of the orthogonal complement with Kronecker
-    coordinates on the tree positions.  This runs the same construction as
-    the hypergraph case, on a matrix whose kernel is the subspace (its rows
-    span the orthogonal complement) in place of the boundary matrix.
-    Entries are ints or Fractions; anything else raises ``TypeError``.
+    coordinates on the tree positions.  The tree is the one the hypergraph
+    construction reads off a matrix whose kernel is the subspace: the
+    greedy column basis, scanned left to right, of a basis of the
+    orthogonal complement.  By matroid duality it is the complement of the
+    column basis that a right-to-left greedy scan of the generators picks,
+    so one RREF of the generators with their columns reversed gives it all:
+    its pivots are the non-tree positions, its rows the cycles and its null
+    vectors the cuts, each mapped back and keyed ascending.  Entries are
+    ints or Fractions; anything else raises ``TypeError``.
     """
     if ambient_dim < 0:
         raise ValueError(f"ambient dimension {ambient_dim} is negative")
     rows = [[Ring.RATIONAL.coerce(x) for x in generator] for generator in subspace_generators]
     if any(len(row) != ambient_dim for row in rows):
         raise ValueError("generator length does not match ambient dimension")
-    _, _, kernel = _rref_tree([dict(enumerate(row)) for row in rows], ambient_dim)
-    tree, cuts, cycles = _rref_tree(list(kernel.values()), ambient_dim)
+    last = ambient_dim - 1
+    flipped = [{last - j: x for j, x in enumerate(row)} for row in rows]
+    _, cycles, cuts = _rref_tree(flipped, ambient_dim)
     return (
-        tree,
-        {t: _dense(cut, ambient_dim) for t, cut in cuts.items()},
-        {e: _dense(cycle, ambient_dim) for e, cycle in cycles.items()},
+        tuple(last - t for t in reversed(cuts)),
+        {last - t: _dense(cut, ambient_dim)[::-1] for t, cut in reversed(cuts.items())},
+        {last - e: _dense(cycle, ambient_dim)[::-1] for e, cycle in reversed(cycles.items())},
     )

@@ -10,6 +10,7 @@ checks) were public in the library until it kept one route per fact; they
 run on its kernels but read each fact off another matrix or factor.  The
 dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
+:func:`two_rref_vector_space_tree` is its earlier vector-space tree,
 the dense list transpose and products beside them are the reference for
 the sparse rows of ``ExactMatrix`` and stand in for its former
 matrix-vector and matrix products (and the identity and zero matrices for
@@ -954,6 +955,21 @@ def dense_rref_tree(rows, cols: int, order=None):
             cycle[t] = -reduced[i][k]
         cycles[order[k]] = cycle
     return tree, cuts, cycles
+
+
+def two_rref_vector_space_tree(ambient_dim: int, generators):
+    """The vector-space spanning tree as the library built it with two
+    RREFs: a basis of the orthogonal complement read off the generators'
+    RREF as its null vectors, then the tree, cuts and cycles read off that
+    basis's RREF, columns left to right, as dense lists."""
+    rows = [[Ring.RATIONAL.coerce(x) for x in generator] for generator in generators]
+    _, _, kernel = _rref_tree([dict(enumerate(row)) for row in rows], ambient_dim)
+    tree, cuts, cycles = _rref_tree(list(kernel.values()), ambient_dim)
+    return (
+        tree,
+        {t: _dense(cut, ambient_dim) for t, cut in cuts.items()},
+        {e: _dense(cycle, ambient_dim) for e, cycle in cycles.items()},
+    )
 
 
 def column(matrix: ExactMatrix, j: int) -> list:

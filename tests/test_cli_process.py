@@ -177,3 +177,54 @@ def test_closed_stdin_is_a_document_error():
     result = _process("validate", "-", preexec_fn=lambda: os.close(0))
     assert (result.returncode, result.stdout) == (1, b"")
     assert result.stderr == b"error: stdin is closed\n"
+
+
+_EVERY_QUERY = """
+import contextlib, io, sys
+from hyperhomology.cli import run_command
+
+queries = [
+    ["example", "main-example"],
+    ["random", "--vertices", "9", "--edges", "13", "--seed", "4"],
+]
+for path in sys.argv[1:]:
+    queries += [
+        ["validate", path],
+        ["homology", path, "--ring", "int"],
+        ["homology", path, "--ring", "rat"],
+        ["spanning-tree", path, "--ring", "rat", "--check-integral"],
+        ["spanning-tree", path, "--ring", "int"],
+        ["graphlike", path],
+        ["decompose", path, "--ring", "int"],
+        ["decompose", path, "--ring", "rat"],
+    ]
+for argv in queries:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command([*argv, "--json"])
+    print(argv, code, repr(out.getvalue()), repr(err.getvalue()))
+"""
+
+
+def test_answers_do_not_depend_on_the_hash_seed(capsys, main_example, tmp_path):
+    # vertex sets are frozensets of strings, whose iteration order follows
+    # PYTHONHASHSEED; no report may
+    code, document, _ = _in_process(
+        capsys, "random", "--vertices", "9", "--edges", "13", "--seed", "4"
+    )
+    assert code == 0
+    random_document = tmp_path / "random.json"
+    random_document.write_bytes(document)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _EVERY_QUERY, main_example, str(random_document)],
+            env={**ENV, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=120,
+        )
+        for seed in ("0", "1")
+    ]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.count(b"\n") == 18
+    assert runs[0].stdout == runs[1].stdout

@@ -109,54 +109,65 @@ def test_snf_rejects_rational_matrices():
 
 
 # Plants one fault in what the sparse reduction hands back (the row log, the
-# column log or S) or in how V^-1 is built from the column log; the exact
-# self-checks must refuse each one whatever the interpreter's optimisation
-# flags.  The main example's reduction logs row and column operations of
-# every kind the faults need.
+# column log or the divisors) or in how V^-1 is built from the column log;
+# the exact self-checks must refuse each one whatever the interpreter's
+# optimisation flags.  The main example's reduction logs row and column
+# operations of every kind the faults need; its diagonal (1, 1, 1) is a
+# divisor chain, so only U B = D V^-1 can refuse it as the Smith form, and
+# [[2, 0], [0, 3]]'s diagonal (2, 3) is not a chain (its form is (1, 6)).
 _CORRUPTIONS = """
-from hyperhomology import Ring, boundary_matrix, exact_linalg, main_example
+from hyperhomology import ExactMatrix, Ring, boundary_matrix, exact_linalg, main_example
 
 real_smith_reduce = exact_linalg._smith_reduce
 MATRIX = boundary_matrix(main_example(), Ring.INTEGER)
+UNCHAINED = ExactMatrix([[2, 0], [0, 3]], Ring.INTEGER)
 
 
-def extra_row_op(s, row_log, column_log):
+def extra_row_op(divisors, row_log, column_log):
     row_log.append((0, 1, 1))
 
 
-def dropped_row_op(s, row_log, column_log):
+def dropped_row_op(divisors, row_log, column_log):
     row_log.pop()
 
 
-def doubled_column_multiplier(s, row_log, column_log):
+def doubled_column_multiplier(divisors, row_log, column_log):
     k = next(k for k, (a, b, q) in enumerate(column_log) if q)
     a, b, q = column_log[k]
     column_log[k] = (a, b, 2 * q)
 
 
-def off_diagonal_s_entry(s, row_log, column_log):
-    s[0][1] = s[0].get(1, 0) + 1
+def wrong_divisor(divisors, row_log, column_log):
+    # (1, 2, 4) is still a chain
+    divisors[-1] *= 2
 
 
 def corrupted(fault):
     def smith_reduce(rows, width):
-        s, row_log, column_log = real_smith_reduce(rows, width)
-        fault(s, row_log, column_log)
-        return s, row_log, column_log
+        divisors, row_log, column_log = real_smith_reduce(rows, width)
+        fault(divisors, row_log, column_log)
+        return divisors, row_log, column_log
 
     return smith_reduce
+
+
+def no_reduction(rows, width):
+    # the input's own diagonal as its divisors, with empty logs
+    return [rows[i].get(i, 0) for i in range(min(len(rows), width))], [], []
 
 
 def undo_keeps_multiplier(op):
     return op
 
 
-# fault name -> (module attribute to replace, its faulty stand-in)
+# fault name -> (module attribute to replace, its faulty stand-in, the matrix)
 FAULTS = {
-    fault.__name__: ("_smith_reduce", corrupted(fault))
-    for fault in (extra_row_op, dropped_row_op, doubled_column_multiplier, off_diagonal_s_entry)
+    fault.__name__: ("_smith_reduce", corrupted(fault), MATRIX)
+    for fault in (extra_row_op, dropped_row_op, doubled_column_multiplier, wrong_divisor)
 }
-FAULTS["undo_keeps_multiplier"] = ("_undo", undo_keeps_multiplier)
+FAULTS["no_reduction"] = ("_smith_reduce", no_reduction, MATRIX)
+FAULTS["unchained_divisors"] = ("_smith_reduce", no_reduction, UNCHAINED)
+FAULTS["undo_keeps_multiplier"] = ("_undo", undo_keeps_multiplier, MATRIX)
 """
 
 
@@ -168,12 +179,11 @@ def _planted_faults() -> dict:
 
 def test_snf_self_check_raises_on_wrong_product(monkeypatch):
     planted = _planted_faults()
-    matrix = planted["MATRIX"]
-    smith_normal_form(matrix)  # the factors as made pass
-    assert len(planted["FAULTS"]) == 5
-    for replacement in planted["FAULTS"].values():
+    assert len(planted["FAULTS"]) == 7
+    for attribute, fault, matrix in planted["FAULTS"].values():
+        smith_normal_form(matrix)  # the factors as made pass
         with monkeypatch.context() as patch:
-            patch.setattr(exact_linalg, *replacement)
+            patch.setattr(exact_linalg, attribute, fault)
             with pytest.raises(InternalInconsistencyError):
                 smith_normal_form(matrix)
 
@@ -182,11 +192,11 @@ def test_snf_self_check_runs_under_python_O():
     script = _CORRUPTIONS + """
 from hyperhomology import InternalInconsistencyError, smith_normal_form
 print("debug", __debug__)
-for name, (attribute, fault) in FAULTS.items():
+for name, (attribute, fault, matrix) in FAULTS.items():
     real = getattr(exact_linalg, attribute)
     setattr(exact_linalg, attribute, fault)
     try:
-        smith_normal_form(MATRIX)
+        smith_normal_form(matrix)
     except InternalInconsistencyError:
         print("check raised", name)
     setattr(exact_linalg, attribute, real)

@@ -54,6 +54,7 @@ from oracles import (
     solve_rational,
     tree_cut,
     tree_path_cycle,
+    two_rref_vector_space_tree,
 )
 
 
@@ -936,6 +937,28 @@ def test_vector_space_integer_generators_load_no_fractions():
         "((0, 2), {0: [1, 1, 0], 2: [0, 0, 1]}, {1: [-1, 1, 0]})",
         "False",
     ]
+
+
+def test_vector_space_tree_matches_two_rref_route():
+    # one RREF of the reversed generators must give the tree, cuts and
+    # cycles of the kernel's RREF, value types and key order included
+    rng = random.Random(111)
+    values = (0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3))
+    cases = [(0, []), (0, [[], []]), (3, [[0, 0, 0]]), (3, [[1, 2, 0], [1, 2, 0], [2, 4, 0]])]
+    for _ in range(600):
+        m = rng.randint(0, 8)
+        rows = [[rng.choice(values) for _ in range(m)] for _ in range(rng.randint(0, 6))]
+        if rows and rng.random() < 0.3:
+            rows.append(list(rng.choice(rows)))  # a repeated generator
+        cases.append((m, rows))
+    for m, rows in cases:
+        got = vector_space_spanning_tree(m, rows)
+        want = two_rref_vector_space_tree(m, rows)
+        assert got == want, (m, rows)
+        for mine, theirs in zip(got[1:], want[1:]):
+            assert list(mine) == list(theirs), (m, rows)
+            for key in mine:
+                assert list(map(type, mine[key])) == list(map(type, theirs[key])), (m, rows)
 
 
 def test_vector_space_reproduces_hypergraph_trees():

@@ -269,15 +269,12 @@ def test_the_package_builds_b_in_two_places():
     }
 
 
-def test_the_package_reads_a_tree_off_an_rref_in_three_places():
-    # the rational tree of B and the two eliminations of the vector-space
-    # tree; the integer search reads its tree off its own row log
+def test_the_package_reads_a_tree_off_an_rref_in_two_places():
+    # the rational tree of B and the one elimination of the vector-space
+    # tree, over the reversed generators; the integer search reads its tree
+    # off its own row log
     assert _package_calls("_rref_tree") == {
-        "spanning_tree.py": [
-            "find_spanning_tree_rational",
-            "vector_space_spanning_tree",
-            "vector_space_spanning_tree",
-        ],
+        "spanning_tree.py": ["find_spanning_tree_rational", "vector_space_spanning_tree"],
     }
 
 
