@@ -158,9 +158,11 @@ def _edge_error(j: int, record: dict) -> DocumentError:
         side = record.get(label)
         if not isinstance(side, list) or not all(isinstance(v, str) for v in side):
             return DocumentError(f'edge {j}: "{label}" must be a list of strings')
-        if len(frozenset(side)) != len(side):
-            twice = next(v for k, v in enumerate(side) if v in side[:k])
-            return DocumentError(f'edge {j}: "{label}" names vertex {twice!r} twice')
+        seen = set()
+        for v in side:
+            if v in seen:
+                return DocumentError(f'edge {j}: "{label}" names vertex {v!r} twice')
+            seen.add(v)
     raise InternalInconsistencyError(f"edge {j} was refused but has no fault")
 
 
@@ -257,18 +259,14 @@ def _formal_sum_json(item, labels) -> dict:
 def _format_formal_sum(item, labels) -> str:
     if item.is_zero():
         return "0"
-    parts = []
+    terms = []
     for i in sorted(item.coefficients):
         value = item.coefficients[i]
-        sign = "-" if value < 0 else "+"
-        magnitude = -value if value < 0 else value
-        term = labels[i] if magnitude == 1 else f"{magnitude}*{labels[i]}"
-        parts.append((sign, term))
-    first_sign, first_term = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+        term = labels[i] if abs(value) == 1 else f"{abs(value)}*{labels[i]}"
+        terms.append(("- " if value < 0 else "+ ") + term)
+    text = " ".join(terms)
+    # the first term drops a "+" and the space after a "-"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _structure_json(structure) -> dict:

@@ -44,18 +44,6 @@ BUILTIN_EXAMPLES = {
 }
 
 
-def _draw(rng: random.Random, pool: list, count: int) -> list:
-    """Remove ``count`` uniformly chosen elements from ``pool``.
-
-    Implemented with plain ``randrange`` pops so the stream of draws is
-    identical across platforms and Python versions for a fixed seed.
-    """
-    chosen = []
-    for _ in range(count):
-        chosen.append(pool.pop(rng.randrange(len(pool))))
-    return chosen
-
-
 def random_hypergraph(
     vertex_count: int,
     edge_count: int,
@@ -72,6 +60,15 @@ def random_hypergraph(
     validation.  Negative counts, and parameters under which 10000 draws in
     a row yield no acceptable edge (say, a max arity far above the vertex
     count), raise ``ValueError``.
+
+    Draw i of an edge, over its tails and then its heads, is
+    ``randrange(vertex_count - i)`` and picks the vertex of that rank
+    among those not yet taken, in vertex order; plain ``randrange`` keeps
+    the stream of draws identical across platforms and Python versions for
+    a fixed seed.  A draw steps over the indices already taken, never
+    copying the vertex list, so the cost is linear in the vertex count
+    plus, for each candidate edge, quadratic in its arity: about edges x
+    arity squared when few candidates are resampled.
     """
     counts = {"vertex count": vertex_count, "edge count": edge_count, "max arity": max_arity}
     for label, value in counts.items():
@@ -80,6 +77,7 @@ def random_hypergraph(
     if edge_count and not allow_empty_edges and (vertex_count == 0 or max_arity == 0):
         raise ValueError("no nonempty edge can be drawn with these parameters")
     import random
+    from bisect import insort
 
     rng = random.Random(seed)
     vertices = [f"v{i + 1}" for i in range(vertex_count)]
@@ -93,9 +91,17 @@ def random_hypergraph(
                 continue
             if tail_arity + head_arity > vertex_count:
                 continue
-            pool = list(vertices)
-            tails = frozenset(_draw(rng, pool, tail_arity))
-            heads = frozenset(_draw(rng, pool, head_arity))
+            picks, taken = [], []
+            for _ in range(tail_arity + head_arity):
+                # the drawn number counts the untaken indices in ascending
+                # order; step over each taken one at or below it
+                index = rng.randrange(vertex_count - len(taken))
+                for t in taken:
+                    if t <= index:
+                        index += 1
+                insort(taken, index)
+                picks.append(vertices[index])
+            tails, heads = frozenset(picks[:tail_arity]), frozenset(picks[tail_arity:])
             if (heads, tails) in drawn:
                 continue
             edges.append((tails, heads))

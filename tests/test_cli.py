@@ -22,6 +22,7 @@ from oracles import (
     graph_like_without_integer_tree,
     grid_graph,
     hypergraph_suite,
+    pop_random_hypergraph,
 )
 
 # the package re-exports the function ``boundary`` under the module's name
@@ -97,6 +98,7 @@ def test_parse_rejects_bad_shapes():
         ('[{"tails": ["a", "a"], "heads": [1]}]', "edge 0: \"tails\" names vertex 'a' twice"),
         ('[{"tails": [1], "heads": ["b", "b"]}]', 'edge 0: "tails" must be a list of strings'),
         ('[{"tails": ["a"], "heads": ["b", "a", "b"]}]', "edge 0: \"heads\" names vertex 'b' twice"),
+        ('[{"tails": ["a", "b", "b", "a"], "heads": []}]', "edge 0: \"tails\" names vertex 'b' twice"),
         ('[{"tails": [["a"]], "heads": ["b"]}]', 'edge 0: "tails" must be a list of strings'),
         (
             '[{"tails": ["a"], "heads": ["b"]}, {"tails": ["b", "b"], "heads": []}]',
@@ -361,6 +363,19 @@ def test_random_command_documents_validate(capsys):
         )
         assert code == 0
         parse_document(out)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, seed, arity, empty",
+    [(5, 6, 9, 3, False), (9, 13, 4, 3, False), (4, 20, 9, 2, True), (13, 25, 299, 8, True)],
+)
+def test_random_command_prints_the_pop_reference_document(capsys, vertices, edges, seed, arity, empty):
+    argv = ["random", "--vertices", str(vertices), "--edges", str(edges), "--seed", str(seed)]
+    argv += ["--max-arity", str(arity)] + (["--allow-empty-edges"] if empty else [])
+    code, out, err = _run(capsys, *argv)
+    reference = pop_random_hypergraph(vertices, edges, seed, max_arity=arity, allow_empty_edges=empty)
+    name = f"random-v{vertices}-e{edges}-s{seed}"
+    assert (code, out, err) == (0, serialize_document(reference, name=name) + "\n", "")
 
 
 def test_random_command_infeasible_is_usage_error(capsys):

@@ -7,6 +7,7 @@ lines are what the interpreter produced when the process ended by
 ``sys.exit``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -120,6 +121,20 @@ def test_output_past_the_pipe_buffer_is_complete(capsys):
     assert len(result.stdout) == 362_508
     assert result.stdout == out
     assert result.stderr == err == b""
+
+
+@pytest.mark.parametrize("label", ["tails", "heads"])
+def test_a_side_repeating_the_first_of_100000_vertices_is_refused(tmp_path, label):
+    # the repeat is found in one pass; a scan of each entry against the
+    # entries before it ran for minutes here, past the child's timeout
+    names = [f"x{i}" for i in range(100_000)]
+    edge = {"tails": [], "heads": []}
+    edge[label] = names + ["x0"]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps({"vertices": names, "edges": [edge]}))
+    result = _process("validate", str(path))
+    assert result.returncode == 1 and result.stdout == b""
+    assert result.stderr == f"error: edge 0: \"{label}\" names vertex 'x0' twice\n".encode()
 
 
 def test_error_line_reaches_stderr_whole(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from hyperhomology import (
     verify_tree_axioms,
 )
 
-from oracles import pairwise_validation_report
+from oracles import pairwise_validation_report, pop_random_hypergraph
 
 
 def test_overlapping_edge_rejected():
@@ -342,6 +343,55 @@ def test_random_generator_infeasible_params():
     # arities beyond the vertex count are drawn and rejected every time
     with pytest.raises(ValueError, match="did not converge"):
         random_hypergraph(2, 1, seed=1, max_arity=100000)
+
+
+def _draw_or_refusal(generator, *params):
+    vertices, edges, seed, arity, empty = params
+    try:
+        return generator(vertices, edges, seed, max_arity=arity, allow_empty_edges=empty)
+    except ValueError as err:
+        return str(err)
+
+
+def _generator_grid():
+    """Every vertex count 0-13 with every max arity 0-8 and both
+    ``allow_empty_edges`` values, each at ten seeds; over the grid the
+    seeds run through 0-299 and the edge counts through 0-25.  A setting
+    that can draw only the empty edge runs at one seed: past its first
+    edge each one spends 10000 draws before it gives up."""
+    combos = itertools.product(range(14), range(9), (False, True))
+    for n, (vertices, arity, empty) in enumerate(combos):
+        only_empty = empty and (vertices == 0 or arity == 0)
+        for k in range(1 if only_empty else 10):
+            yield vertices, (n + 3 * k) % 26, (10 * n + k) % 300, arity, empty
+
+
+def test_random_generator_matches_pop_reference():
+    # the index draw picks the vertex the reference pops from its copy of
+    # the vertex list, so hypergraphs and refusals agree draw for draw
+    refusals = set()
+    cases = [
+        *_generator_grid(),
+        (0, 2, 0, 3, False),  # no nonempty edge without vertices
+        (3, 1, 0, 0, False),  # nor with arity 0
+        (-1, 1, 0, 3, False),  # negative counts
+        (3, -1, 0, 3, False),
+        (3, 1, 0, -1, False),
+        (2, 1, 1, 100000, False),  # arities beyond the vertex count: no convergence
+        (1, 3, 5, 0, True),  # the empty edge is its own inverse: no second edge
+    ]
+    for params in cases:
+        expected = _draw_or_refusal(pop_random_hypergraph, *params)
+        assert _draw_or_refusal(random_hypergraph, *params) == expected, params
+        if isinstance(expected, str):
+            refusals.add(expected.split(":")[0].split(",")[0])
+    assert refusals == {
+        "vertex count must not be negative",
+        "edge count must not be negative",
+        "max arity must not be negative",
+        "no nonempty edge can be drawn with these parameters",
+        "edge resampling did not converge",
+    }
 
 
 # Records: immutable values with field-wise equality.
