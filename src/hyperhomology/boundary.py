@@ -10,7 +10,7 @@ vertex.
 
 from __future__ import annotations
 
-from .core import Chain, Cochain, OrientedHypergraph, Ring, chain_to_cochain
+from .core import Chain, Cochain, OrientedHypergraph, Ring, _dot, chain_to_cochain
 from .exact_linalg import ExactMatrix
 
 
@@ -44,7 +44,7 @@ def coboundary(hypergraph: OrientedHypergraph, phi: Cochain) -> Cochain:
     values: dict[int, object] = {}
     for j in range(hypergraph.edge_count):
         tails, heads = hypergraph.edges[j]
-        total = phi.ring.zero
+        total = 0
         for vertex in heads:
             total += phi.coefficient(index[vertex])
         for vertex in tails:
@@ -63,14 +63,12 @@ def boundary_matrix(hypergraph: OrientedHypergraph, ring: Ring) -> ExactMatrix:
     filled directly, in O(total arity).
     """
     index = hypergraph.vertex_index
-    one = ring.one
-    minus_one = -one
     lines: list[dict] = [{} for _ in range(hypergraph.vertex_count)]
     for j, (tails, heads) in enumerate(hypergraph.edges):
         for vertex in heads:
-            lines[index[vertex]][j] = one
+            lines[index[vertex]][j] = 1
         for vertex in tails:
-            lines[index[vertex]][j] = minus_one
+            lines[index[vertex]][j] = -1
     return ExactMatrix._of(lines, hypergraph.edge_count, ring)
 
 
@@ -83,12 +81,7 @@ def canonical_inner_product(x, y):
         raise ValueError("dimension mismatch")
     if x.ring is not y.ring:
         raise ValueError("ring mismatch")
-    total = x.ring.zero
-    for index, value in x.coefficients.items():
-        other = y.coefficients.get(index)
-        if other is not None:
-            total += value * other
-    return x.ring.coerce(total)
+    return _dot(x, y)
 
 
 def boundary_inner_product(hypergraph: OrientedHypergraph, x: Chain, y: Chain):

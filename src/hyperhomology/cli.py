@@ -70,9 +70,6 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
-_RINGS = {"int": Ring.INTEGER, "rat": Ring.RATIONAL}
-
-
 class DocumentError(ValueError):
     """A document failed to parse against the expected JSON shape."""
 
@@ -335,7 +332,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_homology(args) -> int:
     hypergraph = _load(args.file)
-    report = homology(hypergraph, _RINGS[args.ring])
+    report = homology(hypergraph, Ring(args.ring))
     labels = _edge_labels(hypergraph)
 
     def payload() -> dict:
@@ -472,7 +469,7 @@ def _cmd_graphlike(args) -> int:
 
 def _cmd_decompose(args) -> int:
     hypergraph = _load(args.file)
-    report = cycle_cut_decomposition(hypergraph, _RINGS[args.ring])
+    report = cycle_cut_decomposition(hypergraph, Ring(args.ring))
     labels = _edge_labels(hypergraph)
 
     def payload() -> dict:
@@ -557,7 +554,7 @@ def _nonnegative_int(text: str) -> int:
 # must hold for the option to be given.  Every subcommand takes ``--json``
 # and, outside the table, ``-h``/``--help``.
 _REQUIRED = object()
-_RING = ("int", "rat")
+_RING = tuple(ring.value for ring in Ring)
 _FILE = ("file", None)
 _JSON = {"--json": (None, False, None)}
 _COMMANDS = {

@@ -269,10 +269,10 @@ class _FormalSum(_Record):
 
     @classmethod
     def unit(cls, dimension: int, index: int, ring: Ring):
-        return cls(dimension, {index: ring.one}, ring)
+        return cls(dimension, {index: 1}, ring)
 
     def coefficient(self, index: int):
-        return self.coefficients.get(index, self.ring.zero)
+        return self.coefficients.get(index, 0)
 
     @property
     def support(self) -> tuple:
@@ -284,8 +284,7 @@ class _FormalSum(_Record):
     def to_vector(self, length: int) -> list:
         if self.coefficients and max(self.coefficients) >= length:
             raise IndexError("coefficient index out of range for requested length")
-        zero = self.ring.zero
-        return [self.coefficients.get(i, zero) for i in range(length)]
+        return [self.coefficients.get(i, 0) for i in range(length)]
 
     def with_ring(self, ring: Ring):
         """Convert between rings; integer -> rational always works, the
@@ -327,6 +326,13 @@ class _FormalSum(_Record):
         return self.scale(factor)
 
 
+def _dot(x: _FormalSum, y: _FormalSum):
+    """Coefficient-wise dot product of two formal sums over ``x``'s ring,
+    in its canonical form; the callers check that the two match."""
+    other = y.coefficients
+    return x.ring.coerce(sum(value * other[i] for i, value in x.coefficients.items() if i in other))
+
+
 class Chain(_FormalSum):
     """Formal linear combination of vertices (dim 0) or edges (dim 1)."""
 
@@ -342,12 +348,7 @@ class Cochain(_FormalSum):
             raise ValueError("dimension mismatch")
         if chain.ring is not self.ring:
             raise ValueError("ring mismatch")
-        total = self.ring.zero
-        for index, value in self.coefficients.items():
-            coefficient = chain.coefficients.get(index)
-            if coefficient is not None:
-                total += value * coefficient
-        return self.ring.coerce(total)
+        return _dot(self, chain)
 
     __call__ = evaluate
 

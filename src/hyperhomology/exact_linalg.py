@@ -42,8 +42,11 @@ substitution appended, to whole rows; the Smith reduction hands back
 its elementary divisors and logs its row and column operations instead
 of building factors (the product form of the inverse); of its factors
 only V^-1 is built with it, S from the divisors, and V when read (U and
-U^-1 only for a caller outside the package).  The Smith form's pivot
-rule is pinned, because its factors and the witnesses read off them
+U^-1 only for a caller outside the package).  V is kept by columns, as
+the column log builds them from the identity, and ``v`` is their
+transpose, so the integer cycles, columns of V, are read off them as
+they are built.  The Smith form's pivot rule is pinned, because its
+factors and the witnesses read off them
 depend on it: a nonzero of least absolute value, lowest current row
 first, then lowest current column (so a unit entry whenever there is
 one); its S, V^-1 and V are therefore exactly those of the textbook
@@ -113,8 +116,7 @@ class ExactMatrix(_Record):
         return tuple(self.row(i) for i in range(self.rows))
 
     def row(self, i: int) -> tuple:
-        line, zero = self.lines[i], self.ring.zero
-        return tuple(line.get(j, zero) for j in range(self.cols))
+        return tuple(_dense(self.lines[i], self.cols))
 
     def transpose(self) -> "ExactMatrix":
         lines: list[dict] = [{} for _ in range(self.cols)]
@@ -284,10 +286,12 @@ class SnfDecomposition(_Record):
     the columns the integer-tree search walks.
     Both sides are kept as logs, ``row_log`` and ``column_log``, the
     operations in the encoding of :func:`_replay`; ``u``, ``u_inverse`` and
-    ``v`` are built from them when first read.  The cycles and coboundary
-    membership read ``v``.  No report reads ``u`` or ``u_inverse``: a
-    graph-likeness witness replays the row log on one unit vector for the
-    one column of U^-1 it needs.
+    ``v`` are built from them when first read.  V is kept by columns, as
+    the column log builds them, and ``v`` is their transpose: the cycles
+    read those columns, and coboundary membership and the graph-likeness
+    witnesses read the rows of ``v``.  No report reads ``u`` or
+    ``u_inverse``: a graph-likeness witness replays the row log on one unit
+    vector for the one column of U^-1 it needs.
     """
 
     s: ExactMatrix
@@ -305,9 +309,13 @@ class SnfDecomposition(_Record):
         return ExactMatrix._of(columns, self.s.rows).transpose()
 
     @cached_property
+    def _v_columns(self) -> list[dict]:
+        """The columns of V, as the column log builds them from the identity."""
+        return _apply(self.column_log, _identity(self.s.cols))
+
+    @cached_property
     def v(self) -> ExactMatrix:
-        columns = _apply(self.column_log, _identity(self.s.cols))
-        return ExactMatrix._of(columns, self.s.cols).transpose()
+        return ExactMatrix._of(self._v_columns, self.s.cols).transpose()
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:

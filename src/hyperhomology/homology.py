@@ -8,16 +8,17 @@ hypergraph keeps once it is first factored (``_smith_form``): the rank r,
 the cycles (columns r.. of V), the cohomology torsion, the annihilator of
 the cycles (rows < r of V^-1) and coboundary membership (c = B^T y for an
 integer y iff V^T c vanishes from the rank on and its entry i is divisible
-by d_i below it), which reads only V.  The Smith form is checked without
-V, and V is built from its column log when first read: by the cycles and
-by coboundary membership, not by the divisors.  The five graph-likeness
-conditions are equivalent; the report decides them once, by whether
-every divisor is 1, and builds the witnesses from the same factorization,
-so a positive verdict builds no V.  The other routes to the same
-conditions (the direct summand test, the cohomology-to-dual check, the
-cycle annihilator with a lattice comparison) and to the
-pairing-functional lattice now live in ``tests/oracles.py``, where they
-serve as independent checks.  Over the
+by d_i below it), which reads rows of V.  The integer cycles are read off
+the columns of V that the Smith form's column log builds and keeps, with
+no transpose.  The Smith form is checked without V, and V is built from
+its column log when first read: by the cycles and by coboundary
+membership, not by the divisors.  The five graph-likeness conditions are
+equivalent; the report decides them once, by whether every divisor is 1,
+and builds the witnesses from the same factorization, so a positive
+verdict builds no V.  The other routes to the same conditions (the direct
+summand test, the cohomology-to-dual check, the cycle annihilator with a
+lattice comparison) and to the pairing-functional lattice now live in
+``tests/oracles.py``, where they serve as independent checks.  Over the
 rationals the bases are the fundamental cycles and cuts of the greedy
 rational spanning tree of B (``find_spanning_tree_rational``), read off
 one reduced row echelon form of B.
@@ -60,7 +61,7 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     if ring is Ring.INTEGER:
         decomposition = hypergraph._smith_form
         rank = decomposition.rank
-        basis = tuple(map(_integer_chain, decomposition.v.transpose().lines[rank:]))
+        basis = tuple(map(_integer_chain, decomposition._v_columns[rank:]))
         torsion = tuple(d for d in decomposition.diagonal if d > 1)
     else:
         tree = find_spanning_tree_rational(hypergraph)
@@ -109,13 +110,9 @@ class GraphLikenessReport(_Record):
         return all(self.conditions().values())
 
     def conditions(self) -> dict[str, bool]:
-        return {
-            "canonical_iso": self.canonical_iso,
-            "annihilator_equals_coboundary_image": self.annihilator_equals_coboundary_image,
-            "cuts_equal_cycle_perp": self.cuts_equal_cycle_perp,
-            "boundary_image_direct_summand": self.boundary_image_direct_summand,
-            "hom_dual_iso": self.hom_dual_iso,
-        }
+        """The five conditions by name, in declaration order: every field
+        but the last, the witnesses."""
+        return {name: getattr(self, name) for name in self._fields[:-1]}
 
 
 def _annihilator_witness(decomposition: SnfDecomposition, position: int):
@@ -127,12 +124,19 @@ def _annihilator_witness(decomposition: SnfDecomposition, position: int):
     are the rows of ``v_inverse`` before the rank.  Row i of V^-1 has
     V^T row = e_i, so it is a coboundary iff d_i = 1: the first generator
     that is not one is row ``position``, the first divisor above 1.
+
+    Row e of V is V^T applied to the cochain on edge e, so one pass over it
+    decides both tests: the cochain kills every cycle when the row is empty
+    from the rank on, and is then a coboundary when d_i divides its entry i
+    for every i.  Each entry is graded 2 when it lies from the rank on, 1
+    when d_i does not divide it and 0 otherwise; a row whose worst grade is
+    1 is the witness.
     """
-    rank = decomposition.rank
-    m = decomposition.v.cols
+    diagonal = decomposition.diagonal
+    rank, m = len(diagonal), decomposition.s.cols
     for e, line in enumerate(decomposition.v.lines):
-        kills_cycles = all(j < rank for j in line)
-        if kills_cycles and not _is_coboundary(decomposition, {e: 1}):
+        grades = (2 if j >= rank else int(x % diagonal[j] != 0) for j, x in line.items())
+        if max(grades, default=0) == 1:
             return (
                 tuple(int(j == e) for j in range(m)),
                 f"standard cochain on edge e{e + 1} kills every cycle but is not a coboundary",
@@ -251,8 +255,9 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     Over the rationals the two are orthogonal complements.  Over the
     integers they still intersect trivially but their sum can be a proper
     sublattice; the first standard edge chain outside the sum is reported.
-    Integer cycles are columns r.. of V in the Smith form U B V = S, and the
-    cuts d_i times row i of V^-1 for i < r; rational cycles and cuts are the
+    Integer cycles are columns r.. of V in the Smith form U B V = S, as its
+    column log builds them, and the cuts d_i times row i of V^-1 for i < r;
+    rational cycles and cuts are the
     fundamental cycles and cuts of the rational spanning tree.  Either way
     each family is independent (V is unimodular, every d_i is nonzero, the
     fundamental cuts and cycles have Kronecker patterns), so the intersection
@@ -271,7 +276,7 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     if ring is Ring.INTEGER:
         decomposition = hypergraph._smith_form
         rank, diagonal = decomposition.rank, decomposition.diagonal
-        cycle_basis = tuple(map(_integer_chain, decomposition.v.transpose().lines[rank:]))
+        cycle_basis = tuple(map(_integer_chain, decomposition._v_columns[rank:]))
         cut_basis = tuple(
             _integer_chain({j: d * x for j, x in decomposition.v_inverse.lines[i].items()})
             for i, d in enumerate(diagonal)

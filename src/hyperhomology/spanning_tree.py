@@ -124,17 +124,8 @@ class TreeAxiomsReport(_Record):
 
     @property
     def ok(self) -> bool:
-        return all(
-            (
-                self.cut_kronecker,
-                self.cycle_kronecker,
-                self.cycles_are_cycles,
-                self.cuts_are_cuts,
-                self.counts_consistent,
-                self.cuts_span,
-                self.cycles_span,
-            )
-        )
+        """Whether every sub-check, every field, holds."""
+        return all(self._values())
 
 
 def _check_edge_indices(chains, m: int) -> None:

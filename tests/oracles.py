@@ -10,6 +10,9 @@ checks) were public in the library until it kept one route per fact; they
 run on its kernels but read each fact off another matrix or factor.  The
 dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
+:func:`row_log_factors` builds U and U^-1 from a Smith form's row log
+with the dense kernel's row operations, so that no other test reads the
+factors' own properties,
 :func:`two_rref_vector_space_tree` is its earlier vector-space tree,
 the dense list transpose and products beside them are the reference for
 the sparse rows of ``ExactMatrix`` and stand in for its former
@@ -627,17 +630,45 @@ def tree_cut(hypergraph: OrientedHypergraph, tree_edges, t) -> dict[int, int]:
 # pairing-functional lattice of the boundary Gram matrix.
 
 
+def row_log_factors(decomposition: SnfDecomposition) -> tuple[ExactMatrix, ExactMatrix]:
+    """U and U^-1 of ``decomposition``, built from its row log by a replay of
+    this module's own, on dense lists: each logged row operation ``(a, b,
+    q)`` (add q times row b to row a when q is nonzero; with q = 0 swap rows
+    a and b, or negate row a when a == b) is applied to the rows of the
+    identity, giving U by rows, and its inverse to the columns of a second
+    identity, giving U^-1, in the way :func:`dense_smith_normal_form` keeps
+    both."""
+    n = decomposition.s.rows
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+    for a, b, q in decomposition.row_log:
+        if q:
+            u[a] = [x + q * y for x, y in zip(u[a], u[b])]
+            for row in u_inverse:
+                row[b] -= q * row[a]
+        elif a == b:
+            u[a] = [-x for x in u[a]]
+            for row in u_inverse:
+                row[a] = -row[a]
+        else:
+            u[a], u[b] = u[b], u[a]
+            for row in u_inverse:
+                row[a], row[b] = row[b], row[a]
+    return ExactMatrix(u, Ring.INTEGER, cols=n), ExactMatrix(u_inverse, Ring.INTEGER, cols=n)
+
+
 def snf_solve(decomposition: SnfDecomposition, rhs) -> list[int] | None:
     """Some integer solution of ``m @ x = rhs`` for the ``m`` that
     ``decomposition`` factors, or None when no integer solution exists (even
     if a rational one does): ``u @ rhs`` must be divisible by the divisors
     and vanish beyond the rank."""
     rhs = [Ring.INTEGER.coerce(b) for b in rhs]
-    if len(rhs) != decomposition.u.cols:
+    u, _ = row_log_factors(decomposition)
+    if len(rhs) != u.cols:
         raise ValueError("right-hand side length does not match row count")
     diagonal = decomposition.diagonal
     y = [0] * decomposition.v.rows
-    for i, value in enumerate(dense_apply(decomposition.u.entries, rhs, 0)):
+    for i, value in enumerate(dense_apply(u.entries, rhs, 0)):
         if i < len(diagonal):
             if value % diagonal[i]:
                 return None
@@ -649,9 +680,14 @@ def snf_solve(decomposition: SnfDecomposition, rhs) -> list[int] | None:
 
 def snf_reproduces(decomposition: SnfDecomposition | DenseSnf, matrix: ExactMatrix) -> bool:
     """Whether ``u @ matrix @ v == s``, by schoolbook products of the dense
-    entries."""
+    entries; the U of a :class:`SnfDecomposition` is built by
+    :func:`row_log_factors`."""
     cols = matrix.cols
-    um = dense_product(decomposition.u.entries, matrix.entries, cols, 0)
+    if isinstance(decomposition, DenseSnf):
+        u = decomposition.u
+    else:
+        u, _ = row_log_factors(decomposition)
+    um = dense_product(u.entries, matrix.entries, cols, 0)
     umv = dense_product(um, decomposition.v.entries, cols, 0)
     return umv == [list(row) for row in decomposition.s.entries]
 
@@ -731,9 +767,9 @@ def image_basis(matrix: ExactMatrix, ring: Ring) -> list[list]:
         if matrix.ring is not Ring.INTEGER:
             raise ValueError("integer image requires an integer matrix")
         decomposition = smith_normal_form(matrix)
+        _, u_inverse = row_log_factors(decomposition)
         return [
-            [d * x for x in column(decomposition.u_inverse, i)]
-            for i, d in enumerate(decomposition.diagonal)
+            [d * x for x in column(u_inverse, i)] for i, d in enumerate(decomposition.diagonal)
         ]
     tree, _, _ = _rref_tree(matrix.lines, matrix.cols)
     return [[Fraction(x) for x in column(matrix, j)] for j in tree]

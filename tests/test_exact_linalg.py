@@ -49,6 +49,7 @@ from oracles import (
     lattice_contains,
     minor_gcd_divisors,
     quotient_structure,
+    row_log_factors,
     snf_reproduces,
     solve_integer,
     solve_rational,
@@ -261,16 +262,29 @@ def _differential_matrices():
 
 def test_sparse_snf_matches_dense_oracle():
     # V, built from the column log when read, must give U B V = S and
-    # V V^-1 = I by schoolbook products of the dense entries
+    # V V^-1 = I by schoolbook products of the dense entries; U and U^-1
+    # come off the row log by the oracles' own replay
     for matrix in _differential_matrices():
         sparse = smith_normal_form(matrix)
         dense = dense_smith_normal_form(matrix)
-        for factor in ("u", "s", "v", "u_inverse", "v_inverse"):
+        for factor in ("s", "v", "v_inverse"):
             assert getattr(sparse, factor) == getattr(dense, factor), (matrix, factor)
+        assert row_log_factors(sparse) == (dense.u, dense.u_inverse), matrix
         assert snf_reproduces(sparse, matrix), matrix
         n = matrix.cols
         product = dense_product(sparse.v.entries, sparse.v_inverse.entries, n, 0)
         assert product == [list(row) for row in identity_matrix(n).entries], matrix
+
+
+def test_u_factors_equal_the_row_log_replay():
+    # ``u`` and ``u_inverse``, built from the row log when read, are the
+    # matrices the oracles' own replay of the log gives; the other tests
+    # read U and U^-1 through that replay
+    matrices = [*_differential_matrices(), boundary_matrix(main_example(), Ring.INTEGER)]
+    for matrix in matrices:
+        decomposition = smith_normal_form(matrix)
+        factors = (decomposition.u, decomposition.u_inverse)
+        assert factors == row_log_factors(decomposition), matrix
 
 
 def test_sparse_rref_matches_dense_oracle():
@@ -361,7 +375,8 @@ def test_sparse_matrix_matches_dense_lists():
         matrices.append(matrix)
         if matrix.rows * matrix.cols <= 64:
             decomposition = smith_normal_form(matrix)
-            matrices += [decomposition.v, decomposition.u_inverse, decomposition.v_inverse]
+            _, u_inverse = row_log_factors(decomposition)
+            matrices += [decomposition.v, u_inverse, decomposition.v_inverse]
     matrices += _rational_matrices()
     for matrix in matrices:
         ring, n, m = matrix.ring, matrix.rows, matrix.cols
@@ -396,7 +411,7 @@ def test_sparse_storage_of_boundary_and_smith_factors():
 
     assert stored(boundary_matrix(_cycle(3000), Ring.INTEGER)) == 6000
     decomposition = smith_normal_form(boundary_matrix(_cycle(300), Ring.INTEGER))
-    for factor in (decomposition.v, decomposition.v_inverse, decomposition.u_inverse):
+    for factor in (decomposition.v, decomposition.v_inverse, row_log_factors(decomposition)[1]):
         assert stored(factor) <= 600, stored(factor)
     # the row side is kept as its log, two operations per pivot on a cycle
     assert len(decomposition.row_log) <= 600, len(decomposition.row_log)
@@ -549,7 +564,7 @@ def test_snf_random_roundtrip():
         matrix = _random_matrix(rng)
         decomposition = smith_normal_form(matrix)
         assert snf_reproduces(decomposition, matrix)
-        assert abs(fraction_det(decomposition.u.entries)) == 1
+        assert abs(fraction_det(row_log_factors(decomposition)[0].entries)) == 1
         assert abs(fraction_det(decomposition.v.entries)) == 1
         diagonal = decomposition.diagonal
         assert all(d > 0 for d in diagonal)

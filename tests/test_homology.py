@@ -1,9 +1,11 @@
 import importlib
+import itertools
 import random
 
 from hyperhomology import (
     Chain,
     Cochain,
+    GraphLikenessReport,
     ModuleStructure,
     OrientedHypergraph,
     Ring,
@@ -108,6 +110,26 @@ def test_annihilator_of_cycles_path_graph_equals_coboundary_image():
     coboundaries = image_basis(boundary_matrix(h, Ring.INTEGER).transpose(), Ring.INTEGER)
     assert len(basis) == 2
     assert sublattice_equal(basis, coboundaries, 2)
+
+
+CONDITIONS = (
+    "canonical_iso",
+    "annihilator_equals_coboundary_image",
+    "cuts_equal_cycle_perp",
+    "boundary_image_direct_summand",
+    "hom_dual_iso",
+)
+
+
+def test_graph_like_verdict_follows_every_condition():
+    # ``conditions`` gives the five condition fields by name in declaration
+    # order, without the witnesses, and ``graph_like`` holds exactly when
+    # all five do, for every assignment of the five
+    assert GraphLikenessReport._fields == (*CONDITIONS, "witnesses")
+    for values in itertools.product((False, True), repeat=len(CONDITIONS)):
+        report = GraphLikenessReport(*values, witnesses=())
+        assert list(report.conditions().items()) == list(zip(CONDITIONS, values))
+        assert report.graph_like is all(values), values
 
 
 def test_graph_likeness_on_graphs():

@@ -90,6 +90,27 @@ def test_rational_tree_exists_and_verifies_everywhere():
         assert report.ok, (h, report)
 
 
+TREE_AXIOMS = (
+    "cut_kronecker",
+    "cycle_kronecker",
+    "cycles_are_cycles",
+    "cuts_are_cuts",
+    "counts_consistent",
+    "cuts_span",
+    "cycles_span",
+)
+
+
+def test_tree_verdict_follows_every_field():
+    # ``ok`` holds exactly when all seven sub-checks do: one failed field
+    # alone, whichever it is, makes it False
+    assert TreeAxiomsReport._fields == TREE_AXIOMS
+    holding = dict.fromkeys(TREE_AXIOMS, True)
+    assert TreeAxiomsReport(**holding).ok is True
+    for name in TREE_AXIOMS:
+        assert TreeAxiomsReport(**{**holding, name: False}).ok is False, name
+
+
 def test_perturbed_cycle_fails_verification():
     h = triangle_graph()
     tree = find_spanning_tree_rational(h)
