@@ -270,6 +270,14 @@ def _structure_json(structure) -> dict:
     return {"free_rank": structure.free_rank, "torsion": list(structure.torsion)}
 
 
+def _structure_text(name: str, structure) -> str:
+    return f"{name}: free rank {structure.free_rank}, torsion {list(structure.torsion)}"
+
+
+def _basis_text(name: str, basis, labels) -> str:
+    return f"{name}: " + (", ".join(_format_formal_sum(c, labels) for c in basis) or "(empty)")
+
+
 def _read_text(path: str) -> str:
     """The document's text, which must be UTF-8, read from ``path`` or, for
     ``-``, from stdin's bytes (whatever the locale's error handler would
@@ -348,15 +356,9 @@ def _cmd_homology(args) -> int:
         return [
             f"ring: {args.ring}",
             f"rank of boundary image: {report.rank_image_boundary}",
-            f"homology: free rank {report.h1.free_rank}, torsion {list(report.h1.torsion)}",
-            "homology basis: "
-            + (
-                ", ".join(_format_formal_sum(c, labels) for c in report.h1_basis)
-                if report.h1_basis
-                else "(empty)"
-            ),
-            f"cohomology: free rank {report.h1_cohomology.free_rank}, "
-            f"torsion {list(report.h1_cohomology.torsion)}",
+            _structure_text("homology", report.h1),
+            _basis_text("homology basis", report.h1_basis, labels),
+            _structure_text("cohomology", report.h1_cohomology),
         ]
 
     _emit(args.json, payload, lines)
@@ -489,10 +491,8 @@ def _cmd_decompose(args) -> int:
     def lines() -> list[str]:
         out = [
             f"ring: {args.ring}",
-            "cycle basis: "
-            + (", ".join(_format_formal_sum(c, labels) for c in report.cycle_basis) or "(empty)"),
-            "cut basis: "
-            + (", ".join(_format_formal_sum(c, labels) for c in report.cut_basis) or "(empty)"),
+            _basis_text("cycle basis", report.cycle_basis, labels),
+            _basis_text("cut basis", report.cut_basis, labels),
             f"mutually orthogonal: {'yes' if report.mutually_orthogonal else 'no'}",
             f"intersection trivial: {'yes' if report.intersection_trivial else 'no'}",
             f"dimensions sum to edge count: {'yes' if report.dimensions_sum_to_edge_count else 'no'}",

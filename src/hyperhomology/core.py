@@ -62,6 +62,13 @@ class Ring(Enum):
         return 1
 
 
+def _require_ring(ring) -> None:
+    """Raise ``TypeError`` unless ``ring`` is a :class:`Ring`, so that a
+    ring's value such as ``"int"`` is refused, not read as the other ring."""
+    if not isinstance(ring, Ring):
+        raise TypeError(f"ring must be a Ring, not {ring!r}")
+
+
 class _Record:
     """Immutable value whose fields are its class annotations, in order.
 

@@ -3,11 +3,13 @@
 Everything is pure Python over ``int`` and ``fractions.Fraction``; no
 floating point anywhere.  :func:`smith_normal_form` factors an integer
 matrix once; the reports read ranks, elementary divisors, cycle and cut
-lattices and coboundary membership (:func:`_is_coboundary`, also over the
-rationals, without the divisibility) off its factors, and so does tree
-verification.  One reduced row echelon form (RREF), its columns scanned
-left to right, builds the rational tree, and over the generators with
-their columns reversed, the vector-space tree.  The
+lattices and coboundary membership off its factors, and so does tree
+verification.  Membership is one graded test, :func:`_grade`: a vector
+grades 0 when it is an integer coboundary, 1 when it is only a rational
+one and 2 when it is neither, so each reader compares the grade with the
+bound its ring allows.  One reduced row echelon form (RREF), its
+columns scanned left to right, builds the rational tree, and over the
+generators with their columns reversed, the vector-space tree.  The
 RREF is computed fraction-free (integer-preserving, after Bareiss): every
 row is held in ints as a positive multiple of the row the elimination over
 Fractions with the same pivot rows holds at the same step, so it has the
@@ -329,14 +331,18 @@ class SnfDecomposition(_Record):
         return len(self.diagonal)
 
 
-def _is_coboundary(decomposition: SnfDecomposition, vector: dict, ring=Ring.INTEGER) -> bool:
-    """Whether the integer vector ``{index: value}`` is ``m^T y`` for some y
-    in ``ring``, where ``decomposition`` factors ``m`` as U m V = S.
+def _grade(decomposition: SnfDecomposition, vector: dict) -> int:
+    """How far the vector ``{index: value}`` is from ``m^T y``, where
+    ``decomposition`` factors ``m`` as U m V = S: 0 when it is ``m^T y``
+    for an integer y, 1 when only for a rational y, 2 when for no y.
 
-    Then m^T = V^-T S^T U^-T, so c = m^T y iff V^T c = S^T w for w = U^-T y
-    in ``ring``: V^T c must vanish from the rank on and, over the integers,
-    its entry i must be divisible by d_i below the rank.  V^T c is the sum
-    of c_k times row k of V, one row per nonzero of c.
+    Then m^T = V^-T S^T U^-T, so c = m^T y iff V^T c = S^T w for w = U^-T y:
+    over the rationals V^T c must vanish from the rank on, and over the
+    integers its entry i must also be divisible by d_i below the rank.
+    V^T c is the sum of c_k times row k of V, one row per nonzero of c.
+    Each entry i of V^T c is graded 2 when i is from the rank on, 1 when
+    d_i does not divide it and 0 otherwise, and the vector's grade is the
+    largest, 0 when V^T c is zero.
     """
     image: dict = {}
     for k, x in vector.items():
@@ -344,8 +350,8 @@ def _is_coboundary(decomposition: SnfDecomposition, vector: dict, ring=Ring.INTE
             _axpy(image, decomposition.v.lines[k], x)
     diagonal = decomposition.diagonal
     rank = len(diagonal)
-    integer = ring is Ring.INTEGER
-    return all(i < rank and not (integer and value % diagonal[i]) for i, value in image.items())
+    grades = (2 if i >= rank else int(value % diagonal[i] != 0) for i, value in image.items())
+    return max(grades, default=0)
 
 
 def _axpy(target: dict, source: dict, q: int) -> None:
@@ -460,10 +466,7 @@ def _smith_reduce(rows: list[dict], width: int):
     """
     height = len(rows)
     s_rows = rows
-    s_cols: list[dict] = [{} for _ in range(width)]
-    for i, row in enumerate(s_rows):
-        for j, x in row.items():
-            s_cols[j][i] = x
+    s_cols = list(ExactMatrix._of(rows, width).transpose().lines)
     divisors: list[int] = []
     row_log: list[tuple[int, int, int]] = []
     column_log: list[tuple[int, int, int]] = []
@@ -530,19 +533,17 @@ def _smith_reduce(rows: list[dict], width: int):
             if s_rows[k][k] < 0:
                 negate(by_rows, k)
             p = s_rows[k][k]
+            # clear column k below the pivot by row operations, then row k
+            # right of it by column operations
             dirty = False
-            for i in [i for i in s_cols[k] if i > k]:
-                q = s_cols[k][i] // p
-                if q:
-                    add(by_rows, i, k, -q)
-                if i in s_cols[k]:
-                    dirty = True
-            for j in [j for j in s_rows[k] if j > k]:
-                q = s_rows[k][j] // p
-                if q:
-                    add(by_cols, j, k, -q)
-                if j in s_rows[k]:
-                    dirty = True
+            for side in (by_rows, by_cols):
+                line = side[1][k]
+                for i in [i for i in line if i > k]:
+                    q = line[i] // p
+                    if q:
+                        add(side, i, k, -q)
+                    if i in line:
+                        dirty = True
             if dirty:
                 continue
             violation = None

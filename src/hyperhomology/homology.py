@@ -6,9 +6,13 @@ the homology, graph-likeness and decomposition reports read everything off
 one Smith normal form U B V = S with divisors d_0..d_{r-1}, the one the
 hypergraph keeps once it is first factored (``_smith_form``): the rank r,
 the cycles (columns r.. of V), the cohomology torsion, the annihilator of
-the cycles (rows < r of V^-1) and coboundary membership (c = B^T y for an
-integer y iff V^T c vanishes from the rank on and its entry i is divisible
-by d_i below it), which reads rows of V.  The integer cycles are read off
+the cycles (rows < r of V^-1) and coboundary membership, which reads rows
+of V.  Membership is the graded test ``exact_linalg._grade``: a cochain
+grades 0 when it is the coboundary of an integer 0-cochain, 1 when only of
+a rational one (it then kills every cycle) and 2 when of none.  The
+integer decomposition's spanning check asks each standard edge cochain for
+grade 0, and the graph-likeness witness scan takes the first that grades
+1.  The integer cycles are read off
 the columns of V that the Smith form's column log builds and keeps, with
 no transpose.  The Smith form is checked without V, and V is built from
 its column log when first read: by the cycles and by coboundary
@@ -26,8 +30,8 @@ one reduced row echelon form of B.
 
 from __future__ import annotations
 
-from .core import Chain, OrientedHypergraph, Ring, _Record
-from .exact_linalg import ModuleStructure, SnfDecomposition, _dense, _is_coboundary, _replay
+from .core import Chain, OrientedHypergraph, Ring, _Record, _require_ring
+from .exact_linalg import ModuleStructure, SnfDecomposition, _dense, _grade, _replay
 from .spanning_tree import find_spanning_tree_rational
 
 
@@ -56,7 +60,9 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     rationals only the free ranks remain.  The integer report reads the
     Smith form of B, the rational one the rational spanning tree: its
     rank is the number of tree edges and its basis the fundamental cycles.
+    A ``ring`` that is not a :class:`Ring` raises ``TypeError``.
     """
+    _require_ring(ring)
     m = hypergraph.edge_count
     if ring is Ring.INTEGER:
         decomposition = hypergraph._smith_form
@@ -125,18 +131,13 @@ def _annihilator_witness(decomposition: SnfDecomposition, position: int):
     V^T row = e_i, so it is a coboundary iff d_i = 1: the first generator
     that is not one is row ``position``, the first divisor above 1.
 
-    Row e of V is V^T applied to the cochain on edge e, so one pass over it
-    decides both tests: the cochain kills every cycle when the row is empty
-    from the rank on, and is then a coboundary when d_i divides its entry i
-    for every i.  Each entry is graded 2 when it lies from the rank on, 1
-    when d_i does not divide it and 0 otherwise; a row whose worst grade is
-    1 is the witness.
+    A cochain kills every cycle exactly when it is a rational coboundary,
+    so a standard edge cochain is the witness when it grades 1 under
+    :func:`_grade`: a rational coboundary but not an integer one.
     """
-    diagonal = decomposition.diagonal
-    rank, m = len(diagonal), decomposition.s.cols
-    for e, line in enumerate(decomposition.v.lines):
-        grades = (2 if j >= rank else int(x % diagonal[j] != 0) for j, x in line.items())
-        if max(grades, default=0) == 1:
+    m = decomposition.s.cols
+    for e in range(m):
+        if _grade(decomposition, {e: 1}) == 1:
             return (
                 tuple(int(j == e) for j in range(m)),
                 f"standard cochain on edge e{e + 1} kills every cycle but is not a coboundary",
@@ -162,20 +163,13 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
         position = next(i for i, d in enumerate(decomposition.diagonal) if d > 1)
         divisor = decomposition.diagonal[position]
         coefficients, description = _annihilator_witness(decomposition, position)
-        witnesses.append(
-            Witness("canonical_iso", description, "edges", coefficients)
-        )
-        witnesses.append(
-            Witness("annihilator_equals_coboundary_image", description, "edges", coefficients)
-        )
-        witnesses.append(
-            Witness(
-                "cuts_equal_cycle_perp",
-                "chain orthogonal to every cycle that lies outside the cut lattice",
-                "edges",
-                coefficients,
-            )
-        )
+        perp = "chain orthogonal to every cycle that lies outside the cut lattice"
+        for condition, text in (
+            ("canonical_iso", description),
+            ("annihilator_equals_coboundary_image", description),
+            ("cuts_equal_cycle_perp", perp),
+        ):
+            witnesses.append(Witness(condition, text, "edges", coefficients))
         # column ``position`` of U^-1: the row log undone, last operation
         # first, on the unit vector at ``position``; each inverse acts on
         # rows, so it keeps a and b, unlike ``_undo``, whose inverse acts on
@@ -268,9 +262,10 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     cuts are orthogonal, so e_k = z + c with z a cycle and c a cut gives
     1 = |z|^2 + |c|^2: e_k is then a cycle or a cut itself.  So e_k lies in
     the sum iff edge k is empty (column k of B is zero) or e_k is an
-    integer coboundary: V^T e_k, row k of V, is zero from the rank on and
-    V[k, i] is divisible by d_i below it.
+    integer coboundary, that is, grades 0 under ``_grade``.  A ``ring``
+    that is not a :class:`Ring` raises ``TypeError``.
     """
+    _require_ring(ring)
     m = hypergraph.edge_count
     missing_chain = None
     if ring is Ring.INTEGER:
@@ -282,7 +277,7 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
             for i, d in enumerate(diagonal)
         )
         for k, (tails, heads) in enumerate(hypergraph.edges):
-            if (tails or heads) and not _is_coboundary(decomposition, {k: 1}):
+            if (tails or heads) and _grade(decomposition, {k: 1}) != 0:
                 missing_chain = Chain.unit(1, k, Ring.INTEGER)
                 break
     else:

@@ -22,9 +22,13 @@ divisor 1, U B = [W; 0] for W the first r rows of V^-1, so the search
 walks W's columns, not B's, and reads its tree off W; V^-1 is built with
 the Smith form, so the walk builds no factor.  Verification in both
 rings and the integrality test read the Smith form too, through V, which
-their first coboundary test builds from the column log; by the tree
-lemma a family with its Kronecker pattern spans its module once it lies
-in it and has the right size.  The rational tree is read off one reduced
+their first coboundary test builds from the column log.  Cut membership
+is the graded test ``exact_linalg._grade``: a cut grades 0 when it is an
+integer coboundary, 1 when it is only a rational one and 2 when it is
+neither, so an integer tree's cuts must grade 0, a rational tree's at
+most 1, and an integral tree's 0.  By the tree lemma a family with its
+Kronecker pattern spans its module once it lies in it and has the right
+size.  The rational tree is read off one reduced
 row echelon form (RREF) of B: pivot columns are the tree, nonzero rows
 the fundamental cuts, and the null vectors of the free columns the
 fundamental cycles.  The vector-space tree is read off one RREF of the
@@ -46,13 +50,14 @@ from math import gcd, prod
 
 from .boundary import boundary, boundary_matrix
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
+from .core import _require_ring
 from .exact_linalg import (
     ExactMatrix,
     _apply,
     _dense,
     _fundamental_cycles,
+    _grade,
     _integer_row,
-    _is_coboundary,
     _replay,
     _rref_tree,
     _unit_steps,
@@ -143,20 +148,22 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     has none); a cycle's is its restriction to the chords: one pass over
     each chain's nonzeros.  Cycle membership applies the boundary.  The
     rest is read off the hypergraph's Smith form U B V = S with divisors
-    d_i, i < r, in both rings: a cut c (over the rationals scaled to an
-    integer multiple) lies in the row space of B iff V^T c vanishes from
-    the rank on and, over the integers, its entry i is divisible by d_i
-    below it.  A family with its Kronecker pattern (cuts keyed by the tree
-    edges) has an identity minor: its rank is its size and the product of
-    its elementary divisors is 1.  Only a family without it, which only a
-    corrupt tree has, is factored, by a Smith form in both rings, its rows
-    over the rationals first scaled to integer multiples.  Over the
-    rationals a family spans when its rank and size are r (cuts) or m - r
-    (cycles); over the integers a family inside a lattice spans it iff the
-    ranks and the products of the divisors (the index in the saturation)
-    agree: (r, d_1 ... d_r) for cuts, (m - r, 1) for cycles.  A tree the
-    finders build costs no factorization beyond the hypergraph's one.
+    d_i, i < r, in both rings: a cut c lies in the row lattice of B iff it
+    grades 0 under ``_grade``, and (over the rationals scaled to an integer
+    multiple) in the row space iff it grades at most 1.  A family with its
+    Kronecker pattern (cuts keyed by the tree edges) has an identity minor:
+    its rank is its size and the product of its elementary divisors is 1.
+    Only a family without it, which only a corrupt tree has, is factored,
+    by a Smith form in both rings, its rows first scaled to integer
+    multiples.  Over the rationals a family spans when its rank and size
+    are r (cuts) or m - r (cycles); over the integers a family inside a
+    lattice spans it iff the ranks and the products of the divisors (the
+    index in the saturation) agree: (r, d_1 ... d_r) for cuts, (m - r, 1)
+    for cycles, whose coefficients must also all be integers.  A tree the
+    finders build costs no factorization beyond the hypergraph's one.  A
+    tree whose ``ring`` is not a :class:`Ring` raises ``TypeError``.
     """
+    _require_ring(tree.ring)
     m = hypergraph.edge_count
     cuts, cycles = tree.fundamental_cuts, tree.fundamental_cycles
     _check_edge_indices([*cycles.values(), *cuts.values()], m)
@@ -186,12 +193,13 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
         return [c.coefficients if integer else _integer_row(c.coefficients) for c in family.values()]
 
     cut_rows = integer_rows(cuts)
-    cuts_are_cuts = all(_is_coboundary(decomposition, c, tree.ring) for c in cut_rows)
+    # an integer coboundary grades 0, a rational one at most 1
+    cuts_are_cuts = all(_grade(decomposition, c) <= (0 if integer else 1) for c in cut_rows)
 
     def rank_and_index(rows: list, pattern: bool) -> tuple[int, int]:
         if pattern:
             return len(rows), 1
-        divisors = smith_normal_form(ExactMatrix._of(rows, m)).diagonal
+        divisors = smith_normal_form(ExactMatrix._of(map(_integer_row, rows), m)).diagonal
         return len(divisors), prod(divisors)
 
     cut_rank, cut_index = rank_and_index(cut_rows, cut_kronecker and set(cuts) == tree_set)
@@ -199,7 +207,8 @@ def verify_tree_axioms(hypergraph: OrientedHypergraph, tree: SpanningTree) -> Tr
     cycle_rank, cycle_index = rank_and_index(cycle_rows, cycle_kronecker)
     if integer:
         cuts_span = cuts_are_cuts and (cut_rank, cut_index) == (r, prod(decomposition.diagonal))
-        cycles_span = cycles_are_cycles and (cycle_rank, cycle_index) == (m - r, 1)
+        integral = all(x.denominator == 1 for row in cycle_rows for x in row.values())
+        cycles_span = cycles_are_cycles and integral and (cycle_rank, cycle_index) == (m - r, 1)
     else:
         cuts_span = cut_rank == len(tree.tree_edges) == r
         cycles_span = cycle_rank == len(chord_set) == m - r
@@ -224,10 +233,8 @@ def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     if any(x.denominator != 1 for c in chains for x in c.coefficients.values()):
         return False
     decomposition = hypergraph._smith_form
-    return all(
-        _is_coboundary(decomposition, {j: x.numerator for j, x in cut.coefficients.items()})
-        for cut in tree.fundamental_cuts.values()
-    )
+    # a canonical chain without a denominator holds ints
+    return all(_grade(decomposition, c.coefficients) == 0 for c in tree.fundamental_cuts.values())
 
 
 def find_spanning_tree_integer(

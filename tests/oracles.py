@@ -24,7 +24,9 @@ is its earlier integer spanning check,
 columns of B, counting the prefixes it tests,
 :func:`reference_tree_axioms` its earlier tree verification (with
 :func:`_lattice_contains_all`, which also backs :func:`lattice_contains`
-and :func:`sublattice_equal`),
+and :func:`sublattice_equal`, and both with :func:`_is_coboundary`, its
+earlier coboundary test with a ring switch, the reference for the graded
+``exact_linalg._grade``),
 :func:`pairwise_validation_report` checks a hypergraph's invariants edge
 pair by edge pair, :func:`reference_parser` is the command-line parser
 as it was built on argparse, and :func:`pop_random_hypergraph` is the
@@ -59,10 +61,10 @@ from hyperhomology import (
 from hyperhomology import cli
 from hyperhomology.core import _Record
 from hyperhomology.exact_linalg import (
+    _axpy,
     _dense,
     _divide_pivots,
     _integer_echelon,
-    _is_coboundary,
     _replay,
     _rref_tree,
     _unit_steps,
@@ -797,6 +799,25 @@ def quotient_structure(matrix: ExactMatrix) -> ModuleStructure:
     decomposition = smith_normal_form(matrix)
     torsion = tuple(d for d in decomposition.diagonal if d > 1)
     return ModuleStructure(matrix.rows - decomposition.rank, torsion)
+
+
+def _is_coboundary(decomposition: SnfDecomposition, vector: dict, ring=Ring.INTEGER) -> bool:
+    """Whether the integer vector ``{index: value}`` is ``m^T y`` for some y
+    in ``ring``, where ``decomposition`` factors ``m`` as U m V = S.
+
+    Then m^T = V^-T S^T U^-T, so c = m^T y iff V^T c = S^T w for w = U^-T y
+    in ``ring``: V^T c must vanish from the rank on and, over the integers,
+    its entry i must be divisible by d_i below the rank.  V^T c is the sum
+    of c_k times row k of V, one row per nonzero of c.
+    """
+    image: dict = {}
+    for k, x in vector.items():
+        if x:
+            _axpy(image, decomposition.v.lines[k], x)
+    diagonal = decomposition.diagonal
+    rank = len(diagonal)
+    integer = ring is Ring.INTEGER
+    return all(i < rank and not (integer and value % diagonal[i]) for i, value in image.items())
 
 
 def _lattice_contains_all(generators, vectors, ambient_dim: int) -> bool:

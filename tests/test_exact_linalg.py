@@ -15,17 +15,20 @@ from hyperhomology import (
     boundary_matrix,
     cycle_cut_decomposition,
     find_spanning_tree_integer,
+    find_spanning_tree_rational,
     graph_likeness,
     homology,
     main_example,
     parallel_edges,
     path_graph,
     smith_normal_form,
+    triangle_graph,
 )
 from hyperhomology import exact_linalg
 from hyperhomology.exact_linalg import _rref_tree
 
 from oracles import (
+    _is_coboundary,
     annihilator_basis,
     brute_force_has_integer_solution,
     canonical_type,
@@ -502,7 +505,7 @@ def _listed(read):
 
 
 def test_coboundary_test_matches_transposed_solve():
-    # _is_coboundary reads V of the Smith form of B; the oracle solves
+    # _grade reads V of the Smith form of B; the oracle solves
     # B^T y = c against a Smith form of B^T
     from hyperhomology import find_spanning_tree_rational
 
@@ -520,13 +523,13 @@ def test_coboundary_test_matches_transposed_solve():
         for vector in inputs:
             dense = [vector.get(j, 0) for j in range(m)]
             expected = solve_integer(transpose, dense) is not None
-            assert exact_linalg._is_coboundary(decomposition, vector) == expected, (h, vector)
+            assert (exact_linalg._grade(decomposition, vector) == 0) == expected, (h, vector)
             outcomes[expected] = outcomes.get(expected, 0) + 1
     assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
 
 
 def test_rational_coboundary_test_matches_rational_solve():
-    # over the rationals _is_coboundary drops the divisibility by d_i; the
+    # over the rationals _grade's bound 1 drops the divisibility by d_i; the
     # oracle solves B^T y = c over the rationals by elimination
     outcomes = {}
     for h in hypergraph_suite():
@@ -538,10 +541,50 @@ def test_rational_coboundary_test_matches_rational_solve():
         for vector in inputs:
             dense = [vector.get(j, 0) for j in range(m)]
             expected = solve_rational(transpose, dense) is not None
-            found = exact_linalg._is_coboundary(decomposition, vector, Ring.RATIONAL)
+            found = exact_linalg._grade(decomposition, vector) <= 1
             assert found == expected, (h, vector)
             outcomes[expected] = outcomes.get(expected, 0) + 1
     assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+def test_grade_matches_the_reference_coboundary_test():
+    # grade 0 is the reference's integer answer and grade <= 1 its rational
+    # one, on every cut and cycle of both finders' trees, every unit cochain
+    # and seeded small integer vectors
+    rng = random.Random(2828)
+    grades = {0: 0, 1: 0, 2: 0}
+    for h in hypergraph_suite(200):
+        m = h.edge_count
+        decomposition = h._smith_form
+        trees = [find_spanning_tree_rational(h), find_spanning_tree_integer(h)]
+        inputs = [
+            chain.coefficients
+            for tree in trees
+            if tree is not None
+            for family in (tree.fundamental_cuts, tree.fundamental_cycles)
+            for chain in family.values()
+        ]
+        inputs += [{e: 1} for e in range(m)]
+        inputs += [{j: x for j in range(m) if (x := rng.randint(-3, 3))} for _ in range(5)]
+        for vector in inputs:
+            grade = exact_linalg._grade(decomposition, vector)
+            assert (grade == 0) == _is_coboundary(decomposition, vector), (h, vector)
+            assert (grade <= 1) == _is_coboundary(decomposition, vector, Ring.RATIONAL), (h, vector)
+            grades[grade] += 1
+    assert min(grades.values()) > 100, grades
+
+
+def test_grade_pins_on_the_examples():
+    # main_example has divisors (1, 2, 2): e1 kills every cycle, only 2*e1
+    # is an integer coboundary; on the triangle e1 is on the cycle, and
+    # e1 + e3 is the coboundary of minus the indicator of u
+    main = main_example()._smith_form
+    assert exact_linalg._grade(main, {0: 1}) == 1
+    assert exact_linalg._grade(main, {0: 2}) == 0
+    triangle = triangle_graph()._smith_form
+    assert exact_linalg._grade(triangle, {0: 1}) == 2
+    assert exact_linalg._grade(triangle, {0: 1, 2: 1}) == 0
+    assert exact_linalg._grade(triangle, {}) == 0
 
 
 def test_exact_matrix_refuses_inconsistent_shapes():

@@ -2,6 +2,8 @@ import importlib
 import itertools
 import random
 
+import pytest
+
 from hyperhomology import (
     Chain,
     Cochain,
@@ -9,6 +11,7 @@ from hyperhomology import (
     ModuleStructure,
     OrientedHypergraph,
     Ring,
+    SpanningTree,
     boundary,
     boundary_matrix,
     chain_to_cochain,
@@ -23,6 +26,7 @@ from hyperhomology import (
     path_graph,
     smith_normal_form,
     triangle_graph,
+    verify_tree_axioms,
 )
 
 from oracles import (
@@ -498,3 +502,21 @@ def test_integer_tree_implies_perp_equality_and_summand():
         assert sublattice_equal(cuts, cycle_perp, m)
         assert is_direct_summand(matrix.transpose())
     assert found > 10
+
+
+def _verify_over(h, ring):
+    """``verify_tree_axioms`` on h's rational tree, relabelled as over ``ring``."""
+    tree = find_spanning_tree_rational(h)
+    cuts, cycles = tree.fundamental_cuts, tree.fundamental_cycles
+    return verify_tree_axioms(h, SpanningTree(tree.tree_edges, cuts, cycles, ring))
+
+
+@pytest.mark.parametrize("entry_point", [homology, cycle_cut_decomposition, _verify_over])
+@pytest.mark.parametrize("ring", ["int", "rat", None])
+def test_a_ring_that_is_not_a_ring_is_refused(entry_point, ring):
+    # "int" is Ring.INTEGER's value, not the ring: read as the rationals it
+    # would report main_example's cohomology without its torsion
+    h = OrientedHypergraph(main_example().vertices, main_example().edges)
+    with pytest.raises(TypeError, match="^ring must be a Ring, not "):
+        entry_point(h, ring)
+    assert "_smith_form" not in vars(h)

@@ -137,6 +137,42 @@ def test_swapped_cut_labels_fail_verification():
     assert not report.ok
 
 
+def _scaled(family: dict, q) -> dict:
+    """Each chain of ``family`` times the Fraction ``q``, over the rationals."""
+    return {
+        k: Chain(1, {j: q * x for j, x in c.coefficients.items()}, Ring.RATIONAL)
+        for k, c in family.items()
+    }
+
+
+def _has_fraction(family: dict) -> bool:
+    return any(x.denominator != 1 for c in family.values() for x in c.coefficients.values())
+
+
+def test_integer_trees_with_a_fraction_are_reported_not_refused():
+    # integer-ring trees that hold a Fraction: a rational tree read over Z
+    # (patterns intact), its cycles halved, so 1/2 at their own chords, or
+    # its cuts divided by 3 (patterns broken); the family with the Fraction
+    # does not span the integer lattice, and no Fraction row reaches a
+    # Smith form, where it would be blamed on the package
+    reads = ((h, find_spanning_tree_rational(h)) for h in hypergraph_suite(200))
+    h, read = next((h, t) for h, t in reads if _has_fraction(t.fundamental_cycles))
+    assert verify_tree_axioms(h, read).ok
+    triangle = triangle_graph()
+    found = find_spanning_tree_integer(triangle)
+    edges, cuts, cycles = found.tree_edges, found.fundamental_cuts, found.fundamental_cycles
+    cases = [
+        (h, read.tree_edges, read.fundamental_cuts, read.fundamental_cycles, "cycles_span"),
+        (triangle, edges, cuts, _scaled(cycles, Fraction(1, 2)), "cycles_span"),
+        (triangle, edges, _scaled(cuts, Fraction(1, 3)), cycles, "cuts_span"),
+    ]
+    for hypergraph, tree_edges, tree_cuts, tree_cycles, span in cases:
+        tree = SpanningTree(tree_edges, tree_cuts, tree_cycles, Ring.INTEGER)
+        report = verify_tree_axioms(hypergraph, tree)
+        assert getattr(report, span) is False, (span, report)
+        assert is_integral(hypergraph, tree) is False
+
+
 def test_graph_trees_are_integral():
     rng = random.Random(21)
     for _ in range(10):
