@@ -36,8 +36,6 @@ Each handler builds only the form asked for: the JSON payload with
 ``--json``, the text lines without it.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from itertools import repeat

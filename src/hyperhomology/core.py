@@ -12,12 +12,11 @@ derived from them.
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only
 on the code paths that make or test a non-integral value, never at module
 level, so neither an integer query nor a rational one whose values are
-all integral (every query on a graph) loads it.  Annotation types come
-from ``collections.abc``, which ``functools`` loads anyway, not from
+all integral (every query on a graph) loads it.  Annotations are
+evaluated as each module loads; their types come from
+``collections.abc``, which ``functools`` loads anyway, not from
 ``typing``.
 """
-
-from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from enum import Enum
@@ -83,7 +82,7 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = cls._fields + tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
         names = self._fields

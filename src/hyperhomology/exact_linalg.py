@@ -67,8 +67,6 @@ A mismatch raises :class:`InternalInconsistencyError` (never an
 ``assert``).
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from math import gcd, lcm
 

@@ -1,7 +1,5 @@
 """Built-in example hypergraphs and the seeded random instance generator."""
 
-from __future__ import annotations
-
 from .core import OrientedHypergraph
 
 

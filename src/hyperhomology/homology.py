@@ -28,8 +28,6 @@ rational spanning tree of B (``find_spanning_tree_rational``), read off
 one reduced row echelon form of B.
 """
 
-from __future__ import annotations
-
 from .core import Chain, OrientedHypergraph, Ring, _Record, _require_ring
 from .exact_linalg import ModuleStructure, SnfDecomposition, _dense, _grade, _replay
 from .spanning_tree import find_spanning_tree_rational

@@ -44,8 +44,6 @@ applied to W's rows gives the fundamental cuts, and the cycles come from
 the cuts as they do from an RREF.
 """
 
-from __future__ import annotations
-
 from math import gcd, prod
 
 from .boundary import boundary, boundary_matrix

@@ -28,7 +28,8 @@ and :func:`sublattice_equal`, and both with :func:`_is_coboundary`, its
 earlier coboundary test with a ring switch, the reference for the graded
 ``exact_linalg._grade``),
 :func:`pairwise_validation_report` checks a hypergraph's invariants edge
-pair by edge pair, :func:`reference_parser` is the command-line parser
+pair by edge pair, :func:`reference_parse_document` reads a JSON document
+by ``json.loads`` and plain loops, :func:`reference_parser` is the command-line parser
 as it was built on argparse, and :func:`pop_random_hypergraph` is the
 seeded generator as it drew vertex sets by popping from a copy of the
 vertex list.
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -93,6 +95,47 @@ def pairwise_validation_report(vertices, edges) -> list[str]:
             if edges[i] == (heads, tails):
                 violations.append(f"edges {i} and {j}: inverse pair")
     return violations
+
+
+def reference_parse_document(text: str) -> tuple:
+    """What ``cli.parse_document`` makes of ``text``, read with
+    ``json.loads`` and plain loops: ``("hypergraph", vertices, edges)`` for
+    a valid document, ``("document", message)`` for one of the wrong shape
+    and ``("violations", violations)`` for one that breaks an invariant.
+    The shape is checked in the documented order: the document is an
+    object, ``vertices`` a list of strings, ``edges`` a list, then edge by
+    edge the record is an object, its tails a list of strings naming no
+    vertex twice, then its heads the same; the invariants are
+    :func:`pairwise_validation_report`'s."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        where = f"line {err.lineno}, column {err.colno}"
+        return ("document", f"JSON syntax error at {where}: {err.msg}")
+    if type(payload) is not dict:
+        return ("document", "document must be a JSON object")
+    vertices = payload.get("vertices")
+    if type(vertices) is not list or any(type(v) is not str for v in vertices):
+        return ("document", '"vertices" must be a list of strings')
+    records = payload.get("edges")
+    if type(records) is not list:
+        return ("document", '"edges" must be a list')
+    edges = []
+    for j, record in enumerate(records):
+        if type(record) is not dict:
+            return ("document", f"edge {j} must be an object with tails and heads")
+        for label in ("tails", "heads"):
+            side = record.get(label)
+            if type(side) is not list or any(type(v) is not str for v in side):
+                return ("document", f'edge {j}: "{label}" must be a list of strings')
+            for k, v in enumerate(side):
+                if v in side[:k]:
+                    return ("document", f'edge {j}: "{label}" names vertex {v!r} twice')
+        edges.append((record["tails"], record["heads"]))
+    violations = pairwise_validation_report(vertices, edges)
+    if violations:
+        return ("violations", tuple(violations))
+    return ("hypergraph", vertices, edges)
 
 
 def dot(u, v):

@@ -4,8 +4,15 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperhomology import OrientedHypergraph, boundary_matrix, Ring, main_example
+from hyperhomology import (
+    HypergraphValidationError,
+    OrientedHypergraph,
+    Ring,
+    boundary_matrix,
+    main_example,
+)
 from hyperhomology import exact_linalg, spanning_tree
 from hyperhomology.cli import (
     _COMMANDS,
@@ -23,6 +30,7 @@ from oracles import (
     grid_graph,
     hypergraph_suite,
     pop_random_hypergraph,
+    reference_parse_document,
 )
 
 # the package re-exports the function ``boundary`` under the module's name
@@ -113,6 +121,65 @@ def test_parse_reports_the_first_edge_fault(edges, message):
     with pytest.raises(DocumentError) as caught:
         parse_document(text)
     assert str(caught.value) == message
+
+
+# Documents that mix valid parts with every fault the reader refuses:
+# sides and vertex lists that are not lists or hold non-strings (unhashable
+# ones included), repeated, unknown and duplicate vertices, overlapping
+# sides, inverse pairs, missing keys, records that are not objects, and
+# texts cut short.
+_names = st.sampled_from(["a", "b", "c", "d"])
+_not_strings = st.sampled_from([1, 2.5, None, True, ["a"], {"a": "b"}])
+_not_lists = st.sampled_from(["a", 1, 2.5, None, True, {"a": "b"}])
+_name_lists = st.lists(_names, max_size=3, unique=True)
+_faulty_lists = st.lists(st.one_of(_names, _not_strings), min_size=1, max_size=3)
+
+
+@st.composite
+def _documents(draw):
+    def part(valid, faulty):
+        """``valid`` seven times in eight, otherwise ``faulty``."""
+        return draw(valid if draw(st.sampled_from([1] * 7 + [0])) else faulty)
+
+    faulty_sides = st.one_of(_faulty_lists, _not_lists)
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        record = {"tails": draw(_name_lists), "heads": draw(_name_lists)}
+        if records and type(records[-1]) is dict and draw(st.booleans()):
+            record = {"tails": records[-1].get("heads"), "heads": records[-1].get("tails")}
+        fault = draw(st.sampled_from([None] * 9 + ["side", "missing", "record"]))
+        if fault == "side":
+            record[draw(st.sampled_from(["tails", "heads"]))] = draw(faulty_sides)
+        elif fault == "missing":
+            del record[draw(st.sampled_from(["tails", "heads"]))]
+        elif fault == "record":
+            record = draw(st.one_of(_not_lists, _faulty_lists))
+        records.append(record)
+    payload = {
+        "vertices": part(st.one_of(st.just(["a", "b", "c", "d"]), st.lists(_names)), faulty_sides),
+        "edges": part(st.just(records), _not_lists),
+    }
+    for key in draw(st.sampled_from([()] * 8 + [("vertices",), ("edges",)])):
+        del payload[key]
+    text = json.dumps(part(st.just(payload), st.one_of(_not_lists, _faulty_lists)))
+    if draw(st.sampled_from([0] * 9 + [1])):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(_documents())
+def test_parse_document_agrees_with_the_reference_reader(text):
+    expected = reference_parse_document(text)
+    try:
+        got = parse_document(text)
+    except DocumentError as err:
+        assert expected == ("document", str(err))
+    except HypergraphValidationError as err:
+        assert expected == ("violations", err.violations)
+    else:
+        assert expected[0] == "hypergraph"
+        assert got == OrientedHypergraph(expected[1], expected[2])
 
 
 def test_parse_forwards_validation_errors():
@@ -483,7 +550,7 @@ def _run_bare(src, script):
 # only the queries that make a Fraction load.
 _HEAVY = (
     "dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "random",
-    "json", "json.decoder", "json.scanner", "json.encoder",
+    "json", "json.decoder", "json.scanner", "json.encoder", "__future__",
 )
 _RATIONAL_STACK = ("fractions", "decimal", "numbers")
 
