@@ -13,7 +13,7 @@ derived from them.
 on the code paths that make or test a non-integral value, never at module
 level, so neither an integer query nor a rational one whose values are
 all integral (every query on a graph) loads it.  Annotations are
-evaluated as each module loads; their types come from
+expressions, not strings; the types they name come from
 ``collections.abc``, which ``functools`` loads anyway, not from
 ``typing``.
 """
