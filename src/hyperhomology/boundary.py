@@ -8,7 +8,7 @@ report is read, is built as sparse rows, one ``{edge: +-1}`` dict per
 vertex.
 """
 
-from .core import Chain, Cochain, OrientedHypergraph, Ring, _dot, chain_to_cochain
+from .core import Chain, Cochain, OrientedHypergraph, Ring, _dot, _require_ring, chain_to_cochain
 from .exact_linalg import ExactMatrix
 
 
@@ -58,8 +58,10 @@ def boundary_matrix(hypergraph: OrientedHypergraph, ring: Ring) -> ExactMatrix:
     Entry (v, e) is +1 when v is a head of e, -1 when v is a tail, else 0;
     rows follow vertex order, columns follow edge order.  The transpose
     represents the coboundary map on coefficient vectors.  The rows are
-    filled directly, in O(total arity).
+    filled directly, in O(total arity).  A ``ring`` that is not a
+    :class:`Ring` raises ``TypeError``.
     """
+    _require_ring(ring)
     index = hypergraph.vertex_index
     lines: list[dict] = [{} for _ in range(hypergraph.vertex_count)]
     for j, (tails, heads) in enumerate(hypergraph.edges):

@@ -242,6 +242,7 @@ class _FormalSum(_Record):
     ring: Ring
 
     def __init__(self, dimension: int, coefficients, ring: Ring):
+        _require_ring(ring)
         if dimension not in (0, 1):
             raise ValueError("dimension must be 0 (vertices) or 1 (edges)")
         clean = {}

@@ -70,7 +70,7 @@ A mismatch raises :class:`InternalInconsistencyError` (never an
 from functools import cached_property
 from math import gcd, lcm
 
-from .core import InternalInconsistencyError, Ring, _Record
+from .core import InternalInconsistencyError, Ring, _Record, _require_ring
 
 
 class ExactMatrix(_Record):
@@ -84,6 +84,7 @@ class ExactMatrix(_Record):
     lines: tuple
 
     def __init__(self, entries, ring: Ring, cols: int | None = None):
+        _require_ring(ring)
         normalized = [[ring.coerce(x) for x in row] for row in entries]
         if normalized:
             width = len(normalized[0])

@@ -25,7 +25,11 @@ lattice comparison) and to the pairing-functional lattice now live in
 ``tests/oracles.py``, where they serve as independent checks.  Over the
 rationals the bases are the fundamental cycles and cuts of the greedy
 rational spanning tree of B (``find_spanning_tree_rational``), read off
-one reduced row echelon form of B.
+one reduced row echelon form of B.  In both rings the decomposition's
+cycles and cuts are orthogonal, independent and m in number by
+construction, so its orthogonality, intersection and dimension flags are
+not recomputed; the pass that forms every cycle-cut product lives in
+``tests/oracles.py``.
 """
 
 from .core import Chain, OrientedHypergraph, Ring, _Record, _require_ring
@@ -204,13 +208,18 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
 class DecompositionReport(_Record):
     """Cycle and cut bases with the diagnostics of how they sit in the
     1-chain module: orthogonality, trivial intersection, and whether their
-    sum is everything (over the integers it may not be).  Both bases are
-    independent by construction, so the intersection is trivial when they
-    are orthogonal, and their rational sum is everything when, in addition,
-    the sizes add up to the edge count.  Over the integers the sum is
-    everything when every standard edge chain lies in it, which the Smith
-    form of the boundary matrix decides edge by edge; ``missing_chain`` is
-    the first that does not."""
+    sum is everything (over the integers it may not be).
+
+    The first three flags hold by construction, in both rings, and are
+    read off it, not recomputed.  The cycles are orthogonal to the cuts
+    (see :func:`cycle_cut_decomposition` for why), each family is
+    independent, and their sizes are (m - r) + r = m for m edges and
+    boundary rank r.  Orthogonal families meet only in 0, so the
+    intersection is trivial and, over the rationals, they span every
+    1-chain.  Over the integers the sum is everything when every standard
+    edge chain lies in it, which the Smith form of the boundary matrix
+    decides edge by edge; ``missing_chain`` is the first that does not, and
+    ``spans_all_chains`` says whether there is none."""
 
     ring: Ring
     cycle_basis: tuple[Chain, ...]
@@ -222,39 +231,27 @@ class DecompositionReport(_Record):
     missing_chain: Chain | None
 
 
-def _mutually_orthogonal(cycles, cuts) -> bool:
-    """Whether every cycle is orthogonal to every cut, in one pass over the
-    nonzeros: the cut coefficients are indexed by edge, and each cycle's
-    inner products with all cuts are accumulated together."""
-    by_edge: dict[int, list] = {}
-    for c, cut in enumerate(cuts):
-        for j, x in cut.coefficients.items():
-            by_edge.setdefault(j, []).append((c, x))
-    for cycle in cycles:
-        products: dict[int, object] = {}
-        for j, x in cycle.coefficients.items():
-            for c, y in by_edge.get(j, ()):
-                products[c] = products.get(c, 0) + x * y
-        if any(products.values()):
-            return False
-    return True
-
-
 def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> DecompositionReport:
     """Compute the cycle module and cut module bases over ``ring`` and
-    check how they decompose the 1-chains.
+    report how they decompose the 1-chains.
 
     Over the rationals the two are orthogonal complements.  Over the
     integers they still intersect trivially but their sum can be a proper
     sublattice; the first standard edge chain outside the sum is reported.
     Integer cycles are columns r.. of V in the Smith form U B V = S, as its
     column log builds them, and the cuts d_i times row i of V^-1 for i < r;
-    rational cycles and cuts are the
-    fundamental cycles and cuts of the rational spanning tree.  Either way
-    each family is independent (V is unimodular, every d_i is nonzero, the
-    fundamental cuts and cycles have Kronecker patterns), so the intersection
-    and rational spanning diagnostics follow from orthogonality and the
-    dimension count.  Orthogonality is one pass over the nonzeros.
+    rational cycles and cuts are the fundamental cycles and cuts of the
+    rational spanning tree.  Either way each family is independent (V is
+    unimodular, every d_i is nonzero, the fundamental cuts and cycles have
+    Kronecker patterns), and no cycle-cut product is formed, because each
+    is 0 by construction:
+
+    - over the integers, cut i times cycle k is d_i (V^-1 V)_ik = 0 for
+      i < r <= k; ``smith_normal_form`` checks V^-1 V = I exactly, against
+      the same column log that builds the cycles;
+    - over the rationals, cycle f is e_f minus the sum over tree edges t of
+      cut_t[f] e_t, and cut t has 1 at t and 0 at every other tree edge,
+      so cut_t . cycle_f = cut_t[f] - cut_t[f] = 0.
 
     The integer spanning check needs no second factorization.  Cycles and
     cuts are orthogonal, so e_k = z + c with z a cycle and c a cut gives
@@ -264,7 +261,6 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     that is not a :class:`Ring` raises ``TypeError``.
     """
     _require_ring(ring)
-    m = hypergraph.edge_count
     missing_chain = None
     if ring is Ring.INTEGER:
         decomposition = hypergraph._smith_form
@@ -283,21 +279,13 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
         cycle_basis = tuple(tree.fundamental_cycles.values())
         cut_basis = tuple(tree.fundamental_cuts.values())
 
-    orthogonal = _mutually_orthogonal(cycle_basis, cut_basis)
-    intersection_trivial = orthogonal
-    dimensions_sum = len(cycle_basis) + len(cut_basis) == m
-    if ring is Ring.INTEGER:
-        spans = missing_chain is None
-    else:
-        spans = orthogonal and dimensions_sum
-
     return DecompositionReport(
         ring=ring,
         cycle_basis=cycle_basis,
         cut_basis=cut_basis,
-        mutually_orthogonal=orthogonal,
-        intersection_trivial=intersection_trivial,
-        dimensions_sum_to_edge_count=dimensions_sum,
-        spans_all_chains=spans,
+        mutually_orthogonal=True,
+        intersection_trivial=True,
+        dimensions_sum_to_edge_count=True,
+        spans_all_chains=missing_chain is None,
         missing_chain=missing_chain,
     )

@@ -18,7 +18,9 @@ the dense list transpose and products beside them are the reference for
 the sparse rows of ``ExactMatrix`` and stand in for its former
 matrix-vector and matrix products (and the identity and zero matrices for
 its former constructors), :func:`stacked_smith_missing_chain`
-is its earlier integer spanning check,
+is its earlier integer spanning check, :func:`mutually_orthogonal` the
+pass with which its decomposition checked the orthogonality that now
+holds by construction,
 :func:`lexicographic_integer_tree_edges` its earlier integer-tree search,
 :func:`prefix_walk_over_boundary` that search's prefix walk over the
 columns of B, counting the prefixes it tests,
@@ -541,6 +543,24 @@ def stacked_smith_missing_chain(cycle_vectors, cut_vectors, ambient_dim: int):
         if snf_solve(chain_sum, unit) is None:
             return e
     return None
+
+
+def mutually_orthogonal(cycles, cuts) -> bool:
+    """Whether every cycle is orthogonal to every cut, in one pass over the
+    nonzeros: the cut coefficients are indexed by edge, and each cycle's
+    inner products with all cuts are accumulated together."""
+    by_edge: dict[int, list] = {}
+    for c, cut in enumerate(cuts):
+        for j, x in cut.coefficients.items():
+            by_edge.setdefault(j, []).append((c, x))
+    for cycle in cycles:
+        products: dict[int, object] = {}
+        for j, x in cycle.coefficients.items():
+            for c, y in by_edge.get(j, ()):
+                products[c] = products.get(c, 0) + x * y
+        if any(products.values()):
+            return False
+    return True
 
 
 def spanning_tree_count(hypergraph: OrientedHypergraph) -> int:

@@ -247,6 +247,27 @@ def test_with_ring_conversion():
         Chain(1, {0: Fraction(1, 2)}, Ring.RATIONAL).with_ring(Ring.INTEGER)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Chain(1, {}, "int"),
+        lambda: Cochain(0, {}, None),
+        lambda: ExactMatrix([], "int"),
+        lambda: boundary_matrix(triangle_graph(), "int"),
+        lambda: Chain(1, {0: 1}, "int"),
+        lambda: Chain.unit(1, 0, "rat"),
+        lambda: ExactMatrix([[1]], "int"),
+        lambda: Chain.unit(1, 0, Ring.INTEGER).with_ring("rat"),
+        # the ring is checked before the dimension and the shape
+        lambda: Chain(2, {}, "int"),
+        lambda: ExactMatrix([[1], [1, 2]], "int"),
+    ],
+)
+def test_chains_and_matrices_refuse_a_ring_that_is_not_a_ring(make):
+    with pytest.raises(TypeError, match="^ring must be a Ring, not "):
+        make()
+
+
 def test_scalar_normalization():
     chain = Chain(1, {0: Fraction(6, 4)}, Ring.RATIONAL)
     value = chain.coefficient(0)

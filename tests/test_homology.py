@@ -1,8 +1,8 @@
-import importlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperhomology import (
     Chain,
@@ -41,6 +41,7 @@ from oracles import (
     cycles_equal_cut_perp_check,
     dense_apply,
     dense_smith_normal_form,
+    disjoint_union,
     dot,
     fraction_det,
     fraction_rank,
@@ -51,6 +52,7 @@ from oracles import (
     kernel_basis,
     lattice_contains,
     minor_gcd_divisors,
+    mutually_orthogonal,
     random_connected_graph,
     represents_dualized_boundary,
     seeded_suite,
@@ -59,10 +61,7 @@ from oracles import (
     stacked_smith_missing_chain,
     sublattice_equal,
 )
-
-# the package re-exports the function ``homology`` under the module's name
-homology_module = importlib.import_module("hyperhomology.homology")
-spanning_tree_module = importlib.import_module("hyperhomology.spanning_tree")
+from test_shared_smith_form import hypergraphs
 
 
 def test_homology_main_example_integer():
@@ -381,30 +380,35 @@ def test_mutual_orthogonality_matches_pairwise_products():
 
         cycles, cuts = family(), family()
         expected = all(canonical_inner_product(z, c) == 0 for z in cycles for c in cuts)
-        assert homology_module._mutually_orthogonal(cycles, cuts) == expected
+        assert mutually_orthogonal(cycles, cuts) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
 
 
-def test_decomposition_reports_cuts_that_are_not_orthogonal(monkeypatch):
-    # a cut with a cycle added is no longer orthogonal to that cycle; the
-    # rational bases are the fundamental cuts and cycles of the rational tree
-    real = spanning_tree_module._rref_tree
-
-    def cut_plus_cycle(rows, cols):
-        tree, cuts, cycles = real(rows, cols)
-        t, e = tree[0], min(cycles)
-        total = dict(cuts[t])
-        for j, x in cycles[e].items():
-            total[j] = total.get(j, 0) + x
-        cuts[t] = {j: x for j, x in sorted(total.items()) if x}
-        return tree, cuts, cycles
-
-    monkeypatch.setattr(spanning_tree_module, "_rref_tree", cut_plus_cycle)
-    report = cycle_cut_decomposition(triangle_graph(), Ring.RATIONAL)
-    assert not report.mutually_orthogonal
-    assert not report.intersection_trivial
-    assert not report.spans_all_chains
+@settings(derandomize=True, database=None, deadline=None)
+@given(hypergraphs, st.booleans())
+def test_decomposition_flags_hold_on_generated_hypergraphs(h, with_main_example):
+    # the report reads its first three flags off how the bases are built;
+    # the oracle pass and a rational rank check them here
+    if with_main_example:
+        h = disjoint_union(h, main_example())
+    m = h.edge_count
+    for ring in (Ring.INTEGER, Ring.RATIONAL):
+        report = cycle_cut_decomposition(h, ring)
+        cycles = [c.to_vector(m) for c in report.cycle_basis]
+        cuts = [c.to_vector(m) for c in report.cut_basis]
+        assert mutually_orthogonal(report.cycle_basis, report.cut_basis)
+        assert fraction_rank(cycles + cuts) == m
+        assert report.mutually_orthogonal
+        assert report.intersection_trivial
+        assert report.dimensions_sum_to_edge_count
+        # over the rationals the two bases span every chain
+        expected = None
+        if ring is Ring.INTEGER:
+            missing = stacked_smith_missing_chain(cycles, cuts, m)
+            expected = None if missing is None else Chain.unit(1, missing, Ring.INTEGER)
+        assert report.missing_chain == expected
+        assert report.spans_all_chains == (expected is None)
 
 
 def test_cycles_equal_cut_perp_everywhere():
