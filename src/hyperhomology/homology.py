@@ -18,17 +18,17 @@ no transpose.  The Smith form is checked without V, and V is built from
 its column log when first read: by the cycles and by coboundary
 membership, not by the divisors.  The five graph-likeness conditions are
 equivalent; the report decides them once, by whether every divisor is 1,
-and builds the witnesses from the same factorization, so a positive
-verdict builds no V.  The other routes to the same conditions (the direct
-summand test, the cohomology-to-dual check, the cycle annihilator with a
-lattice comparison) and to the pairing-functional lattice now live in
-``tests/oracles.py``, where they serve as independent checks.  Over the
-rationals the bases are the fundamental cycles and cuts of the greedy
-rational spanning tree of B (``find_spanning_tree_rational``), read off
-one reduced row echelon form of B.  In both rings the decomposition's
-cycles and cuts are orthogonal, independent and m in number by
-construction, so its orthogonality, intersection and dimension flags are
-not recomputed; the pass that forms every cycle-cut product lives in
+holds that one verdict and builds the witnesses from the same
+factorization, so a positive verdict builds no V.  The other routes to
+the same conditions (the direct summand test, the cohomology-to-dual
+check, the cycle annihilator with a lattice comparison) and to the
+pairing-functional lattice now live in ``tests/oracles.py``, where they
+serve as independent checks.  Over the rationals the bases are the
+fundamental cycles and cuts of the greedy rational spanning tree of B
+(``find_spanning_tree_rational``), read off one reduced row echelon form
+of B.  In both rings the decomposition's cycles and cuts are orthogonal,
+independent and m in number by construction, so its report holds no flag
+for these facts; the pass that forms every cycle-cut product lives in
 ``tests/oracles.py``.
 """
 
@@ -98,29 +98,32 @@ class Witness(_Record):
     coefficients: tuple
 
 
-class GraphLikenessReport(_Record):
-    """Truth values of the five equivalent graph-likeness conditions.
+# the paper's five equivalent graph-likeness conditions, in its order
+_CONDITIONS = (
+    "canonical_iso",
+    "annihilator_equals_coboundary_image",
+    "cuts_equal_cycle_perp",
+    "boundary_image_direct_summand",
+    "hom_dual_iso",
+)
 
-    The five are equivalent, so they always carry the same value; when they
-    are false, ``witnesses`` carries one concrete counterexample per
-    condition.
+
+class GraphLikenessReport(_Record):
+    """The one verdict of the five equivalent graph-likeness conditions.
+
+    The five are equivalent, so the report holds their common value once,
+    as ``graph_like``, and :meth:`conditions` gives it under each name;
+    when it is false, ``witnesses`` carries one concrete counterexample per
+    condition, in the same order.
     """
 
-    canonical_iso: bool
-    annihilator_equals_coboundary_image: bool
-    cuts_equal_cycle_perp: bool
-    boundary_image_direct_summand: bool
-    hom_dual_iso: bool
+    graph_like: bool
     witnesses: tuple[Witness, ...]
 
-    @property
-    def graph_like(self) -> bool:
-        return all(self.conditions().values())
-
     def conditions(self) -> dict[str, bool]:
-        """The five conditions by name, in declaration order: every field
-        but the last, the witnesses."""
-        return {name: getattr(self, name) for name in self._fields[:-1]}
+        """The five conditions by name, in the paper's order, each with the
+        one verdict."""
+        return dict.fromkeys(_CONDITIONS, self.graph_like)
 
 
 def _annihilator_witness(decomposition: SnfDecomposition, position: int):
@@ -151,82 +154,62 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
     """Decide the five graph-likeness conditions from one Smith normal form.
 
     The conditions are equivalent, and each holds exactly when every
-    elementary divisor of the boundary matrix is 1, so all five booleans
-    carry that one verdict.  The canonical-isomorphism condition is recorded
+    elementary divisor of the boundary matrix is 1, so the report holds
+    that one verdict.  The canonical-isomorphism condition is witnessed
     through its computable form, the lattice equality of the cycle
     annihilator with the coboundary image.  A positive verdict reads only
     the divisors.  When the verdict is negative, the witnesses come from
     the same factorization, and the first one builds V.
     """
     decomposition = hypergraph._smith_form
-    graph_like = all(d == 1 for d in decomposition.diagonal)
-    witnesses: list[Witness] = []
-    if not graph_like:
-        position = next(i for i, d in enumerate(decomposition.diagonal) if d > 1)
-        divisor = decomposition.diagonal[position]
-        coefficients, description = _annihilator_witness(decomposition, position)
-        perp = "chain orthogonal to every cycle that lies outside the cut lattice"
-        for condition, text in (
-            ("canonical_iso", description),
-            ("annihilator_equals_coboundary_image", description),
-            ("cuts_equal_cycle_perp", perp),
-        ):
-            witnesses.append(Witness(condition, text, "edges", coefficients))
-        # column ``position`` of U^-1: the row log undone, last operation
-        # first, on the unit vector at ``position``; each inverse acts on
-        # rows, so it keeps a and b, unlike ``_undo``, whose inverse acts on
-        # columns
-        undo = [(a, b, -q) for a, b, q in reversed(decomposition.row_log)]
-        column = _replay(undo, {position: 1})
-        witnesses.append(
-            Witness(
-                "boundary_image_direct_summand",
-                f"0-chain whose {divisor}-multiple is a boundary although it is not one itself",
-                "vertices",
-                tuple(_dense(column, decomposition.s.rows)),
-            )
-        )
-        witnesses.append(
-            Witness(
-                "hom_dual_iso",
-                f"cochain whose class has finite order {divisor} in the cohomology",
-                "edges",
-                decomposition.v_inverse.row(position),
-            )
-        )
-
-    return GraphLikenessReport(
-        canonical_iso=graph_like,
-        annihilator_equals_coboundary_image=graph_like,
-        cuts_equal_cycle_perp=graph_like,
-        boundary_image_direct_summand=graph_like,
-        hom_dual_iso=graph_like,
-        witnesses=tuple(witnesses),
+    position = next((i for i, d in enumerate(decomposition.diagonal) if d > 1), None)
+    if position is None:
+        return GraphLikenessReport(True, ())
+    divisor = decomposition.diagonal[position]
+    coefficients, description = _annihilator_witness(decomposition, position)
+    # column ``position`` of U^-1: the row log undone, last operation first,
+    # on the unit vector at ``position``; each inverse acts on rows, so it
+    # keeps a and b, unlike ``_undo``, whose inverse acts on columns
+    undo = [(a, b, -q) for a, b, q in reversed(decomposition.row_log)]
+    column = _replay(undo, {position: 1})
+    perp = "chain orthogonal to every cycle that lies outside the cut lattice"
+    # (description, basis, coefficients) for each condition, in its order
+    found = (
+        (description, "edges", coefficients),
+        (description, "edges", coefficients),
+        (perp, "edges", coefficients),
+        (
+            f"0-chain whose {divisor}-multiple is a boundary although it is not one itself",
+            "vertices",
+            tuple(_dense(column, decomposition.s.rows)),
+        ),
+        (
+            f"cochain whose class has finite order {divisor} in the cohomology",
+            "edges",
+            decomposition.v_inverse.row(position),
+        ),
     )
+    return GraphLikenessReport(False, tuple(Witness(c, *w) for c, w in zip(_CONDITIONS, found)))
 
 
 class DecompositionReport(_Record):
-    """Cycle and cut bases with the diagnostics of how they sit in the
-    1-chain module: orthogonality, trivial intersection, and whether their
-    sum is everything (over the integers it may not be).
+    """Cycle and cut bases and whether their sum is every 1-chain (over the
+    integers it may not be).
 
-    The first three flags hold by construction, in both rings, and are
-    read off it, not recomputed.  The cycles are orthogonal to the cuts
-    (see :func:`cycle_cut_decomposition` for why), each family is
-    independent, and their sizes are (m - r) + r = m for m edges and
-    boundary rank r.  Orthogonal families meet only in 0, so the
-    intersection is trivial and, over the rationals, they span every
-    1-chain.  Over the integers the sum is everything when every standard
-    edge chain lies in it, which the Smith form of the boundary matrix
-    decides edge by edge; ``missing_chain`` is the first that does not, and
-    ``spans_all_chains`` says whether there is none."""
+    The report holds no flag for what the construction decides, in both
+    rings.  The cycles are orthogonal to the cuts (see
+    :func:`cycle_cut_decomposition` for why), each family is independent,
+    and their sizes are (m - r) + r = m for m edges and boundary rank r.
+    Orthogonal families meet only in 0, so the intersection is trivial,
+    the dimensions sum to the edge count and, over the rationals, the
+    bases span every 1-chain.  Over the integers the sum is everything
+    when every standard edge chain lies in it, which the Smith form of the
+    boundary matrix decides edge by edge; ``missing_chain`` is the first
+    that does not, and ``spans_all_chains`` says whether there is none."""
 
     ring: Ring
     cycle_basis: tuple[Chain, ...]
     cut_basis: tuple[Chain, ...]
-    mutually_orthogonal: bool
-    intersection_trivial: bool
-    dimensions_sum_to_edge_count: bool
     spans_all_chains: bool
     missing_chain: Chain | None
 
@@ -283,9 +266,6 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
         ring=ring,
         cycle_basis=cycle_basis,
         cut_basis=cut_basis,
-        mutually_orthogonal=True,
-        intersection_trivial=True,
-        dimensions_sum_to_edge_count=True,
         spans_all_chains=missing_chain is None,
         missing_chain=missing_chain,
     )

@@ -33,6 +33,7 @@ from oracles import (
     annihilator_of_cycles,
     boundary_functional_lattice,
     candidate_tree_is_integral,
+    cohomology_hom_iso_check,
     cycles_equal_cut_perp_check,
     dense_apply,
     enumerate_rational_candidate_trees,
@@ -46,6 +47,7 @@ from oracles import (
     kernel_basis,
     lattice_contains,
     minor_gcd_divisors,
+    mutually_orthogonal,
     random_connected_graph,
     row_log_factors,
     snf_reproduces,
@@ -119,8 +121,9 @@ def test_criterion_1_main_example_exact():
         assert groups.h1_cohomology == ModuleStructure(0, (2, 2))
         assert groups.h1 != groups.h1_cohomology
 
-        # the five conditions are all false
-        assert set(report.conditions().values()) == {False}
+        # the one verdict of the five conditions is false
+        assert not report.graph_like
+        assert not cohomology_hom_iso_check(h)
 
         # exhaustive integer-tree search returns none without hitting a limit
         assert find_spanning_tree_integer(h, search_limit=10) is None
@@ -137,9 +140,11 @@ def test_criterion_2_parallel_edges_exact():
         cuts = image_basis(matrix.transpose(), Ring.INTEGER)
         assert sublattice_equal(cuts, [[1, 1]], m)
 
+        # the report's bases are orthogonal and independent, so they meet in 0
         report = cycle_cut_decomposition(h, Ring.INTEGER)
-        assert report.intersection_trivial
-        assert report.mutually_orthogonal
+        assert mutually_orthogonal(report.cycle_basis, report.cut_basis)
+        chains = report.cycle_basis + report.cut_basis
+        assert fraction_rank([c.to_vector(m) for c in chains]) == len(chains) == m
 
         # the second edge is outside the sum of the two lattices
         combined = cycles + cuts
@@ -153,7 +158,8 @@ def test_criterion_2_parallel_edges_exact():
 
         likeness = graph_likeness(h)
         assert likeness.graph_like
-        assert set(likeness.conditions().values()) == {True}
+        assert is_direct_summand(matrix)
+        assert cohomology_hom_iso_check(h)
 
 
 def test_criterion_3_graph_suite():
@@ -197,15 +203,25 @@ def test_criterion_4_hypergraph_property_suite():
             tree = find_spanning_tree_rational(h)
             assert verify_tree_axioms(h, tree).ok
 
+            # orthogonal bases of rank m: they meet in 0, their dimensions sum
+            # to m and they span every rational 1-chain
             decomposition = cycle_cut_decomposition(h, Ring.RATIONAL)
-            assert decomposition.dimensions_sum_to_edge_count
-            assert decomposition.mutually_orthogonal
-            assert decomposition.spans_all_chains
+            assert mutually_orthogonal(decomposition.cycle_basis, decomposition.cut_basis)
+            chains = decomposition.cycle_basis + decomposition.cut_basis
+            assert fraction_rank([c.to_vector(m) for c in chains]) == len(chains) == m
 
             assert cycles_equal_cut_perp_check(h).equal
 
-            likeness = graph_likeness(h)
-            assert len(set(likeness.conditions().values())) == 1
+            # the one verdict against three independent routes: the boundary
+            # image is a direct summand, the cohomology is the dual of the
+            # homology, and the cuts are the annihilator of the cycles
+            cuts = image_basis(matrix.transpose(), Ring.INTEGER)
+            routes = [
+                is_direct_summand(matrix),
+                cohomology_hom_iso_check(h),
+                sublattice_equal(cuts, annihilator_of_cycles(h), m),
+            ]
+            assert routes == [graph_likeness(h).graph_like] * 3
 
             groups = homology(h, Ring.INTEGER)
             assert groups.h1 == ModuleStructure(m - image_rank(matrix), ())

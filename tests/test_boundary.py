@@ -50,6 +50,40 @@ def test_coboundary_index_out_of_range():
         coboundary(h, Cochain(0, {9: 1}, Ring.INTEGER))
 
 
+_EDGE = Chain.unit(1, 0, Ring.INTEGER)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda h: boundary(h, Chain.unit(0, 0, Ring.INTEGER)),
+            ValueError,
+            "boundary expects a 1-chain",
+        ),
+        (
+            lambda h: coboundary(h, Cochain.unit(1, 0, Ring.INTEGER)),
+            ValueError,
+            "coboundary expects a 0-cochain",
+        ),
+        (
+            lambda h: canonical_inner_product(_EDGE, Cochain.unit(1, 0, Ring.INTEGER)),
+            TypeError,
+            "inner product requires two chains or two cochains",
+        ),
+        (
+            lambda h: canonical_inner_product(_EDGE, Chain.unit(0, 0, Ring.INTEGER)),
+            ValueError,
+            "dimension mismatch",
+        ),
+    ],
+    ids=["boundary-of-0-chain", "coboundary-of-1-cochain", "chain-and-cochain", "two-dimensions"],
+)
+def test_boundary_calculus_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(parallel_edges())
+
+
 def test_coboundary_indicator():
     h = OrientedHypergraph(["u", "v"], [({"u"}, {"v"})])
     phi_v = Cochain.unit(0, 1, Ring.INTEGER)

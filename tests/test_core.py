@@ -227,6 +227,41 @@ def test_non_int_basis_indices_rejected(index):
         Chain.unit(1, index, Ring.INTEGER)
 
 
+_COCHAIN = Cochain.unit(1, 0, Ring.INTEGER)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: Chain(2, {}, Ring.INTEGER),
+            ValueError,
+            r"dimension must be 0 \(vertices\) or 1 \(edges\)",
+        ),
+        (
+            lambda: Chain.unit(1, 3, Ring.INTEGER).to_vector(3),
+            IndexError,
+            "coefficient index out of range for requested length",
+        ),
+        (lambda: _COCHAIN.evaluate(_COCHAIN), TypeError, "cochains evaluate on chains"),
+        (
+            lambda: _COCHAIN.evaluate(Chain.unit(0, 0, Ring.INTEGER)),
+            ValueError,
+            "dimension mismatch",
+        ),
+        (
+            lambda: _COCHAIN.evaluate(Chain.unit(1, 0, Ring.RATIONAL)),
+            ValueError,
+            "ring mismatch",
+        ),
+    ],
+    ids=["dimension-2", "short-vector", "cochain-on-cochain", "wrong-dimension", "wrong-ring"],
+)
+def test_formal_sum_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_ring_and_dimension_mismatch():
     a = Chain(1, {0: 1}, Ring.INTEGER)
     b = Chain(1, {0: Fraction(1)}, Ring.RATIONAL)

@@ -115,16 +115,24 @@ def test_snf_rejects_rational_matrices():
 # Plants one fault in what the sparse reduction hands back (the row log, the
 # column log or the divisors) or in how V^-1 is built from the column log;
 # the exact self-checks must refuse each one whatever the interpreter's
-# optimisation flags.  The main example's reduction logs row and column
-# operations of every kind the faults need; its diagonal (1, 1, 1) is a
-# divisor chain, so only U B = D V^-1 can refuse it as the Smith form, and
-# [[2, 0], [0, 3]]'s diagonal (2, 3) is not a chain (its form is (1, 6)).
+# optimisation flags, and each is refused by the check named with it.  The
+# main example's reduction logs row and column operations of every kind the
+# faults need; its diagonal (1, 1, 1) is a divisor chain, so only
+# U B = D V^-1 can refuse it as the Smith form, and [[2, 0], [0, 3]]'s
+# diagonal (2, 3) is not a chain (its form is (1, 6)).  The parallel edges'
+# boundary matrix has rank 1 and 2 columns, so row 1 of V^-1 is one that
+# D V^-1 never reads, and only V^-1 V = I can refuse a fault confined to it.
 _CORRUPTIONS = """
-from hyperhomology import ExactMatrix, Ring, boundary_matrix, exact_linalg, main_example
+from hyperhomology import ExactMatrix, Ring, boundary_matrix, exact_linalg
+from hyperhomology import main_example, parallel_edges
 
 real_smith_reduce = exact_linalg._smith_reduce
 MATRIX = boundary_matrix(main_example(), Ring.INTEGER)
 UNCHAINED = ExactMatrix([[2, 0], [0, 3]], Ring.INTEGER)
+LOW_RANK = boundary_matrix(parallel_edges(), Ring.INTEGER)
+CHAIN = "the elementary divisors are not a divisor chain"
+PRODUCT = "Smith normal form factors do not reproduce the matrix"
+INVERSE = "the column operations do not invert V^-1"
 
 
 def extra_row_op(divisors, row_log, column_log):
@@ -146,6 +154,12 @@ def wrong_divisor(divisors, row_log, column_log):
     divisors[-1] *= 2
 
 
+def negation_as_self_add(divisors, row_log, column_log):
+    # negates column 1, zero from the rank on, as "add -2 times itself",
+    # which ``_undo`` does not invert: it triples row 1 of V^-1 instead
+    column_log.append((1, 1, -2))
+
+
 def corrupted(fault):
     def smith_reduce(rows, width):
         divisors, row_log, column_log = real_smith_reduce(rows, width)
@@ -164,14 +178,18 @@ def undo_keeps_multiplier(op):
     return op
 
 
-# fault name -> (module attribute to replace, its faulty stand-in, the matrix)
+# fault name -> (module attribute to replace, its faulty stand-in, the
+# matrix, the message of the check that refuses it)
 FAULTS = {
-    fault.__name__: ("_smith_reduce", corrupted(fault), MATRIX)
+    fault.__name__: ("_smith_reduce", corrupted(fault), MATRIX, PRODUCT)
     for fault in (extra_row_op, dropped_row_op, doubled_column_multiplier, wrong_divisor)
 }
-FAULTS["no_reduction"] = ("_smith_reduce", no_reduction, MATRIX)
-FAULTS["unchained_divisors"] = ("_smith_reduce", no_reduction, UNCHAINED)
-FAULTS["undo_keeps_multiplier"] = ("_undo", undo_keeps_multiplier, MATRIX)
+FAULTS["no_reduction"] = ("_smith_reduce", no_reduction, MATRIX, PRODUCT)
+FAULTS["unchained_divisors"] = ("_smith_reduce", no_reduction, UNCHAINED, CHAIN)
+FAULTS["undo_keeps_multiplier"] = ("_undo", undo_keeps_multiplier, MATRIX, PRODUCT)
+FAULTS["negation_as_self_add"] = (
+    "_smith_reduce", corrupted(negation_as_self_add), LOW_RANK, INVERSE
+)
 """
 
 
@@ -183,26 +201,27 @@ def _planted_faults() -> dict:
 
 def test_snf_self_check_raises_on_wrong_product(monkeypatch):
     planted = _planted_faults()
-    assert len(planted["FAULTS"]) == 7
-    for attribute, fault, matrix in planted["FAULTS"].values():
+    assert len(planted["FAULTS"]) == 8
+    for attribute, fault, matrix, message in planted["FAULTS"].values():
         smith_normal_form(matrix)  # the factors as made pass
         with monkeypatch.context() as patch:
             patch.setattr(exact_linalg, attribute, fault)
-            with pytest.raises(InternalInconsistencyError):
+            with pytest.raises(InternalInconsistencyError) as raised:
                 smith_normal_form(matrix)
+            assert str(raised.value) == message
 
 
 def test_snf_self_check_runs_under_python_O():
     script = _CORRUPTIONS + """
 from hyperhomology import InternalInconsistencyError, smith_normal_form
 print("debug", __debug__)
-for name, (attribute, fault, matrix) in FAULTS.items():
+for name, (attribute, fault, matrix, message) in FAULTS.items():
     real = getattr(exact_linalg, attribute)
     setattr(exact_linalg, attribute, fault)
     try:
         smith_normal_form(matrix)
-    except InternalInconsistencyError:
-        print("check raised", name)
+    except InternalInconsistencyError as error:
+        print("check raised", name, str(error) == message)
     setattr(exact_linalg, attribute, real)
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -211,7 +230,7 @@ for name, (attribute, fault, matrix) in FAULTS.items():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    raised = [f"check raised {name}" for name in _planted_faults()["FAULTS"]]
+    raised = [f"check raised {name} True" for name in _planted_faults()["FAULTS"]]
     assert result.stdout.splitlines() == ["debug False", *raised]
 
 

@@ -951,6 +951,12 @@ def test_vector_space_refuses_negative_ambient_dim():
     assert vector_space_spanning_tree(0, []) == ((), {}, {})
 
 
+@pytest.mark.parametrize("generator", [[1], [1, 0, 0]], ids=["short", "long"])
+def test_vector_space_refuses_generator_of_wrong_length(generator):
+    with pytest.raises(ValueError, match="^generator length does not match ambient dimension$"):
+        vector_space_spanning_tree(2, [[0, 1], generator])
+
+
 def test_vector_space_full_subspace():
     tree, cuts, cycles = vector_space_spanning_tree(2, [[1, 0], [0, 1]])
     assert tree == ()
