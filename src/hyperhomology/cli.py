@@ -197,9 +197,8 @@ def _dumps(value) -> str:
 
 def _encode(value, newline: str) -> str:
     """The JSON text of ``value``; ``newline`` is the line break and indent
-    of the level that holds it.  A container encodes its ``int`` and
-    ``str`` items in line, which saves a call per coefficient.  A key that
-    is not a ``str`` fails in ``_quote`` with ``TypeError``."""
+    of the level that holds it.  A key that is not a ``str`` fails in
+    ``_quote`` with ``TypeError``."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -214,24 +213,12 @@ def _encode(value, newline: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [
-            int.__repr__(item) if type(item) is int
-            else _quote(item) if type(item) is str
-            else _encode(item, inner)
-            for item in value
-        ]
+        items = [_encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            _quote(key) + ": " + (
-                int.__repr__(item) if type(item) is int
-                else _quote(item) if type(item) is str
-                else _encode(item, inner)
-            )
-            for key, item in value.items()
-        ]
+        items = [_quote(key) + ": " + _encode(item, inner) for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -252,8 +239,6 @@ def _formal_sum_json(item, labels) -> dict:
 
 
 def _format_formal_sum(item, labels) -> str:
-    if item.is_zero():
-        return "0"
     terms = []
     for i in sorted(item.coefficients):
         value = item.coefficients[i]

@@ -224,11 +224,6 @@ class OrientedHypergraph(_Record):
         return smith_normal_form(boundary_matrix(self, Ring.INTEGER))
 
 
-def validate(hypergraph: OrientedHypergraph) -> list[str]:
-    """Re-run the invariant checks on an existing hypergraph."""
-    return validation_report(hypergraph.vertices, hypergraph.edges)
-
-
 class _FormalSum(_Record):
     """Sparse formal sum over an indexed basis; shared by chains/cochains.
 

@@ -22,7 +22,7 @@ holds that one verdict and builds the witnesses from the same
 factorization, so a positive verdict builds no V.  The other routes to
 the same conditions (the direct summand test, the cohomology-to-dual
 check, the cycle annihilator with a lattice comparison) and to the
-pairing-functional lattice now live in ``tests/oracles.py``, where they
+pairing-functional lattice live in ``tests/oracles.py``, where they
 serve as independent checks.  Over the rationals the bases are the
 fundamental cycles and cuts of the greedy rational spanning tree of B
 (``find_spanning_tree_rational``), read off one reduced row echelon form

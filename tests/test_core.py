@@ -26,7 +26,6 @@ from hyperhomology import (
     random_hypergraph,
     smith_normal_form,
     triangle_graph,
-    validate,
     validation_report,
     verify_tree_axioms,
 )
@@ -49,7 +48,7 @@ def test_inverse_pair_rejected():
 def test_parallel_edges_accepted():
     h = OrientedHypergraph(["u", "v"], [({"u"}, {"v"}), ({"u"}, {"v"})])
     assert h.edge_count == 2
-    assert validate(h) == []
+    assert validation_report(h.vertices, h.edges) == []
 
 
 def test_unknown_vertex_rejected():
@@ -122,7 +121,8 @@ def test_validation_report_matches_pairwise_oracle():
         assert validation_report(vertices, edges) == expected
         invalid += bool(expected)
         if not expected:
-            assert validate(OrientedHypergraph(vertices, edges)) == []
+            h = OrientedHypergraph(vertices, edges)
+            assert validation_report(h.vertices, h.edges) == []
         else:
             with pytest.raises(HypergraphValidationError) as caught:
                 OrientedHypergraph(vertices, edges)
@@ -280,6 +280,10 @@ def test_with_ring_conversion():
     assert back.coefficient(0) == 2
     with pytest.raises(ValueError):
         Chain(1, {0: Fraction(1, 2)}, Ring.RATIONAL).with_ring(Ring.INTEGER)
+    for kind in (Chain, Cochain):
+        for ring in Ring:
+            c = kind(1, {0: 2, 2: -1}, ring)
+            assert c.with_ring(c.ring) is c
 
 
 @pytest.mark.parametrize(
@@ -363,10 +367,10 @@ def test_scalar_json_keeps_ints_and_writes_fractions_as_text():
 def test_random_generator_always_validates():
     for seed in range(50):
         h = random_hypergraph(5, 5, seed=seed, max_arity=3)
-        assert validate(h) == []
+        assert validation_report(h.vertices, h.edges) == []
         assert h.edge_count == 5
     h = random_hypergraph(4, 4, seed=7, max_arity=2, allow_empty_edges=True)
-    assert validate(h) == []
+    assert validation_report(h.vertices, h.edges) == []
 
 
 def test_random_generator_deterministic():
