@@ -11,15 +11,20 @@ negative result (invalid hypergraph, not graph-like, no integer tree),
 Reports go to stdout, diagnostics to stderr.
 
 The command line is parsed from one table, ``_COMMANDS``, that gives each
-subcommand its handler, its positional argument and its options.  It
-takes ``--opt value`` and ``--opt=value``, options before or after the
+subcommand its handler, its positional argument and its options.  The
+top level is one more entry of the same shape, ``_TOP``, whose one
+positional is the subcommand, and one scan reads it: once the subcommand
+is read, the rest of the line is scanned against the subcommand's entry,
+and unknown tokens seen so far are carried over.  The parser takes
+``--opt value`` and ``--opt=value``, options before or after the
 positional, any unique prefix of a long option, ``-`` as a file (stdin),
-``--`` to end the options, and values that are negative numbers.  Help
-(``-h``/``--help``, before or after the subcommand) goes to stdout and
-exits 0.  A malformed command line exits 2 with one usage line and one
-``hyperhomology <cmd>: error: ...`` line on stderr and nothing on stdout.
-The parser does without ``argparse``, whose import and set-up cost more
-than the compute of a small query.
+``--`` to end the options (only after the subcommand: before it, ``--``
+is read as the subcommand and refused), and values that are negative
+numbers.  Help (``-h``/``--help``, before or after the subcommand) goes
+to stdout and exits 0.  A malformed command line exits 2 with one usage
+line and one ``hyperhomology <cmd>: error: ...`` line on stderr and
+nothing on stdout.  The parser does without ``argparse``, whose import
+and set-up cost more than the compute of a small query.
 
 For the same reason a well-formed query never imports ``json``: its
 decoder, scanner and encoder modules compile regular expressions that
@@ -537,7 +542,9 @@ def _nonnegative_int(text: str) -> int:
 # function that converts a value; a default of ``_REQUIRED`` makes the
 # option required; ``only_with`` is None or the ``(option, value)`` that
 # must hold for the option to be given.  Every subcommand takes ``--json``
-# and, outside the table, ``-h``/``--help``.
+# and, outside the table, ``-h``/``--help``.  ``_TOP``, after the table, is
+# the top level in its shape: the subcommand is its positional, and it has
+# no other option than ``-h``/``--help``.
 _REQUIRED = object()
 _RING = tuple(ring.value for ring in Ring)
 _FILE = ("file", None)
@@ -578,6 +585,7 @@ _COMMANDS = {
         },
     ),
 }
+_TOP = (None, None, ("command", tuple(_COMMANDS)), {})
 _HELP = ("-h", "--help")
 _PROG = "hyperhomology"
 _DESCRIPTION = (
@@ -651,16 +659,16 @@ def _option(token: str, names, command: str | None):
     """Classify one token against the option ``names`` of ``command``.
 
     Returns None for a positional token (one that does not start with
-    ``-``, a lone ``-``, a negative number, or text holding a space),
-    ``(option, value)`` for a known option, with the value given after
-    ``=`` or None, and ``(None, None)`` for an unknown option.  A long
-    option may be shortened to any unique prefix.
+    ``-``, a lone ``-`` or ``--``, a negative number, or text holding a
+    space), ``(option, value)`` for a known option, with the value given
+    after ``=`` or None, and ``(None, None)`` for an unknown option.  A
+    long option may be shortened to any unique prefix.
     """
     if token[:1] != "-":
         return None
     if token in names:
         return token, None
-    if len(token) == 1:
+    if token in ("-", "--"):
         return None
     name, equals, value = token.partition("=")
     if name in names:
@@ -682,29 +690,7 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     """The parsed command line: ``command``, ``handler`` and one attribute
     per option and positional of the subcommand, as its handler reads
     them.  Raises :class:`_CommandLineExit` for help and usage errors."""
-    extras = []
-    for start, token in enumerate(argv):
-        option = None if token == "--" else _option(token, _HELP, None)
-        if option is None:
-            break
-        name, value = option
-        if name is None:
-            extras.append(token)
-        elif value is not None:
-            raise _usage_error(None, f"argument {name}: ignored explicit argument {value!r}")
-        else:
-            raise _help(None)
-    else:
-        raise _usage_error(None, "the following arguments are required: command")
-    command = argv[start]
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        raise _usage_error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    handler, _, positional, options = _COMMANDS[command]
-    names = _HELP + tuple(options)
-    args = {"command": command, "handler": handler}
-    args.update((_dest(option), spec[1]) for option, spec in options.items())
-    given = set()
+    command, entry, tokens, extras = None, _TOP, argv, []
 
     def convert(name: str, kind, value: str):
         try:
@@ -717,42 +703,51 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
             raise _usage_error(command, f"argument {name}: {err}") from None
         return value
 
-    tokens = argv[start + 1:]
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_option(token, names, command) for token in tokens[:end]]
-    del tokens[end:end + 1]  # the "--" that ends the options
-    kinds += [None] * (len(tokens) - end)
-    k = 0
-    while k < len(tokens):
-        token, option = tokens[k], kinds[k]
-        k += 1
-        if option is None:
-            if positional is None or positional[0] in given:
+    while entry:  # the top level, then the subcommand it names
+        handler, _, positional, options = entry
+        entry = None
+        names = _HELP + tuple(options)
+        args = {"command": command, "handler": handler}
+        args.update((_dest(option), spec[1]) for option, spec in options.items())
+        given = set()
+        end = tokens.index("--") if command and "--" in tokens else len(tokens)
+        kinds = [_option(token, names, command) for token in tokens[:end]]
+        del tokens[end:end + 1]  # the "--" that ends the options
+        kinds += [None] * (len(tokens) - end)
+        k = 0
+        while k < len(tokens):
+            token, option = tokens[k], kinds[k]
+            k += 1
+            if option is None:
+                if positional is None or positional[0] in given:
+                    extras.append(token)
+                else:
+                    name, choices = positional
+                    args[name] = token if choices is None else convert(name, choices, token)
+                    given.add(name)
+                    if command is None:  # scan the rest against the subcommand's entry
+                        command, entry, tokens = token, _COMMANDS[token], tokens[k:]
+                        break
+                continue
+            name, value = option
+            if name is None:
                 extras.append(token)
+                continue
+            kind = options[name][0] if name in options else None
+            if kind is None:  # a flag, -h and --help included
+                if value is not None:
+                    raise _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+                if name in _HELP:
+                    raise _help(command)
+                args[_dest(name)] = True
             else:
-                name, choices = positional
-                args[name] = token if choices is None else convert(name, choices, token)
-                given.add(name)
-            continue
-        name, value = option
-        if name is None:
-            extras.append(token)
-            continue
-        kind = options[name][0] if name in options else None
-        if kind is None:  # a flag, -h and --help included
-            if value is not None:
-                raise _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
-            if name in _HELP:
-                raise _help(command)
-            args[_dest(name)] = True
-        else:
-            if value is None:
-                if k >= end or kinds[k] is not None:
-                    raise _usage_error(command, f"argument {name}: expected one argument")
-                value = tokens[k]
-                k += 1
-            args[_dest(name)] = convert(name, kind, value)
-        given.add(name)
+                if value is None:
+                    if k >= end or kinds[k] is not None:
+                        raise _usage_error(command, f"argument {name}: expected one argument")
+                    value = tokens[k]
+                    k += 1
+                args[_dest(name)] = convert(name, kind, value)
+            given.add(name)
     required = [positional[0]] if positional is not None else []
     required += [option for option, spec in options.items() if spec[1] is _REQUIRED]
     missing = [name for name in required if name not in given]
