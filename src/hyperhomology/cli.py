@@ -240,13 +240,12 @@ def _scalar_json(value, ring: Ring):
 
 def _formal_sum_json(item, labels) -> dict:
     ring = item.ring
-    return {labels[i]: _scalar_json(item.coefficients[i], ring) for i in sorted(item.coefficients)}
+    return {labels[i]: _scalar_json(value, ring) for i, value in item.coefficients.items()}
 
 
 def _format_formal_sum(item, labels) -> str:
     terms = []
-    for i in sorted(item.coefficients):
-        value = item.coefficients[i]
+    for i, value in item.coefficients.items():
         term = labels[i] if abs(value) == 1 else f"{abs(value)}*{labels[i]}"
         terms.append(("- " if value < 0 else "+ ") + term)
     text = " ".join(terms)
@@ -360,11 +359,11 @@ def _tree_payload(tree, labels) -> dict:
         "chords": [labels[e] for e in tree.chords],
         "fundamental_cuts": {
             labels[t]: _formal_sum_json(chain, labels)
-            for t, chain in sorted(tree.fundamental_cuts.items())
+            for t, chain in tree.fundamental_cuts.items()
         },
         "fundamental_cycles": {
             labels[e]: _formal_sum_json(chain, labels)
-            for e, chain in sorted(tree.fundamental_cycles.items())
+            for e, chain in tree.fundamental_cycles.items()
         },
     }
 
@@ -374,9 +373,9 @@ def _tree_lines(tree, labels) -> list[str]:
         "tree edges: " + (", ".join(labels[t] for t in tree.tree_edges) or "(none)"),
         "chords: " + (", ".join(labels[e] for e in tree.chords) or "(none)"),
     ]
-    for t, chain in sorted(tree.fundamental_cuts.items()):
+    for t, chain in tree.fundamental_cuts.items():
         lines.append(f"cut of {labels[t]}: {_format_formal_sum(chain, labels)}")
-    for e, chain in sorted(tree.fundamental_cycles.items()):
+    for e, chain in tree.fundamental_cycles.items():
         lines.append(f"cycle of {labels[e]}: {_format_formal_sum(chain, labels)}")
     return lines
 
@@ -424,7 +423,7 @@ def _cmd_spanning_tree(args) -> int:
 def _cmd_graphlike(args) -> int:
     hypergraph = _load(args.file)
     report = graph_likeness(hypergraph)
-    labels = {"edges": _edge_labels(hypergraph), "vertices": list(map(str, hypergraph.vertices))}
+    labels = {"edges": _edge_labels(hypergraph), "vertices": hypergraph.vertices}
 
     def support(w) -> dict:
         names = labels[w.basis]

@@ -7,7 +7,9 @@ is integral, and a ``fractions.Fraction`` (lowest terms, denominator above
 form changes no equality, and all arithmetic stays exact and never
 overflows.  Vertex order and edge order of a hypergraph fix the bases of
 the 0-chain and 1-chain groups and the layout of every matrix and report
-derived from them.
+derived from them.  Every chain and tree the package returns lists its
+indices in ascending order: a chain's coefficients, a tree's edges, and its
+cuts and cycles keyed by edge, so a caller can print them as they come.
 
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only
 on the code paths that make or test a non-integral value, never at module

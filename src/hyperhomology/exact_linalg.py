@@ -7,14 +7,16 @@ lattices and coboundary membership off its factors, and so does tree
 verification.  Membership is one graded test, :func:`_grade`: a vector
 grades 0 when it is an integer coboundary, 1 when it is only a rational
 one and 2 when it is neither, so each reader compares the grade with the
-bound its ring allows.  One reduced row echelon form (RREF), its
-columns scanned left to right, builds the rational tree, and over the
-generators with their columns reversed, the vector-space tree.  The
-RREF is computed fraction-free (integer-preserving, after Bareiss): every
-row is held in ints as a positive multiple of the row the elimination over
-Fractions with the same pivot rows holds at the same step, so it has the
-same nonzeros and leads to the same pivots, and each pivot row is divided
-by its pivot only at the end.
+bound its ring allows.  One function, :func:`_rref_tree`, runs the
+rational elimination: it computes one reduced row echelon form (RREF), its
+columns scanned left to right, and reads the tree, the fundamental cuts
+and the fundamental cycles off it.  Over B it gives the rational tree, and
+over the generators with their columns reversed, the vector-space tree.
+The RREF is computed fraction-free (integer-preserving, after Bareiss):
+every row is held in ints as a positive multiple of the row the
+elimination over Fractions with the same pivot rows holds at the same
+step, so it has the same nonzeros and leads to the same pivots, and each
+pivot row is divided by its pivot only at the end.
 Rational values are in the canonical form of :mod:`core`: an entry the
 pivot divides is divided exactly, into an int, and only one it does not
 divide becomes a Fraction.  On a graph B is totally unimodular, so every
@@ -29,14 +31,12 @@ elimination) live in ``tests/oracles.py``, where they check these ones.
 its dense ``entries`` are only a view built on request, so a boundary
 matrix holds at most 2 * arity nonzeros per column and a transpose costs
 in proportion to the nonzeros.  Both kernels work on such dicts: the
-Smith reduction starts from the matrix's rows, and the RREF takes and
-returns dict rows.  The spanning-tree reader returns its fundamental
-cuts and cycles as ``{index: nonzero}`` dicts in canonical form, which
-the reports wrap as chains directly; only
+Smith reduction starts from the matrix's rows, and the RREF takes dict
+rows and returns its fundamental cuts and cycles as ``{index: nonzero}``
+dicts in canonical form, which the reports wrap as chains directly; only
 :func:`vector_space_spanning_tree`, which returns dense lists, builds
 them, at the end.  :func:`_fundamental_cycles` reads the cycles off the
-cuts, for the RREF and for the integer-tree search.  A rank needs only
-the fraction-free elimination, so it makes no Fraction.  Unimodular
+cuts, for the RREF and for the integer-tree search.  Unimodular
 operations (swap, negate, add q times a line) are kept as logs in one
 encoding: the integer-tree search replays its row log on one sparse
 column at a time, and reads its tree by applying the log, with a back
@@ -136,20 +136,50 @@ def _integer_row(row: dict) -> dict:
     return {j: x.numerator * (scale // x.denominator) for j, x in row.items() if x}
 
 
-def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
-    """Fraction-free reduced row echelon form with the pivot columns of the
-    matrix with sparse ``rows`` (``{column: nonzero}`` dicts of ints or
-    Fractions, which are not modified), its columns scanned left to right.
-    Returns the pivot rows in pivot order, every value a nonzero int and
-    each pivot positive: the RREF rows each times its own pivot.  The
-    pivots are the columns in ascending order.  :func:`_divide_pivots`
-    turns the rows into the RREF; the rank is the number of pivots.
+def _dense(vector: dict, length: int) -> list:
+    """Dense vector of a ``{index: value}`` dict, zeros filled with ``0``."""
+    line = [0] * length
+    for j, x in vector.items():
+        line[j] = x
+    return line
+
+
+def _fundamental_cycles(cuts: dict, cols: int) -> dict:
+    """The fundamental cycles of a tree with fundamental ``cuts``, each a
+    ``{column: nonzero}`` dict with 1 at its own tree column and 0 at the
+    others: for each other column f, ascending, the null vector of the cuts
+    with 1 at f, 0 at every other free column and minus cut t's entry at f
+    at each tree column t, its columns ascending."""
+    cycles = {j: {j: 1} for j in range(cols) if j not in cuts}
+    for t, cut in cuts.items():
+        for j, x in cut.items():
+            if j in cycles:
+                cycles[j][t] = -x
+    return {j: dict(sorted(cycle.items())) for j, cycle in cycles.items()}
+
+
+def _rref_tree(rows: list[dict], cols: int):
+    """Spanning tree of the row space, read off one reduced row echelon
+    form (RREF), computed fraction-free.
+
+    ``rows`` are ``{column: nonzero}`` dicts of ints or Fractions, which
+    are not modified; columns are scanned left to right.  The RREF is
+    unique for a given column order, so the result depends neither on the
+    order of the rows nor on which row the elimination takes as each pivot.
+    The pivot columns are the greedy column basis, which is the tree.  RREF
+    row i has 1 at its pivot and 0 at every other pivot, so it is the
+    fundamental cut of that pivot, and :func:`_fundamental_cycles` reads
+    the cycles off the cuts.  Returns ``(tree, cuts, cycles)``: the tree
+    columns ascending, then dicts from tree column and from free column
+    (both ascending) to a ``{column: nonzero}`` dict with its columns
+    ascending.  The values are in canonical form: ints where the pivot
+    divides the entry, Fractions elsewhere.  The rank is the tree's size.
 
     Each row is kept with the set of rows that are nonzero in each column,
     so a step touches only the nonzeros of the rows it changes.  The pivot
     of a column is the lowest-index row that holds it and is not yet a
-    pivot row.  Any such row gives the same RREF, which is unique for a
-    given column order, so the choice changes only the work.
+    pivot row.  Any such row gives the same RREF, so the choice changes
+    only the work.
 
     Each row is stored in ints, as a positive multiple of the row the
     elimination over Fractions with the same pivots holds at the same step:
@@ -159,19 +189,20 @@ def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int
     ``a * row - b' * pivot_row``, where a and b' are the pivot p and b
     divided by gcd(p, b), and is divided by its content when a is not 1.
     A positive multiple has the nonzero pattern of the row over Fractions,
-    so the pivots, the ``holders`` sets and, once each pivot row is divided
-    by its pivot, the rows are exactly those of the elimination over
-    Fractions.
+    so the pivots and the ``holders`` sets are exactly those of the
+    elimination over Fractions, and so are the rows once each pivot row is
+    divided by its pivot at the end: an entry the pivot divides is divided
+    exactly, into an int, and one it does not divide becomes a Fraction.
     """
     matrix = [_integer_row(row) for row in rows]
-    holders: list[set[int]] = [set() for _ in range(width)]
+    holders: list[set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(matrix):
         for j in row:
             holders[j].add(i)
     used: set[int] = set()
     pivot_rows: list[int] = []
-    pivots: list[int] = []
-    for c in range(width):
+    tree: list[int] = []
+    for c in range(cols):
         candidates = holders[c] - used
         if not candidates:
             continue
@@ -208,70 +239,17 @@ def _integer_echelon(rows: list[dict], width: int) -> tuple[list[dict], list[int
                 if content > 1:
                     matrix[i] = {j: x // content for j, x in row.items()}
         pivot_rows.append(pivot)
-        pivots.append(c)
-    return [matrix[i] for i in pivot_rows], pivots
-
-
-def _divide_pivots(reduced: list[dict], pivots: list[int]) -> list[dict]:
-    """The RREF rows: each row of :func:`_integer_echelon` divided by its
-    pivot, in canonical form.  An entry the pivot divides is divided
-    exactly, into an int; one it does not divide becomes a Fraction."""
-    reduced = list(reduced)
-    for k, c in enumerate(pivots):
-        row = reduced[k]
-        p = row[c]
-        if p == 1:
-            continue
-        if any(x % p for x in row.values()):
+        tree.append(c)
+    cuts = {}
+    for t, i in zip(tree, pivot_rows):
+        row, p = matrix[i], matrix[i][t]
+        if p != 1 and any(x % p for x in row.values()):
             from fractions import Fraction
 
-            reduced[k] = {j: Fraction(x, p) if x % p else x // p for j, x in row.items()}
-        else:
-            reduced[k] = {j: x // p for j, x in row.items()}
-    return reduced
-
-
-def _dense(vector: dict, length: int) -> list:
-    """Dense vector of a ``{index: value}`` dict, zeros filled with ``0``."""
-    line = [0] * length
-    for j, x in vector.items():
-        line[j] = x
-    return line
-
-
-def _fundamental_cycles(cuts: dict, cols: int) -> dict:
-    """The fundamental cycles of a tree with fundamental ``cuts``, each a
-    ``{column: nonzero}`` dict with 1 at its own tree column and 0 at the
-    others: for each other column f, ascending, the null vector of the cuts
-    with 1 at f, 0 at every other free column and minus cut t's entry at f
-    at each tree column t, its columns ascending."""
-    cycles = {j: {j: 1} for j in range(cols) if j not in cuts}
-    for t, cut in cuts.items():
-        for j, x in cut.items():
-            if j in cycles:
-                cycles[j][t] = -x
-    return {j: dict(sorted(cycle.items())) for j, cycle in cycles.items()}
-
-
-def _rref_tree(rows: list[dict], cols: int):
-    """Spanning tree of the row space, read off one RREF.
-
-    ``rows`` are ``{column: nonzero}`` dicts; columns are scanned left to
-    right.  The RREF is unique for a given column order, so the result
-    depends neither on the order of the rows nor on which row the
-    elimination takes as each pivot.  The pivot columns are the greedy
-    column basis, which is the tree.  RREF row i has 1 at its pivot and 0
-    at every other pivot, so it is the fundamental cut of that pivot, and
-    :func:`_fundamental_cycles` reads the cycles off the cuts.  Returns
-    ``(tree, cuts, cycles)``: the tree columns ascending, then dicts from
-    tree column and from free column (both ascending) to a ``{column:
-    nonzero}`` dict with its columns ascending.  The values are in
-    canonical form: ints where the pivot divides the entry, Fractions
-    elsewhere.
-    """
-    reduced, tree = _integer_echelon(rows, cols)
-    reduced = _divide_pivots(reduced, tree)
-    cuts = {t: dict(sorted(row.items())) for t, row in zip(tree, reduced)}
+            row = {j: Fraction(x, p) if x % p else x // p for j, x in row.items()}
+        elif p != 1:
+            row = {j: x // p for j, x in row.items()}
+        cuts[t] = dict(sorted(row.items()))
     return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
 
 

@@ -67,8 +67,6 @@ from hyperhomology.core import _Record
 from hyperhomology.exact_linalg import (
     _axpy,
     _dense,
-    _divide_pivots,
-    _integer_echelon,
     _replay,
     _rref_tree,
     _unit_steps,
@@ -166,7 +164,7 @@ def image_rank(matrix: ExactMatrix) -> int:
     """Rank over the fraction field, by the package's fraction-free
     Gaussian elimination: independent of the Smith normal form, so the
     two routes check each other."""
-    return len(_integer_echelon(matrix.lines, matrix.cols)[1])
+    return len(_rref_tree(matrix.lines, matrix.cols)[0])
 
 
 def fraction_det(rows) -> Fraction:
@@ -412,6 +410,24 @@ def parallel_edge_suite(count: int = 300, base_seed: int = 4242) -> tuple:
     return tuple(instances)
 
 
+@lru_cache(maxsize=None)
+def tree_outcome_suite() -> tuple:
+    """The 528 inputs whose tree outcomes are pinned: both seeded suites,
+    every grid up to 4 x 5, and each 2 x k grid (k <= 4) side by side with
+    :func:`graph_like_without_integer_tree`, in both orders."""
+    no_tree = graph_like_without_integer_tree()
+    grids = [grid_graph(rows, cols) for rows in range(1, 5) for cols in range(1, 6)]
+    unions = [
+        union
+        for k in range(1, 5)
+        for union in (
+            disjoint_union(grid_graph(2, k), no_tree),
+            disjoint_union(no_tree, grid_graph(2, k)),
+        )
+    ]
+    return (*hypergraph_suite(200), *parallel_edge_suite(), *grids, *unions)
+
+
 def candidate_tree_is_integral(hypergraph: OrientedHypergraph, cuts, cycles) -> bool:
     """Integrality of a candidate: integer cycles, integrally solvable cuts."""
     for cycle in cycles.values():
@@ -482,7 +498,7 @@ def reference_tree_axioms(hypergraph: OrientedHypergraph, tree) -> TreeAxiomsRep
     if tree.ring is Ring.RATIONAL:
 
         def rank(rows) -> int:
-            return len(_integer_echelon(rows, m)[1])
+            return len(_rref_tree(rows, m)[0])
 
         boundary_rank = rank(matrix.lines)
         cuts_are_cuts = rank([*matrix.lines, *cut_rows]) == boundary_rank
@@ -772,11 +788,11 @@ def canonical_type(value) -> type:
 def sparse_rref(rows: list[dict], width: int) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form with the pivot columns, over the rationals
     in canonical form, of the matrix with sparse ``rows`` (``{column:
-    nonzero}`` dicts of ints or Fractions, which are not modified): the
-    package's fraction-free elimination with each pivot row divided by its
-    pivot at the end."""
-    reduced, pivots = _integer_echelon(rows, width)
-    return _divide_pivots(reduced, pivots), pivots
+    nonzero}`` dicts of ints or Fractions, which are not modified), read
+    off the package's fraction-free elimination: the RREF rows are the
+    fundamental cuts of :func:`_rref_tree`, and the pivots its tree."""
+    tree, cuts, _ = _rref_tree(rows, width)
+    return list(cuts.values()), list(tree)
 
 
 def solve_rational(matrix: ExactMatrix, rhs) -> list[Fraction] | None:

@@ -1,7 +1,7 @@
 """The table-driven command-line parser against the argparse parser it
 replaced (``oracles.reference_parser``): the same decision on every command
 line, the same parsed values on accepted ones, and the usage-error shape,
-except on three declared classes of line where the table keeps its own
+except on five declared classes of line where the table keeps its own
 reading:
 
 - a single-dash cluster that starts with ``-h`` (``-hh``, ``-hx``, ``-h5``,
@@ -13,9 +13,25 @@ reading:
   the token as a number; the table reads it as an unknown option;
 - the ``CHANGED`` lines, which argparse accepts and silently ignores half
   of: ``--check-integral`` with ``--ring int`` and ``--limit`` with
-  ``--ring rat``.
+  ``--ring rat``;
+- ``--`` before the subcommand (every token before the first ``--``
+  starts with ``-``): the table reads ``--`` as the subcommand and refuses
+  it; the argparse of Python 3.10.13 to 3.13.0 gives a usage error, and
+  that of 3.13.13 ends the options there and reads the subcommand after
+  it;
+- the ambiguous prefix ``--=x`` after a help option (``-h``, ``--help`` or
+  a prefix of it): the table classifies every token before it acts and
+  reports the ambiguous option, as the argparse of Python 3.10.13 to
+  3.13.0 does; that of 3.13.13 reports it only when its scan reaches it,
+  so it prints help first.
 
-The parser's full text on the hand-listed lines is pinned by a digest.
+The first two classes are compared with argparse with each deviating
+token replaced by ``-x``, and on the third the table's refusal stands in
+for argparse's answer; the last two are left out of the comparison,
+because argparse's answer on them depends on the interpreter.  The
+table's exit code and error line are pinned on lines of the first two and
+the last two classes, and the parser's full text on the hand-listed lines
+by a digest.
 """
 
 import contextlib
@@ -23,7 +39,7 @@ import hashlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hyperhomology.cli import _COMMANDS, _CommandLineExit, _parse_args, run_command
 
@@ -217,9 +233,23 @@ def test_lines_cover_every_subcommand():
         assert {argv[0] for argv in lines if argv and argv[0] in _COMMANDS} == set(_COMMANDS)
 
 
+def _interpreter_dependent(argv) -> bool:
+    """Whether ``argv`` is of one of the two declared classes on which
+    argparse's answer depends on the interpreter: ``--`` before the
+    subcommand, or ``--=x`` after a help option."""
+    if "--" in argv and all(token.startswith("-") for token in argv[: argv.index("--")]):
+        return True
+    if "--=x" not in argv:
+        return False
+    before = argv[: argv.index("--=x")]
+    return any(token == "-h" or token[2:] and "--help".startswith(token) for token in before)
+
+
 def test_table_parser_matches_argparse():
     mismatches = []
     for argv in VALID + MALFORMED + HELP:
+        if _interpreter_dependent(argv):
+            continue
         expected, actual = _reference(argv), _table(argv)
         if expected != actual:
             mismatches.append((argv, expected, actual))
@@ -293,6 +323,38 @@ def test_declared_deviations_read_an_unknown_option(argv, error):
     assert actual == expected
 
 
+# Lines of the last two declared deviations, with the table's result: exit
+# 2 with this error line, whatever the interpreter's argparse makes of them.
+_INVALID_DASHES = (
+    "hyperhomology: error: argument command: invalid choice: '--' (choose from "
+    + ", ".join(map(repr, _COMMANDS))
+    + ")"
+)
+INTERPRETER_DEPENDENT = [
+    (["--", "validate", F], _INVALID_DASHES),
+    (["--", "example", "--he"], _INVALID_DASHES),
+    (["-x", "--", "random", "--he"], _INVALID_DASHES),
+    (
+        ["homology", "-h", F, "--=x"],
+        "hyperhomology homology: error: ambiguous option: --=x could match --help, --json, --ring",
+    ),
+    (
+        ["validate", "--he", F, "--=x"],
+        "hyperhomology validate: error: ambiguous option: --=x could match --help, --json",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", INTERPRETER_DEPENDENT, ids=[repr(argv) for argv, _ in INTERPRETER_DEPENDENT]
+)
+def test_interpreter_dependent_lines_keep_the_table_reading(argv, error):
+    assert _interpreter_dependent(argv)
+    with pytest.raises(_CommandLineExit) as stop:
+        _parse_args(argv)
+    assert (stop.value.code, stop.value.text.splitlines()[-1]) == (2, error)
+
+
 # Every branch of ``_option``: positionals (the subcommands among them), a
 # lone "-" and "--", exact and prefixed options with and without "=", an
 # ambiguous prefix ("--=x" after a subcommand), unknown options, negative
@@ -319,6 +381,7 @@ _subcommand_lines = st.builds(
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(st.one_of(st.lists(_words, max_size=7), _subcommand_lines))
 def test_generated_lines_agree_with_argparse(argv):
+    assume(not _interpreter_dependent(argv))
     expected, actual = _compared(argv)
     assert actual == expected
 

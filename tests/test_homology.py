@@ -59,6 +59,7 @@ from oracles import (
     spanning_tree_count,
     stacked_smith_missing_chain,
     sublattice_equal,
+    tree_outcome_suite,
 )
 from test_shared_smith_form import hypergraphs
 
@@ -518,3 +519,28 @@ def test_a_ring_that_is_not_a_ring_is_refused(entry_point, ring):
     with pytest.raises(TypeError, match="^ring must be a Ring, not "):
         entry_point(h, ring)
     assert "_smith_form" not in vars(h)
+
+
+def test_every_chain_lists_its_indices_ascending():
+    # the rule ``core`` states and the command line relies on when it
+    # prints a chain or a tree as built: bases of both reports in both
+    # rings, the missing chain, and both finders' cuts and cycles, keyed
+    # ascending and each ascending
+    chains = 0
+    for h in tree_outcome_suite():
+        found = []
+        for ring in Ring:
+            decomposition = cycle_cut_decomposition(h, ring)
+            found += homology(h, ring).h1_basis
+            found += decomposition.cycle_basis + decomposition.cut_basis
+            found += [decomposition.missing_chain] if decomposition.missing_chain else []
+        for tree in (find_spanning_tree_rational(h), find_spanning_tree_integer(h)):
+            if tree is None:
+                continue
+            for family in (tree.fundamental_cuts, tree.fundamental_cycles):
+                assert list(family) == sorted(family), (h, tree)
+                found += family.values()
+        for chain in found:
+            assert list(chain.coefficients) == sorted(chain.coefficients), (h, chain)
+        chains += len(found)
+    assert chains > 10_000

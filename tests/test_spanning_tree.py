@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -53,6 +54,7 @@ from oracles import (
     seeded_suite,
     solve_rational,
     tree_cut,
+    tree_outcome_suite,
     tree_path_cycle,
     two_rref_vector_space_tree,
 )
@@ -218,6 +220,21 @@ def _record_smith_forms(monkeypatch) -> list:
     return calls
 
 
+def _record_eliminations(monkeypatch) -> list:
+    """Record the width of every rational elimination made from now on,
+    through either module that binds it."""
+    widths = []
+    real = exact_linalg._rref_tree
+
+    def recorded(rows, cols):
+        widths.append(cols)
+        return real(rows, cols)
+
+    monkeypatch.setattr(spanning_tree, "_rref_tree", recorded)
+    monkeypatch.setattr(exact_linalg, "_rref_tree", recorded)
+    return widths
+
+
 def test_is_integral_factors_the_boundary_matrix_once(monkeypatch):
     # cut membership is read off the Smith form of B itself, not of B^T,
     # and the rational tree, its verification and the integrality test
@@ -325,14 +342,7 @@ def test_integer_search_factors_only_the_accepted_tree(monkeypatch):
     # the prune, and the verification of the tree found reads it too; no
     # elimination: the tree found is read off the walk's own row log
     calls = _record_smith_forms(monkeypatch)
-    eliminations = []
-    real_echelon = exact_linalg._integer_echelon
-
-    def echelon(rows, width):
-        eliminations.append(width)
-        return real_echelon(rows, width)
-
-    monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
+    eliminations = _record_eliminations(monkeypatch)
     outcomes = set()
     instances = (
         main_example(),
@@ -348,6 +358,45 @@ def test_integer_search_factors_only_the_accepted_tree(monkeypatch):
         assert eliminations == [], h
         outcomes.add(tree is None)
     assert outcomes == {True, False}
+
+
+def _tree_outcome(tree) -> str:
+    """A tree's edges, cuts and cycles in the order built, each value by
+    its ``repr``, so an ``int`` and an equal ``Fraction`` differ."""
+    if tree is None:
+        return "None"
+    cuts, cycles = (
+        [(j, list(chain.coefficients.items())) for j, chain in family.items()]
+        for family in (tree.fundamental_cuts, tree.fundamental_cycles)
+    )
+    return repr((tree.tree_edges, cuts, cycles))
+
+
+def _search_outcome(h, limit: int) -> str:
+    try:
+        return _tree_outcome(find_spanning_tree_integer(h, search_limit=limit))
+    except SearchLimitExceeded as stop:
+        return f"limit {stop.examined}"
+
+
+# The outcomes of the three tree readers on every input of
+# ``tree_outcome_suite``, taken before the rational elimination became one
+# function: the rational tree, the integer search under six budgets, and
+# the vector-space tree of the boundary rows, each with its value types.
+_PINNED_TREE_DIGEST = "448a6ad0a5fde146fd17d4c40caf59ccc4ba02c98e8f1afe1b627322b7fddff3"
+
+
+def test_tree_outcomes_match_pinned_digest():
+    digest = hashlib.sha256()
+    for k, h in enumerate(tree_outcome_suite()):
+        m = h.edge_count
+        outcomes = [
+            _tree_outcome(find_spanning_tree_rational(h)),
+            *(_search_outcome(h, limit) for limit in (0, 1, 3, 7, 50, 10**6)),
+            repr(vector_space_spanning_tree(m, boundary_matrix(h, Ring.INTEGER).entries)),
+        ]
+        digest.update(f"{k} -> {outcomes!r}\n".encode())
+    assert digest.hexdigest() == _PINNED_TREE_DIGEST
 
 
 def test_integer_search_read_matches_dense_oracle():
@@ -665,14 +714,7 @@ def test_verifying_a_built_tree_factors_only_the_boundary_matrix(monkeypatch):
     # patterns: the finder and the verification make one Smith form of B
     # together, and the verification no elimination
     calls = _record_smith_forms(monkeypatch)
-    eliminations = []
-    real_echelon = exact_linalg._integer_echelon
-
-    def echelon(rows, width):
-        eliminations.append(width)
-        return real_echelon(rows, width)
-
-    monkeypatch.setattr(exact_linalg, "_integer_echelon", echelon)
+    eliminations = _record_eliminations(monkeypatch)
     instances = (triangle_graph(), main_example(), parallel_edges(), *hypergraph_suite())
     trees = 0
     rings = set()

@@ -321,7 +321,8 @@ def test_homology_imports_nothing_from_boundary():
 
 
 @pytest.mark.parametrize(
-    "module, allowed", [("homology", set()), ("spanning_tree", {"smith_normal_form"})]
+    "module, allowed",
+    [("homology", set()), ("spanning_tree", {"_rref_tree", "smith_normal_form"})],
 )
 def test_reports_import_no_second_factorization(module, allowed):
     # a rank or a Smith form of B comes from the hypergraph's one form
@@ -332,4 +333,4 @@ def test_reports_import_no_second_factorization(module, allowed):
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    assert imported & {"image_rank", "_integer_echelon", "smith_normal_form"} == allowed
+    assert imported & {"image_rank", "_rref_tree", "smith_normal_form"} == allowed
