@@ -1,5 +1,11 @@
 """Exact cycle/cut homology and algebraic spanning trees for oriented
-hypergraphs, over the integers and the rationals."""
+hypergraphs, over the integers and the rationals.
+
+The imports below are the one list of public names: ``__all__`` is every
+name they bind that does not start with ``_``, sorted, less the submodule
+objects that importing from a submodule binds in the package."""
+
+from types import ModuleType as _ModuleType
 
 from .boundary import (
     boundary,
@@ -54,45 +60,8 @@ from .spanning_tree import (
     verify_tree_axioms,
 )
 
-__all__ = [
-    "BUILTIN_EXAMPLES",
-    "Chain",
-    "Cochain",
-    "DecompositionReport",
-    "ExactMatrix",
-    "GraphLikenessReport",
-    "HomologyReport",
-    "HypergraphValidationError",
-    "InternalInconsistencyError",
-    "ModuleStructure",
-    "OrientedHypergraph",
-    "Ring",
-    "SearchLimitExceeded",
-    "SnfDecomposition",
-    "SpanningTree",
-    "TreeAxiomsReport",
-    "Witness",
-    "boundary",
-    "boundary_functional",
-    "boundary_inner_product",
-    "boundary_matrix",
-    "canonical_inner_product",
-    "chain_to_cochain",
-    "coboundary",
-    "cochain_to_chain",
-    "cycle_cut_decomposition",
-    "find_spanning_tree_integer",
-    "find_spanning_tree_rational",
-    "graph_likeness",
-    "homology",
-    "is_integral",
-    "main_example",
-    "parallel_edges",
-    "path_graph",
-    "random_hypergraph",
-    "smith_normal_form",
-    "triangle_graph",
-    "validation_report",
-    "vector_space_spanning_tree",
-    "verify_tree_axioms",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

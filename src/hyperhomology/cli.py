@@ -456,6 +456,11 @@ def _cmd_graphlike(args) -> int:
     return EXIT_OK if report.graph_like else EXIT_NEGATIVE
 
 
+# true by construction (see DecompositionReport), printed for the output's
+# readers under these keys and, with spaces, as text labels
+_BY_CONSTRUCTION = ("mutually_orthogonal", "intersection_trivial", "dimensions_sum_to_edge_count")
+
+
 def _cmd_decompose(args) -> int:
     hypergraph = _load(args.file)
     report = cycle_cut_decomposition(hypergraph, Ring(args.ring))
@@ -466,10 +471,7 @@ def _cmd_decompose(args) -> int:
             "ring": args.ring,
             "cycle_basis": [_formal_sum_json(c, labels) for c in report.cycle_basis],
             "cut_basis": [_formal_sum_json(c, labels) for c in report.cut_basis],
-            # true by construction (see DecompositionReport), printed for the output's readers
-            "mutually_orthogonal": True,
-            "intersection_trivial": True,
-            "dimensions_sum_to_edge_count": True,
+            **dict.fromkeys(_BY_CONSTRUCTION, True),
             "spans_all_chains": report.spans_all_chains,
             "missing_chain": (
                 _formal_sum_json(report.missing_chain, labels) if report.missing_chain else None
@@ -481,10 +483,7 @@ def _cmd_decompose(args) -> int:
             f"ring: {args.ring}",
             _basis_text("cycle basis", report.cycle_basis, labels),
             _basis_text("cut basis", report.cut_basis, labels),
-            # true by construction (see DecompositionReport), printed for the output's readers
-            "mutually orthogonal: yes",
-            "intersection trivial: yes",
-            "dimensions sum to edge count: yes",
+            *(f"{key.replace('_', ' ')}: yes" for key in _BY_CONSTRUCTION),
             f"sum spans all 1-chains: {'yes' if report.spans_all_chains else 'no'}",
         ]
         if report.missing_chain is not None:

@@ -38,16 +38,20 @@ dicts in canonical form, which the reports wrap as chains directly; only
 them, at the end.  :func:`_fundamental_cycles` reads the cycles off the
 cuts, for the RREF and for the integer-tree search.  Unimodular
 operations (swap, negate, add q times a line) are kept as logs in one
-encoding: the integer-tree search replays its row log on one sparse
-column at a time, and reads its tree by applying the log, with a back
-substitution appended, to whole rows; the Smith reduction hands back
-its elementary divisors and logs its row and column operations instead
-of building factors (the product form of the inverse); of its factors
-only V^-1 is built with it, S from the divisors, and V when read (U and
-U^-1 only for a caller outside the package).  V is kept by columns, as
-the column log builds them from the identity, and ``v`` is their
-transpose, so the integer cycles, columns of V, are read off them as
-they are built.  The Smith form's pivot rule is pinned, because its
+encoding, and this module alone builds and inverts them and reads a
+Smith form's logs: the integer-tree search replays its row log, built of
+:func:`_unit_steps`, on one sparse column at a time, and reads its tree
+by applying the log, with :func:`_back_substitution` appended, to whole
+rows; the Smith reduction hands back its elementary divisors and logs
+its row and column operations instead of building factors (the product
+form of the inverse); of its factors only V^-1 is built with it, by
+:func:`_undo`, S from the divisors, and V when read.  U^-1 has one route,
+:meth:`SnfDecomposition._u_inverse_column`, which a graph-likeness
+witness reads for one column and ``u_inverse`` for all of them (U and
+U^-1 whole only for a caller outside the package).  V is kept by
+columns, as the column log builds them from the identity, and ``v`` is
+their transpose, so the integer cycles, columns of V, are read off them
+as they are built.  The Smith form's pivot rule is pinned, because its
 factors and the witnesses read off them
 depend on it: a nonzero of least absolute value, lowest current row
 first, then lowest current column (so a unit entry whenever there is
@@ -269,8 +273,9 @@ class SnfDecomposition(_Record):
     the column log builds them, and ``v`` is their transpose: the cycles
     read those columns, and coboundary membership and the graph-likeness
     witnesses read the rows of ``v``.  No report reads ``u`` or
-    ``u_inverse``: a graph-likeness witness replays the row log on one unit
-    vector for the one column of U^-1 it needs.
+    ``u_inverse``: a graph-likeness witness reads the one column of U^-1
+    it needs from :meth:`_u_inverse_column`, of which ``u_inverse`` is
+    built.
     """
 
     s: ExactMatrix
@@ -284,8 +289,14 @@ class SnfDecomposition(_Record):
 
     @cached_property
     def u_inverse(self) -> ExactMatrix:
-        columns = _apply(map(_undo, self.row_log), _identity(self.s.rows))
+        columns = map(self._u_inverse_column, range(self.s.rows))
         return ExactMatrix._of(columns, self.s.rows).transpose()
+
+    def _u_inverse_column(self, i: int) -> dict:
+        """Column i of U^-1 as a ``{row: nonzero}`` dict: the row log undone,
+        last operation first, on the unit vector at row i.  The inverse of a
+        row operation ``(a, b, q)`` is the row operation ``(a, b, -q)``."""
+        return _replay([(a, b, -q) for a, b, q in reversed(self.row_log)], {i: 1})
 
     @cached_property
     def _v_columns(self) -> list[dict]:
@@ -408,17 +419,28 @@ def _identity(n: int) -> list[dict]:
 
 
 def _undo(op: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The inverse of ``(a, b, q)``, acting on the other kind of line: a row
-    operation's on the columns of U^-1, a column operation's on the rows of
-    V^-1."""
+    """The inverse of the column operation ``(a, b, q)``, acting on the rows
+    of V^-1."""
     return op[1], op[0], -op[2]
+
+
+def _back_substitution(columns: list[dict]) -> list[tuple[int, int, int]]:
+    """Row operations, in the encoding of :func:`_replay`, that take the
+    upper unitriangular integer block with ``columns`` (``{row: nonzero}``
+    dicts, column k holding 1 at row k and nothing below it) to the
+    identity: ``(i, k, -x)`` for each entry x at row i < k, with k from the
+    last column down, so each row k is already the unit vector at k when
+    it is subtracted."""
+    return [
+        (i, k, -x) for k in reversed(range(len(columns))) for i, x in columns[k].items() if i < k
+    ]
 
 
 def _apply(ops, lines: list[dict]) -> list[dict]:
     """``lines`` (``{index: nonzero}`` dicts, modified and returned) with
     ``ops``, in the encoding of :func:`_replay`, applied to whole lines in
-    turn.  On the identity, a row log gives U by rows and its :func:`_undo`
-    U^-1 by columns; a column log gives V by columns and V^-1 by rows."""
+    turn.  On the identity, a row log gives U by rows; a column log gives V
+    by columns and its :func:`_undo` V^-1 by rows."""
     for a, b, q in ops:
         if q:
             _axpy(lines[a], lines[b], q)

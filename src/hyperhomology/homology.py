@@ -33,7 +33,7 @@ for these facts; the pass that forms every cycle-cut product lives in
 """
 
 from .core import Chain, OrientedHypergraph, Ring, _Record, _require_ring
-from .exact_linalg import ModuleStructure, SnfDecomposition, _dense, _grade, _replay
+from .exact_linalg import ModuleStructure, SnfDecomposition, _dense, _grade
 from .spanning_tree import find_spanning_tree_rational
 
 
@@ -167,11 +167,6 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
         return GraphLikenessReport(True, ())
     divisor = decomposition.diagonal[position]
     coefficients, description = _annihilator_witness(decomposition, position)
-    # column ``position`` of U^-1: the row log undone, last operation first,
-    # on the unit vector at ``position``; each inverse acts on rows, so it
-    # keeps a and b, unlike ``_undo``, whose inverse acts on columns
-    undo = [(a, b, -q) for a, b, q in reversed(decomposition.row_log)]
-    column = _replay(undo, {position: 1})
     perp = "chain orthogonal to every cycle that lies outside the cut lattice"
     # (description, basis, coefficients) for each condition, in its order
     found = (
@@ -181,7 +176,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
         (
             f"0-chain whose {divisor}-multiple is a boundary although it is not one itself",
             "vertices",
-            tuple(_dense(column, decomposition.s.rows)),
+            tuple(_dense(decomposition._u_inverse_column(position), decomposition.s.rows)),
         ),
         (
             f"cochain whose class has finite order {divisor} in the cohomology",

@@ -52,6 +52,7 @@ from .core import _require_ring
 from .exact_linalg import (
     ExactMatrix,
     _apply,
+    _back_substitution,
     _dense,
     _fundamental_cycles,
     _grade,
@@ -274,9 +275,9 @@ def find_spanning_tree_integer(
     Later steps touch only rows below the earlier prefix edges' unit rows,
     so at the end the log L takes the tree's columns W_T to an upper
     unitriangular T = L W_T, whose column k is prefix edge k's column as
-    its own steps left it.  A back substitution, ``(i, k, -T[i, k])`` for
-    each i < k with k from the last tree edge down, appended to the log,
-    takes T to the identity.  The whole log is unimodular, so applied to
+    its own steps left it.  A back substitution
+    (``exact_linalg._back_substitution``), appended to the log, takes T to
+    the identity.  The whole log is unimodular, so applied to
     W's rows it gives integer rows with the row space of W and 1 at one
     tree edge and 0 at the others each: row k is the fundamental cut of
     prefix edge k, and the same cut the RREF of W with the tree's columns
@@ -327,9 +328,7 @@ def find_spanning_tree_integer(
             log += steps
             prefix.append(j)
         j += 1
-    # back substitution: clear T above its diagonal, last column first
-    for k in reversed(range(rank)):
-        log += [(i, k, -x) for i, x in marks[k][1].items() if i < k]
+    log += _back_substitution([column for _, column in marks])
     cut_rows = _apply(log, [dict(row) for row in rows])
     cuts = {t: dict(sorted(cut.items())) for t, cut in zip(prefix, cut_rows)}
     tree = _spanning_tree(tuple(prefix), cuts, _fundamental_cycles(cuts, m), Ring.INTEGER)

@@ -669,6 +669,40 @@ def test_cli_start_up_skips_dataclasses_and_inspect(tmp_path, capsys):
     ]
 
 
+# The standard modules the package imports at module level (``sys`` is
+# always loaded), and the package's modules bar ``__main__``.
+_STDLIB_IMPORTS = ("collections.abc", "enum", "functools", "itertools", "math", "os", "types")
+_PACKAGE = (
+    "hyperhomology", "hyperhomology.boundary", "hyperhomology.cli", "hyperhomology.core",
+    "hyperhomology.exact_linalg", "hyperhomology.fixtures", "hyperhomology.homology",
+    "hyperhomology.spanning_tree",
+)
+
+
+def test_cli_start_up_loads_only_the_package_and_json_scanner(tmp_path):
+    # an allowlist: once the standard modules the package names are in,
+    # importing the CLI adds only the C JSON scanner and the package, and
+    # integer queries add nothing, whatever module a change starts to pull in
+    import os
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    document = _write_example(tmp_path, "main-example")
+    script = (
+        f"import {', '.join(_STDLIB_IMPORTS)}\n"
+        "before = set(sys.modules)\n"
+        "from hyperhomology.cli import run_command\n"
+        "imported = set(sys.modules) - before\n"
+        f"assert run_command(['homology', {document!r}, '--ring', 'int']) == 0\n"
+        f"assert run_command(['spanning-tree', {document!r}, '--ring', 'int']) == 1\n"
+        "queried = set(sys.modules) - before - imported\n"
+        "print(*sorted(imported))\n"
+        "print(*sorted(queried))\n"
+    )
+    result = _run_bare(src, script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[-3:] == [" ".join(("_json",) + _PACKAGE), "", ""]
+
+
 def test_cli_malformed_document_loads_json_for_its_error(tmp_path):
     # a fresh process has no json.decoder, so the C scanner cannot raise its
     # own JSONDecodeError; the text goes to json.loads, which reports it

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperhomology import (
     ExactMatrix,
@@ -44,6 +45,7 @@ from oracles import (
     fraction_det,
     fraction_rank,
     hypergraph_suite,
+    parallel_edge_suite,
     identity_matrix,
     image_basis,
     image_rank,
@@ -307,6 +309,63 @@ def test_u_factors_equal_the_row_log_replay():
         decomposition = smith_normal_form(matrix)
         factors = (decomposition.u, decomposition.u_inverse)
         assert factors == row_log_factors(decomposition), matrix
+
+
+def test_u_inverse_column_is_a_column_of_the_row_log_replay():
+    # the one route to U^-1, which ``u_inverse`` and the graph-likeness
+    # witness both read, against the oracles' own replay of the row log
+    grids = [_grid(rows, cols) for rows in range(1, 5) for cols in range(1, 6)]
+    for h in (*hypergraph_suite(200), *parallel_edge_suite(), *grids):
+        decomposition = smith_normal_form(boundary_matrix(h, Ring.INTEGER))
+        _, u_inverse = row_log_factors(decomposition)
+        n = decomposition.s.rows
+        for i in range(n):
+            found = decomposition._u_inverse_column(i)
+            assert all(found.values()), (h, i)
+            assert exact_linalg._dense(found, n) == column(u_inverse, i), (h, i)
+
+
+@st.composite
+def unitriangular_columns(draw):
+    """The ``{row: nonzero}`` columns of an upper unitriangular integer
+    block, its diagonal entry first or last in each."""
+    columns = []
+    for k in range(draw(st.integers(0, 6))):
+        above = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+        column = {i: x for i, x in enumerate(above) if x}
+        columns.append({k: 1, **column} if draw(st.booleans()) else {**column, k: 1})
+    return columns
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(unitriangular_columns())
+def test_back_substitution_takes_a_unitriangular_block_to_the_identity(columns):
+    n = len(columns)
+    rows = [{k: column[i] for k, column in enumerate(columns) if i in column} for i in range(n)]
+    ops = exact_linalg._back_substitution(columns)
+    assert exact_linalg._apply(ops, rows) == exact_linalg._identity(n)
+
+
+@st.composite
+def operation_logs(draw):
+    """A line count and a log of swaps, negations and additions on it."""
+    n = draw(st.integers(1, 5))
+    line = st.integers(0, n - 1)
+    op = st.tuples(line, line, st.integers(-3, 3)).filter(lambda op: op[0] != op[1] or not op[2])
+    return n, draw(st.lists(op, max_size=12))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(operation_logs())
+def test_undone_log_pairs_with_the_log_to_the_identity(case):
+    # ``_apply(log, I)`` has the rows of U (of V^T for a column log) and
+    # ``_apply(map(_undo, log), I)`` the columns of U^-1 (rows of V^-1):
+    # line i of one times line j of the other is 1 when i == j, else 0
+    n, log = case
+    ones = exact_linalg._apply(log, exact_linalg._identity(n))
+    others = exact_linalg._apply(map(exact_linalg._undo, log), exact_linalg._identity(n))
+    products = [[sum(x * b.get(k, 0) for k, x in a.items()) for b in others] for a in ones]
+    assert products == [[int(i == j) for j in range(n)] for i in range(n)], log
 
 
 def test_sparse_rref_matches_dense_oracle():

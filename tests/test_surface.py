@@ -1,9 +1,11 @@
-"""The package's public surface: ``__all__``, the second routes that left
-it for the test oracles, the README's library example, no module-level
-import that its module never reads, no ``assert`` statement, no read of
-the Smith factors ``u`` and ``u_inverse``, the two places that make a Smith
-form, the two that build B, the two that read a tree off an RREF and the
-functions whose spans the benchmark reads."""
+"""The package's public surface: ``__all__``, which the package computes
+from its imports, the second routes that left it for the test oracles, the
+README's library example, no module-level import that its module never
+reads, no ``assert`` statement, no read of the Smith factors ``u`` and
+``u_inverse``, no read of a Smith form's operation logs outside
+``exact_linalg``, the two places that make a Smith form, the two that
+build B, the two that read a tree off an RREF and the functions whose
+spans the benchmark reads."""
 
 import ast
 import importlib
@@ -159,7 +161,9 @@ def test_readme_library_example_runs(capsys):
 def _unread_imports(source: str) -> list[str]:
     """The names a module's top-level imports bind that the module never
     reads (a load of the name, or a string in ``__all__``), in import
-    order; ``from __future__`` imports bind nothing to read."""
+    order; ``from __future__`` imports bind nothing to read.  An
+    ``__all__`` computed from ``globals()`` reads every public name, one
+    not starting with ``_``, so only a private import can stay unread."""
     tree = ast.parse(source)
     bound = []
     for statement in tree.body:
@@ -177,7 +181,11 @@ def _unread_imports(source: str) -> list[str]:
         if isinstance(statement, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in statement.targets
         ):
-            read |= {node.value for node in ast.walk(statement.value) if isinstance(node, ast.Constant)}
+            for node in ast.walk(statement.value):
+                if isinstance(node, ast.Constant):
+                    read.add(node.value)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals":
+                    read |= {name for name in bound if not name.startswith("_")}
     return [name for name in bound if name not in read]
 
 
@@ -193,6 +201,12 @@ def test_unread_import_scan_sees_aliases_dotted_names_and_all():
         "    return gcd(x, 1)\n"
     )
     assert _unread_imports(source) == ["os", "system", "least"]
+    computed = (
+        "from math import gcd, lcm as _least, prod as _product\n"
+        "from .core import Chain\n"
+        "__all__ = sorted(name for name in globals() if name != _product)\n"
+    )
+    assert _unread_imports(computed) == ["_least"]
 
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
@@ -240,10 +254,18 @@ def test_attribute_scan_sees_reads_not_definitions():
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
 def test_package_modules_read_no_u(path):
-    # no report builds U or U^-1: a graph-likeness witness replays the row
-    # log for its one column; the factors stay for readers outside
+    # no report builds U or U^-1: a graph-likeness witness reads its one
+    # column through ``_u_inverse_column``; the factors stay for readers outside
     source = path.read_text(encoding="utf-8")
     assert _attribute_reads(source, {"u", "u_inverse"}) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
+def test_only_exact_linalg_reads_the_operation_logs(path):
+    # a Smith form's logs are replayed and inverted in ``exact_linalg``
+    # alone: U^-1 through ``_u_inverse_column``, V^-1 through ``_undo``
+    reads = _attribute_reads(path.read_text(encoding="utf-8"), {"row_log", "column_log"})
+    assert bool(reads) == (path.name == "exact_linalg.py"), reads
 
 
 def _calls(source: str, name: str) -> list[str]:
