@@ -45,10 +45,10 @@ by applying the log, with :func:`_back_substitution` appended, to whole
 rows; the Smith reduction hands back its elementary divisors and logs
 its row and column operations instead of building factors (the product
 form of the inverse); of its factors only V^-1 is built with it, by
-:func:`_undo`, S from the divisors, and V when read.  U^-1 has one route,
-:meth:`SnfDecomposition._u_inverse_column`, which a graph-likeness
-witness reads for one column and ``u_inverse`` for all of them (U and
-U^-1 whole only for a caller outside the package).  V is kept by
+:func:`_undo`, S from the divisors, and V when read.  The reports read S,
+V and V^-1 only; each factor is one pass of its log on the identity, so
+no log is replayed once per vector outside the integer-tree search (U and
+U^-1 are built only for a caller outside the package).  V is kept by
 columns, as the column log builds them from the identity, and ``v`` is
 their transpose, so the integer cycles, columns of V, are read off them
 as they are built.  The Smith form's pivot rule is pinned, because its
@@ -269,13 +269,12 @@ class SnfDecomposition(_Record):
     the columns the integer-tree search walks.
     Both sides are kept as logs, ``row_log`` and ``column_log``, the
     operations in the encoding of :func:`_replay`; ``u``, ``u_inverse`` and
-    ``v`` are built from them when first read.  V is kept by columns, as
-    the column log builds them, and ``v`` is their transpose: the cycles
-    read those columns, and coboundary membership and the graph-likeness
-    witnesses read the rows of ``v``.  No report reads ``u`` or
-    ``u_inverse``: a graph-likeness witness reads the one column of U^-1
-    it needs from :meth:`_u_inverse_column`, of which ``u_inverse`` is
-    built.
+    ``v`` are each built from one of them, when first read, by one
+    :func:`_apply` on the identity.  V is kept by columns, as the column
+    log builds them, and ``v`` is their transpose: the cycles and the
+    direct-summand witness read those columns, and coboundary membership
+    and the other graph-likeness witnesses read the rows of ``v``.  No
+    report reads ``u`` or ``u_inverse``.
     """
 
     s: ExactMatrix
@@ -289,14 +288,10 @@ class SnfDecomposition(_Record):
 
     @cached_property
     def u_inverse(self) -> ExactMatrix:
-        columns = map(self._u_inverse_column, range(self.s.rows))
-        return ExactMatrix._of(columns, self.s.rows).transpose()
-
-    def _u_inverse_column(self, i: int) -> dict:
-        """Column i of U^-1 as a ``{row: nonzero}`` dict: the row log undone,
-        last operation first, on the unit vector at row i.  The inverse of a
-        row operation ``(a, b, q)`` is the row operation ``(a, b, -q)``."""
-        return _replay([(a, b, -q) for a, b, q in reversed(self.row_log)], {i: 1})
+        # the row log undone, last operation first: the inverse of a row
+        # operation (a, b, q) is the row operation (a, b, -q)
+        undone = [(a, b, -q) for a, b, q in reversed(self.row_log)]
+        return ExactMatrix._of(_apply(undone, _identity(self.s.rows)), self.s.rows)
 
     @cached_property
     def _v_columns(self) -> list[dict]:
@@ -439,8 +434,9 @@ def _back_substitution(columns: list[dict]) -> list[tuple[int, int, int]]:
 def _apply(ops, lines: list[dict]) -> list[dict]:
     """``lines`` (``{index: nonzero}`` dicts, modified and returned) with
     ``ops``, in the encoding of :func:`_replay`, applied to whole lines in
-    turn.  On the identity, a row log gives U by rows; a column log gives V
-    by columns and its :func:`_undo` V^-1 by rows."""
+    turn.  On the identity, a row log gives U by rows and, undone in
+    reverse, U^-1 by rows; a column log gives V by columns and its
+    :func:`_undo` V^-1 by rows."""
     for a, b, q in ops:
         if q:
             _axpy(lines[a], lines[b], q)

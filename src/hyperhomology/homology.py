@@ -19,7 +19,9 @@ its column log when first read: by the cycles and by coboundary
 membership, not by the divisors.  The five graph-likeness conditions are
 equivalent; the report decides them once, by whether every divisor is 1,
 holds that one verdict and builds the witnesses from the same
-factorization, so a positive verdict builds no V.  The other routes to
+factorization, so a positive verdict builds no V.  The witnesses read S, V
+and V^-1 only; the direct-summand one is the boundary of column p of V
+divided by d_p, for the first divisor d_p above 1.  The other routes to
 the same conditions (the direct summand test, the cohomology-to-dual
 check, the cycle annihilator with a lattice comparison) and to the
 pairing-functional lattice live in ``tests/oracles.py``, where they
@@ -32,8 +34,9 @@ for these facts; the pass that forms every cycle-cut product lives in
 ``tests/oracles.py``.
 """
 
+from .boundary import boundary
 from .core import Chain, OrientedHypergraph, Ring, _Record, _require_ring
-from .exact_linalg import ModuleStructure, SnfDecomposition, _dense, _grade
+from .exact_linalg import ModuleStructure, SnfDecomposition, _grade
 from .spanning_tree import find_spanning_tree_rational
 
 
@@ -159,7 +162,13 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
     through its computable form, the lattice equality of the cycle
     annihilator with the coboundary image.  A positive verdict reads only
     the divisors.  When the verdict is negative, the witnesses come from
-    the same factorization, and the first one builds V.
+    the same factorization, and the first one builds V.  The 0-chain of
+    the direct-summand condition is read off V: B V = U^-1 S, so the
+    boundary of column p of V is d_p times z = U^-1 e_p, a 0-chain whose
+    d_p-multiple is a boundary.  z is not one itself: V is unimodular, so
+    im B = U^-1 im S, which holds U^-1 e_p only when d_p = 1.  The
+    division is exact, because ``smith_normal_form`` checks U B = D V^-1
+    and V^-1 V = I, hence B V = U^-1 D.
     """
     decomposition = hypergraph._smith_form
     position = next((i for i, d in enumerate(decomposition.diagonal) if d > 1), None)
@@ -167,6 +176,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
         return GraphLikenessReport(True, ())
     divisor = decomposition.diagonal[position]
     coefficients, description = _annihilator_witness(decomposition, position)
+    summand = boundary(hypergraph, _integer_chain(decomposition._v_columns[position]))
     perp = "chain orthogonal to every cycle that lies outside the cut lattice"
     # (description, basis, coefficients) for each condition, in its order
     found = (
@@ -176,7 +186,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
         (
             f"0-chain whose {divisor}-multiple is a boundary although it is not one itself",
             "vertices",
-            tuple(_dense(decomposition._u_inverse_column(position), decomposition.s.rows)),
+            tuple(x // divisor for x in summand.to_vector(hypergraph.vertex_count)),
         ),
         (
             f"cochain whose class has finite order {divisor} in the cohomology",

@@ -3,9 +3,9 @@ from its imports, the second routes that left it for the test oracles, the
 README's library example, no module-level import that its module never
 reads, no ``assert`` statement, no read of the Smith factors ``u`` and
 ``u_inverse``, no read of a Smith form's operation logs outside
-``exact_linalg``, the two places that make a Smith form, the two that
-build B, the two that read a tree off an RREF and the functions whose
-spans the benchmark reads."""
+``exact_linalg``, one place that replays a log vector by vector, the two
+places that make a Smith form, the two that build B, the two that read a
+tree off an RREF and the functions whose spans the benchmark reads."""
 
 import ast
 import importlib
@@ -254,16 +254,16 @@ def test_attribute_scan_sees_reads_not_definitions():
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
 def test_package_modules_read_no_u(path):
-    # no report builds U or U^-1: a graph-likeness witness reads its one
-    # column through ``_u_inverse_column``; the factors stay for readers outside
+    # no report builds U or U^-1: the reports read S, V and V^-1 only, and
+    # the factors stay for readers outside the package
     source = path.read_text(encoding="utf-8")
     assert _attribute_reads(source, {"u", "u_inverse"}) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda path: path.name)
 def test_only_exact_linalg_reads_the_operation_logs(path):
-    # a Smith form's logs are replayed and inverted in ``exact_linalg``
-    # alone: U^-1 through ``_u_inverse_column``, V^-1 through ``_undo``
+    # a Smith form's logs are applied and inverted in ``exact_linalg``
+    # alone: each factor is one ``_apply`` of its log on the identity
     reads = _attribute_reads(path.read_text(encoding="utf-8"), {"row_log", "column_log"})
     assert bool(reads) == (path.name == "exact_linalg.py"), reads
 
@@ -304,6 +304,14 @@ def _package_calls(name: str) -> dict[str, list[str]]:
     return {module: where for module, where in calls.items() if where}
 
 
+def test_only_the_integer_search_replays_a_log_vector_by_vector():
+    # the search replays its own log on each column it tests, and its new
+    # steps on the column they reduce; every Smith factor is one pass of
+    # its log, so no report replays a log per vector
+    search = "find_spanning_tree_integer"
+    assert _package_calls("_replay") == {"spanning_tree.py": [search, search]}
+
+
 def test_the_package_makes_a_smith_form_in_two_places():
     # B's form, which the hypergraph keeps and every report, tree check
     # and the integer search read, and that of a tree family without its
@@ -334,12 +342,17 @@ def test_the_package_reads_a_tree_off_an_rref_in_two_places():
 
 
 def test_homology_imports_nothing_from_boundary():
-    # its rational bases are the rational tree's fundamental cycles and cuts
+    # it may import ``boundary`` but never ``boundary_matrix``: its rational
+    # bases are the rational tree's fundamental cycles and cuts, so it never
+    # rebuilds B
     source = (PACKAGE_MODULES[0].parent / "homology.py").read_text(encoding="utf-8")
-    modules = {
-        node.module for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
     }
-    assert "boundary" not in modules
+    assert "boundary_matrix" not in imported
 
 
 @pytest.mark.parametrize(
