@@ -7,9 +7,11 @@ is integral, and a ``fractions.Fraction`` (lowest terms, denominator above
 form changes no equality, and all arithmetic stays exact and never
 overflows.  Vertex order and edge order of a hypergraph fix the bases of
 the 0-chain and 1-chain groups and the layout of every matrix and report
-derived from them.  Every chain and tree the package returns lists its
-indices in ascending order: a chain's coefficients, a tree's edges, and its
-cuts and cycles keyed by edge, so a caller can print them as they come.
+derived from them.  ``Chain`` and ``Cochain`` put their indices in
+ascending order when made, whatever order they are given in, so every
+chain and cochain lists its coefficients ascending; every tree the package
+returns lists its edges, and its cuts and cycles keyed by edge, ascending
+too, so a caller can print them as they come.
 
 ``fractions`` (and with it ``decimal`` and ``numbers``) is imported only
 on the code paths that make or test a non-integral value, never at module
@@ -229,9 +231,11 @@ class OrientedHypergraph(_Record):
 class _FormalSum(_Record):
     """Sparse formal sum over an indexed basis; shared by chains/cochains.
 
-    Stored coefficients are always nonzero and all lie in ``ring``
-    (canonical sparse form).  Instances are immutable; arithmetic returns
-    new objects of the same class and never mixes rings or dimensions.
+    Stored coefficients are always nonzero, all lie in ``ring`` and are
+    keyed in ascending index order, whatever order they were given in
+    (canonical sparse form); this class is the one place that orders them.
+    Instances are immutable; arithmetic returns new objects of the same
+    class and never mixes rings or dimensions.
     """
 
     dimension: int
@@ -239,6 +243,8 @@ class _FormalSum(_Record):
     ring: Ring
 
     def __init__(self, dimension: int, coefficients, ring: Ring):
+        """Check each index and coerce each value into ``ring``, drop the
+        zeros, then store the coefficients in ascending index order."""
         _require_ring(ring)
         if dimension not in (0, 1):
             raise ValueError("dimension must be 0 (vertices) or 1 (edges)")
@@ -252,18 +258,19 @@ class _FormalSum(_Record):
             if value:
                 clean[index] = value
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "coefficients", dict(sorted(clean.items())))
         object.__setattr__(self, "ring", ring)
 
     @classmethod
     def _of(cls, dimension: int, coefficients: dict, ring: Ring):
         """Wrap a dict the package built itself, without the per-entry
         coercion of the constructor: its keys are ints and its values
-        nonzero and in the canonical form of ``ring``.  The dict is kept,
-        not copied."""
+        nonzero and in the canonical form of ``ring``, in any order.  The
+        coefficients are stored in ascending index order, as the
+        constructor stores them."""
         formal_sum = object.__new__(cls)
         object.__setattr__(formal_sum, "dimension", dimension)
-        object.__setattr__(formal_sum, "coefficients", coefficients)
+        object.__setattr__(formal_sum, "coefficients", dict(sorted(coefficients.items())))
         object.__setattr__(formal_sum, "ring", ring)
         return formal_sum
 
@@ -280,7 +287,7 @@ class _FormalSum(_Record):
 
     @property
     def support(self) -> tuple:
-        return tuple(sorted(self.coefficients))
+        return tuple(self.coefficients)
 
     def is_zero(self) -> bool:
         return not self.coefficients

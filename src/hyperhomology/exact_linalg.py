@@ -153,13 +153,13 @@ def _fundamental_cycles(cuts: dict, cols: int) -> dict:
     ``{column: nonzero}`` dict with 1 at its own tree column and 0 at the
     others: for each other column f, ascending, the null vector of the cuts
     with 1 at f, 0 at every other free column and minus cut t's entry at f
-    at each tree column t, its columns ascending."""
+    at each tree column t."""
     cycles = {j: {j: 1} for j in range(cols) if j not in cuts}
     for t, cut in cuts.items():
         for j, x in cut.items():
             if j in cycles:
                 cycles[j][t] = -x
-    return {j: dict(sorted(cycle.items())) for j, cycle in cycles.items()}
+    return cycles
 
 
 def _rref_tree(rows: list[dict], cols: int):
@@ -169,15 +169,17 @@ def _rref_tree(rows: list[dict], cols: int):
     ``rows`` are ``{column: nonzero}`` dicts of ints or Fractions, which
     are not modified; columns are scanned left to right.  The RREF is
     unique for a given column order, so the result depends neither on the
-    order of the rows nor on which row the elimination takes as each pivot.
-    The pivot columns are the greedy column basis, which is the tree.  RREF
-    row i has 1 at its pivot and 0 at every other pivot, so it is the
-    fundamental cut of that pivot, and :func:`_fundamental_cycles` reads
-    the cycles off the cuts.  Returns ``(tree, cuts, cycles)``: the tree
-    columns ascending, then dicts from tree column and from free column
-    (both ascending) to a ``{column: nonzero}`` dict with its columns
-    ascending.  The values are in canonical form: ints where the pivot
-    divides the entry, Fractions elsewhere.  The rank is the tree's size.
+    order of the rows nor on which row the elimination takes as each pivot,
+    up to the order of the entries within a vector.  The pivot columns are
+    the greedy column basis, which is the tree.  RREF row i has 1 at its
+    pivot and 0 at every other pivot, so it is the fundamental cut of that
+    pivot, and :func:`_fundamental_cycles` reads the cycles off the cuts.
+    Returns ``(tree, cuts, cycles)``: the tree columns ascending, then
+    dicts from tree column and from free column (both ascending) to a
+    ``{column: nonzero}`` dict in no promised order, which ``Chain`` puts
+    in order when it wraps it.  The values are in canonical form: ints
+    where the pivot divides the entry, Fractions elsewhere.  The rank is
+    the tree's size.
 
     Each row is kept with the set of rows that are nonzero in each column,
     so a step touches only the nonzeros of the rows it changes.  The pivot
@@ -253,7 +255,7 @@ def _rref_tree(rows: list[dict], cols: int):
             row = {j: Fraction(x, p) if x % p else x // p for j, x in row.items()}
         elif p != 1:
             row = {j: x // p for j, x in row.items()}
-        cuts[t] = dict(sorted(row.items()))
+        cuts[t] = row
     return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
 
 

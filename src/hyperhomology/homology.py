@@ -50,12 +50,6 @@ class HomologyReport(_Record):
     rank_image_boundary: int
 
 
-def _integer_chain(vector: dict) -> Chain:
-    """Integer 1-chain of an ``{index: nonzero int}`` dict the package
-    computed, with its indices put in ascending order."""
-    return Chain._of(1, dict(sorted(vector.items())), Ring.INTEGER)
-
-
 def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     """Compute the first homology (cycle module with basis) and the first
     cohomology (cochains modulo coboundaries) over the requested ring.
@@ -72,7 +66,7 @@ def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     if ring is Ring.INTEGER:
         decomposition = hypergraph._smith_form
         rank = decomposition.rank
-        basis = tuple(map(_integer_chain, decomposition._v_columns[rank:]))
+        basis = tuple(Chain._of(1, v, Ring.INTEGER) for v in decomposition._v_columns[rank:])
         torsion = tuple(d for d in decomposition.diagonal if d > 1)
     else:
         tree = find_spanning_tree_rational(hypergraph)
@@ -176,7 +170,7 @@ def graph_likeness(hypergraph: OrientedHypergraph) -> GraphLikenessReport:
         return GraphLikenessReport(True, ())
     divisor = decomposition.diagonal[position]
     coefficients, description = _annihilator_witness(decomposition, position)
-    summand = boundary(hypergraph, _integer_chain(decomposition._v_columns[position]))
+    summand = boundary(hypergraph, Chain._of(1, decomposition._v_columns[position], Ring.INTEGER))
     perp = "chain orthogonal to every cycle that lies outside the cut lattice"
     # (description, basis, coefficients) for each condition, in its order
     found = (
@@ -253,10 +247,10 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     if ring is Ring.INTEGER:
         decomposition = hypergraph._smith_form
         rank, diagonal = decomposition.rank, decomposition.diagonal
-        cycle_basis = tuple(map(_integer_chain, decomposition._v_columns[rank:]))
+        cycle_basis = tuple(Chain._of(1, v, Ring.INTEGER) for v in decomposition._v_columns[rank:])
         cut_basis = tuple(
-            _integer_chain({j: d * x for j, x in decomposition.v_inverse.lines[i].items()})
-            for i, d in enumerate(diagonal)
+            Chain._of(1, {j: d * x for j, x in row.items()}, Ring.INTEGER)
+            for row, d in zip(decomposition.v_inverse.lines, diagonal)
         )
         for k, (tails, heads) in enumerate(hypergraph.edges):
             if (tails or heads) and _grade(decomposition, {k: 1}) != 0:

@@ -330,7 +330,7 @@ def find_spanning_tree_integer(
         j += 1
     log += _back_substitution([column for _, column in marks])
     cut_rows = _apply(log, [dict(row) for row in rows])
-    cuts = {t: dict(sorted(cut.items())) for t, cut in zip(prefix, cut_rows)}
+    cuts = dict(zip(prefix, cut_rows))
     tree = _spanning_tree(tuple(prefix), cuts, _fundamental_cycles(cuts, m), Ring.INTEGER)
     if not verify_tree_axioms(hypergraph, tree).ok:
         raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")

@@ -12,8 +12,10 @@ from hyperhomology import (
     Ring,
     SpanningTree,
     boundary,
+    boundary_functional,
     boundary_matrix,
     chain_to_cochain,
+    coboundary,
     cycle_cut_decomposition,
     canonical_inner_product,
     find_spanning_tree_integer,
@@ -544,3 +546,36 @@ def test_every_chain_lists_its_indices_ascending():
             assert list(chain.coefficients) == sorted(chain.coefficients), (h, chain)
         chains += len(found)
     assert chains > 10_000
+    # and every other way of making a chain or a cochain: the boundary
+    # calculus, the constructors and ``_of`` given a descending dict, and
+    # arithmetic, whose sums append the indices new to the left operand
+    for h in hypergraph_suite(200):
+        n, m = h.vertex_count, h.edge_count
+        for ring in Ring:
+            other = Ring.RATIONAL if ring is Ring.INTEGER else Ring.INTEGER
+            edges = Chain(1, {j: j + 1 for j in reversed(range(m))}, ring)
+            odd = Chain(1, {j: -1 for j in range(1, m, 2)}, ring)
+            even = Chain._of(1, {j: 1 for j in reversed(range(0, m, 2))}, ring)
+            phi = Cochain(0, {i: i - 1 for i in reversed(range(n))}, ring)
+            found = [
+                edges,
+                odd,
+                even,
+                phi,
+                Cochain(1, {j: 2 for j in reversed(range(m))}, ring),
+                Cochain._of(0, {i: 1 for i in reversed(range(n))}, ring),
+                boundary(h, edges),
+                coboundary(h, phi),
+                boundary_functional(h, edges),
+                odd + even,
+                odd - even,
+                -edges,
+                edges.scale(3),
+                3 * odd,
+                edges.with_ring(other),
+                Cochain.unit(0, n - 1, ring) + phi,
+            ]
+            found += [Chain.unit(1, j, ring) + even for j in range(m)]
+            for chain in found:
+                assert list(chain.coefficients) == sorted(chain.coefficients), (h, chain)
+                assert chain.support == tuple(sorted(chain.coefficients)), (h, chain)

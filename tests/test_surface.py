@@ -3,9 +3,10 @@ from its imports, the second routes that left it for the test oracles, the
 README's library example, no module-level import that its module never
 reads, no ``assert`` statement, no read of the Smith factors ``u`` and
 ``u_inverse``, no read of a Smith form's operation logs outside
-``exact_linalg``, one place that replays a log vector by vector, the two
-places that make a Smith form, the two that build B, the two that read a
-tree off an RREF and the functions whose spans the benchmark reads."""
+``exact_linalg``, one place that replays a log vector by vector, one class
+that sorts a chain's indices, the two places that make a Smith form, the
+two that build B, the two that read a tree off an RREF and the functions
+whose spans the benchmark reads."""
 
 import ast
 import importlib
@@ -268,13 +269,20 @@ def test_only_exact_linalg_reads_the_operation_logs(path):
     assert bool(reads) == (path.name == "exact_linalg.py"), reads
 
 
-def _calls(source: str, name: str) -> list[str]:
+def _is_call(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _calls(source: str, name: str, argument: str | None = None) -> list[str]:
     """The dotted name of the function or class body around each call of
-    ``name`` in a module, in source order (``""`` at module level)."""
+    ``name`` in a module, in source order (``""`` at module level); with
+    ``argument``, only the calls whose first argument is a call of it."""
     found = []
 
     def visit(node, scope):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+        if _is_call(node, name) and (
+            argument is None or (node.args and _is_call(node.args[0], argument))
+        ):
             found.append((node.lineno, ".".join(scope)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + [node.name]
@@ -298,10 +306,34 @@ def test_call_scan_names_the_enclosing_scopes():
     assert _calls(source, "f") == ["", "A.g.h", "A.g"]
 
 
-def _package_calls(name: str) -> dict[str, list[str]]:
-    """``{module file: scopes}`` of every call of ``name`` in the package."""
-    calls = {path.name: _calls(path.read_text(encoding="utf-8"), name) for path in PACKAGE_MODULES}
+def test_call_scan_with_an_argument_sees_only_that_call_first():
+    source = (
+        "a = dict(sorted(x.items()))\n"
+        "class C:\n"
+        "    def f(self, y):\n"
+        "        b = dict(y), sorted(dict(y)), dict(list(sorted(y))), dict(y, z=sorted(y))\n"
+        "        return dict(sorted(y), z=1)\n"
+    )
+    assert _calls(source, "dict", "sorted") == ["", "C.f"]
+
+
+def _package_calls(name: str, argument: str | None = None) -> dict[str, list[str]]:
+    """``{module file: scopes}`` of every call of ``name`` in the package,
+    with ``argument`` as :func:`_calls` reads it."""
+    calls = {
+        path.name: _calls(path.read_text(encoding="utf-8"), name, argument)
+        for path in PACKAGE_MODULES
+    }
     return {module: where for module, where in calls.items() if where}
+
+
+def test_only_the_chain_constructors_sort_a_chain():
+    # ``Chain`` and ``Cochain`` put their indices in ascending order when
+    # made, by the constructor or by ``_of``, so no producer sorts a vector
+    # before it wraps it
+    assert _package_calls("dict", "sorted") == {
+        "core.py": ["_FormalSum.__init__", "_FormalSum._of"],
+    }
 
 
 def test_only_the_integer_search_replays_a_log_vector_by_vector():
