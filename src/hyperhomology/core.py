@@ -205,6 +205,18 @@ class OrientedHypergraph(_Record):
         if problems:
             raise HypergraphValidationError(problems)
 
+    def __repr__(self):
+        """The record's ``repr``, with each side of an edge listed in vertex
+        order, not in the hash order of its frozenset."""
+
+        def side(members) -> str:
+            ordered = sorted(members, key=self.vertex_index.__getitem__)
+            return f"frozenset({{{', '.join(map(repr, ordered))}}})" if ordered else "frozenset()"
+
+        edges = [f"({side(tails)}, {side(heads)})" for tails, heads in self.edges]
+        edges_text = ", ".join(edges) + ("," if len(edges) == 1 else "")
+        return f"{type(self).__qualname__}(vertices={self.vertices!r}, edges=({edges_text}))"
+
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)

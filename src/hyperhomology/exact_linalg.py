@@ -37,23 +37,25 @@ dicts in canonical form, which the reports wrap as chains directly; only
 :func:`vector_space_spanning_tree`, which returns dense lists, builds
 them, at the end.  :func:`_fundamental_cycles` reads the cycles off the
 cuts, for the RREF and for the integer-tree search.  Unimodular
-operations (swap, negate, add q times a line) are kept as logs in one
-encoding, and this module alone builds and inverts them and reads a
-Smith form's logs: the integer-tree search replays its row log, built of
-:func:`_unit_steps`, on one sparse column at a time, and reads its tree
-by applying the log, with :func:`_back_substitution` appended, to whole
-rows; the Smith reduction hands back its elementary divisors and logs
-its row and column operations instead of building factors (the product
-form of the inverse); of its factors only V^-1 is built with it, by
-:func:`_undo`, S from the divisors, and V when read.  The reports read S,
-V and V^-1 only; each factor is one pass of its log on the identity, so
-no log is replayed once per vector outside the integer-tree search (U and
-U^-1 are built only for a caller outside the package).  V is kept by
-columns, as the column log builds them from the identity, and ``v`` is
-their transpose, so the integer cycles, columns of V, are read off them
-as they are built.  The Smith form's pivot rule is pinned, because its
-factors and the witnesses read off them
-depend on it: a nonzero of least absolute value, lowest current row
+operations (swap, negate, add q times a line) are kept as logs in the
+encoding of :func:`_apply`, the one function that applies a log, always
+to whole lines.  This module alone builds and inverts logs
+(:func:`_inverse_log` undoes a row log, :func:`_undo` turns a column
+operation into one on the rows of the inverse) and reads a Smith form's
+logs.  The integer-tree search applies the steps of :func:`_unit_steps`
+to W's rows as it accepts an edge and their :func:`_inverse_log` as it
+backtracks, and reads its tree by applying :func:`_back_substitution`
+to the same rows at the end.  The Smith reduction hands back its
+elementary divisors and logs its row and column operations instead of
+building factors (the product form of the inverse); of its factors only
+V^-1 is built with it, by :func:`_undo`, S from the divisors, and V when
+read.  The reports read S, V and V^-1 only; each factor is one pass of
+its log on the identity (U and U^-1 are built only for a caller outside
+the package).  V is kept by columns, as the column log builds them from
+the identity, and ``v`` is their transpose, so the integer cycles,
+columns of V, are read off them as they are built.  The Smith form's
+pivot rule is pinned, because its factors and the witnesses read off
+them depend on it: a nonzero of least absolute value, lowest current row
 first, then lowest current column (so a unit entry whenever there is
 one); its S, V^-1 and V are therefore exactly those of the textbook
 dense reduction with that rule.
@@ -270,7 +272,7 @@ class SnfDecomposition(_Record):
     because its check reads it; the reports read it for cuts, witnesses and
     the columns the integer-tree search walks.
     Both sides are kept as logs, ``row_log`` and ``column_log``, the
-    operations in the encoding of :func:`_replay`; ``u``, ``u_inverse`` and
+    operations in the encoding of :func:`_apply`; ``u``, ``u_inverse`` and
     ``v`` are each built from one of them, when first read, by one
     :func:`_apply` on the identity.  V is kept by columns, as the column
     log builds them, and ``v`` is their transpose: the cycles and the
@@ -290,9 +292,7 @@ class SnfDecomposition(_Record):
 
     @cached_property
     def u_inverse(self) -> ExactMatrix:
-        # the row log undone, last operation first: the inverse of a row
-        # operation (a, b, q) is the row operation (a, b, -q)
-        undone = [(a, b, -q) for a, b, q in reversed(self.row_log)]
+        undone = _inverse_log(self.row_log)
         return ExactMatrix._of(_apply(undone, _identity(self.s.rows)), self.s.rows)
 
     @cached_property
@@ -349,36 +349,8 @@ def _axpy(target: dict, source: dict, q: int) -> None:
             del target[j]
 
 
-def _replay(ops, vector: dict) -> dict:
-    """The integer ``{row: nonzero}`` vector with the unimodular row
-    operations ``ops`` applied in turn; ``vector`` is not modified.  An
-    operation ``(a, b, q)`` adds q times row b to row a when q is nonzero;
-    with q = 0 it swaps rows a and b, or negates row a when a == b.  An
-    operation whose rows are zero in the vector leaves it as it is."""
-    y = dict(vector)
-    for a, b, q in ops:
-        if q:
-            x = y.get(b)
-            if x:
-                x = y.get(a, 0) + q * x
-                if x:
-                    y[a] = x
-                else:
-                    del y[a]
-        elif a == b:
-            if a in y:
-                y[a] = -y[a]
-        else:
-            x, z = y.pop(a, 0), y.pop(b, 0)
-            if x:
-                y[b] = x
-            if z:
-                y[a] = z
-    return y
-
-
 def _unit_steps(residual: dict, depth: int) -> list[tuple[int, int, int]]:
-    """Row operations, in the encoding of :func:`_replay`, that take the
+    """Row operations, in the encoding of :func:`_apply`, that take the
     primitive integer vector ``residual`` (gcd 1, every nonzero in a row
     from ``depth`` on) to the unit vector at row ``depth``, touching only
     rows from ``depth`` on.  Euclid's algorithm on its entries: swap an
@@ -415,6 +387,13 @@ def _identity(n: int) -> list[dict]:
     return [{i: 1} for i in range(n)]
 
 
+def _inverse_log(ops) -> list[tuple[int, int, int]]:
+    """The row log that undoes the row log ``ops``: its operations last
+    first, each inverted; the inverse of ``(a, b, q)`` is ``(a, b, -q)``,
+    which leaves a swap or a negation (q = 0) as it is."""
+    return [(a, b, -q) for a, b, q in reversed(ops)]
+
+
 def _undo(op: tuple[int, int, int]) -> tuple[int, int, int]:
     """The inverse of the column operation ``(a, b, q)``, acting on the rows
     of V^-1."""
@@ -422,7 +401,7 @@ def _undo(op: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 def _back_substitution(columns: list[dict]) -> list[tuple[int, int, int]]:
-    """Row operations, in the encoding of :func:`_replay`, that take the
+    """Row operations, in the encoding of :func:`_apply`, that take the
     upper unitriangular integer block with ``columns`` (``{row: nonzero}``
     dicts, column k holding 1 at row k and nothing below it) to the
     identity: ``(i, k, -x)`` for each entry x at row i < k, with k from the
@@ -435,10 +414,13 @@ def _back_substitution(columns: list[dict]) -> list[tuple[int, int, int]]:
 
 def _apply(ops, lines: list[dict]) -> list[dict]:
     """``lines`` (``{index: nonzero}`` dicts, modified and returned) with
-    ``ops``, in the encoding of :func:`_replay`, applied to whole lines in
-    turn.  On the identity, a row log gives U by rows and, undone in
-    reverse, U^-1 by rows; a column log gives V by columns and its
-    :func:`_undo` V^-1 by rows."""
+    the unimodular operations ``ops`` applied to whole lines in turn.  An
+    operation ``(a, b, q)`` adds q times line b to line a when q is
+    nonzero (a != b); with q = 0 it swaps lines a and b, or negates line a
+    when a == b.  This is the one encoding of every log in the package and
+    the one function that applies one.  On the identity, a row log gives U
+    by rows and its :func:`_inverse_log` U^-1 by rows; a column log gives
+    V by columns and its :func:`_undo` V^-1 by rows."""
     for a, b, q in ops:
         if q:
             _axpy(lines[a], lines[b], q)
@@ -455,7 +437,7 @@ def _smith_reduce(rows: list[dict], width: int):
 
     Returns ``(divisors, row_log, column_log)``: the elementary divisors,
     d_k appended when step k ends, and the row and column operations, in
-    the encoding of :func:`_replay`, in the order they were made.  The
+    the encoding of :func:`_apply`, in the order they were made.  The
     working matrix is kept by rows and by columns while it is reduced, so a
     row operation and a column operation run the same code, each on its own
     "side": the lines it moves, the lines that cross them, and its log.

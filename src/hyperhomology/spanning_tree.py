@@ -9,9 +9,10 @@ elementary divisor 1: then each chord's boundary is an integer combination
 of B_T and each unit vector on T an integer combination of the rows of
 B_T, so every fundamental cycle and cut is integral.  Every subset of such
 a basis has the same property, so the search walks prefixes of edges in
-index order, extends a prefix only while it keeps the property, tests
-each new column in ints against the prefix's log of row operations, and
-verifies only the tree it returns.  Such a tree T makes im B = im B_T
+index order, extends a prefix only while it keeps the property, keeps
+W's rows (see below) with the prefix's row operations applied, and by
+columns too, so that a test reads the nonzeros of one column in ints,
+and verifies only the tree it returns.  Such a tree T makes im B = im B_T
 saturated, so a hypergraph with an elementary divisor above 1 (one that
 is not graph-like) has none, and the search returns before walking.
 
@@ -37,11 +38,11 @@ matroid duality: pivots are the non-tree positions, rows the cycles and
 null vectors the cuts.  The rational tree is the greedy one of B, and
 its fundamental cycles and cuts are the rational bases of ``homology``
 and ``cycle_cut_decomposition``.  The integer tree is read
-off the walk's own log of row operations, in ints: the log takes the
-tree's columns of W to an upper unitriangular block, a back substitution
-appended after the walk takes that block to the identity, so the log
-applied to W's rows gives the fundamental cuts, and the cycles come from
-the cuts as they do from an RREF.
+off W's rows as the walk leaves them, in ints: its row operations take
+the tree's columns of W to an upper unitriangular block, a back
+substitution applied to the same rows after the walk takes that block
+to the identity, so the rows are then the fundamental cuts, and the
+cycles come from the cuts as they do from an RREF.
 """
 
 from math import gcd, prod
@@ -57,7 +58,7 @@ from .exact_linalg import (
     _fundamental_cycles,
     _grade,
     _integer_row,
-    _replay,
+    _inverse_log,
     _rref_tree,
     _unit_steps,
     smith_normal_form,
@@ -262,27 +263,31 @@ def find_spanning_tree_integer(
     prefix only while its columns stay independent and saturated, and
     backtracks once too few edges remain to reach the rank.  It visits the
     surviving subsets in lexicographic order and returns the same first
-    basis as testing every subset in turn.  A prefix of depth k carries a
-    log of unimodular row operations taking its columns to the first k unit
-    vectors.  A new column, reduced against the log, extends the prefix
-    exactly when its residual on rows k.. is primitive (gcd 1); then the
-    Euclid steps that take the residual to the unit vector at row k are
-    appended to the log, and replaying them on the column must give that
-    unit vector from row k down, or :class:`InternalInconsistencyError` is
-    raised.  Backtracking truncates the log.  Each column tested counts
-    against ``search_limit``.
+    basis as testing every subset in turn.  The walk keeps W's rows with
+    the unimodular row operations of its prefix applied: at depth k they
+    take the prefix's columns to the first k unit vectors.  A new column
+    extends the prefix exactly when its residual, its entries on rows
+    k.., is primitive (gcd 1); then the Euclid steps that take the
+    residual to the unit vector at row k are applied to the rows, and the
+    column must then be that unit vector from row k down, or
+    :class:`InternalInconsistencyError` is raised.  Backtracking applies
+    the inverse of the last edge's steps (``exact_linalg._inverse_log``).
+    The same entries are kept by columns, and each application of
+    operations re-indexes only the rows they name, so a test reads the
+    nonzeros of one column, at most r of them, whatever the walk did
+    before it.  Each column tested counts against ``search_limit``.
 
     Later steps touch only rows below the earlier prefix edges' unit rows,
-    so at the end the log L takes the tree's columns W_T to an upper
-    unitriangular T = L W_T, whose column k is prefix edge k's column as
-    its own steps left it.  A back substitution
-    (``exact_linalg._back_substitution``), appended to the log, takes T to
-    the identity.  The whole log is unimodular, so applied to
-    W's rows it gives integer rows with the row space of W and 1 at one
-    tree edge and 0 at the others each: row k is the fundamental cut of
-    prefix edge k, and the same cut the RREF of W with the tree's columns
-    first gives.  The cycles are read off the cuts, and the tree is
-    verified once against the integer axioms.
+    so at the end the operations L of the prefix take the tree's columns
+    W_T to an upper unitriangular T = L W_T, whose column k is prefix edge
+    k's column as the rows hold it.  A back substitution
+    (``exact_linalg._back_substitution``), applied to the rows, takes T
+    to the identity.  All these operations are unimodular, so the rows are
+    then integer rows with the row space of W and 1 at one tree edge and 0
+    at the others each: row k is the fundamental cut of prefix edge k, and
+    the same cut the RREF of W with the tree's columns first gives.  The
+    cycles are read off the cuts, and the tree is verified once against
+    the integer axioms.
 
     Returns None when B is not graph-like or the walk completes without a
     hit; raises :class:`SearchLimitExceeded` when the budget runs out first,
@@ -295,13 +300,23 @@ def find_spanning_tree_integer(
     if any(d != 1 for d in decomposition.diagonal):
         return None
     m, rank = hypergraph.edge_count, decomposition.rank
-    rows = decomposition.v_inverse.lines[:rank]
+    rows = [dict(row) for row in decomposition.v_inverse.lines[:rank]]
+    # the same entries by columns, so a test reads only column j's nonzeros
     columns = ExactMatrix._of(rows, m).transpose().lines
+
+    def apply(ops) -> None:
+        touched = {i for op in ops for i in op[:2]}
+        for i in touched:
+            for j in rows[i]:
+                del columns[j][i]
+        _apply(ops, rows)
+        for i in touched:
+            for j, x in rows[i].items():
+                columns[j][i] = x
+
     prefix: list[int] = []
-    # per prefix edge: the length of the log before its steps, and its
-    # column after them
-    marks: list[tuple[int, dict]] = []
-    log: list[tuple[int, int, int]] = []
+    # per prefix edge: the row operations that took its column to a unit vector
+    marks: list[list[tuple[int, int, int]]] = []
     examined = 0
     j = 0
     while len(prefix) < rank:
@@ -310,27 +325,25 @@ def find_spanning_tree_integer(
             if not prefix:
                 return None
             j = prefix.pop() + 1
-            del log[marks.pop()[0] :]
+            apply(_inverse_log(marks.pop()))
             continue
         if examined >= search_limit:
             raise SearchLimitExceeded(examined)
         examined += 1
-        reduced = _replay(log, columns[j])
-        residual = {i: x for i, x in reduced.items() if i >= depth}
+        residual = {i: x for i, x in columns[j].items() if i >= depth}
         if gcd(*residual.values()) == 1:
             steps = _unit_steps(residual, depth)
-            column = _replay(steps, reduced)
-            if {i: x for i, x in column.items() if i >= depth} != {depth: 1}:
+            apply(steps)
+            if {i: x for i, x in columns[j].items() if i >= depth} != {depth: 1}:
                 raise InternalInconsistencyError(
                     f"row operations do not take edge {j} to a unit vector"
                 )
-            marks.append((len(log), column))
-            log += steps
+            marks.append(steps)
             prefix.append(j)
         j += 1
-    log += _back_substitution([column for _, column in marks])
-    cut_rows = _apply(log, [dict(row) for row in rows])
-    cuts = dict(zip(prefix, cut_rows))
+    # prefix edge k's column is zero below row k, where only later steps act
+    _apply(_back_substitution([columns[t] for t in prefix]), rows)
+    cuts = dict(zip(prefix, rows))
     tree = _spanning_tree(tuple(prefix), cuts, _fundamental_cycles(cuts, m), Ring.INTEGER)
     if not verify_tree_axioms(hypergraph, tree).ok:
         raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")

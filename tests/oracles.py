@@ -67,7 +67,6 @@ from hyperhomology.core import _Record
 from hyperhomology.exact_linalg import (
     _axpy,
     _dense,
-    _replay,
     _rref_tree,
     _unit_steps,
 )
@@ -317,6 +316,35 @@ def lexicographic_integer_tree_edges(hypergraph: OrientedHypergraph):
         if smith_normal_form(candidate).diagonal == units:
             return subset
     return None
+
+
+def _replay(ops, vector: dict) -> dict:
+    """The integer ``{row: nonzero}`` vector with the unimodular row
+    operations ``ops`` applied in turn, one entry at a time; ``vector`` is
+    not modified.  An operation ``(a, b, q)`` adds q times row b to row a
+    when q is nonzero; with q = 0 it swaps rows a and b, or negates row a
+    when a == b.  An operation whose rows are zero in the vector leaves it
+    as it is.  The library applies its logs to whole lines instead."""
+    y = dict(vector)
+    for a, b, q in ops:
+        if q:
+            x = y.get(b)
+            if x:
+                x = y.get(a, 0) + q * x
+                if x:
+                    y[a] = x
+                else:
+                    del y[a]
+        elif a == b:
+            if a in y:
+                y[a] = -y[a]
+        else:
+            x, z = y.pop(a, 0), y.pop(b, 0)
+            if x:
+                y[b] = x
+            if z:
+                y[a] = z
+    return y
 
 
 def prefix_walk_over_boundary(hypergraph: OrientedHypergraph):

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -564,3 +567,46 @@ def test_record_repr_pinned():
         "Witness(condition='hom_dual_iso', description='cochain whose class has finite order 2 "
         "in the cohomology', basis='edges', coefficients=(0, 0, 1))"
     )
+
+
+def test_hypergraph_repr_is_the_same_under_two_hash_seeds():
+    # a frozenset prints its members in hash order, which follows string
+    # hashing; the hypergraph prints each side in vertex order instead
+    script = "from hyperhomology import main_example; print(repr(main_example()))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = src
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert printed == {
+        "OrientedHypergraph(vertices=('v1', 'v2', 'v3'), edges=("
+        "(frozenset({'v2', 'v3'}), frozenset({'v1'})), "
+        "(frozenset({'v1', 'v3'}), frozenset({'v2'})), "
+        "(frozenset({'v1', 'v2'}), frozenset({'v3'}))))\n"
+    }
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, text",
+    [
+        ([], [], "edges=()"),
+        (["b", "a"], [({"a", "b"}, set())], "edges=((frozenset({'b', 'a'}), frozenset()),)"),
+        ([3, 1, 2], [({1}, {2, 3}), ({2}, set())], "((frozenset({1}), frozenset({3, 2})), "),
+    ],
+    ids=["no_edge", "one_edge", "int_vertices"],
+)
+def test_hypergraph_repr_keeps_the_record_format(vertices, edges, text):
+    # the format of every record, with frozensets in vertex order, so the
+    # text evaluates back to an equal hypergraph
+    h = OrientedHypergraph(vertices, edges)
+    assert text in repr(h)
+    assert eval(repr(h), {"OrientedHypergraph": OrientedHypergraph}) == h

@@ -368,6 +368,19 @@ def test_undone_log_pairs_with_the_log_to_the_identity(case):
     assert products == [[int(i == j) for j in range(n)] for i in range(n)], log
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(operation_logs(), st.data())
+def test_inverse_log_undoes_the_log_on_any_lines(case, data):
+    # the integer search backtracks by applying the inverse of an edge's
+    # steps to W's rows, so the pair must give back every line exactly,
+    # whatever its entries
+    n, log = case
+    entries = st.dictionaries(st.integers(0, 6), st.integers(-9, 9).filter(bool), max_size=5)
+    lines = data.draw(st.lists(entries, min_size=n, max_size=n))
+    applied = exact_linalg._apply(log, [dict(line) for line in lines])
+    assert exact_linalg._apply(exact_linalg._inverse_log(log), applied) == lines, log
+
+
 def test_sparse_rref_matches_dense_oracle():
     # the fraction-free elimination must return the schoolbook RREF, leave
     # its input alone and hand back nonzero values in canonical form only

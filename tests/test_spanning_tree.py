@@ -824,15 +824,13 @@ def test_kronecker_checks_match_pairwise_oracle():
 # flags.  ``wrong_cut`` adds a fundamental cycle to a cut when the cycles
 # are read off the cuts, which the axiom check refuses.
 # ``dropped_back_op`` drops the last operation of the back substitution
-# from the log before it is applied to W's rows (the walk's additions
-# add a row to a later one, the back substitution's a later row to an
-# earlier one), so that cut keeps a nonzero at another tree edge, which
-# the axiom check refuses too.  On the input below the back substitution
-# has operations to drop, and the tree has a chord.
+# before it is applied to W's rows, so that cut keeps a nonzero at another
+# tree edge, which the axiom check refuses too.  On the input below the
+# back substitution has operations to drop, and the tree has a chord.
 _CORRUPT_TREE = """
 from hyperhomology import random_hypergraph, spanning_tree
 
-real_apply = spanning_tree._apply
+real_back_substitution = spanning_tree._back_substitution
 real_fundamental_cycles = spanning_tree._fundamental_cycles
 
 def wrong_cut(cuts, cols):
@@ -844,17 +842,15 @@ def wrong_cut(cuts, cols):
     cuts[t] = {j: x for j, x in sorted(total.items()) if x}
     return cycles
 
-def dropped_back_op(ops, lines):
-    ops = list(ops)
-    del ops[max(k for k, (a, b, q) in enumerate(ops) if q and a < b)]
-    return real_apply(ops, lines)
+def dropped_back_op(columns):
+    return real_back_substitution(columns)[:-1]
 
 def fresh_input():
     return random_hypergraph(4, 5, 0)
 
 CORRUPTIONS = {
     "wrong_cut": (spanning_tree, "_fundamental_cycles", "fails the spanning-tree axioms"),
-    "dropped_back_op": (spanning_tree, "_apply", "fails the spanning-tree axioms"),
+    "dropped_back_op": (spanning_tree, "_back_substitution", "fails the spanning-tree axioms"),
 }
 """
 

@@ -336,12 +336,26 @@ def test_only_the_chain_constructors_sort_a_chain():
     }
 
 
-def test_only_the_integer_search_replays_a_log_vector_by_vector():
-    # the search replays its own log on each column it tests, and its new
-    # steps on the column they reduce; every Smith factor is one pass of
-    # its log, so no report replays a log per vector
+def test_every_log_is_applied_to_whole_lines_by_one_function():
+    # ``_apply`` is the one log applier: each Smith factor is one pass of
+    # its log on the identity, the Smith form's check applies both logs,
+    # and the integer search applies its steps and their inverse, when it
+    # backtracks, through one helper that re-indexes the changed rows, and
+    # its back substitution to W's rows; no module replays a log one
+    # vector at a time
     search = "find_spanning_tree_integer"
-    assert _package_calls("_replay") == {"spanning_tree.py": [search, search]}
+    assert _package_calls("_replay") == {}
+    assert _package_calls("_apply") == {
+        "exact_linalg.py": [
+            "SnfDecomposition.u",
+            "SnfDecomposition.u_inverse",
+            "SnfDecomposition._v_columns",
+            "smith_normal_form",
+            "smith_normal_form",
+            "smith_normal_form",
+        ],
+        "spanning_tree.py": [f"{search}.apply", search],
+    }
 
 
 def test_the_package_makes_a_smith_form_in_two_places():
