@@ -8,24 +8,25 @@ verification.  Membership is one graded test, :func:`_grade`: a vector
 grades 0 when it is an integer coboundary, 1 when it is only a rational
 one and 2 when it is neither, so each reader compares the grade with the
 bound its ring allows.  One function, :func:`_rref_tree`, runs the
-rational elimination: it computes one reduced row echelon form (RREF), its
-columns scanned left to right, and reads the tree, the fundamental cuts
-and the fundamental cycles off it.  Over B it gives the rational tree, and
-over the generators with their columns reversed, the vector-space tree.
-The RREF is computed fraction-free (integer-preserving, after Bareiss):
-every row is held in ints as a positive multiple of the row the
-elimination over Fractions with the same pivot rows holds at the same
-step, so it has the same nonzeros and leads to the same pivots, and each
-pivot row is divided by its pivot only at the end.
-Rational values are in the canonical form of :mod:`core`: an entry the
-pivot divides is divided exactly, into an int, and only one it does not
-divide becomes a Fraction.  On a graph B is totally unimodular, so every
-RREF entry is integral and no Fraction is made.  ``fractions`` is imported
-only where a Fraction is made, so neither the integer route nor a
-rational query on a graph loads it.  The second routes to the same facts
-(kernel and image bases, integer and rational solving, annihilators,
-quotient structure, lattice comparison, matrix products, the rank by
-elimination) live in ``tests/oracles.py``, where they check these ones.
+rational elimination: it reads the tree, the fundamental cuts and the
+fundamental cycles off one reduced row echelon form (RREF), its columns
+scanned left to right.  Over B it gives the rational tree, and over the
+generators with their columns reversed, the vector-space tree.  It and
+the integer-tree search share their steps: both hold their rows in ints,
+indexed by columns (:func:`_column_index`), take each tree column to a
+pivot by the Euclid steps of :func:`_unit_steps`, which touch only the
+rows from the pivot's down, and read the cuts off the echelon rows by one
+back substitution, :func:`_tree_cuts`, which states how it stays
+fraction-free.  Rational values are in the canonical form of
+:mod:`core`: an entry the pivot divides is divided exactly, into an int,
+and only one it does not divide becomes a Fraction.  On a graph B is
+totally unimodular, so every RREF entry is integral and no Fraction is
+made.  ``fractions`` is imported only where a Fraction is made, so
+neither the integer route nor a rational query on a graph loads it.  The
+second routes to the same facts (kernel and image bases, integer and
+rational solving, annihilators, quotient structure, lattice comparison,
+matrix products, the rank by elimination) live in ``tests/oracles.py``,
+where they check these ones.
 
 :class:`ExactMatrix` stores one ``{column: nonzero}`` dict per row, and
 its dense ``entries`` are only a view built on request, so a boundary
@@ -44,12 +45,11 @@ to whole lines.  This module alone builds and inverts logs
 operation into one on the rows of the inverse) and reads a Smith form's
 logs.  The integer-tree search applies the steps of :func:`_unit_steps`
 to W's rows as it accepts an edge and their :func:`_inverse_log` as it
-backtracks, and reads its tree by applying :func:`_back_substitution`
-to the same rows at the end.  The Smith reduction hands back its
-elementary divisors and logs its row and column operations instead of
-building factors (the product form of the inverse); of its factors only
-V^-1 is built with it, by :func:`_undo`, S from the divisors, and V when
-read.  The reports read S, V and V^-1 only; each factor is one pass of
+backtracks, and reads its tree off the same rows by :func:`_tree_cuts`
+at the end.  The Smith reduction hands back its elementary divisors and
+logs its row and column operations instead of building factors (the
+product form of the inverse); of its factors only V^-1 is built with it,
+by :func:`_undo`, S from the divisors, and V when read.  The reports read S, V and V^-1 only; each factor is one pass of
 its log on the identity (U and U^-1 are built only for a caller outside
 the package).  V is kept by columns, as the column log builds them from
 the identity, and ``v`` is their transpose, so the integer cycles,
@@ -59,12 +59,11 @@ them depend on it: a nonzero of least absolute value, lowest current row
 first, then lowest current column (so a unit entry whenever there is
 one); its S, V^-1 and V are therefore exactly those of the textbook
 dense reduction with that rule.
-The RREF's pivot row is free, because the RREF is unique for a given
-column order: it takes the lowest-index unused row that holds the
-column, and its rows are those of the textbook dense elimination with any
-rule.  Every Smith form is checked exactly before anything is read off
-it, through V^-1 and without building V: the divisors d_1, ..., d_r must
-be positive with each dividing the next, ``u @ m`` must equal
+The RREF's steps are free, because the RREF is unique for a given column
+order: its rows are those of the textbook dense elimination with any
+pivot rule.  Every Smith form is checked exactly before anything is read
+off it, through V^-1 and without building V: the divisors d_1, ..., d_r
+must be positive with each dividing the next, ``u @ m`` must equal
 ``D @ v_inverse`` (row i is d_i times row i of V^-1 below the rank r,
 empty after it) with U the product of the logged row operations, and
 ``v_inverse @ v`` the identity with V the product of the logged column
@@ -164,17 +163,38 @@ def _fundamental_cycles(cuts: dict, cols: int) -> dict:
     return cycles
 
 
+def _column_index(rows: list[dict], cols: int):
+    """The entries of ``rows`` also kept by columns, as ``{row: nonzero}``
+    dicts, and a function that applies a row log to ``rows`` with
+    :func:`_apply` and re-indexes only the rows it names, so reading a
+    column costs its nonzeros, whatever was applied before.
+    Returns ``(columns, apply)``."""
+    columns = ExactMatrix._of(rows, cols).transpose().lines
+
+    def apply(ops) -> None:
+        touched = {i for op in ops for i in op[:2]}
+        for i in touched:
+            for j in rows[i]:
+                del columns[j][i]
+        _apply(ops, rows)
+        for i in touched:
+            for j, x in rows[i].items():
+                columns[j][i] = x
+
+    return columns, apply
+
+
 def _rref_tree(rows: list[dict], cols: int):
-    """Spanning tree of the row space, read off one reduced row echelon
-    form (RREF), computed fraction-free.
+    """Spanning tree of the row space, read off its reduced row echelon
+    form (RREF).
 
     ``rows`` are ``{column: nonzero}`` dicts of ints or Fractions, which
     are not modified; columns are scanned left to right.  The RREF is
     unique for a given column order, so the result depends neither on the
-    order of the rows nor on which row the elimination takes as each pivot,
-    up to the order of the entries within a vector.  The pivot columns are
-    the greedy column basis, which is the tree.  RREF row i has 1 at its
-    pivot and 0 at every other pivot, so it is the fundamental cut of that
+    order of the rows nor on how the elimination reaches it, up to the
+    order of the entries within a vector.  The pivot columns are the
+    greedy column basis, which is the tree.  RREF row i has 1 at its pivot
+    and 0 at every other pivot, so it is the fundamental cut of that
     pivot, and :func:`_fundamental_cycles` reads the cycles off the cuts.
     Returns ``(tree, cuts, cycles)``: the tree columns ascending, then
     dicts from tree column and from free column (both ascending) to a
@@ -183,74 +203,66 @@ def _rref_tree(rows: list[dict], cols: int):
     where the pivot divides the entry, Fractions elsewhere.  The rank is
     the tree's size.
 
-    Each row is kept with the set of rows that are nonzero in each column,
-    so a step touches only the nonzeros of the rows it changes.  The pivot
-    of a column is the lowest-index row that holds it and is not yet a
-    pivot row.  Any such row gives the same RREF, so the choice changes
-    only the work.
-
-    Each row is stored in ints, as a positive multiple of the row the
-    elimination over Fractions with the same pivots holds at the same step:
-    its denominators are cleared on entry, a pivot row is negated when its
-    pivot is negative (and divided by its content when the pivot is not 1),
-    and another row with b at the pivot column becomes
-    ``a * row - b' * pivot_row``, where a and b' are the pivot p and b
-    divided by gcd(p, b), and is divided by its content when a is not 1.
-    A positive multiple has the nonzero pattern of the row over Fractions,
-    so the pivots and the ``holders`` sets are exactly those of the
-    elimination over Fractions, and so are the rows once each pivot row is
-    divided by its pivot at the end: an entry the pivot divides is divided
-    exactly, into an int, and one it does not divide becomes a Fraction.
+    The rows are scaled to ints and indexed by columns
+    (:func:`_column_index`).  The forward pass is the integer search's
+    without its tests: at depth k, a column whose entries on rows k.. are
+    not all zero is a tree column, and the Euclid steps of
+    :func:`_unit_steps`, unimodular and on rows k.. only, take them to a
+    positive pivot at row k.  :func:`_tree_cuts` reads the cuts off the
+    echelon rows.
     """
-    matrix = [_integer_row(row) for row in rows]
-    holders: list[set[int]] = [set() for _ in range(cols)]
-    for i, row in enumerate(matrix):
-        for j in row:
-            holders[j].add(i)
-    used: set[int] = set()
-    pivot_rows: list[int] = []
+    rows = [_integer_row(row) for row in rows]
+    columns, apply = _column_index(rows, cols)
     tree: list[int] = []
-    for c in range(cols):
-        candidates = holders[c] - used
-        if not candidates:
-            continue
-        pivot = min(candidates)
-        used.add(pivot)
-        pivot_row = matrix[pivot]
-        p = pivot_row[c]
-        if p != 1:
-            content = gcd(*pivot_row.values())
-            if p < 0:
-                content = -content
-            if content != 1:
-                matrix[pivot] = pivot_row = {j: x // content for j, x in pivot_row.items()}
-                p = pivot_row[c]
-        for i in holders[c] - {pivot}:
-            row = matrix[i]
-            a, b = 1, row[c]
+    for j in range(cols):
+        residual = {i: x for i, x in columns[j].items() if i >= len(tree)}
+        if residual:
+            apply(_unit_steps(residual, len(tree)))
+            tree.append(j)
+    cuts = _tree_cuts(rows, columns, tree)
+    return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
+
+
+def _tree_cuts(rows: list[dict], columns, tree: list[int]) -> dict:
+    """The fundamental cuts of ``tree`` read off integer echelon ``rows``
+    by one back substitution: ``{tree column: cut}``, each cut the RREF
+    row with 1 at its own tree column and 0 at the others.
+
+    Row k must hold a positive pivot p at ``tree[k]`` and nothing at the
+    tree columns before it, and ``columns`` must index the rows by
+    columns (:func:`_column_index`).  For k from the last row up, each row
+    i < k that holds b at ``tree[k]`` becomes ``a * row - b' * row_k``,
+    where a and b' are p and b divided by gcd(p, b), and is divided by its
+    content when a is not 1.  This is fraction-free (integer-preserving,
+    after Bareiss): each row stays a positive multiple of the row the same
+    pass over Fractions holds.  Row k is zero at every earlier tree column,
+    so the pass never changes which rows hold those, and reads them off
+    ``columns``; their values it reads off the rows, and the index is
+    stale after the call.  Each row is then divided by its pivot: an entry
+    the pivot divides is divided exactly, into an int, and only one it
+    does not divide becomes a Fraction.  With every pivot 1, as in the
+    integer search, the pass adds integer multiples of rows only, and the
+    cuts are ``rows`` themselves.
+    """
+    for k in reversed(range(len(tree))):
+        pivot_row = rows[k]
+        p = pivot_row[tree[k]]
+        for i in [i for i in columns[tree[k]] if i < k]:
+            row = rows[i]
+            a, b = 1, row[tree[k]]
             if p != 1:
                 g = gcd(p, b)
                 a, b = p // g, b // g
                 if a != 1:
-                    matrix[i] = row = {j: a * x for j, x in row.items()}
-            for j, y in pivot_row.items():
-                value = row.get(j, 0) - b * y
-                if value:
-                    if j not in row:
-                        holders[j].add(i)
-                    row[j] = value
-                else:
-                    del row[j]
-                    holders[j].discard(i)
+                    rows[i] = row = {j: a * x for j, x in row.items()}
+            _axpy(row, pivot_row, -b)
             if a != 1:
                 content = gcd(*row.values())
                 if content > 1:
-                    matrix[i] = {j: x // content for j, x in row.items()}
-        pivot_rows.append(pivot)
-        tree.append(c)
+                    rows[i] = {j: x // content for j, x in row.items()}
     cuts = {}
-    for t, i in zip(tree, pivot_rows):
-        row, p = matrix[i], matrix[i][t]
+    for t, row in zip(tree, rows):
+        p = row[t]
         if p != 1 and any(x % p for x in row.values()):
             from fractions import Fraction
 
@@ -258,7 +270,7 @@ def _rref_tree(rows: list[dict], cols: int):
         elif p != 1:
             row = {j: x // p for j, x in row.items()}
         cuts[t] = row
-    return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
+    return cuts
 
 
 class SnfDecomposition(_Record):
@@ -351,12 +363,13 @@ def _axpy(target: dict, source: dict, q: int) -> None:
 
 def _unit_steps(residual: dict, depth: int) -> list[tuple[int, int, int]]:
     """Row operations, in the encoding of :func:`_apply`, that take the
-    primitive integer vector ``residual`` (gcd 1, every nonzero in a row
-    from ``depth`` on) to the unit vector at row ``depth``, touching only
-    rows from ``depth`` on.  Euclid's algorithm on its entries: swap an
-    entry of least absolute value, lowest row first, into row ``depth``,
-    reduce every other entry modulo it, and repeat until one entry is
-    left, which is then 1 or -1, and negated if it is -1."""
+    nonzero integer vector ``residual`` (every nonzero in a row from
+    ``depth`` on) to g times the unit vector at row ``depth``, g > 0 the
+    gcd of its entries (the unit vector itself when it is primitive),
+    touching only rows from ``depth`` on.  Euclid's algorithm on its
+    entries: swap an entry of least absolute value, lowest row first, into
+    row ``depth``, reduce every other entry modulo it, and repeat until one
+    entry is left, which is then g or -g, and negated if it is -g."""
     y = dict(residual)
     ops = []
     while True:
@@ -398,18 +411,6 @@ def _undo(op: tuple[int, int, int]) -> tuple[int, int, int]:
     """The inverse of the column operation ``(a, b, q)``, acting on the rows
     of V^-1."""
     return op[1], op[0], -op[2]
-
-
-def _back_substitution(columns: list[dict]) -> list[tuple[int, int, int]]:
-    """Row operations, in the encoding of :func:`_apply`, that take the
-    upper unitriangular integer block with ``columns`` (``{row: nonzero}``
-    dicts, column k holding 1 at row k and nothing below it) to the
-    identity: ``(i, k, -x)`` for each entry x at row i < k, with k from the
-    last column down, so each row k is already the unit vector at k when
-    it is subtracted."""
-    return [
-        (i, k, -x) for k in reversed(range(len(columns))) for i, x in columns[k].items() if i < k
-    ]
 
 
 def _apply(ops, lines: list[dict]) -> list[dict]:

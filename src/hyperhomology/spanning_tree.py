@@ -29,20 +29,21 @@ integer coboundary, 1 when it is only a rational one and 2 when it is
 neither, so an integer tree's cuts must grade 0, a rational tree's at
 most 1, and an integral tree's 0.  By the tree lemma a family with its
 Kronecker pattern spans its module once it lies in it and has the right
-size.  The rational tree is read off one reduced
-row echelon form (RREF) of B: pivot columns are the tree, nonzero rows
-the fundamental cuts, and the null vectors of the free columns the
-fundamental cycles.  The vector-space tree is read off one RREF of the
-generators with their columns reversed, with the roles swapped by
-matroid duality: pivots are the non-tree positions, rows the cycles and
-null vectors the cuts.  The rational tree is the greedy one of B, and
-its fundamental cycles and cuts are the rational bases of ``homology``
-and ``cycle_cut_decomposition``.  The integer tree is read
-off W's rows as the walk leaves them, in ints: its row operations take
-the tree's columns of W to an upper unitriangular block, a back
-substitution applied to the same rows after the walk takes that block
-to the identity, so the rows are then the fundamental cuts, and the
-cycles come from the cuts as they do from an RREF.
+size.  The rational tree is read off one reduced row echelon form (RREF)
+of B: pivot columns are the tree, nonzero rows the fundamental cuts, and
+the null vectors of the free columns the fundamental cycles.  The
+vector-space tree is read off one RREF of the generators with their
+columns reversed, with the roles swapped by matroid duality: pivots are
+the non-tree positions, rows the cycles and null vectors the cuts.  The
+rational tree is the greedy one of B, and its fundamental cycles and cuts
+are the rational bases of ``homology`` and ``cycle_cut_decomposition``.
+Both trees are read the same way (``exact_linalg``): Euclid steps on
+rows indexed by columns take each tree column to a pivot, then one back
+substitution, ``exact_linalg._tree_cuts``, takes the echelon rows to the
+fundamental cuts, and the cycles come from the cuts.  The rational
+elimination takes every column with a nonzero below the pivots so far;
+the integer walk takes a column only when those entries have gcd 1, so
+its pivots are 1 and its cuts stay in ints.
 """
 
 from math import gcd, prod
@@ -52,14 +53,14 @@ from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _
 from .core import _require_ring
 from .exact_linalg import (
     ExactMatrix,
-    _apply,
-    _back_substitution,
+    _column_index,
     _dense,
     _fundamental_cycles,
     _grade,
     _integer_row,
     _inverse_log,
     _rref_tree,
+    _tree_cuts,
     _unit_steps,
     smith_normal_form,
 )
@@ -272,22 +273,23 @@ def find_spanning_tree_integer(
     column must then be that unit vector from row k down, or
     :class:`InternalInconsistencyError` is raised.  Backtracking applies
     the inverse of the last edge's steps (``exact_linalg._inverse_log``).
-    The same entries are kept by columns, and each application of
-    operations re-indexes only the rows they name, so a test reads the
-    nonzeros of one column, at most r of them, whatever the walk did
-    before it.  Each column tested counts against ``search_limit``.
+    The same entries are kept by columns (``exact_linalg._column_index``),
+    and each application of operations re-indexes only the rows they name,
+    so a test reads the nonzeros of one column, at most r of them, whatever
+    the walk did before it.  Each column tested counts against
+    ``search_limit``.
 
     Later steps touch only rows below the earlier prefix edges' unit rows,
     so at the end the operations L of the prefix take the tree's columns
     W_T to an upper unitriangular T = L W_T, whose column k is prefix edge
-    k's column as the rows hold it.  A back substitution
-    (``exact_linalg._back_substitution``), applied to the rows, takes T
-    to the identity.  All these operations are unimodular, so the rows are
-    then integer rows with the row space of W and 1 at one tree edge and 0
-    at the others each: row k is the fundamental cut of prefix edge k, and
-    the same cut the RREF of W with the tree's columns first gives.  The
-    cycles are read off the cuts, and the tree is verified once against
-    the integer axioms.
+    k's column as the rows hold it.  The back substitution of the rational
+    tree (``exact_linalg._tree_cuts``) takes T to the identity, with every
+    pivot 1 by integer additions of rows only.  All these operations are
+    unimodular, so the rows are then integer rows with the row space of W
+    and 1 at one tree edge and 0 at the others each: row k is the
+    fundamental cut of prefix edge k, and the same cut the RREF of W with
+    the tree's columns first gives.  The cycles are read off the cuts, and
+    the tree is verified once against the integer axioms.
 
     Returns None when B is not graph-like or the walk completes without a
     hit; raises :class:`SearchLimitExceeded` when the budget runs out first,
@@ -302,18 +304,7 @@ def find_spanning_tree_integer(
     m, rank = hypergraph.edge_count, decomposition.rank
     rows = [dict(row) for row in decomposition.v_inverse.lines[:rank]]
     # the same entries by columns, so a test reads only column j's nonzeros
-    columns = ExactMatrix._of(rows, m).transpose().lines
-
-    def apply(ops) -> None:
-        touched = {i for op in ops for i in op[:2]}
-        for i in touched:
-            for j in rows[i]:
-                del columns[j][i]
-        _apply(ops, rows)
-        for i in touched:
-            for j, x in rows[i].items():
-                columns[j][i] = x
-
+    columns, apply = _column_index(rows, m)
     prefix: list[int] = []
     # per prefix edge: the row operations that took its column to a unit vector
     marks: list[list[tuple[int, int, int]]] = []
@@ -342,8 +333,7 @@ def find_spanning_tree_integer(
             prefix.append(j)
         j += 1
     # prefix edge k's column is zero below row k, where only later steps act
-    _apply(_back_substitution([columns[t] for t in prefix]), rows)
-    cuts = dict(zip(prefix, rows))
+    cuts = _tree_cuts(rows, columns, prefix)
     tree = _spanning_tree(tuple(prefix), cuts, _fundamental_cycles(cuts, m), Ring.INTEGER)
     if not verify_tree_axioms(hypergraph, tree).ok:
         raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")

@@ -10,6 +10,7 @@ checks) were public in the library until it kept one route per fact; they
 run on its kernels but read each fact off another matrix or factor.  The
 dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
+:func:`gauss_jordan_rref_tree` is its earlier sparse rational elimination,
 :func:`row_log_factors` builds U and U^-1 from a Smith form's row log
 with the dense kernel's row operations, so that no other test reads the
 factors' own properties,
@@ -67,6 +68,8 @@ from hyperhomology.core import _Record
 from hyperhomology.exact_linalg import (
     _axpy,
     _dense,
+    _fundamental_cycles,
+    _integer_row,
     _rref_tree,
     _unit_steps,
 )
@@ -1121,6 +1124,76 @@ def dense_rref_tree(rows, cols: int, order=None):
             cycle[t] = -reduced[i][k]
         cycles[order[k]] = cycle
     return tree, cuts, cycles
+
+
+def gauss_jordan_rref_tree(rows: list[dict], cols: int):
+    """:func:`_rref_tree` as the library computed it by Gauss-Jordan
+    elimination: for each column, left to right, the lowest-index row
+    that holds it and is not yet a pivot row becomes its pivot row, and the
+    column is cleared in every other row at once, above the pivot as well
+    as below, through the set of rows that hold each column.  Fraction-free:
+    the rows are scaled to ints, a pivot row is negated when its pivot is
+    negative (and divided by its content when the pivot is not 1), another
+    row with b at the pivot column becomes ``a * row - b' * pivot_row``,
+    where a and b' are the pivot p and b divided by gcd(p, b), and is
+    divided by its content when a is not 1; each pivot row is divided by
+    its pivot at the end.  Returns ``(tree, cuts, cycles)`` as
+    :func:`_rref_tree` does, values in the same canonical form."""
+    matrix = [_integer_row(row) for row in rows]
+    holders: list[set[int]] = [set() for _ in range(cols)]
+    for i, row in enumerate(matrix):
+        for j in row:
+            holders[j].add(i)
+    used: set[int] = set()
+    pivot_rows: list[int] = []
+    tree: list[int] = []
+    for c in range(cols):
+        candidates = holders[c] - used
+        if not candidates:
+            continue
+        pivot = min(candidates)
+        used.add(pivot)
+        pivot_row = matrix[pivot]
+        p = pivot_row[c]
+        if p != 1:
+            content = gcd(*pivot_row.values())
+            if p < 0:
+                content = -content
+            if content != 1:
+                matrix[pivot] = pivot_row = {j: x // content for j, x in pivot_row.items()}
+                p = pivot_row[c]
+        for i in holders[c] - {pivot}:
+            row = matrix[i]
+            a, b = 1, row[c]
+            if p != 1:
+                g = gcd(p, b)
+                a, b = p // g, b // g
+                if a != 1:
+                    matrix[i] = row = {j: a * x for j, x in row.items()}
+            for j, y in pivot_row.items():
+                value = row.get(j, 0) - b * y
+                if value:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = value
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+            if a != 1:
+                content = gcd(*row.values())
+                if content > 1:
+                    matrix[i] = {j: x // content for j, x in row.items()}
+        pivot_rows.append(pivot)
+        tree.append(c)
+    cuts = {}
+    for t, i in zip(tree, pivot_rows):
+        row, p = matrix[i], matrix[i][t]
+        if p != 1 and any(x % p for x in row.values()):
+            row = {j: Fraction(x, p) if x % p else x // p for j, x in row.items()}
+        elif p != 1:
+            row = {j: x // p for j, x in row.items()}
+        cuts[t] = row
+    return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
 
 
 def two_rref_vector_space_tree(ambient_dim: int, generators):

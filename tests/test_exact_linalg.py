@@ -22,6 +22,7 @@ from hyperhomology import (
     main_example,
     parallel_edges,
     path_graph,
+    random_hypergraph,
     smith_normal_form,
     triangle_graph,
 )
@@ -44,6 +45,8 @@ from oracles import (
     disjoint_union,
     fraction_det,
     fraction_rank,
+    gauss_jordan_rref_tree,
+    grid_graph,
     hypergraph_suite,
     parallel_edge_suite,
     identity_matrix,
@@ -60,6 +63,7 @@ from oracles import (
     solve_rational,
     sparse_rref,
     sublattice_equal,
+    tree_outcome_suite,
     zero_matrix,
 )
 
@@ -342,8 +346,8 @@ def unitriangular_columns(draw):
 def test_back_substitution_takes_a_unitriangular_block_to_the_identity(columns):
     n = len(columns)
     rows = [{k: column[i] for k, column in enumerate(columns) if i in column} for i in range(n)]
-    ops = exact_linalg._back_substitution(columns)
-    assert exact_linalg._apply(ops, rows) == exact_linalg._identity(n)
+    cuts = exact_linalg._tree_cuts(rows, columns, list(range(n)))
+    assert list(cuts.items()) == list(enumerate(exact_linalg._identity(n)))
 
 
 @st.composite
@@ -591,6 +595,76 @@ def _listed(read):
     compares as a dict, since ``_rref_tree`` promises no order within it."""
     tree, cuts, cycles = read
     return tree, list(cuts.items()), list(cycles.items())
+
+
+def _typed(read):
+    """:func:`_listed` with the type of every value next to it, so that an
+    int and an equal Fraction differ."""
+    tree, cuts, cycles = _listed(read)
+    return tree, *[
+        [(j, {k: (x, type(x)) for k, x in vector.items()}) for j, vector in family]
+        for family in (cuts, cycles)
+    ]
+
+
+def _sparse_rows(rng, max_rows=8, max_cols=9):
+    """A random list of ``{column: value}`` rows and its width: ints, and
+    Fractions in about a quarter of the entries, zeros kept as given."""
+    cols = rng.randint(0, max_cols)
+    rows = []
+    for _ in range(rng.randint(0, max_rows)):
+        row = {}
+        for j in range(cols):
+            if rng.random() < 0.4:
+                x = rng.randint(-5, 5)
+                row[j] = Fraction(x, rng.randint(1, 6)) if rng.random() < 0.25 else x
+        rows.append(row)
+    return rows, cols
+
+
+def test_rref_tree_matches_gauss_jordan():
+    # the Euclid forward pass and one back substitution must give the tree,
+    # cuts, cycles, key order and value types of the library's earlier
+    # Gauss-Jordan elimination, and leave the input rows as they were
+    rng = random.Random(2039)
+    cases = [_sparse_rows(rng) for _ in range(2000)]
+    suites = tree_outcome_suite()
+    cases += [(boundary_matrix(h, Ring.INTEGER).lines, h.edge_count) for h in suites]
+    fractions = 0
+    for rows, cols in cases:
+        before = [dict(row) for row in rows]
+        got = _rref_tree(rows, cols)
+        assert list(rows) == before
+        assert _typed(got) == _typed(gauss_jordan_rref_tree(rows, cols)), (rows, cols)
+        fractions += any(type(x) is Fraction for cut in got[1].values() for x in cut.values())
+    assert fractions > 100, fractions
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32))
+def test_rref_tree_matches_gauss_jordan_under_hypothesis(seed):
+    rows, cols = _sparse_rows(random.Random(seed))
+    assert _typed(_rref_tree(rows, cols)) == _typed(gauss_jordan_rref_tree(rows, cols))
+
+
+@pytest.mark.parametrize("name", ["30x30 grid", "r300"])
+def test_rref_tree_steps_only_below_each_pivot(monkeypatch, name):
+    # the rational elimination takes each tree column to its pivot by one
+    # call of the Euclid steps, which name only rows from the pivot's down;
+    # an elimination that clears the rows above each pivot as it goes, as
+    # Gauss-Jordan does, fills them in, and fails here
+    h = grid_graph(30, 30) if name == "30x30 grid" else random_hypergraph(300, 450, 1)
+    real, depths = exact_linalg._unit_steps, []
+
+    def recorded(residual, depth):
+        steps = real(residual, depth)
+        assert all(a >= depth and b >= depth for a, b, _ in steps), (depth, steps)
+        depths.append(depth)
+        return steps
+
+    monkeypatch.setattr(exact_linalg, "_unit_steps", recorded)
+    tree, _, _ = _rref_tree(boundary_matrix(h, Ring.INTEGER).lines, h.edge_count)
+    assert len(tree) > 100 and depths == list(range(len(tree)))
 
 
 def test_coboundary_test_matches_transposed_solve():

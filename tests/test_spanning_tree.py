@@ -823,14 +823,14 @@ def test_kronecker_checks_match_pairwise_oracle():
 # wrong; the search must refuse it whatever the interpreter's optimisation
 # flags.  ``wrong_cut`` adds a fundamental cycle to a cut when the cycles
 # are read off the cuts, which the axiom check refuses.
-# ``dropped_back_op`` drops the last operation of the back substitution
-# before it is applied to W's rows, so that cut keeps a nonzero at another
-# tree edge, which the axiom check refuses too.  On the input below the
-# back substitution has operations to drop, and the tree has a chord.
+# ``dropped_back_op`` leaves the fault a dropped back-substitution
+# operation leaves: the cut of the first tree edge keeps a nonzero at the
+# second, which the axiom check refuses too.  On the input below the tree
+# has at least two edges and a chord.
 _CORRUPT_TREE = """
 from hyperhomology import random_hypergraph, spanning_tree
 
-real_back_substitution = spanning_tree._back_substitution
+real_tree_cuts = spanning_tree._tree_cuts
 real_fundamental_cycles = spanning_tree._fundamental_cycles
 
 def wrong_cut(cuts, cols):
@@ -842,15 +842,18 @@ def wrong_cut(cuts, cols):
     cuts[t] = {j: x for j, x in sorted(total.items()) if x}
     return cycles
 
-def dropped_back_op(columns):
-    return real_back_substitution(columns)[:-1]
+def dropped_back_op(rows, columns, tree):
+    cuts = real_tree_cuts(rows, columns, tree)
+    cut = cuts[tree[0]]
+    cut[tree[1]] = cut.get(tree[1], 0) + 1
+    return cuts
 
 def fresh_input():
     return random_hypergraph(4, 5, 0)
 
 CORRUPTIONS = {
     "wrong_cut": (spanning_tree, "_fundamental_cycles", "fails the spanning-tree axioms"),
-    "dropped_back_op": (spanning_tree, "_back_substitution", "fails the spanning-tree axioms"),
+    "dropped_back_op": (spanning_tree, "_tree_cuts", "fails the spanning-tree axioms"),
 }
 """
 

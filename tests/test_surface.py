@@ -339,14 +339,14 @@ def test_only_the_chain_constructors_sort_a_chain():
 def test_every_log_is_applied_to_whole_lines_by_one_function():
     # ``_apply`` is the one log applier: each Smith factor is one pass of
     # its log on the identity, the Smith form's check applies both logs,
-    # and the integer search applies its steps and their inverse, when it
-    # backtracks, through one helper that re-indexes the changed rows, and
-    # its back substitution to W's rows; no module replays a log one
-    # vector at a time
-    search = "find_spanning_tree_integer"
+    # and the rational elimination and the integer search apply their
+    # steps (the search also their inverse, when it backtracks) through
+    # one helper that re-indexes the changed rows; no module replays a log
+    # one vector at a time
     assert _package_calls("_replay") == {}
     assert _package_calls("_apply") == {
         "exact_linalg.py": [
+            "_column_index.apply",
             "SnfDecomposition.u",
             "SnfDecomposition.u_inverse",
             "SnfDecomposition._v_columns",
@@ -354,8 +354,17 @@ def test_every_log_is_applied_to_whole_lines_by_one_function():
             "smith_normal_form",
             "smith_normal_form",
         ],
-        "spanning_tree.py": [f"{search}.apply", search],
     }
+
+
+def test_both_trees_take_their_steps_and_cuts_from_one_routine_each():
+    # the rational elimination, which the vector-space tree runs too, and
+    # the integer search index their rows by one helper, take each tree
+    # column to its pivot by the same Euclid steps and read their cuts by
+    # one back substitution
+    both = {"exact_linalg.py": ["_rref_tree"], "spanning_tree.py": ["find_spanning_tree_integer"]}
+    for name in ("_column_index", "_unit_steps", "_tree_cuts"):
+        assert _package_calls(name) == both, name
 
 
 def test_the_package_makes_a_smith_form_in_two_places():
