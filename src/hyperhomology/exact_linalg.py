@@ -49,21 +49,21 @@ backtracks, and reads its tree off the same rows by :func:`_tree_cuts`
 at the end.  The Smith reduction hands back its elementary divisors and
 logs its row and column operations instead of building factors (the
 product form of the inverse); of its factors only V^-1 is built with it,
-by :func:`_undo`, S from the divisors, and V when read.  The reports read S, V and V^-1 only; each factor is one pass of
-its log on the identity (U and U^-1 are built only for a caller outside
-the package).  V is kept by columns, as the column log builds them from
-the identity, and ``v`` is their transpose, so the integer cycles,
-columns of V, are read off them as they are built.  The Smith form's
-pivot rule is pinned, because its factors and the witnesses read off
-them depend on it: a nonzero of least absolute value, lowest current row
-first, then lowest current column (so a unit entry whenever there is
-one); its S, V^-1 and V are therefore exactly those of the textbook
-dense reduction with that rule.
-The RREF's steps are free, because the RREF is unique for a given column
-order: its rows are those of the textbook dense elimination with any
-pivot rule.  Every Smith form is checked exactly before anything is read
-off it, through V^-1 and without building V: the divisors d_1, ..., d_r
-must be positive with each dividing the next, ``u @ m`` must equal
+by :func:`_undo`, S from the divisors, and V when read.  The reports
+read S, V and V^-1 only; each factor is one pass of its log on the
+identity (U and U^-1 are built only for a caller outside the package).
+V is kept by columns, as the column log builds them from the identity,
+and ``v`` is their transpose, so the integer cycles, columns of V, are
+read off them as they are built.  The Smith form's pivot rule is pinned,
+because its factors and the witnesses read off them depend on it: a
+nonzero of least absolute value, lowest current row first, then lowest
+current column (so a unit entry whenever there is one); its S, V^-1 and
+V are therefore exactly those of the textbook dense reduction with that
+rule.  The RREF's steps are free, because the RREF is unique for a given
+column order: its rows are those of the textbook dense elimination with
+any pivot rule.  Every Smith form is checked exactly before anything is
+read off it, through V^-1 and without building V: the divisors d_1, ...,
+d_r must be positive with each dividing the next, ``u @ m`` must equal
 ``D @ v_inverse`` (row i is d_i times row i of V^-1 below the rank r,
 empty after it) with U the product of the logged row operations, and
 ``v_inverse @ v`` the identity with V the product of the logged column
@@ -209,7 +209,9 @@ def _rref_tree(rows: list[dict], cols: int):
     not all zero is a tree column, and the Euclid steps of
     :func:`_unit_steps`, unimodular and on rows k.. only, take them to a
     positive pivot at row k.  :func:`_tree_cuts` reads the cuts off the
-    echelon rows.
+    echelon rows.  No bound on the forward pass's entries is proven:
+    unlike Kannan and Bachem's Hermite form, it reduces no entry modulo
+    the pivots, and it divides no row by its content.
     """
     rows = [_integer_row(row) for row in rows]
     columns, apply = _column_index(rows, cols)
