@@ -39,37 +39,41 @@ dicts in canonical form, which the reports wrap as chains directly; only
 them, at the end.  :func:`_fundamental_cycles` reads the cycles off the
 cuts, for the RREF and for the integer-tree search.  Unimodular
 operations (swap, negate, add q times a line) are kept as logs in the
-encoding of :func:`_apply`, the one function that applies a log, always
-to whole lines.  This module alone builds and inverts logs
-(:func:`_inverse_log` undoes a row log, :func:`_undo` turns a column
-operation into one on the rows of the inverse) and reads a Smith form's
-logs.  The integer-tree search applies the steps of :func:`_unit_steps`
-to W's rows as it accepts an edge and their :func:`_inverse_log` as it
-backtracks, and reads its tree off the same rows by :func:`_tree_cuts`
-at the end.  The Smith reduction hands back its elementary divisors and
-logs its row and column operations instead of building factors (the
-product form of the inverse); of its factors only V^-1 is built with it,
-by :func:`_undo`, S from the divisors, and V when read.  The reports
-read S, V and V^-1 only; each factor is one pass of its log on the
-identity (U and U^-1 are built only for a caller outside the package).
-V is kept by columns, as the column log builds them from the identity,
-and ``v`` is their transpose, so the integer cycles, columns of V, are
-read off them as they are built.  The Smith form's pivot rule is pinned,
-because its factors and the witnesses read off them depend on it: a
-nonzero of least absolute value, lowest current row first, then lowest
-current column (so a unit entry whenever there is one); its S, V^-1 and
-V are therefore exactly those of the textbook dense reduction with that
-rule.  The RREF's steps are free, because the RREF is unique for a given
-column order: its rows are those of the textbook dense elimination with
-any pivot rule.  Every Smith form is checked exactly before anything is
-read off it, through V^-1 and without building V: the divisors d_1, ...,
-d_r must be positive with each dividing the next, ``u @ m`` must equal
-``D @ v_inverse`` (row i is d_i times row i of V^-1 below the rank r,
-empty after it) with U the product of the logged row operations, and
-``v_inverse @ v`` the identity with V the product of the logged column
-operations.  Together these give ``u @ m @ v == D`` with D in Smith form.
-A mismatch raises :class:`InternalInconsistencyError` (never an
-``assert``).
+encoding of :func:`_apply`, and applied, always to whole lines, by one
+of two functions: :func:`_apply` applies a log to plain lines, and
+:func:`_in_step` to lines kept with a cross index (the same entries
+indexed the other way), which it updates entry by entry.  This module
+alone builds and inverts logs (:func:`_inverse_log` undoes a row log,
+:func:`_undo` turns a column operation into one on the rows of the
+inverse) and reads a Smith form's logs.  The integer-tree search applies
+the steps of :func:`_unit_steps` to W's rows as it accepts an edge and
+their :func:`_inverse_log` as it backtracks, and reads its tree off the
+same rows by :func:`_tree_cuts` at the end.  The Smith reduction keeps
+its working matrix by rows and by columns, each the other's cross index,
+applies its row and column operations by :func:`_in_step`, hands back
+its elementary divisors and logs the operations instead of building
+factors (the product form of the inverse); of its factors only V^-1 is
+built with it, by :func:`_undo`, S from the divisors, and V when read.
+The reports read S, V and V^-1 only; each factor is one pass of its log
+on the identity (U and U^-1 are built only for a caller outside the
+package).  V is kept by columns, as the column log builds them from the
+identity, and ``v`` is their transpose, so the integer cycles, columns
+of V, are read off them as they are built.  The Smith form's pivot rule
+is pinned, because its factors and the witnesses read off them depend on
+it: a nonzero of least absolute value, lowest current row first, then
+lowest current column (so a unit entry whenever there is one); its S,
+V^-1 and V are therefore exactly those of the textbook dense reduction
+with that rule.  The RREF's steps are free, because the RREF is unique
+for a given column order: its rows are those of the textbook dense
+elimination with any pivot rule.  Every Smith form is checked exactly
+before anything is read off it, through V^-1 and without building V: the
+divisors d_1, ..., d_r must be positive with each dividing the next,
+``u @ m`` must equal ``D @ v_inverse`` (row i is d_i times row i of V^-1
+below the rank r, empty after it) with U the product of the logged row
+operations, and ``v_inverse @ v`` the identity with V the product of the
+logged column operations.  Together these give ``u @ m @ v == D`` with D
+in Smith form.  A mismatch raises :class:`InternalInconsistencyError`
+(never an ``assert``).
 """
 
 from functools import cached_property
@@ -165,23 +169,49 @@ def _fundamental_cycles(cuts: dict, cols: int) -> dict:
 
 def _column_index(rows: list[dict], cols: int):
     """The entries of ``rows`` also kept by columns, as ``{row: nonzero}``
-    dicts, and a function that applies a row log to ``rows`` with
-    :func:`_apply` and re-indexes only the rows it names, so reading a
-    column costs its nonzeros, whatever was applied before.
-    Returns ``(columns, apply)``."""
-    columns = ExactMatrix._of(rows, cols).transpose().lines
+    dicts, and the :func:`_in_step` function that applies a row log to
+    both, so reading a column costs its nonzeros, whatever was applied
+    before.  Returns ``(columns, apply)``."""
+    columns = list(ExactMatrix._of(rows, cols).transpose().lines)
+    return columns, _in_step(rows, columns)
+
+
+def _in_step(lines: list[dict], cross: list[dict]):
+    """A function that applies a log, in the encoding of :func:`_apply`,
+    to ``lines`` and keeps ``cross``, the same entries indexed the other
+    way (``cross[j][i]`` is ``lines[i][j]``), in step, entry by entry: an
+    addition to line a changes only line a's entries, a swap re-indexes
+    both lines and a negation one.  Each ``cross`` dict stays the same
+    object, so a caller may hold one across applications.  This is the
+    one function that applies a log to lines kept with a cross index."""
 
     def apply(ops) -> None:
-        touched = {i for op in ops for i in op[:2]}
-        for i in touched:
-            for j in rows[i]:
-                del columns[j][i]
-        _apply(ops, rows)
-        for i in touched:
-            for j, x in rows[i].items():
-                columns[j][i] = x
+        for a, b, q in ops:
+            if q:
+                line = lines[a]
+                for j, y in lines[b].items():
+                    x = line.get(j, 0) + q * y
+                    if x:
+                        line[j] = cross[j][a] = x
+                    else:
+                        del line[j]
+                        del cross[j][a]
+            elif a == b:
+                lines[a] = line = {j: -x for j, x in lines[a].items()}
+                for j, x in line.items():
+                    cross[j][a] = x
+            else:
+                for j in lines[a]:
+                    del cross[j][a]
+                for j in lines[b]:
+                    del cross[j][b]
+                lines[a], lines[b] = lines[b], lines[a]
+                for j, x in lines[a].items():
+                    cross[j][a] = x
+                for j, x in lines[b].items():
+                    cross[j][b] = x
 
-    return columns, apply
+    return apply
 
 
 def _rref_tree(rows: list[dict], cols: int):
@@ -420,10 +450,11 @@ def _apply(ops, lines: list[dict]) -> list[dict]:
     the unimodular operations ``ops`` applied to whole lines in turn.  An
     operation ``(a, b, q)`` adds q times line b to line a when q is
     nonzero (a != b); with q = 0 it swaps lines a and b, or negates line a
-    when a == b.  This is the one encoding of every log in the package and
-    the one function that applies one.  On the identity, a row log gives U
-    by rows and its :func:`_inverse_log` U^-1 by rows; a column log gives
-    V by columns and its :func:`_undo` V^-1 by rows."""
+    when a == b.  This is the one encoding of every log in the package, and
+    this the function that applies one to plain lines; :func:`_in_step`
+    applies one to lines kept with a cross index.  On the identity, a row
+    log gives U by rows and its :func:`_inverse_log` U^-1 by rows; a column
+    log gives V by columns and its :func:`_undo` V^-1 by rows."""
     for a, b, q in ops:
         if q:
             _axpy(lines[a], lines[b], q)
@@ -441,52 +472,20 @@ def _smith_reduce(rows: list[dict], width: int):
     Returns ``(divisors, row_log, column_log)``: the elementary divisors,
     d_k appended when step k ends, and the row and column operations, in
     the encoding of :func:`_apply`, in the order they were made.  The
-    working matrix is kept by rows and by columns while it is reduced, so a
-    row operation and a column operation run the same code, each on its own
-    "side": the lines it moves, the lines that cross them, and its log.
-    No factor is built; :func:`_apply` builds each from its log.
+    working matrix is kept by rows and by columns while it is reduced, each
+    the other's cross index, so a row operation and a column operation run
+    the same code, each on its own "side": an :func:`_in_step` applier of
+    the lines it moves with the lines that cross them, its log, and those
+    crossing lines, from which line k's entries are read.  No factor is
+    built; :func:`_apply` builds each from its log.
     """
     height = len(rows)
     s_rows = rows
-    s_cols = list(ExactMatrix._of(rows, width).transpose().lines)
+    s_cols, by_rows = _column_index(s_rows, width)
     divisors: list[int] = []
     row_log: list[tuple[int, int, int]] = []
     column_log: list[tuple[int, int, int]] = []
-    by_rows = (s_rows, s_cols, row_log)
-    by_cols = (s_cols, s_rows, column_log)
-
-    def swap(side, a, b):
-        lines, cross, log = side
-        for j in lines[a]:
-            del cross[j][a]
-        for j in lines[b]:
-            del cross[j][b]
-        lines[a], lines[b] = lines[b], lines[a]
-        for j, x in lines[a].items():
-            cross[j][a] = x
-        for j, x in lines[b].items():
-            cross[j][b] = x
-        log.append((a, b, 0))
-
-    def add(side, target, source, q):
-        lines, cross, log = side
-        line = lines[target]
-        for j, y in lines[source].items():
-            x = line.get(j, 0) + q * y
-            if x:
-                line[j] = x
-                cross[j][target] = x
-            else:
-                del line[j]
-                del cross[j][target]
-        log.append((target, source, q))
-
-    def negate(side, i):
-        lines, cross, log = side
-        lines[i] = {j: -x for j, x in lines[i].items()}
-        for j, x in lines[i].items():
-            cross[j][i] = x
-        log.append((i, i, 0))
+    sides = ((by_rows, row_log, s_cols), (_in_step(s_cols, s_rows), column_log, s_rows))
 
     def find_pivot(k):
         # Rows and columns before k are finished, so every nonzero of rows
@@ -507,25 +506,25 @@ def _smith_reduce(rows: list[dict], width: int):
             pivot = find_pivot(k)
             if pivot is None:
                 break
-            _, pi, pj = pivot
-            if pi != k:
-                swap(by_rows, k, pi)
-            if pj != k:
-                swap(by_cols, k, pj)
-            if s_rows[k][k] < 0:
-                negate(by_rows, k)
-            p = s_rows[k][k]
-            # clear column k below the pivot by row operations, then row k
-            # right of it by column operations
+            p, pi, pj = pivot
+            # swap the pivot to (k, k) and make it positive, then clear
+            # column k below it by row operations and row k right of it by
+            # column operations; a side's clearing operations commute, as
+            # each changes its own line and reads only line k
+            moves = (
+                [(k, pi, 0)] * (pi != k) + [(k, k, 0)] * (s_rows[pi][pj] < 0),
+                [(k, pj, 0)] * (pj != k),
+            )
+            for (apply, log, _), steps in zip(sides, moves):
+                apply(steps)
+                log += steps
             dirty = False
-            for side in (by_rows, by_cols):
-                line = side[1][k]
-                for i in [i for i in line if i > k]:
-                    q = line[i] // p
-                    if q:
-                        add(side, i, k, -q)
-                    if i in line:
-                        dirty = True
+            for apply, log, cross in sides:
+                line = cross[k]
+                steps = [(i, k, -(x // p)) for i, x in line.items() if i > k and x // p]
+                apply(steps)
+                log += steps
+                dirty = dirty or any(i > k for i in line)
             if dirty:
                 continue
             violation = None
@@ -537,7 +536,8 @@ def _smith_reduce(rows: list[dict], width: int):
             if violation is None:
                 break
             # pull the offending row into row k; the next pass shrinks the pivot
-            add(by_rows, k, violation, 1)
+            by_rows([(k, violation, 1)])
+            row_log.append((k, violation, 1))
         if pivot is None:
             break
         divisors.append(p)

@@ -40,10 +40,13 @@ are the rational bases of ``homology`` and ``cycle_cut_decomposition``.
 Both trees are read the same way (``exact_linalg``): Euclid steps on
 rows indexed by columns take each tree column to a pivot, then one back
 substitution, ``exact_linalg._tree_cuts``, takes the echelon rows to the
-fundamental cuts, and the cycles come from the cuts.  The rational
-elimination takes every column with a nonzero below the pivots so far;
-the integer walk takes a column only when those entries have gcd 1, so
-its pivots are 1 and its cuts stay in ints.
+fundamental cuts, and the cycles come from the cuts.  The steps are
+applied by ``exact_linalg._in_step``, which keeps the column index in
+step with the rows entry by entry, as it keeps the Smith reduction's
+rows and columns.  The rational elimination takes every column with a
+nonzero below the pivots so far; the integer walk takes a column only
+when those entries have gcd 1, so its pivots are 1 and its cuts stay in
+ints.
 """
 
 from math import gcd, prod
@@ -274,10 +277,10 @@ def find_spanning_tree_integer(
     :class:`InternalInconsistencyError` is raised.  Backtracking applies
     the inverse of the last edge's steps (``exact_linalg._inverse_log``).
     The same entries are kept by columns (``exact_linalg._column_index``),
-    and each application of operations re-indexes only the rows they name,
-    so a test reads the nonzeros of one column, at most r of them, whatever
-    the walk did before it.  Each column tested counts against
-    ``search_limit``.
+    and each operation applied updates them entry by entry
+    (``exact_linalg._in_step``), so a test reads the nonzeros of one
+    column, at most r of them, whatever the walk did before it.  Each
+    column tested counts against ``search_limit``.
 
     Later steps touch only rows below the earlier prefix edges' unit rows,
     so at the end the operations L of the prefix take the tree's columns

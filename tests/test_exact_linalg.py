@@ -385,6 +385,75 @@ def test_inverse_log_undoes_the_log_on_any_lines(case, data):
     assert exact_linalg._apply(exact_linalg._inverse_log(log), applied) == lines, log
 
 
+def _next_operation(rng, lines):
+    """One operation on ``lines``: a swap (with an empty line when there is
+    one, half the time), a negation, an addition that cancels an entry
+    when some line holds a multiple of another's entry, or any addition."""
+    n = len(lines)
+    kind = rng.choice(["swap", "negate", "cancel", "add"])
+    empty = [i for i in range(n) if not lines[i]]
+    if kind == "swap":
+        a = rng.randrange(n)
+        return a, rng.choice(empty) if empty and rng.random() < 0.5 else rng.randrange(n), 0
+    if kind == "negate":
+        a = rng.randrange(n)
+        return a, a, 0
+    if kind == "cancel":
+        pairs = [
+            (a, b, -(x // lines[b][j]))
+            for a in range(n)
+            for b in range(n)
+            if a != b
+            for j, x in lines[a].items()
+            if j in lines[b] and x % lines[b][j] == 0
+        ]
+        if pairs:
+            return rng.choice(pairs)
+    a, b = rng.sample(range(n), 2)
+    return a, b, rng.choice([-3, -2, -1, 1, 2, 3])
+
+
+def test_in_step_keeps_the_cross_index_of_the_applied_lines():
+    # the Smith reduction keeps its rows and columns, and both tree
+    # eliminations their rows and columns, in step through ``_in_step``:
+    # after every operation the lines must be what ``_apply`` makes of
+    # them and the cross index their transpose, each of its dicts the
+    # object it was, since the Smith reduction reads a held one after
+    # applying; both orientations, rows with a column index and columns
+    # with a row index
+    rng = random.Random(4040)
+    seen = {"cancelled": 0, "swap with empty": 0, "negate": 0}
+    for _ in range(300):
+        height, width = rng.randint(2, 7), rng.randint(2, 7)
+        matrix = ExactMatrix._of(
+            [
+                {j: rng.choice([-2, -1, 1, 1, 2, 4]) for j in range(width) if rng.random() < 0.4}
+                for _ in range(height)
+            ],
+            width,
+        )
+        for lines, size in ((matrix.lines, width), (matrix.transpose().lines, height)):
+            lines = [dict(line) for line in lines]
+            cross = list(ExactMatrix._of(lines, size).transpose().lines)
+            apply = exact_linalg._in_step(lines, cross)
+            held = list(cross)
+            expected = [dict(line) for line in lines]
+            for _ in range(12):
+                op = _next_operation(rng, expected)
+                before = sum(map(len, expected))
+                exact_linalg._apply([op], expected)
+                apply([op])
+                assert lines == expected, op
+                assert cross == list(ExactMatrix._of(expected, size).transpose().lines), op
+                assert all(a is b for a, b in zip(cross, held)), op
+                seen["cancelled"] += op[2] != 0 and sum(map(len, expected)) < before
+                seen["swap with empty"] += op[2] == 0 and op[0] != op[1] and not all(
+                    expected[i] for i in op[:2]
+                )
+                seen["negate"] += op[0] == op[1]
+    assert min(seen.values()) > 100, seen
+
+
 def test_sparse_rref_matches_dense_oracle():
     # the fraction-free elimination must return the schoolbook RREF, leave
     # its input alone and hand back nonzero values in canonical form only

@@ -1,12 +1,13 @@
 """The package's public surface: ``__all__``, which the package computes
 from its imports, the second routes that left it for the test oracles, the
-README's library example, no module-level import that its module never
+README's library example, no import that a package or test module never
 reads, no ``assert`` statement, no read of the Smith factors ``u`` and
 ``u_inverse``, no read of a Smith form's operation logs outside
-``exact_linalg``, one place that replays a log vector by vector, one class
-that sorts a chain's indices, the two places that make a Smith form, the
-two that build B, the two that read a tree off an RREF and the functions
-whose spans the benchmark reads."""
+``exact_linalg``, one function that applies a log to plain lines and one
+to lines kept with a cross index, one class that sorts a chain's indices,
+the two places that make a Smith form, the two that build B, the two that
+read a tree off an RREF and the functions whose spans the benchmark
+reads."""
 
 import ast
 import importlib
@@ -215,6 +216,55 @@ def test_package_modules_read_every_name_they_import(path):
     assert _unread_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _unread_local_imports(source: str) -> list[str]:
+    """The names that an import inside a function binds and that function
+    never reads, in source order; ``from __future__`` is exempt."""
+    unread = []
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {
+                node.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for node in ast.walk(function):
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                ):
+                    names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                    unread += [(node.lineno, name) for name in names if name not in read]
+    return [name for _, name in sorted(set(unread))]
+
+
+def test_local_import_scan_sees_each_function_apart():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    import sys, json as codec\n"
+        "    from math import gcd\n"
+        "    def g():\n"
+        "        from fractions import Fraction\n"
+        "        return os, gcd\n"
+        "    return sys, g, Fraction\n"
+    )
+    assert _unread_local_imports(source) == ["codec", "Fraction"]
+
+
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize(
+    "path",
+    PACKAGE_MODULES + TEST_MODULES,
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_package_and_test_modules_read_every_name_they_import(path):
+    # a leftover import, at the top or inside a function, fails here; the
+    # package's ``__init__`` re-exports through ``__all__``
+    source = path.read_text(encoding="utf-8")
+    assert _unread_imports(source) + _unread_local_imports(source) == []
+
+
 def _assert_lines(source: str) -> list[int]:
     """The line of every ``assert`` statement in a module, which
     ``python -O`` strips."""
@@ -336,17 +386,59 @@ def test_only_the_chain_constructors_sort_a_chain():
     }
 
 
+def _cross_index_removals(source: str) -> list[str]:
+    """The dotted scope of each removal of an entry from a line of a list
+    of lines, ``del x[i][j]`` or ``x[i].pop(j)``, in source order: what a
+    function that keeps lines in step with their cross index must do when
+    an entry cancels or a line moves."""
+    found = []
+
+    def visit(node, scope):
+        removed = (
+            [target for target in node.targets if isinstance(target, ast.Subscript)]
+            if isinstance(node, ast.Delete)
+            else []
+        )
+        if any(isinstance(target.value, ast.Subscript) for target in removed) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"
+            and isinstance(node.func.value, ast.Subscript)
+        ):
+            found.append((node.lineno, ".".join(scope)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return [where for _, where in sorted(found)]
+
+
+def test_cross_index_scan_sees_deletes_and_pops_of_nested_entries():
+    source = (
+        "def f(rows, cols, y):\n"
+        "    del rows[0][1], y[2]\n"
+        "    del y[3]\n"
+        "    class A:\n"
+        "        def g(self):\n"
+        "            return cols[1].pop(0), y.pop(1)\n"
+    )
+    assert _cross_index_removals(source) == ["f", "f.A.g"]
+
+
 def test_every_log_is_applied_to_whole_lines_by_one_function():
-    # ``_apply`` is the one log applier: each Smith factor is one pass of
-    # its log on the identity, the Smith form's check applies both logs,
-    # and the rational elimination and the integer search apply their
-    # steps (the search also their inverse, when it backtracks) through
-    # one helper that re-indexes the changed rows; no module replays a log
-    # one vector at a time
+    # ``_apply`` applies a log to plain lines: each Smith factor is one
+    # pass of its log on the identity, and the Smith form's check applies
+    # both logs.  ``_in_step`` applies one to lines kept with a cross
+    # index, the only code that removes an entry from one: the Smith
+    # reduction's two sides, and through ``_column_index`` the rows of
+    # the rational elimination and of the integer search (the search also
+    # their inverse, when it backtracks).  No module replays a log one
+    # vector at a time
     assert _package_calls("_replay") == {}
     assert _package_calls("_apply") == {
         "exact_linalg.py": [
-            "_column_index.apply",
             "SnfDecomposition.u",
             "SnfDecomposition.u_inverse",
             "SnfDecomposition._v_columns",
@@ -355,16 +447,26 @@ def test_every_log_is_applied_to_whole_lines_by_one_function():
             "smith_normal_form",
         ],
     }
+    assert _package_calls("_in_step") == {"exact_linalg.py": ["_column_index", "_smith_reduce"]}
+    removals = {
+        path.name: sorted(set(_cross_index_removals(path.read_text(encoding="utf-8"))))
+        for path in PACKAGE_MODULES
+    }
+    assert {module: where for module, where in removals.items() if where} == {
+        "exact_linalg.py": ["_in_step.apply"],
+    }
 
 
 def test_both_trees_take_their_steps_and_cuts_from_one_routine_each():
     # the rational elimination, which the vector-space tree runs too, and
-    # the integer search index their rows by one helper, take each tree
-    # column to its pivot by the same Euclid steps and read their cuts by
-    # one back substitution
+    # the integer search index their rows by the helper the Smith reduction
+    # indexes its rows by, take each tree column to its pivot by the same
+    # Euclid steps and read their cuts by one back substitution
     both = {"exact_linalg.py": ["_rref_tree"], "spanning_tree.py": ["find_spanning_tree_integer"]}
-    for name in ("_column_index", "_unit_steps", "_tree_cuts"):
+    for name in ("_unit_steps", "_tree_cuts"):
         assert _package_calls(name) == both, name
+    indexed = {**both, "exact_linalg.py": ["_rref_tree", "_smith_reduce"]}
+    assert _package_calls("_column_index") == indexed
 
 
 def test_the_package_makes_a_smith_form_in_two_places():
