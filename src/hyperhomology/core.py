@@ -144,14 +144,17 @@ def validation_report(vertices, edges) -> list[str]:
     """List every violated hypergraph invariant; an empty list means valid.
 
     Checked: duplicate vertex ids, tails/heads overlap within an edge, edge
-    vertices missing from the vertex list, and pairs of edges that are
-    inverses of each other.  Two edges with identical (tails, heads) are
-    allowed (parallel edges); an edge equal to the *inverse* of another is
-    not.  A single edge with empty tails and heads is allowed, but a second
-    one counts as an inverse pair (it is its own inverse).  The duplicate
+    vertices missing from the vertex list, and edges that are inverses of
+    earlier ones.  Two edges with identical (tails, heads) are allowed
+    (parallel edges); an edge equal to the *inverse* of an earlier one is
+    not, and is reported once, paired with the first edge it inverts, so
+    k copies of an edge and k of its inverse give k lines, not k².  A
+    single edge with empty tails and heads is allowed, but a second one
+    counts as an inverse pair (it is its own inverse).  The duplicate
     vertices come first, then the overlaps and unknown vertices edge by
-    edge, then the inverse pairs, later edge outer.  A valid edge costs a
-    disjointness test, two subset tests and one lookup of its inverse.
+    edge, then the inverse pairs, in the order of their later edges.  A
+    valid edge costs a disjointness test, two subset tests and one lookup
+    of its inverse.
     """
     vertices = tuple(vertices)
     violations = []
@@ -163,7 +166,7 @@ def validation_report(vertices, edges) -> list[str]:
                 violations.append(f"duplicate vertex {v!r}")
             seen.add(v)
     inverse_pairs = []
-    earlier: dict[tuple, list[int]] = {}
+    first: dict[tuple, int] = {}
     for j, (tails, heads) in enumerate(edges):
         tails = frozenset(tails)
         heads = frozenset(heads)
@@ -173,9 +176,9 @@ def validation_report(vertices, edges) -> list[str]:
         if not (known >= tails and known >= heads):
             for v in sorted((tails | heads) - known, key=repr):
                 violations.append(f"edge {j}: unknown vertex {v!r}")
-        for i in earlier.get((heads, tails), ()):
-            inverse_pairs.append(f"edges {i} and {j}: inverse pair")
-        earlier.setdefault((tails, heads), []).append(j)
+        if (heads, tails) in first:
+            inverse_pairs.append(f"edges {first[heads, tails]} and {j}: inverse pair")
+        first.setdefault((tails, heads), j)
     return violations + inverse_pairs
 
 
@@ -185,10 +188,12 @@ class OrientedHypergraph(_Record):
     Each edge is a pair (tails, heads) of disjoint vertex sets: the edge
     points away from its tails and towards its heads.  Construction
     validates the data and raises :class:`HypergraphValidationError` on any
-    violation.  The Smith form of the integer boundary matrix B is computed
-    on first use and kept, so every integer report, tree check and the
-    integer-tree search on one hypergraph share one factorization; the
-    cache is not a field, so equality, hash and ``repr`` ignore it.
+    violation.  The integer boundary matrix B (``_boundary``) and its Smith
+    form (``_smith_form``) are computed on first use and kept, so every
+    integer report, tree check and the integer-tree search on one
+    hypergraph share one factorization, and the rational tree eliminates
+    the B that factorization read; the caches are not fields, so equality,
+    hash and ``repr`` ignore them.
     """
 
     vertices: tuple
@@ -230,14 +235,22 @@ class OrientedHypergraph(_Record):
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _smith_form(self):
-        """``smith_normal_form(boundary_matrix(self, Ring.INTEGER))``, made
-        once.  ``boundary`` and ``exact_linalg`` import this module, so
-        they are imported on first use, not at module level."""
+    def _boundary(self):
+        """``boundary_matrix(self, Ring.INTEGER)``, built once: the Smith
+        form factors it and the rational tree eliminates it.  ``boundary``
+        and ``exact_linalg`` import this module, so here and in
+        ``_smith_form`` they are imported on first use, not at module
+        level."""
         from .boundary import boundary_matrix
+
+        return boundary_matrix(self, Ring.INTEGER)
+
+    @cached_property
+    def _smith_form(self):
+        """``smith_normal_form(self._boundary)``, made once."""
         from .exact_linalg import smith_normal_form
 
-        return smith_normal_form(boundary_matrix(self, Ring.INTEGER))
+        return smith_normal_form(self._boundary)
 
 
 class _FormalSum(_Record):

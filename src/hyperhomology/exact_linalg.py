@@ -10,23 +10,26 @@ one and 2 when it is neither, so each reader compares the grade with the
 bound its ring allows.  One function, :func:`_rref_tree`, runs the
 rational elimination: it reads the tree, the fundamental cuts and the
 fundamental cycles off one reduced row echelon form (RREF), its columns
-scanned left to right.  Over B it gives the rational tree, and over the
+scanned left to right.  Over B, the matrix a hypergraph keeps
+(``_boundary``) and factors, it gives the rational tree, and over the
 generators with their columns reversed, the vector-space tree.  It and
 the integer-tree search share their steps: both hold their rows in ints,
 indexed by columns (:func:`_column_index`), take each tree column to a
 pivot by the Euclid steps of :func:`_unit_steps`, which touch only the
-rows from the pivot's down, and read the cuts off the echelon rows by one
-back substitution, :func:`_tree_cuts`, which states how it stays
-fraction-free.  Rational values are in the canonical form of
-:mod:`core`: an entry the pivot divides is divided exactly, into an int,
-and only one it does not divide becomes a Fraction.  On a graph B is
-totally unimodular, so every RREF entry is integral and no Fraction is
-made.  ``fractions`` is imported only where a Fraction is made, so
-neither the integer route nor a rational query on a graph loads it.  The
-second routes to the same facts (kernel and image bases, integer and
-rational solving, annihilators, quotient structure, lattice comparison,
-matrix products, the rank by elimination) live in ``tests/oracles.py``,
-where they check these ones.
+rows from the pivot's down and, among pivots of equal absolute value,
+take the row with the fewest nonzeros (the fill tie-break), and read
+the tree off the echelon rows by one routine, :func:`_read_tree`: one
+back substitution, which states how it stays fraction-free, gives the
+cuts, and the cycles are read off the cuts as they are made.  Rational
+values are in the canonical form of :mod:`core`: an entry the pivot
+divides is divided exactly, into an int, and only one it does not divide
+becomes a Fraction.  On a graph B is totally unimodular, so every RREF
+entry is integral and no Fraction is made.  ``fractions`` is imported
+only where a Fraction is made, so neither the integer route nor a
+rational query on a graph loads it.  The second routes to the same facts
+(kernel and image bases, integer and rational solving, annihilators,
+quotient structure, lattice comparison, matrix products, the rank by
+elimination) live in ``tests/oracles.py``, where they check these ones.
 
 :class:`ExactMatrix` stores one ``{column: nonzero}`` dict per row, and
 its dense ``entries`` are only a view built on request, so a boundary
@@ -36,11 +39,9 @@ Smith reduction starts from the matrix's rows, and the RREF takes dict
 rows and returns its fundamental cuts and cycles as ``{index: nonzero}``
 dicts in canonical form, which the reports wrap as chains directly; only
 :func:`vector_space_spanning_tree`, which returns dense lists, builds
-them, at the end.  :func:`_fundamental_cycles` reads the cycles off the
-cuts, for the RREF and for the integer-tree search.  Unimodular
-operations (swap, negate, add q times a line) are kept as logs in the
-encoding of :func:`_apply`, and applied, always to whole lines, by one
-of two functions: :func:`_apply` applies a log to plain lines, and
+them, at the end.  Unimodular operations (swap, negate, add q times a
+line) are kept as logs in the encoding of :func:`_apply`, and applied,
+always to whole lines, by one of two functions: :func:`_apply` applies a log to plain lines, and
 :func:`_in_step` to lines kept with a cross index (the same entries
 indexed the other way), which it updates entry by entry.  This module
 alone builds and inverts logs (:func:`_inverse_log` undoes a row log,
@@ -48,7 +49,7 @@ alone builds and inverts logs (:func:`_inverse_log` undoes a row log,
 inverse) and reads a Smith form's logs.  The integer-tree search applies
 the steps of :func:`_unit_steps` to W's rows as it accepts an edge and
 their :func:`_inverse_log` as it backtracks, and reads its tree off the
-same rows by :func:`_tree_cuts` at the end.  The Smith reduction keeps
+same rows by :func:`_read_tree` at the end.  The Smith reduction keeps
 its working matrix by rows and by columns, each the other's cross index,
 applies its row and column operations by :func:`_in_step`, hands back
 its elementary divisors and logs the operations instead of building
@@ -153,20 +154,6 @@ def _dense(vector: dict, length: int) -> list:
     return line
 
 
-def _fundamental_cycles(cuts: dict, cols: int) -> dict:
-    """The fundamental cycles of a tree with fundamental ``cuts``, each a
-    ``{column: nonzero}`` dict with 1 at its own tree column and 0 at the
-    others: for each other column f, ascending, the null vector of the cuts
-    with 1 at f, 0 at every other free column and minus cut t's entry at f
-    at each tree column t."""
-    cycles = {j: {j: 1} for j in range(cols) if j not in cuts}
-    for t, cut in cuts.items():
-        for j, x in cut.items():
-            if j in cycles:
-                cycles[j][t] = -x
-    return cycles
-
-
 def _column_index(rows: list[dict], cols: int):
     """The entries of ``rows`` also kept by columns, as ``{row: nonzero}``
     dicts, and the :func:`_in_step` function that applies a row log to
@@ -222,11 +209,12 @@ def _rref_tree(rows: list[dict], cols: int):
     are not modified; columns are scanned left to right.  The RREF is
     unique for a given column order, so the result depends neither on the
     order of the rows nor on how the elimination reaches it, up to the
-    order of the entries within a vector.  The pivot columns are the
-    greedy column basis, which is the tree.  RREF row i has 1 at its pivot
-    and 0 at every other pivot, so it is the fundamental cut of that
-    pivot, and :func:`_fundamental_cycles` reads the cycles off the cuts.
-    Returns ``(tree, cuts, cycles)``: the tree columns ascending, then
+    order of the entries within a vector, and the fill tie-break of
+    :func:`_unit_steps` changes its cost, not its result.  The pivot
+    columns are the greedy column basis, which is the tree.  RREF row i
+    has 1 at its pivot and 0 at every other pivot, so it is the
+    fundamental cut of that pivot, and the cycles are the null vectors of
+    the cuts.  Returns ``(tree, cuts, cycles)``: the tree columns ascending, then
     dicts from tree column and from free column (both ascending) to a
     ``{column: nonzero}`` dict in no promised order, which ``Chain`` puts
     in order when it wraps it.  The values are in canonical form: ints
@@ -238,7 +226,7 @@ def _rref_tree(rows: list[dict], cols: int):
     without its tests: at depth k, a column whose entries on rows k.. are
     not all zero is a tree column, and the Euclid steps of
     :func:`_unit_steps`, unimodular and on rows k.. only, take them to a
-    positive pivot at row k.  :func:`_tree_cuts` reads the cuts off the
+    positive pivot at row k.  :func:`_read_tree` reads the tree off the
     echelon rows.  No bound on the forward pass's entries is proven:
     unlike Kannan and Bachem's Hermite form, it reduces no entry modulo
     the pivots, and it divides no row by its content.
@@ -249,16 +237,17 @@ def _rref_tree(rows: list[dict], cols: int):
     for j in range(cols):
         residual = {i: x for i, x in columns[j].items() if i >= len(tree)}
         if residual:
-            apply(_unit_steps(residual, len(tree)))
+            apply(_unit_steps(residual, len(tree), rows))
             tree.append(j)
-    cuts = _tree_cuts(rows, columns, tree)
-    return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
+    return _read_tree(rows, columns, tree)
 
 
-def _tree_cuts(rows: list[dict], columns, tree: list[int]) -> dict:
-    """The fundamental cuts of ``tree`` read off integer echelon ``rows``
-    by one back substitution: ``{tree column: cut}``, each cut the RREF
-    row with 1 at its own tree column and 0 at the others.
+def _read_tree(rows: list[dict], columns, tree: list[int]):
+    """The tree read off integer echelon ``rows``: ``(tree, cuts,
+    cycles)``, the tree columns as a tuple, then the fundamental cuts,
+    ``{tree column: cut}``, each cut the RREF row with 1 at its own tree
+    column and 0 at the others, and the fundamental cycles, ``{free
+    column: cycle}``, both keyed ascending.
 
     Row k must hold a positive pivot p at ``tree[k]`` and nothing at the
     tree columns before it, and ``columns`` must index the rows by
@@ -274,7 +263,10 @@ def _tree_cuts(rows: list[dict], columns, tree: list[int]) -> dict:
     the pivot divides is divided exactly, into an int, and only one it
     does not divide becomes a Fraction.  With every pivot 1, as in the
     integer search, the pass adds integer multiples of rows only, and the
-    cuts are ``rows`` themselves.
+    cuts are ``rows`` themselves.  The cycle of free column f is the null
+    vector of the cuts with 1 at f, 0 at every other free column and minus
+    cut t's entry at f at each tree column t, so each cut's entries are
+    copied into the cycles as the cut is made.
     """
     for k in reversed(range(len(tree))):
         pivot_row = rows[k]
@@ -292,6 +284,8 @@ def _tree_cuts(rows: list[dict], columns, tree: list[int]) -> dict:
                 content = gcd(*row.values())
                 if content > 1:
                     rows[i] = {j: x // content for j, x in row.items()}
+    tree_set = set(tree)
+    cycles = {j: {j: 1} for j in range(len(columns)) if j not in tree_set}
     cuts = {}
     for t, row in zip(tree, rows):
         p = row[t]
@@ -302,7 +296,10 @@ def _tree_cuts(rows: list[dict], columns, tree: list[int]) -> dict:
         elif p != 1:
             row = {j: x // p for j, x in row.items()}
         cuts[t] = row
-    return cuts
+        for j, x in row.items():
+            if j in cycles:
+                cycles[j][t] = -x
+    return tuple(tree), cuts, cycles
 
 
 class SnfDecomposition(_Record):
@@ -393,35 +390,44 @@ def _axpy(target: dict, source: dict, q: int) -> None:
             del target[j]
 
 
-def _unit_steps(residual: dict, depth: int) -> list[tuple[int, int, int]]:
+def _unit_steps(residual: dict, depth: int, rows: list[dict]) -> list[tuple[int, int, int]]:
     """Row operations, in the encoding of :func:`_apply`, that take the
     nonzero integer vector ``residual`` (every nonzero in a row from
     ``depth`` on) to g times the unit vector at row ``depth``, g > 0 the
     gcd of its entries (the unit vector itself when it is primitive),
     touching only rows from ``depth`` on.  Euclid's algorithm on its
-    entries: swap an entry of least absolute value, lowest row first, into
-    row ``depth``, reduce every other entry modulo it, and repeat until one
-    entry is left, which is then g or -g, and negated if it is -g."""
+    entries: swap an entry of least absolute value into row ``depth``,
+    reduce every other entry modulo it, and repeat until one entry is left,
+    which is then g or -g, and negated if it is -g.  Among entries of equal
+    absolute value the one whose row of ``rows`` has the fewest nonzeros
+    is taken, then the lowest row (the fill tie-break: the pivot row is
+    added to every other row of the residual, so a sparse one fills in
+    least).  The counts are those of ``rows`` as given, followed through
+    the steps' own swaps (``held`` maps a row to the row of ``rows`` a
+    swap moved there), not through their additions; a lone entry needs
+    none."""
     y = dict(residual)
+    held = {}
     ops = []
     while True:
-        i = min(y, key=lambda k: (abs(y[k]), k))
+        if len(y) == 1:
+            (i,) = y
+        else:
+            i = min(y, key=lambda k: (abs(y[k]), len(rows[held.get(k, k)]), k))
         if i != depth:
             ops.append((depth, i, 0))
             x = y.pop(depth, 0)
             y[depth] = y.pop(i)
+            held[depth], held[i] = held.get(i, i), held.get(depth, depth)
             if x:
                 y[i] = x
         if len(y) == 1:
             break
         p = y[depth]
         for k in [k for k in y if k != depth]:
-            q = -(y[k] // p)
-            ops.append((k, depth, q))
-            x = y[k] + q * p
-            if x:
-                y[k] = x
-            else:
+            ops.append((k, depth, -(y[k] // p)))
+            y[k] %= p
+            if not y[k]:
                 del y[k]
     if y[depth] < 0:
         ops.append((depth, depth, 0))

@@ -38,9 +38,13 @@ the non-tree positions, rows the cycles and null vectors the cuts.  The
 rational tree is the greedy one of B, and its fundamental cycles and cuts
 are the rational bases of ``homology`` and ``cycle_cut_decomposition``.
 Both trees are read the same way (``exact_linalg``): Euclid steps on
-rows indexed by columns take each tree column to a pivot, then one back
-substitution, ``exact_linalg._tree_cuts``, takes the echelon rows to the
-fundamental cuts, and the cycles come from the cuts.  The steps are
+rows indexed by columns take each tree column to a pivot, the sparsest
+row first among pivots of equal absolute value (the fill tie-break of
+``exact_linalg._unit_steps``, which changes no answer), then one routine,
+``exact_linalg._read_tree``, takes the echelon rows to the fundamental
+cuts by one back substitution and reads the cycles off the cuts.  The
+rational tree eliminates the B the hypergraph keeps (``_boundary``), the
+one its Smith form factors, so a query builds B once.  The steps are
 applied by ``exact_linalg._in_step``, which keeps the column index in
 step with the rows entry by entry, as it keeps the Smith reduction's
 rows and columns.  The rational elimination takes every column with a
@@ -51,19 +55,18 @@ ints.
 
 from math import gcd, prod
 
-from .boundary import boundary, boundary_matrix
+from .boundary import boundary
 from .core import Chain, InternalInconsistencyError, OrientedHypergraph, Ring, _Record
 from .core import _require_ring
 from .exact_linalg import (
     ExactMatrix,
     _column_index,
     _dense,
-    _fundamental_cycles,
     _grade,
     _integer_row,
     _inverse_log,
+    _read_tree,
     _rref_tree,
-    _tree_cuts,
     _unit_steps,
     smith_normal_form,
 )
@@ -114,10 +117,11 @@ def find_spanning_tree_rational(hypergraph: OrientedHypergraph) -> SpanningTree:
     matrix: each edge whose boundary is linearly independent of the
     boundaries of the edges before it, so the result is deterministic for a
     given edge ordering.  The nonzero RREF rows are the fundamental cuts and
-    the null vectors of the free columns are the fundamental cycles.
+    the null vectors of the free columns are the fundamental cycles.  The
+    matrix is the one the hypergraph keeps (``_boundary``), which its
+    Smith form, read by the verification, factors too.
     """
-    matrix = boundary_matrix(hypergraph, Ring.INTEGER)
-    return _spanning_tree(*_rref_tree(matrix.lines, hypergraph.edge_count))
+    return _spanning_tree(*_rref_tree(hypergraph._boundary.lines, hypergraph.edge_count))
 
 
 class TreeAxiomsReport(_Record):
@@ -272,8 +276,10 @@ def find_spanning_tree_integer(
     take the prefix's columns to the first k unit vectors.  A new column
     extends the prefix exactly when its residual, its entries on rows
     k.., is primitive (gcd 1); then the Euclid steps that take the
-    residual to the unit vector at row k are applied to the rows, and the
-    column must then be that unit vector from row k down, or
+    residual to the unit vector at row k (``exact_linalg._unit_steps``,
+    whose fill tie-break may pick other steps but reaches the same unit
+    vector) are applied to the rows, and the column must then be that unit
+    vector from row k down, or
     :class:`InternalInconsistencyError` is raised.  Backtracking applies
     the inverse of the last edge's steps (``exact_linalg._inverse_log``).
     The same entries are kept by columns (``exact_linalg._column_index``),
@@ -285,14 +291,15 @@ def find_spanning_tree_integer(
     Later steps touch only rows below the earlier prefix edges' unit rows,
     so at the end the operations L of the prefix take the tree's columns
     W_T to an upper unitriangular T = L W_T, whose column k is prefix edge
-    k's column as the rows hold it.  The back substitution of the rational
-    tree (``exact_linalg._tree_cuts``) takes T to the identity, with every
-    pivot 1 by integer additions of rows only.  All these operations are
-    unimodular, so the rows are then integer rows with the row space of W
-    and 1 at one tree edge and 0 at the others each: row k is the
-    fundamental cut of prefix edge k, and the same cut the RREF of W with
-    the tree's columns first gives.  The cycles are read off the cuts, and
-    the tree is verified once against the integer axioms.
+    k's column as the rows hold it.  The rational tree's reader,
+    ``exact_linalg._read_tree``, takes T to the identity by its back
+    substitution, with every pivot 1 by integer additions of rows only.
+    All these operations are unimodular, so the rows are then integer rows
+    with the row space of W and 1 at one tree edge and 0 at the others
+    each: row k is the fundamental cut of prefix edge k, and the same cut
+    the RREF of W with the tree's columns first gives.  The same reader
+    reads the cycles off the cuts, and the tree is verified once against
+    the integer axioms.
 
     Returns None when B is not graph-like or the walk completes without a
     hit; raises :class:`SearchLimitExceeded` when the budget runs out first,
@@ -326,7 +333,7 @@ def find_spanning_tree_integer(
         examined += 1
         residual = {i: x for i, x in columns[j].items() if i >= depth}
         if gcd(*residual.values()) == 1:
-            steps = _unit_steps(residual, depth)
+            steps = _unit_steps(residual, depth, rows)
             apply(steps)
             if {i: x for i, x in columns[j].items() if i >= depth} != {depth: 1}:
                 raise InternalInconsistencyError(
@@ -336,8 +343,7 @@ def find_spanning_tree_integer(
             prefix.append(j)
         j += 1
     # prefix edge k's column is zero below row k, where only later steps act
-    cuts = _tree_cuts(rows, columns, prefix)
-    tree = _spanning_tree(tuple(prefix), cuts, _fundamental_cycles(cuts, m), Ring.INTEGER)
+    tree = _spanning_tree(*_read_tree(rows, columns, prefix), Ring.INTEGER)
     if not verify_tree_axioms(hypergraph, tree).ok:
         raise InternalInconsistencyError("integer tree fails the spanning-tree axioms")
     return tree

@@ -11,6 +11,7 @@ run on its kernels but read each fact off another matrix or factor.  The
 dense Smith normal form, RREF and RREF tree reader at the end are the
 library's earlier kernels, kept as differential oracles for the sparse ones,
 :func:`gauss_jordan_rref_tree` is its earlier sparse rational elimination,
+which reads the cycles off the cuts by its own :func:`cycles_of_cuts`,
 :func:`row_log_factors` builds U and U^-1 from a Smith form's row log
 with the dense kernel's row operations, so that no other test reads the
 factors' own properties,
@@ -24,7 +25,9 @@ pass with which its decomposition checked the orthogonality that now
 holds by construction,
 :func:`lexicographic_integer_tree_edges` its earlier integer-tree search,
 :func:`prefix_walk_over_boundary` that search's prefix walk over the
-columns of B, counting the prefixes it tests,
+columns of B, counting the prefixes it tests, with its own Euclid steps
+(:func:`euclid_steps`, a two-row Euclid in place of the library's
+``_unit_steps``),
 :func:`reference_tree_axioms` its earlier tree verification (with
 :func:`_lattice_contains_all`, which also backs :func:`lattice_contains`
 and :func:`sublattice_equal`, and both with :func:`_is_coboundary`, its
@@ -65,21 +68,15 @@ from hyperhomology import (
 )
 from hyperhomology import cli
 from hyperhomology.core import _Record
-from hyperhomology.exact_linalg import (
-    _axpy,
-    _dense,
-    _fundamental_cycles,
-    _integer_row,
-    _rref_tree,
-    _unit_steps,
-)
+from hyperhomology.exact_linalg import _axpy, _dense, _integer_row, _rref_tree
 
 
 def pairwise_validation_report(vertices, edges) -> list[str]:
     """Every violated hypergraph invariant, in the order of
     ``validation_report``: each repeated vertex, then each edge's overlap
-    and unknown vertices, then every inverse pair (i, j) with i < j, j
-    outer, found by comparing each edge with every earlier one."""
+    and unknown vertices, then, for each edge j that inverts an earlier
+    edge, the pair (i, j) with i the first such edge, j ascending, found by
+    comparing each edge with the earlier ones in turn."""
     vertices = list(vertices)
     edges = [(set(tails), set(heads)) for tails, heads in edges]
     violations = [
@@ -96,6 +93,7 @@ def pairwise_validation_report(vertices, edges) -> list[str]:
         for i in range(j):
             if edges[i] == (heads, tails):
                 violations.append(f"edges {i} and {j}: inverse pair")
+                break
     return violations
 
 
@@ -378,10 +376,37 @@ def prefix_walk_over_boundary(hypergraph: OrientedHypergraph):
         residual = {i: x for i, x in reduced.items() if i >= depth}
         if gcd(*residual.values()) == 1:
             marks.append(len(log))
-            log += _unit_steps(residual, depth)
+            log += euclid_steps(residual, depth)
             prefix.append(j)
         j += 1
     return tuple(prefix), examined
+
+
+def euclid_steps(residual: dict, depth: int) -> list[tuple[int, int, int]]:
+    """Row operations, in the encoding of ``exact_linalg._apply``, that take
+    the nonzero integer ``{row: nonzero}`` vector ``residual`` (rows from
+    ``depth`` on) to g > 0 times the unit vector at row ``depth``, by a
+    two-row Euclid between row ``depth`` and each other row in turn,
+    ascending: subtract the floor quotient (when it is not 0), swap while a
+    remainder is left, and negate row ``depth`` at the end if it holds -g."""
+    y = dict(residual)
+    ops = []
+    if depth not in y:
+        k = min(y)
+        ops.append((depth, k, 0))
+        y[depth] = y.pop(k)
+    for k in sorted(y):
+        while k != depth and y[k]:
+            q = y[k] // y[depth]
+            if q:
+                ops.append((k, depth, -q))
+                y[k] -= q * y[depth]
+            if y[k]:
+                ops.append((depth, k, 0))
+                y[depth], y[k] = y[k], y[depth]
+    if y[depth] < 0:
+        ops.append((depth, depth, 0))
+    return ops
 
 
 def graph_like_without_integer_tree() -> OrientedHypergraph:
@@ -1193,7 +1218,18 @@ def gauss_jordan_rref_tree(rows: list[dict], cols: int):
         elif p != 1:
             row = {j: x // p for j, x in row.items()}
         cuts[t] = row
-    return tuple(tree), cuts, _fundamental_cycles(cuts, cols)
+    return tuple(tree), cuts, cycles_of_cuts(cuts, cols)
+
+
+def cycles_of_cuts(cuts: dict, cols: int) -> dict:
+    """The fundamental cycles of a tree with the ``{column: nonzero}``
+    fundamental ``cuts``, one per free column f, ascending: 1 at f and
+    minus cut t's entry at f at each tree column t whose cut holds f."""
+    return {
+        f: {f: 1, **{t: -cut[f] for t, cut in cuts.items() if f in cut}}
+        for f in range(cols)
+        if f not in cuts
+    }
 
 
 def two_rref_vector_space_tree(ambient_dim: int, generators):

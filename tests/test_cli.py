@@ -13,7 +13,7 @@ from hyperhomology import (
     boundary_matrix,
     main_example,
 )
-from hyperhomology import exact_linalg, spanning_tree
+from hyperhomology import exact_linalg
 from hyperhomology.cli import (
     _COMMANDS,
     DocumentError,
@@ -308,9 +308,9 @@ def test_spanning_tree_check_integral_factors_b_once(tmp_path, capsys, monkeypat
     assert calls == [boundary_matrix(BUILTIN_EXAMPLES["triangle-graph"](), Ring.INTEGER)]
 
 
-def test_spanning_tree_integer_search_builds_b_once(tmp_path, capsys, monkeypatch):
-    # the search walks the Smith factor W of B, so on a graph-like document
-    # B is built once, for the Smith form the hypergraph keeps
+def _record_boundary_matrices(monkeypatch) -> list:
+    """The ring of every ``boundary_matrix`` call, recorded through the
+    module that defines it, which the hypergraph's ``_boundary`` imports."""
     calls = []
     real = boundary_module.boundary_matrix
 
@@ -319,10 +319,26 @@ def test_spanning_tree_integer_search_builds_b_once(tmp_path, capsys, monkeypatc
         return real(hypergraph, ring)
 
     monkeypatch.setattr(boundary_module, "boundary_matrix", recorded)
-    monkeypatch.setattr(spanning_tree, "boundary_matrix", recorded)
+    return calls
+
+
+def test_spanning_tree_integer_search_builds_b_once(tmp_path, capsys, monkeypatch):
+    # the search walks the Smith factor W of B, so on a graph-like document
+    # B is built once, for the Smith form the hypergraph keeps
+    calls = _record_boundary_matrices(monkeypatch)
     graph = _write_example(tmp_path, "parallel-edges")
     code, _, _ = _run(capsys, "spanning-tree", graph, "--ring", "int")
     assert code == 0
+    assert calls == [Ring.INTEGER]
+
+
+def test_spanning_tree_rational_check_builds_b_once(tmp_path, capsys, monkeypatch):
+    # the rational tree eliminates the B the hypergraph keeps, which its
+    # verification and the integrality test factor: one B per query
+    calls = _record_boundary_matrices(monkeypatch)
+    graph = _write_example(tmp_path, "main-example")
+    code, _, _ = _run(capsys, "spanning-tree", graph, "--ring", "rat", "--check-integral")
+    assert code == 1
     assert calls == [Ring.INTEGER]
 
 

@@ -821,39 +821,38 @@ def test_kronecker_checks_match_pairwise_oracle():
 
 # Corrupts the integer tree read so that the accepted integer tree is
 # wrong; the search must refuse it whatever the interpreter's optimisation
-# flags.  ``wrong_cut`` adds a fundamental cycle to a cut when the cycles
-# are read off the cuts, which the axiom check refuses.
-# ``dropped_back_op`` leaves the fault a dropped back-substitution
-# operation leaves: the cut of the first tree edge keeps a nonzero at the
-# second, which the axiom check refuses too.  On the input below the tree
+# flags.  Both corrupt what ``_read_tree`` returns.  ``wrong_cut`` adds a
+# fundamental cycle to a cut after the cycles are read off the cuts, which
+# the axiom check refuses.  ``dropped_back_op`` leaves the fault a dropped
+# back-substitution operation leaves: the cut of the first tree edge keeps
+# a nonzero at the second, which the axiom check refuses too.  On the input below the tree
 # has at least two edges and a chord.
 _CORRUPT_TREE = """
 from hyperhomology import random_hypergraph, spanning_tree
 
-real_tree_cuts = spanning_tree._tree_cuts
-real_fundamental_cycles = spanning_tree._fundamental_cycles
+real_read_tree = spanning_tree._read_tree
 
-def wrong_cut(cuts, cols):
-    cycles = real_fundamental_cycles(cuts, cols)
+def wrong_cut(rows, columns, tree):
+    tree, cuts, cycles = real_read_tree(rows, columns, tree)
     t, e = min(cuts), min(cycles)
     total = dict(cuts[t])
     for j, x in cycles[e].items():
         total[j] = total.get(j, 0) + x
     cuts[t] = {j: x for j, x in sorted(total.items()) if x}
-    return cycles
+    return tree, cuts, cycles
 
 def dropped_back_op(rows, columns, tree):
-    cuts = real_tree_cuts(rows, columns, tree)
+    tree, cuts, cycles = real_read_tree(rows, columns, tree)
     cut = cuts[tree[0]]
     cut[tree[1]] = cut.get(tree[1], 0) + 1
-    return cuts
+    return tree, cuts, cycles
 
 def fresh_input():
     return random_hypergraph(4, 5, 0)
 
 CORRUPTIONS = {
-    "wrong_cut": (spanning_tree, "_fundamental_cycles", "fails the spanning-tree axioms"),
-    "dropped_back_op": (spanning_tree, "_tree_cuts", "fails the spanning-tree axioms"),
+    "wrong_cut": (spanning_tree, "_read_tree", "fails the spanning-tree axioms"),
+    "dropped_back_op": (spanning_tree, "_read_tree", "fails the spanning-tree axioms"),
 }
 """
 
@@ -912,11 +911,11 @@ from hyperhomology import random_hypergraph, spanning_tree
 
 real_unit_steps = spanning_tree._unit_steps
 
-def dropped_op(residual, depth):
-    return real_unit_steps(residual, depth)[1:]
+def dropped_op(residual, depth, rows):
+    return real_unit_steps(residual, depth, rows)[1:]
 
-def doubled_multiplier(residual, depth):
-    steps = real_unit_steps(residual, depth)
+def doubled_multiplier(residual, depth, rows):
+    steps = real_unit_steps(residual, depth, rows)
     k = next(k for k, (a, b, q) in enumerate(steps) if q)
     a, b, q = steps[k]
     steps[k] = (a, b, 2 * q)
@@ -925,8 +924,8 @@ def doubled_multiplier(residual, depth):
 def made_steps():
     made = []
 
-    def recording(residual, depth):
-        steps = real_unit_steps(residual, depth)
+    def recording(residual, depth, rows):
+        steps = real_unit_steps(residual, depth, rows)
         made.extend(steps)
         return steps
 

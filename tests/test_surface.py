@@ -5,8 +5,8 @@ reads, no ``assert`` statement, no read of the Smith factors ``u`` and
 ``u_inverse``, no read of a Smith form's operation logs outside
 ``exact_linalg``, one function that applies a log to plain lines and one
 to lines kept with a cross index, one class that sorts a chain's indices,
-the two places that make a Smith form, the two that build B, the two that
-read a tree off an RREF and the functions whose spans the benchmark
+the two places that make a Smith form, the one that builds B, the two
+that read a tree off an RREF and the functions whose spans the benchmark
 reads."""
 
 import ast
@@ -323,16 +323,14 @@ def _is_call(node, name: str) -> bool:
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
 
 
-def _calls(source: str, name: str, argument: str | None = None) -> list[str]:
-    """The dotted name of the function or class body around each call of
-    ``name`` in a module, in source order (``""`` at module level); with
-    ``argument``, only the calls whose first argument is a call of it."""
+def _scopes(source: str, matches) -> list[str]:
+    """The dotted name of the function or class body around each node of a
+    module that ``matches`` accepts, in source order (``""`` at module
+    level)."""
     found = []
 
     def visit(node, scope):
-        if _is_call(node, name) and (
-            argument is None or (node.args and _is_call(node.args[0], argument))
-        ):
+        if matches(node):
             found.append((node.lineno, ".".join(scope)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + [node.name]
@@ -341,6 +339,17 @@ def _calls(source: str, name: str, argument: str | None = None) -> list[str]:
 
     visit(ast.parse(source), [])
     return [where for _, where in sorted(found)]
+
+
+def _calls(source: str, name: str, argument: str | None = None) -> list[str]:
+    """The scopes (:func:`_scopes`) of each call of ``name`` in a module;
+    with ``argument``, only the calls whose first argument is a call of
+    it."""
+    return _scopes(
+        source,
+        lambda node: _is_call(node, name)
+        and (argument is None or (node.args and _is_call(node.args[0], argument))),
+    )
 
 
 def test_call_scan_names_the_enclosing_scopes():
@@ -461,9 +470,9 @@ def test_both_trees_take_their_steps_and_cuts_from_one_routine_each():
     # the rational elimination, which the vector-space tree runs too, and
     # the integer search index their rows by the helper the Smith reduction
     # indexes its rows by, take each tree column to its pivot by the same
-    # Euclid steps and read their cuts by one back substitution
+    # Euclid steps and read their cuts and cycles by one reader
     both = {"exact_linalg.py": ["_rref_tree"], "spanning_tree.py": ["find_spanning_tree_integer"]}
-    for name in ("_unit_steps", "_tree_cuts"):
+    for name in ("_unit_steps", "_read_tree"):
         assert _package_calls(name) == both, name
     indexed = {**both, "exact_linalg.py": ["_rref_tree", "_smith_reduce"]}
     assert _package_calls("_column_index") == indexed
@@ -479,11 +488,19 @@ def test_the_package_makes_a_smith_form_in_two_places():
     }
 
 
-def test_the_package_builds_b_in_two_places():
-    # the hypergraph's Smith form reads B, and so does the rational tree,
-    # which the rational reports read; the integer search walks B's Smith
-    # factor W instead
-    assert _package_calls("boundary_matrix") == {
+def test_the_package_builds_b_in_one_place():
+    # the hypergraph keeps B: its Smith form factors it and the rational
+    # tree, which the rational reports read, eliminates it; the integer
+    # search walks B's Smith factor W instead
+    assert _package_calls("boundary_matrix") == {"core.py": ["OrientedHypergraph._boundary"]}
+    reads = {
+        path.name: _scopes(
+            path.read_text(encoding="utf-8"),
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "_boundary",
+        )
+        for path in PACKAGE_MODULES
+    }
+    assert {module: where for module, where in reads.items() if where} == {
         "core.py": ["OrientedHypergraph._smith_form"],
         "spanning_tree.py": ["find_spanning_tree_rational"],
     }
