@@ -16,11 +16,10 @@ generators with their columns reversed, the vector-space tree.  It and
 the integer-tree search share their steps: both hold their rows in ints,
 indexed by columns (:func:`_column_index`), take each tree column to a
 pivot by the Euclid steps of :func:`_unit_steps`, which touch only the
-rows from the pivot's down and, among pivots of equal absolute value,
-take the row with the fewest nonzeros (the fill tie-break), and read
-the tree off the echelon rows by one routine, :func:`_read_tree`: one
-back substitution, which states how it stays fraction-free, gives the
-cuts, and the cycles are read off the cuts as they are made.  Rational
+rows from the pivot's down, and read the tree off the echelon rows by
+one routine, :func:`_read_tree`: one back substitution, which states how
+it stays fraction-free, gives the cuts, and the cycles are read off the
+cuts as they are made.  Rational
 values are in the canonical form of :mod:`core`: an entry the pivot
 divides is divided exactly, into an int, and only one it does not divide
 becomes a Fraction.  On a graph B is totally unimodular, so every RREF
@@ -209,13 +208,11 @@ def _rref_tree(rows: list[dict], cols: int):
     are not modified; columns are scanned left to right.  The RREF is
     unique for a given column order, so the result depends neither on the
     order of the rows nor on how the elimination reaches it, up to the
-    order of the entries within a vector, and the fill tie-break of
-    :func:`_unit_steps` changes its cost, not its result.  The pivot
-    columns are the greedy column basis, which is the tree.  RREF row i
-    has 1 at its pivot and 0 at every other pivot, so it is the
-    fundamental cut of that pivot, and the cycles are the null vectors of
-    the cuts.  Returns ``(tree, cuts, cycles)``: the tree columns ascending, then
-    dicts from tree column and from free column (both ascending) to a
+    order of the entries within a vector.  The pivot columns are the
+    greedy column basis, which is the tree.  RREF row i has 1 at its pivot
+    and 0 at every other pivot, so it is the fundamental cut of that
+    pivot, and the cycles are the null vectors of the cuts.  Returns
+    ``(tree, cuts, cycles)``: the tree columns ascending, then dicts from tree column and from free column (both ascending) to a
     ``{column: nonzero}`` dict in no promised order, which ``Chain`` puts
     in order when it wraps it.  The values are in canonical form: ints
     where the pivot divides the entry, Fractions elsewhere.  The rank is
@@ -237,7 +234,7 @@ def _rref_tree(rows: list[dict], cols: int):
     for j in range(cols):
         residual = {i: x for i, x in columns[j].items() if i >= len(tree)}
         if residual:
-            apply(_unit_steps(residual, len(tree), rows))
+            apply(_unit_steps(residual, len(tree)))
             tree.append(j)
     return _read_tree(rows, columns, tree)
 
@@ -390,44 +387,35 @@ def _axpy(target: dict, source: dict, q: int) -> None:
             del target[j]
 
 
-def _unit_steps(residual: dict, depth: int, rows: list[dict]) -> list[tuple[int, int, int]]:
+def _unit_steps(residual: dict, depth: int) -> list[tuple[int, int, int]]:
     """Row operations, in the encoding of :func:`_apply`, that take the
     nonzero integer vector ``residual`` (every nonzero in a row from
     ``depth`` on) to g times the unit vector at row ``depth``, g > 0 the
     gcd of its entries (the unit vector itself when it is primitive),
     touching only rows from ``depth`` on.  Euclid's algorithm on its
-    entries: swap an entry of least absolute value into row ``depth``,
-    reduce every other entry modulo it, and repeat until one entry is left,
-    which is then g or -g, and negated if it is -g.  Among entries of equal
-    absolute value the one whose row of ``rows`` has the fewest nonzeros
-    is taken, then the lowest row (the fill tie-break: the pivot row is
-    added to every other row of the residual, so a sparse one fills in
-    least).  The counts are those of ``rows`` as given, followed through
-    the steps' own swaps (``held`` maps a row to the row of ``rows`` a
-    swap moved there), not through their additions; a lone entry needs
-    none."""
+    entries: swap an entry of least absolute value, lowest row first, into
+    row ``depth``, reduce every other entry modulo it, and repeat until one
+    entry is left, which is then g or -g, and negated if it is -g."""
     y = dict(residual)
-    held = {}
     ops = []
     while True:
-        if len(y) == 1:
-            (i,) = y
-        else:
-            i = min(y, key=lambda k: (abs(y[k]), len(rows[held.get(k, k)]), k))
+        i = min(y, key=lambda k: (abs(y[k]), k))
         if i != depth:
             ops.append((depth, i, 0))
             x = y.pop(depth, 0)
             y[depth] = y.pop(i)
-            held[depth], held[i] = held.get(i, i), held.get(depth, depth)
             if x:
                 y[i] = x
         if len(y) == 1:
             break
         p = y[depth]
         for k in [k for k in y if k != depth]:
-            ops.append((k, depth, -(y[k] // p)))
-            y[k] %= p
-            if not y[k]:
+            q = -(y[k] // p)
+            ops.append((k, depth, q))
+            x = y[k] + q * p
+            if x:
+                y[k] = x
+            else:
                 del y[k]
     if y[depth] < 0:
         ops.append((depth, depth, 0))

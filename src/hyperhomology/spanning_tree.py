@@ -38,19 +38,17 @@ the non-tree positions, rows the cycles and null vectors the cuts.  The
 rational tree is the greedy one of B, and its fundamental cycles and cuts
 are the rational bases of ``homology`` and ``cycle_cut_decomposition``.
 Both trees are read the same way (``exact_linalg``): Euclid steps on
-rows indexed by columns take each tree column to a pivot, the sparsest
-row first among pivots of equal absolute value (the fill tie-break of
-``exact_linalg._unit_steps``, which changes no answer), then one routine,
-``exact_linalg._read_tree``, takes the echelon rows to the fundamental
-cuts by one back substitution and reads the cycles off the cuts.  The
-rational tree eliminates the B the hypergraph keeps (``_boundary``), the
-one its Smith form factors, so a query builds B once.  The steps are
-applied by ``exact_linalg._in_step``, which keeps the column index in
-step with the rows entry by entry, as it keeps the Smith reduction's
-rows and columns.  The rational elimination takes every column with a
-nonzero below the pivots so far; the integer walk takes a column only
-when those entries have gcd 1, so its pivots are 1 and its cuts stay in
-ints.
+rows indexed by columns take each tree column to a pivot, then one
+routine, ``exact_linalg._read_tree``, takes the echelon rows to the
+fundamental cuts by one back substitution and reads the cycles off the
+cuts.  The rational tree eliminates the B the hypergraph keeps
+(``_boundary``), the one its Smith form factors, so a query builds B
+once.  The steps are applied by ``exact_linalg._in_step``, which keeps
+the column index in step with the rows entry by entry, as it keeps the
+Smith reduction's rows and columns.  The rational elimination takes
+every column with a nonzero below the pivots so far; the integer walk
+takes a column only when those entries have gcd 1, so its pivots are 1
+and its cuts stay in ints.
 """
 
 from math import gcd, prod
@@ -276,11 +274,9 @@ def find_spanning_tree_integer(
     take the prefix's columns to the first k unit vectors.  A new column
     extends the prefix exactly when its residual, its entries on rows
     k.., is primitive (gcd 1); then the Euclid steps that take the
-    residual to the unit vector at row k (``exact_linalg._unit_steps``,
-    whose fill tie-break may pick other steps but reaches the same unit
-    vector) are applied to the rows, and the column must then be that unit
-    vector from row k down, or
-    :class:`InternalInconsistencyError` is raised.  Backtracking applies
+    residual to the unit vector at row k (``exact_linalg._unit_steps``)
+    are applied to the rows, and the column must then be that unit vector
+    from row k down, or :class:`InternalInconsistencyError` is raised.  Backtracking applies
     the inverse of the last edge's steps (``exact_linalg._inverse_log``).
     The same entries are kept by columns (``exact_linalg._column_index``),
     and each operation applied updates them entry by entry
@@ -333,7 +329,7 @@ def find_spanning_tree_integer(
         examined += 1
         residual = {i: x for i, x in columns[j].items() if i >= depth}
         if gcd(*residual.values()) == 1:
-            steps = _unit_steps(residual, depth, rows)
+            steps = _unit_steps(residual, depth)
             apply(steps)
             if {i: x for i, x in columns[j].items() if i >= depth} != {depth: 1}:
                 raise InternalInconsistencyError(

@@ -26,8 +26,8 @@ from hyperhomology import (
     smith_normal_form,
     triangle_graph,
 )
-from hyperhomology import exact_linalg, spanning_tree
-from hyperhomology.exact_linalg import _rref_tree, _unit_steps
+from hyperhomology import exact_linalg
+from hyperhomology.exact_linalg import _rref_tree
 
 from oracles import (
     _is_coboundary,
@@ -726,8 +726,8 @@ def test_rref_tree_steps_only_below_each_pivot(monkeypatch, name):
     h = grid_graph(30, 30) if name == "30x30 grid" else random_hypergraph(300, 450, 1)
     real, depths = exact_linalg._unit_steps, []
 
-    def recorded(residual, depth, rows):
-        steps = real(residual, depth, rows)
+    def recorded(residual, depth):
+        steps = real(residual, depth)
         assert all(a >= depth and b >= depth for a, b, _ in steps), (depth, steps)
         depths.append(depth)
         return steps
@@ -735,58 +735,6 @@ def test_rref_tree_steps_only_below_each_pivot(monkeypatch, name):
     monkeypatch.setattr(exact_linalg, "_unit_steps", recorded)
     tree, _, _ = _rref_tree(boundary_matrix(h, Ring.INTEGER).lines, h.edge_count)
     assert len(tree) > 100 and depths == list(range(len(tree)))
-
-
-def test_unit_steps_pivot_on_the_sparser_row_among_equal_values():
-    # rows 0 and 1 both hold 1; row 1 has fewer nonzeros, so it is swapped
-    # up and row 0 takes the addition; with equal counts the lower row
-    # stays, and a smaller absolute value beats a sparser row
-    dense, sparse = {0: 1, 1: 1, 2: 1}, {0: 1}
-    assert _unit_steps({0: 1, 1: 1}, 0, [dense, sparse]) == [(0, 1, 0), (1, 0, -1)]
-    assert _unit_steps({0: 1, 1: 1}, 0, [sparse, sparse]) == [(1, 0, -1)]
-    assert _unit_steps({0: 1, 1: 2}, 0, [dense, sparse]) == [(1, 0, -2)]
-    # the counts follow the rows through the steps' own swaps: after the
-    # first swap row 1 holds the one-entry row and ties with row 2, which
-    # holds four; read where the rows started, row 1 would hold five
-    rows = [{0: 1}, dict.fromkeys(range(5), 1), dict.fromkeys(range(4), 1)]
-    steps = _unit_steps({0: 3, 1: 2, 2: 3}, 0, rows)
-    assert steps == [(0, 1, 0), (2, 0, -1), (1, 0, -1), (0, 1, 0), (2, 0, -1), (1, 0, -2)]
-
-
-def _lowest_row_first(residual, depth, rows):
-    """The Euclid steps with ties on absolute value broken by the lowest
-    row alone, as before the fill tie-break: every row counts alike."""
-    return _unit_steps(residual, depth, [{}] * len(rows))
-
-
-def test_fill_tie_break_changes_no_tree(monkeypatch):
-    # the RREF is unique for a given column order, and the search's
-    # answers and cuts do not depend on its steps: the rational tree, the
-    # integer tree and seeded sparse int and Fraction matrices read the
-    # same tree, cuts and cycles under both tie-breaks, which pick other
-    # steps hundreds of times on them
-    rng = random.Random(4141)
-    cases = [_sparse_rows(rng) for _ in range(1000)]
-    suite = tree_outcome_suite()
-    cases += [(boundary_matrix(h, Ring.INTEGER).lines, h.edge_count) for h in suite]
-    differ = []
-
-    def sparse_first_recorded(residual, depth, rows):
-        steps = _unit_steps(residual, depth, rows)
-        differ.append(steps != _lowest_row_first(residual, depth, rows))
-        return steps
-
-    def reads(steps):
-        for module in (exact_linalg, spanning_tree):
-            monkeypatch.setattr(module, "_unit_steps", steps)
-        trees = [_typed(_rref_tree(rows, cols)) for rows, cols in cases]
-        return trees, [find_spanning_tree_integer(h) for h in suite]
-
-    sparse_first = reads(sparse_first_recorded)
-    assert sparse_first == reads(_lowest_row_first)
-    assert sum(differ) > 500, sum(differ)
-    found = [tree for tree in sparse_first[1] if tree is not None]
-    assert len(found) > 100 and any(tree.fundamental_cycles for tree in found)
 
 
 def test_coboundary_test_matches_transposed_solve():

@@ -825,8 +825,8 @@ def test_kronecker_checks_match_pairwise_oracle():
 # fundamental cycle to a cut after the cycles are read off the cuts, which
 # the axiom check refuses.  ``dropped_back_op`` leaves the fault a dropped
 # back-substitution operation leaves: the cut of the first tree edge keeps
-# a nonzero at the second, which the axiom check refuses too.  On the input below the tree
-# has at least two edges and a chord.
+# a nonzero at the second, which the axiom check refuses too.  On the
+# input below the tree has at least two edges and a chord.
 _CORRUPT_TREE = """
 from hyperhomology import random_hypergraph, spanning_tree
 
@@ -911,11 +911,11 @@ from hyperhomology import random_hypergraph, spanning_tree
 
 real_unit_steps = spanning_tree._unit_steps
 
-def dropped_op(residual, depth, rows):
-    return real_unit_steps(residual, depth, rows)[1:]
+def dropped_op(residual, depth):
+    return real_unit_steps(residual, depth)[1:]
 
-def doubled_multiplier(residual, depth, rows):
-    steps = real_unit_steps(residual, depth, rows)
+def doubled_multiplier(residual, depth):
+    steps = real_unit_steps(residual, depth)
     k = next(k for k, (a, b, q) in enumerate(steps) if q)
     a, b, q = steps[k]
     steps[k] = (a, b, 2 * q)
@@ -924,8 +924,8 @@ def doubled_multiplier(residual, depth, rows):
 def made_steps():
     made = []
 
-    def recording(residual, depth, rows):
-        steps = real_unit_steps(residual, depth, rows)
+    def recording(residual, depth):
+        steps = real_unit_steps(residual, depth)
         made.extend(steps)
         return steps
 
