@@ -48,7 +48,7 @@ from types import SimpleNamespace
 
 from _json import encode_basestring_ascii as _quote, make_scanner
 
-from . import fixtures
+from . import fixtures, spanning_tree
 from .core import (
     HypergraphValidationError,
     InternalInconsistencyError,
@@ -559,7 +559,7 @@ _COMMANDS = {
             **_JSON,
             "--ring": (_RING, _REQUIRED, None),
             "--check-integral": (None, False, ("--ring", "rat")),
-            "--limit": (_nonnegative_int, 1_000_000, ("--ring", "int")),
+            "--limit": (_nonnegative_int, spanning_tree._SEARCH_LIMIT, ("--ring", "int")),
         },
     ),
     "graphlike": (_cmd_graphlike, "the five equivalence conditions", _FILE, _JSON),
@@ -578,7 +578,7 @@ _COMMANDS = {
             "--vertices": (_int, _REQUIRED, None),
             "--edges": (_int, _REQUIRED, None),
             "--seed": (_int, _REQUIRED, None),
-            "--max-arity": (_int, 3, None),
+            "--max-arity": (_int, fixtures._MAX_ARITY, None),
             "--allow-empty-edges": (None, False, None),
         },
     ),

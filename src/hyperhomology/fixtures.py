@@ -2,6 +2,11 @@
 
 from .core import OrientedHypergraph
 
+# ``random_hypergraph``'s default max arity, which the CLI's ``--max-arity``
+# reads too, and the draws it makes for one edge before it gives up
+_MAX_ARITY = 3
+_DRAWS_PER_EDGE = 10_000
+
 
 def main_example() -> OrientedHypergraph:
     """Three vertices, three edges, each pointing from two vertices to the
@@ -46,7 +51,7 @@ def random_hypergraph(
     vertex_count: int,
     edge_count: int,
     seed: int,
-    max_arity: int = 3,
+    max_arity: int = _MAX_ARITY,
     allow_empty_edges: bool = False,
 ) -> OrientedHypergraph:
     """Deterministic pseudo-random oriented hypergraph.
@@ -82,7 +87,7 @@ def random_hypergraph(
     edges: list[tuple[frozenset, frozenset]] = []
     drawn = set()
     for _ in range(edge_count):
-        for _attempt in range(10_000):
+        for _attempt in range(_DRAWS_PER_EDGE):
             tail_arity = rng.randrange(max_arity + 1)
             head_arity = rng.randrange(max_arity + 1)
             if tail_arity == 0 and head_arity == 0 and not allow_empty_edges:
@@ -107,6 +112,7 @@ def random_hypergraph(
             break
         else:
             raise ValueError(
-                f"edge resampling did not converge: all 10000 draws for edge {len(edges)} were rejected"
+                f"edge resampling did not converge: all {_DRAWS_PER_EDGE} draws"
+                f" for edge {len(edges)} were rejected"
             )
     return OrientedHypergraph(vertices, edges)

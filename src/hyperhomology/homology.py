@@ -5,33 +5,40 @@ cohomology group is the cokernel of the coboundary map.  Over the integers
 the homology, graph-likeness and decomposition reports read everything off
 one Smith normal form U B V = S with divisors d_0..d_{r-1}, the one the
 hypergraph keeps once it is first factored (``_smith_form``): the rank r,
-the cycles (columns r.. of V), the cohomology torsion, the annihilator of
-the cycles (rows < r of V^-1) and coboundary membership, which reads rows
-of V.  Membership is the graded test ``exact_linalg._grade``: a cochain
-grades 0 when it is the coboundary of an integer 0-cochain, 1 when only of
-a rational one (it then kills every cycle) and 2 when of none.  The
-integer decomposition's spanning check asks each standard edge cochain for
-grade 0, and the graph-likeness witness scan takes the first that grades
-1.  The integer cycles are read off
-the columns of V that the Smith form's column log builds and keeps, with
-no transpose.  The Smith form is checked without V, and V is built from
-its column log when first read: by the cycles and by coboundary
-membership, not by the divisors.  The five graph-likeness conditions are
-equivalent; the report decides them once, by whether every divisor is 1,
-holds that one verdict and builds the witnesses from the same
-factorization, so a positive verdict builds no V.  The witnesses read S, V
-and V^-1 only; the direct-summand one is the boundary of column p of V
-divided by d_p, for the first divisor d_p above 1.  The other routes to
-the same conditions (the direct summand test, the cohomology-to-dual
-check, the cycle annihilator with a lattice comparison) and to the
-pairing-functional lattice live in ``tests/oracles.py``, where they
-serve as independent checks.  Over the rationals the bases are the
+the bases, the cohomology torsion, the annihilator of the cycles (rows < r
+of V^-1) and coboundary membership, which reads rows of V.  Membership is
+the graded test ``exact_linalg._grade``: a cochain grades 0 when it is the
+coboundary of an integer 0-cochain, 1 when only of a rational one (it then
+kills every cycle) and 2 when of none.  The integer decomposition's
+spanning check asks each standard edge cochain for grade 0, and the
+graph-likeness witness scan takes the first that grades 1.
+
+Both reports take their bases from one reader, ``_bases``, with one rule
+per ring.  Over the integers the cycles are columns r.. of V, as the Smith
+form's column log builds and keeps them (no transpose), and the cuts are
+d_i times row i of V^-1 for i < r.  Over the rationals they are the
 fundamental cycles and cuts of the greedy rational spanning tree of B
 (``find_spanning_tree_rational``), read off one reduced row echelon form
-of B.  In both rings the decomposition's cycles and cuts are orthogonal,
-independent and m in number by construction, so its report holds no flag
-for these facts; the pass that forms every cycle-cut product lives in
+of B.  ``cycle_cut_decomposition`` reports both bases; ``homology``
+reports the cycles and takes the boundary rank by rank-nullity, m minus
+the number of cycles, so an integer homology builds no cut.  In both rings
+the cycles and cuts are orthogonal, independent and m in number by
+construction, so the decomposition's report holds no flag for these
+facts; the pass that forms every cycle-cut product lives in
 ``tests/oracles.py``.
+
+The Smith form is checked without V, and V is built from its column log
+when first read: by the cycles and by coboundary membership, not by the
+divisors.  The five graph-likeness conditions are equivalent; the report
+decides them once, by whether every divisor is 1, holds that one verdict
+and builds the witnesses from the same factorization, so a positive
+verdict builds no V.  The witnesses read S, V and V^-1 only; the
+direct-summand one is the boundary of column p of V divided by d_p, for
+the first divisor d_p above 1.  The other routes to the same conditions
+(the direct summand test, the cohomology-to-dual check, the cycle
+annihilator with a lattice comparison) and to the pairing-functional
+lattice live in ``tests/oracles.py``, where they serve as independent
+checks.
 """
 
 from .boundary import boundary
@@ -50,35 +57,43 @@ class HomologyReport(_Record):
     rank_image_boundary: int
 
 
+def _bases(hypergraph: OrientedHypergraph, ring: Ring):
+    """The cycle basis, as a tuple, and the cut basis, as an iterable, by
+    the ring's rule in the module docstring.  The integer cuts are built
+    only as they are read, so a caller that reads only the cycles wraps no
+    cut."""
+    if ring is Ring.INTEGER:
+        decomposition = hypergraph._smith_form
+        cycles = decomposition._v_columns[decomposition.rank:]
+        cuts = (
+            Chain._of(1, {j: d * x for j, x in row.items()}, Ring.INTEGER)
+            for row, d in zip(decomposition.v_inverse.lines, decomposition.diagonal)
+        )
+        return tuple(Chain._of(1, v, Ring.INTEGER) for v in cycles), cuts
+    tree = find_spanning_tree_rational(hypergraph)
+    return tuple(tree.fundamental_cycles.values()), tree.fundamental_cuts.values()
+
+
 def homology(hypergraph: OrientedHypergraph, ring: Ring) -> HomologyReport:
     """Compute the first homology (cycle module with basis) and the first
     cohomology (cochains modulo coboundaries) over the requested ring.
 
     Over the integers the homology is always free of rank |E| minus the
     boundary rank, while the cohomology may carry torsion; over the
-    rationals only the free ranks remain.  The integer report reads the
-    Smith form of B, the rational one the rational spanning tree: its
-    rank is the number of tree edges and its basis the fundamental cycles.
-    A ``ring`` that is not a :class:`Ring` raises ``TypeError``.
+    rationals only the free ranks remain.  The basis is the cycle basis of
+    ``_bases``, and the boundary rank is the edge count minus its size; the
+    integer torsion is the divisors of the Smith form above 1.  A ``ring``
+    that is not a :class:`Ring` raises ``TypeError``.
     """
     _require_ring(ring)
-    m = hypergraph.edge_count
-    if ring is Ring.INTEGER:
-        decomposition = hypergraph._smith_form
-        rank = decomposition.rank
-        basis = tuple(Chain._of(1, v, Ring.INTEGER) for v in decomposition._v_columns[rank:])
-        torsion = tuple(d for d in decomposition.diagonal if d > 1)
-    else:
-        tree = find_spanning_tree_rational(hypergraph)
-        rank = len(tree.tree_edges)
-        basis = tuple(tree.fundamental_cycles.values())
-        torsion = ()
+    basis, _ = _bases(hypergraph, ring)
+    divisors = hypergraph._smith_form.diagonal if ring is Ring.INTEGER else ()
     return HomologyReport(
         ring=ring,
         h1=ModuleStructure(len(basis), ()),
         h1_basis=basis,
-        h1_cohomology=ModuleStructure(m - rank, torsion),
-        rank_image_boundary=rank,
+        h1_cohomology=ModuleStructure(len(basis), tuple(d for d in divisors if d > 1)),
+        rank_image_boundary=hypergraph.edge_count - len(basis),
     )
 
 
@@ -220,10 +235,8 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     Over the rationals the two are orthogonal complements.  Over the
     integers they still intersect trivially but their sum can be a proper
     sublattice; the first standard edge chain outside the sum is reported.
-    Integer cycles are columns r.. of V in the Smith form U B V = S, as its
-    column log builds them, and the cuts d_i times row i of V^-1 for i < r;
-    rational cycles and cuts are the fundamental cycles and cuts of the
-    rational spanning tree.  Either way each family is independent (V is
+    The bases are those of ``_bases``, by the ring's rule in the module
+    docstring.  Either way each family is independent (V is
     unimodular, every d_i is nonzero, the fundamental cuts and cycles have
     Kronecker patterns), and no cycle-cut product is formed, because each
     is 0 by construction:
@@ -243,28 +256,18 @@ def cycle_cut_decomposition(hypergraph: OrientedHypergraph, ring: Ring) -> Decom
     that is not a :class:`Ring` raises ``TypeError``.
     """
     _require_ring(ring)
+    cycle_basis, cuts = _bases(hypergraph, ring)
     missing_chain = None
     if ring is Ring.INTEGER:
         decomposition = hypergraph._smith_form
-        rank, diagonal = decomposition.rank, decomposition.diagonal
-        cycle_basis = tuple(Chain._of(1, v, Ring.INTEGER) for v in decomposition._v_columns[rank:])
-        cut_basis = tuple(
-            Chain._of(1, {j: d * x for j, x in row.items()}, Ring.INTEGER)
-            for row, d in zip(decomposition.v_inverse.lines, diagonal)
-        )
         for k, (tails, heads) in enumerate(hypergraph.edges):
             if (tails or heads) and _grade(decomposition, {k: 1}) != 0:
                 missing_chain = Chain.unit(1, k, Ring.INTEGER)
                 break
-    else:
-        tree = find_spanning_tree_rational(hypergraph)
-        cycle_basis = tuple(tree.fundamental_cycles.values())
-        cut_basis = tuple(tree.fundamental_cuts.values())
-
     return DecompositionReport(
         ring=ring,
         cycle_basis=cycle_basis,
-        cut_basis=cut_basis,
+        cut_basis=tuple(cuts),
         spans_all_chains=missing_chain is None,
         missing_chain=missing_chain,
     )

@@ -243,8 +243,13 @@ def is_integral(hypergraph: OrientedHypergraph, tree: SpanningTree) -> bool:
     return all(_grade(decomposition, c.coefficients) == 0 for c in tree.fundamental_cuts.values())
 
 
+# ``find_spanning_tree_integer``'s default budget of prefix tests, which
+# the CLI's ``--limit`` reads too
+_SEARCH_LIMIT = 1_000_000
+
+
 def find_spanning_tree_integer(
-    hypergraph: OrientedHypergraph, search_limit: int = 1_000_000
+    hypergraph: OrientedHypergraph, search_limit: int = _SEARCH_LIMIT
 ) -> SpanningTree | None:
     """Search for a spanning tree over the integers: the first, in
     lexicographic order of edge indices, of the size-``rank`` edge subsets

@@ -41,6 +41,7 @@ import io
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hyperhomology import find_spanning_tree_integer, random_hypergraph
 from hyperhomology.cli import _COMMANDS, _CommandLineExit, _parse_args, run_command
 
 from oracles import reference_parser
@@ -406,3 +407,12 @@ def test_parser_text_matches_pinned_digest():
     for argv in VALID + MALFORMED + HELP + CHANGED:
         digest.update(f"{argv!r} -> {_outcome(argv)!r}\n".encode())
     assert digest.hexdigest() == _PINNED_PARSER_DIGEST
+
+
+def test_option_defaults_are_the_library_defaults():
+    # ``--limit``, ``--max-arity`` and ``--allow-empty-edges`` default to
+    # what the functions they feed default to
+    tree = _parse_args(["spanning-tree", F, "--ring", "int"])
+    assert (tree.limit,) == find_spanning_tree_integer.__defaults__
+    drawn = _parse_args(["random", "--vertices", "3", "--edges", "2", "--seed", "1"])
+    assert (drawn.max_arity, drawn.allow_empty_edges) == random_hypergraph.__defaults__

@@ -54,6 +54,7 @@ from oracles import (
     lattice_contains,
     minor_gcd_divisors,
     mutually_orthogonal,
+    parallel_edge_suite,
     random_connected_graph,
     represents_dualized_boundary,
     seeded_suite,
@@ -487,6 +488,36 @@ def test_homology_integer_always_free_of_expected_rank():
         report = homology(h, Ring.INTEGER)
         expected = h.edge_count - report.rank_image_boundary
         assert report.h1 == ModuleStructure(expected, ())
+
+
+def test_both_reports_read_one_pair_of_bases():
+    # ``homology`` and ``cycle_cut_decomposition`` take their bases from one
+    # reader: the same cycles, and a boundary rank equal to the number of
+    # cuts, in both rings
+    for h in hypergraph_suite() + parallel_edge_suite():
+        for ring in Ring:
+            report, decomposition = homology(h, ring), cycle_cut_decomposition(h, ring)
+            assert report.h1_basis == decomposition.cycle_basis, (h, ring)
+            assert report.rank_image_boundary == len(decomposition.cut_basis), (h, ring)
+
+
+def test_integer_homology_wraps_no_cut(monkeypatch):
+    # the cuts are built only when they are read, so an integer ``homology``
+    # wraps its m - r cycles and nothing else
+    wrapped = []
+    of = Chain._of.__func__
+
+    def counted(cls, *args):
+        wrapped.append(cls)
+        return of(cls, *args)
+
+    monkeypatch.setattr(Chain, "_of", classmethod(counted))
+    for h in hypergraph_suite() + parallel_edge_suite():
+        h = OrientedHypergraph(h.vertices, h.edges)
+        wrapped.clear()
+        report = homology(h, Ring.INTEGER)
+        assert len(wrapped) == h.edge_count - report.rank_image_boundary, h
+        assert len(wrapped) == len(report.h1_basis)
 
 
 def test_integer_tree_implies_perp_equality_and_summand():

@@ -515,6 +515,19 @@ def test_the_package_reads_a_tree_off_an_rref_in_two_places():
     }
 
 
+def test_both_reports_read_their_bases_in_one_place():
+    # ``homology`` and ``cycle_cut_decomposition`` take their cycles and
+    # cuts from ``_bases``, the one place the per-ring rule is written: the
+    # rational tree is made there, and the columns of V are read there and
+    # by the direct-summand witness
+    source = (PACKAGE_MODULES[0].parent / "homology.py").read_text(encoding="utf-8")
+    assert _calls(source, "find_spanning_tree_rational") == ["_bases"]
+    reads = _scopes(
+        source, lambda node: isinstance(node, ast.Attribute) and node.attr == "_v_columns"
+    )
+    assert reads == ["_bases", "graph_likeness"]
+
+
 def test_homology_imports_nothing_from_boundary():
     # it may import ``boundary`` but never ``boundary_matrix``: its rational
     # bases are the rational tree's fundamental cycles and cuts, so it never
